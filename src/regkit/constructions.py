@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import (ClassSizeMismatch, DegenerateInput,
                      ParameterOutOfContract, PreconditionFailed)
@@ -139,7 +139,7 @@ class BigCount:
         return f"{tag}2^({self.base!r}{self.shift:+d})"
 
 
-BigLike = Union[BigCount, int]
+BigLike = BigCount | int
 
 
 def _as_big(x: BigLike) -> BigCount:

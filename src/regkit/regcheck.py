@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, DegenerateInput, ParameterOutOfContract
 from .graphs import (BipartiteGraph, count_edges_between, density,
@@ -82,7 +82,7 @@ class Threshold:
         return f"sqrt({frac})" if self.is_sqrt else frac
 
 
-ThresholdLike = Union[Threshold, Fraction, int]
+ThresholdLike = Threshold | Fraction | int
 
 
 def _as_threshold(value: ThresholdLike) -> Threshold:

@@ -109,20 +109,21 @@ def _octahedron_oracle(h, t):
 
 
 def test_octahedron_naive_matches_fast_and_oracle():
+    # At n = 1 every term of the symmetry fold is diagonal (x0 == x1,
+    # y0 == y1); the complete 3-graph holds every triangle (hm == tm) and
+    # the empty one none.
     rng = random.Random(34)
-    for _ in range(8):
-        n = rng.choice([2, 3])
+    for n in (1, 2, 3, 4, 5):
         cls = tuple(VertexClass(i, n) for i in range(3))
-        h = ThreeGraph(cls, frozenset(
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            if rng.random() < .5))
         t = Triad(rg(rng, cls[0], cls[1], .7), rg(rng, cls[0], cls[2], .7),
                   rg(rng, cls[1], cls[2], .7))
-        naive = hyperreg.octahedron_sum_naive(h, t)
-        fast = hyperreg.octahedron_sum_fast(h, t)
-        assert naive == fast
-        assert naive == _octahedron_oracle(h, t)
-        assert naive >= 0
+        for h in (random_h(rng, (n, n, n), .5), ThreeGraph.complete(cls),
+                  ThreeGraph(cls, frozenset())):
+            naive = hyperreg.octahedron_sum_naive(h, t)
+            fast = hyperreg.octahedron_sum_fast(h, t)
+            assert naive == fast
+            assert naive == _octahedron_oracle(h, t)
+            assert naive >= 0
 
 
 def test_octahedron_boundaries():
