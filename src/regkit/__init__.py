@@ -1,9 +1,8 @@
 """regkit: exact checkers and constructions for graph and hypergraph
 regularity.
 
-All verdict-relevant arithmetic is exact (integers and rationals); hot
-kernels run in a compiled extension when available, with a pure-Python
-fallback selected at import time (see ``regkit.kernels.BACKEND``).
+All verdict-relevant arithmetic is exact (integers and rationals); the hot
+counting loops live in ``regkit.kernels``, in pure Python.
 """
 
 __version__ = "1.0.0"

@@ -1,60 +1,219 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""Counting kernels: the hot inner loops, in pure Python.
 
-The compiled twin is restricted to word-sized masks and int64/int128-safe
-magnitudes; each wrapper falls back to the pure implementation outside those
-limits, so callers always get exact results.
+Three entry points: ``triangle_count``, ``octahedron_fast_scaled`` and
+``scan_subtriads``.  All arithmetic is on Python ints, so no input is too
+wide.  The subtriad scan skips blocks that provably hold no violation and
+counts them as examined, so its witnesses and state counts are those of
+the plain walk over every state.  Masks are Python ints (bit z of
+``hm[x*n+y]`` says whether (x, y, z) is a hyperedge-carrying triangle,
+etc.).
 """
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import and_, gt, mul, or_
 from typing import Optional, Sequence
 
-from . import _kernels_py as python_impl
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _kernels as compiled_impl  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover
-    compiled_impl = None
-
-BACKEND = "compiled" if compiled_impl is not None else "python"
-
-_WORD = 64
-
-
-def _fits_word(rows: Sequence[int]) -> bool:
-    return all(0 <= r < (1 << _WORD) for r in rows)
+BACKEND = "python"
 
 
 def triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
                    bc_rows: Sequence[int]) -> int:
-    """t(P): sum of codegrees over the AB edges of a triad."""
-    if (compiled_impl is not None and len(ab_rows) <= _WORD
-            and len(bc_rows) <= _WORD
-            and _fits_word(ab_rows) and _fits_word(ac_rows)
-            and _fits_word(bc_rows)):
-        return compiled_impl.triangle_count(ab_rows, ac_rows, bc_rows)
-    return python_impl.triangle_count(ab_rows, ac_rows, bc_rows)
+    """Triangles of a triad: sum of codegrees over the AB edges."""
+    total = 0
+    for a, mask in enumerate(ab_rows):
+        ac = ac_rows[a]
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            mask ^= low
+            total += (ac & bc_rows[b]).bit_count()
+    return total
 
 
 def octahedron_fast_scaled(n: int, tau: int, ecount: int,
                            hm: Sequence[int], tm: Sequence[int]) -> int:
-    """Octahedron sum times tau**8 as an exact integer (O(n^5) reorganization)."""
-    if compiled_impl is not None and n <= 16:
-        return compiled_impl.octahedron_fast_scaled(n, tau, ecount, hm, tm)
-    return python_impl.octahedron_fast_scaled(n, tau, ecount, hm, tm)
+    """Octahedron sum scaled by tau**8, via the z-collapse reorganization.
+
+    Entry (x, y, z) of the scaled weight function g is tau - ecount on
+    hyperedge triangles, -ecount on the remaining triangles, 0 elsewhere.
+    The sum is sum over x0, x1, y0, y1 of dot(P[y0], P[y1])**2 with rows
+    P[y] = g[x0, y, .] * g[x1, y, .] taken pointwise over z.  Swapping x0
+    with x1 leaves P unchanged and swapping y0 with y1 leaves the dot
+    product unchanged, so only x0 <= x1 and y0 <= y1 are visited: a
+    diagonal pair weighs 1 and an off-diagonal pair 2, on each axis.
+    Runs in O(n^5); the returned integer is a sum of squares, hence >= 0.
+    """
+    hi = tau - ecount
+    lo = -ecount
+    vals = []
+    for xy in range(n * n):
+        h = hm[xy]
+        t = tm[xy]
+        vals.append(tuple(hi if (h >> z) & 1 else (lo if (t >> z) & 1 else 0)
+                          for z in range(n)))
+    total = 0
+    for x0 in range(n):
+        for x1 in range(x0, n):
+            # P[y] is zero off the triangles shared by (x0, y) and (x1, y):
+            # keep only the rows y and the positions z that can be nonzero.
+            shared = list(map(and_, tm[x0 * n:(x0 + 1) * n],
+                              tm[x1 * n:(x1 + 1) * n]))
+            zmask = reduce(or_, shared)
+            keep = [zmask >> z & 1 for z in range(n)]
+            prods = [tuple(map(mul, compress(vals[x0 * n + y], keep),
+                               compress(vals[x1 * n + y], keep)))
+                     for y in range(n) if shared[y]]
+            diag = 0
+            off = 0
+            for y0, p0 in enumerate(prods):
+                s = sum(map(mul, p0, p0))
+                diag += s * s
+                for p1 in prods[y0 + 1:]:
+                    s = sum(map(mul, p0, p1))
+                    off += s * s
+            block = diag + 2 * off
+            total += block if x0 == x1 else 2 * block
+    return total
 
 
 def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
                    ac_edges: Sequence[tuple[int, int]],
                    bc_edges: Sequence[tuple[int, int]],
                    n_a: int, n_b: int, n_c: int,
-                   h_amask: Sequence[int], mode: int, num: int, den: int
+                   h_amask: Sequence[int],
+                   mode: int, num: int, den: int
                    ) -> tuple[Optional[tuple[int, int, int, int, int]], int]:
-    """Exhaustive subtriad scan; see ``_kernels_py.scan_subtriads``."""
-    # int64 safety: the predicate multiplies three counts <= t_full by den.
-    t_bound = max(1, len(ab_edges)) * max(n_a, n_b, n_c)
-    safe = (compiled_impl is not None and n_a <= _WORD
-            and num < (1 << 30) and den < (1 << 30)
-            and t_bound < (1 << 20))
-    impl = compiled_impl if safe else python_impl
-    return impl.scan_subtriads(ab_edges, ac_edges, bc_edges,
-                               n_a, n_b, n_c, h_amask, mode, num, den)
+    """Enumerate every subtriad and report the first predicate violation.
+
+    Subtriads are all subsets of the three edge lists.  ``h_amask[b*n_c+c]``
+    is the bitmask of A-vertices a with (a, b, c) a hyperedge.  With the full
+    triad carrying ``t_full`` triangles and ``e_full`` hyperedge triangles,
+    a subtriad with counts (t, e) violates (``den`` > 0):
+
+    * mode 0: t*den >= num*t_full and 3*e*t_full < 2*e_full*t
+      (triangle-heavy subtriad loses more than a third of the density);
+    * mode 1: t*den >= num*t_full and |e*t_full - e_full*t|*den > num*t_full*t
+      (triangle-heavy subtriad deviates by more than num/den in density).
+
+    Both second conditions say that (t, e) lies outside the band
+    lo*t <= q*e <= hi*t: mode 0 has q = hi = 3*t_full and lo = 2*e_full
+    (q*e <= hi*t always holds, as e <= t), mode 1 has q = t_full*den and
+    lo, hi = e_full*den -+ num*t_full.
+
+    Subtriads are visited in AB mask order, then AC mask order, then the
+    Gray order of the BC mask, so each (AB, AC) pair is a block of
+    2^len(bc_edges) consecutive states.  Within a block, BC edge k adds a
+    fixed c_k triangles and h_k hyperedge triangles to every subset that
+    holds it, so t and e are sums over the chosen edges, and the band, a
+    cone, holds every such sum if it holds every (c_k, h_k).  Blocks are
+    skipped without a walk where no violation can lie:
+
+    * a block, when all c_k together stay below the heaviness bound, or
+      when every (c_k, h_k) lies in the band;
+    * a whole AB row, when all of its AC edges together stay below the
+      bound, or when the band holds every (c_k, h_k) its blocks can reach.
+      Those are the points with h/c between 0 (only triangles off the
+      3-graph) and 1 (only hyperedge triangles), so the band holds them
+      iff it holds (1, 0) wherever the row has a triangle off the 3-graph
+      and (1, 1) wherever it has a hyperedge triangle.
+
+    The plain walk would pass every state of a skipped block without
+    returning, so those states are counted as examined: witness and state
+    count are those of the walk over every block.
+
+    Returns ((ab_mask, ac_mask, bc_mask, t, e) or None, states_examined).
+    The scan is exhaustive iff the first component is None.
+    """
+    m1, m2, m3 = len(ab_edges), len(ac_edges), len(bc_edges)
+
+    col_ab_full = [0] * n_b
+    for a, b in ab_edges:
+        col_ab_full[b] |= 1 << a
+    col_ac_full = [0] * n_c
+    for a, c in ac_edges:
+        col_ac_full[c] |= 1 << a
+    t_full = 0
+    e_full = 0
+    for b, c in bc_edges:
+        am = col_ab_full[b] & col_ac_full[c]
+        t_full += am.bit_count()
+        e_full += (am & h_amask[b * n_c + c]).bit_count()
+    if t_full == 0:
+        # Every subtriad has t = e = 0, which violates neither predicate.
+        return None, 1 << (m1 + m2 + m3)
+
+    need = num * t_full
+    t_min = -(-need // den)  # t*den >= need  <=>  t >= t_min
+    if mode == 0:
+        q = hi = 3 * t_full
+        lo = 2 * e_full
+    else:
+        q = t_full * den
+        lo = e_full * den - need
+        hi = e_full * den + need
+    bc_b = [b for b, _ in bc_edges]
+    bc_c = [c for _, c in bc_edges]
+    bc_h = [h_amask[b * n_c + c] for b, c in bc_edges]
+    bc_nh = [~h for h in bc_h]
+    zero_in_band = lo <= 0
+    one_in_band = q <= hi
+    ac_all = [col_ac_full[c] for c in bc_c]
+    block = 1 << m3
+    states = 0
+    for abm in range(1 << m1):
+        col_ab = [0] * n_b
+        rest = abm
+        while rest:
+            low = rest & -rest
+            a, b = ab_edges[low.bit_length() - 1]
+            rest ^= low
+            col_ab[b] |= 1 << a
+        ab_k = [col_ab[b] for b in bc_b]
+        # row[k]: the A-vertices that BC edge k can reach in this row.
+        row = list(map(and_, ab_k, ac_all))
+        if (sum(map(int.bit_count, row)) < t_min
+                or ((zero_in_band or not any(map(and_, row, bc_nh)))
+                    and (one_in_band or not any(map(and_, row, bc_h))))):
+            states += block << m2
+            continue
+        for acm in range(1 << m2):
+            col_ac = [0] * n_c
+            rest = acm
+            while rest:
+                low = rest & -rest
+                a, c = ac_edges[low.bit_length() - 1]
+                rest ^= low
+                col_ac[c] |= 1 << a
+            ams = list(map(and_, ab_k, [col_ac[c] for c in bc_c]))
+            cnt = list(map(int.bit_count, ams))
+            if sum(cnt) < t_min:
+                states += block
+                continue
+            hcnt = list(map(int.bit_count, map(and_, ams, bc_h)))
+            # Walk only if some (c_k, h_k) has lo*c_k > q*h_k or
+            # q*h_k > hi*c_k.
+            qh = list(map(q.__mul__, hcnt))
+            if not (any(map(gt, map(lo.__mul__, cnt), qh))
+                    or any(map(gt, qh, map(hi.__mul__, cnt)))):
+                states += block
+                continue
+            # Gray walk over BC subsets, maintaining (t, e) incrementally;
+            # the empty subset violates neither predicate.
+            t = e = 0
+            bcm = 0
+            for g in range(1, block):
+                k = (g & -g).bit_length() - 1
+                bit = 1 << k
+                bcm ^= bit
+                if bcm & bit:
+                    t += cnt[k]
+                    e += hcnt[k]
+                else:
+                    t -= cnt[k]
+                    e -= hcnt[k]
+                if t >= t_min and not lo * t <= q * e <= hi * t:
+                    return (abm, acm, bcm, t, e), states + g + 1
+            states += block
+    return None, states
