@@ -72,11 +72,13 @@ class BipartiteGraph:
         if left.size == 0 or right.size == 0:
             raise DegenerateInput("bipartite graph with an empty side")
         edges = frozenset((int(a), int(b)) for a, b in edges)
-        rows = [0] * left.size
-        cols = [0] * right.size
+        na, nb = left.size, right.size
+        rows = [0] * na
+        cols = [0] * nb
         for a, b in edges:
-            _check_index(a, left.size, "left")
-            _check_index(b, right.size, "right")
+            if not (0 <= a < na and 0 <= b < nb):
+                _check_index(a, na, "left")
+                _check_index(b, nb, "right")
             rows[a] |= 1 << b
             cols[b] |= 1 << a
         self.left = left

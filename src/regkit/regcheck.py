@@ -16,7 +16,9 @@ The exhaustive scan enumerates left subsets only.  For a fixed A' the
 extremal densities over right subsets of each size are reached by taking
 the columns with smallest (or largest) intersection with A', so sorting
 the column hit counts decides the pair completely without enumerating
-right subsets.  All comparisons are exact integer cross-multiplications.
+right subsets.  Every density comparison, the randomized searches'
+included, is an exact integer cross-multiplication; no Fraction is built
+inside a search.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, DegenerateInput, ParameterOutOfContract
 from .graphs import (BipartiteGraph, count_edges_between, density,
-                     induced_subgraph, iter_bits, mask_to_set, subset_mask)
+                     induced_subgraph, iter_bits, subset_mask)
 from .partitions import VertexPartition
 
 CERTIFIED = "CertifiedRegular"
@@ -66,6 +68,10 @@ class Threshold:
         if self.is_sqrt:
             return k * k * self.den >= self.num * n * n
         return k * self.den >= self.num * n
+
+    def least(self, n: int) -> int:
+        """Smallest k in 1..n with k >= thr * n; needs thr <= 1."""
+        return next(k for k in range(1, n + 1) if self.floor_ok(k, n))
 
     def is_positive(self) -> bool:
         return self.num > 0
@@ -139,11 +145,36 @@ def _column_order(g: BipartiteGraph, amask: int) -> list[tuple[int, int]]:
                    for b in range(g.right.size)))
 
 
-def _witness(amask: int, cols: Sequence[tuple[int, int]], k: int
-             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    a_part = tuple(sorted(mask_to_set(amask)))
-    b_part = tuple(sorted(b for _, b in cols[:k]))
-    return (a_part, b_part)
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(iter_bits(mask))
+
+
+def _left_masks(g: BipartiteGraph, min_ka: int):
+    """Yield (amask, ka, sorted column hits) for every left mask with at
+    least ``min_ka`` vertices, masks ascending as integers.
+
+    The hits of all columns are kept in one integer, column b in byte b,
+    and updated once per mask: going from amask - 1 to amask sets bit t
+    and clears bits 0..t-1.  A byte holds every count, since a column's
+    hits are at most ka and every mask below 2**255 has ka < 256.
+    """
+    na, nb = g.left.size, g.right.size
+    spread = [sum(1 << 8 * b for b in iter_bits(row)) for row in g.rows]
+    step = [s - sum(spread[:t]) for t, s in enumerate(spread)]
+    packed = 0
+    for amask in range(1, 1 << na):
+        packed += step[(amask & -amask).bit_length() - 1]
+        ka = amask.bit_count()
+        if ka >= min_ka:
+            yield amask, ka, sorted(packed.to_bytes(nb, "little"))
+
+
+def _scan_witness(g: BipartiteGraph, amask: int, k: int, high: bool
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A' = amask and B' = its k smallest (or largest) columns."""
+    order = _column_order(g, amask)
+    chosen = order[len(order) - k:] if high else order[:k]
+    return _bits(amask), tuple(sorted(b for _, b in chosen))
 
 
 def _scan_delta(g: BipartiteGraph, thr: Threshold
@@ -155,6 +186,10 @@ def _scan_delta(g: BipartiteGraph, thr: Threshold
     right-subset size ascending; within a size the minimizing columns
     (ties to the lowest index) are taken.  Returns (witness or None,
     number of left masks examined).
+
+    Only the least admissible size k0 is tested: the mean of the k
+    smallest hits never falls as k grows, so if some k gives d' < d/2,
+    k0 does too, and k0 is the first size in the canonical order.
     """
     na, nb = g.left.size, g.right.size
     e_full = g.edge_count
@@ -162,53 +197,46 @@ def _scan_delta(g: BipartiteGraph, thr: Threshold
     if e_full == 0:
         # d = 0 and every induced density is >= 0 = d/2.
         return None, examined
-    for amask in range(1, 1 << na):
-        ka = amask.bit_count()
-        if not thr.floor_ok(ka, na):
-            continue
+    k0 = thr.least(nb)
+    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0
+    scale = 2 * na * nb
+    bound = [e_full * ka * k0 for ka in range(na + 1)]
+    for amask, ka, hits in _left_masks(g, thr.least(na)):
         examined += 1
-        cols = _column_order(g, amask)
-        prefix = 0
-        for k in range(1, nb + 1):
-            prefix += cols[k - 1][0]
-            if not thr.floor_ok(k, nb):
-                continue
-            # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k
-            if 2 * prefix * na * nb < e_full * ka * k:
-                return _witness(amask, cols, k), examined
+        if scale * sum(hits[:k0]) < bound[ka]:
+            return _scan_witness(g, amask, k0, False), examined
     return None, examined
 
 
 def _scan_eps(g: BipartiteGraph, eps: Fraction
               ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
                          int]:
-    """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps."""
+    """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps.
+
+    Same canonical order as ``_scan_delta``; within a size the low side
+    (the k smallest columns) is tried before the high side, which takes
+    the last k pairs of the ascending (hits, column) order, so its ties go
+    to the highest index.  As there, only the least admissible size k0 is
+    tested: the mean of the k smallest hits never falls and that of the k
+    largest never rises as k grows.
+    """
     na, nb = g.left.size, g.right.size
     e_full = g.edge_count
     p, q = eps.numerator, eps.denominator
+    thr = Threshold(eps)
+    k0 = thr.least(nb)
     examined = 0
-    for amask in range(1, 1 << na):
-        ka = amask.bit_count()
-        if ka * q < p * na:
-            continue
+    # With e' the edges to the k0 chosen columns, d - d' > eps and
+    # d' - d > eps, multiplied out by ka * k0 * na * nb * q:
+    nnq = na * nb * q
+    low = [ka * k0 * (e_full * q - p * na * nb) for ka in range(na + 1)]
+    high = [ka * k0 * (e_full * q + p * na * nb) for ka in range(na + 1)]
+    for amask, ka, hits in _left_masks(g, thr.least(na)):
         examined += 1
-        cols = _column_order(g, amask)
-        lo = 0
-        hi = 0
-        for k in range(1, nb + 1):
-            lo += cols[k - 1][0]
-            hi += cols[nb - k][0]
-            if k * q < p * nb:
-                continue
-            scale = ka * k * na * nb
-            # Low side: d - d' > eps.
-            if (e_full * ka * k - lo * na * nb) * q > p * scale:
-                return _witness(amask, cols, k), examined
-            # High side: d' - d > eps, reached by the k largest columns.
-            if (hi * na * nb - e_full * ka * k) * q > p * scale:
-                a_part = tuple(sorted(mask_to_set(amask)))
-                b_part = tuple(sorted(b for _, b in cols[nb - k:]))
-                return (a_part, b_part), examined
+        if nnq * sum(hits[:k0]) < low[ka]:
+            return _scan_witness(g, amask, k0, False), examined
+        if nnq * sum(hits[nb - k0:]) > high[ka]:
+            return _scan_witness(g, amask, k0, True), examined
     return None, examined
 
 
@@ -306,52 +334,90 @@ def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
 # Randomized searches
 
 
-def _peel(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
-          want_low: bool) -> Optional[tuple[int, int]]:
+def _greedy_walk(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
+                 e: int, want_low: bool):
+    """Yield the pairs of a greedy walk from (amask, bmask), the start first.
+
+    Each step removes the single vertex (either side) whose removal moves
+    the induced density furthest down (or up), ties going to the left side
+    first and then to the lowest index.  The walk ends when neither side
+    can shrink without breaking its size floor.  ``e`` is the edge count
+    between the masks; every pair is yielded as (amask, bmask, edges).
+    """
+    na, nb = g.left.size, g.right.size
+    rows, cols = g.rows, g.cols
+    pick = max if want_low else min  # removing the most hits lowers d most
+    left, right = list(iter_bits(amask)), list(iter_bits(bmask))
+    while True:
+        yield amask, bmask, e
+        ka, kb = len(left), len(right)
+        # Best removal: position i in side, density best_e2 / best_den.
+        side = None
+        if ka > 1 and thr.floor_ok(ka - 1, na):
+            hits = [(rows[a] & bmask).bit_count() for a in left]
+            h = pick(hits)
+            side, i = left, hits.index(h)
+            best_e2, best_den = e - h, (ka - 1) * kb
+        if kb > 1 and thr.floor_ok(kb - 1, nb):
+            hits = [(cols[b] & amask).bit_count() for b in right]
+            h = pick(hits)
+            e2, den = e - h, ka * (kb - 1)
+            if side is None or (e2 * best_den < best_e2 * den if want_low
+                                else e2 * best_den > best_e2 * den):
+                side, i = right, hits.index(h)
+                best_e2, best_den = e2, den
+        if side is None:
+            return
+        if side is left:
+            amask ^= 1 << left.pop(i)
+        else:
+            bmask ^= 1 << right.pop(i)
+        e = best_e2
+
+
+def _peel(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int
+          ) -> Optional[tuple[int, int]]:
     """Greedy peeling from a starting pair; returns a violating pair or None.
 
-    Removes, at each step, the single vertex (either side) whose removal
-    moves the induced density furthest in the wanted direction, ties going
-    to left side first and then to the lowest index.  Stops when neither
-    side can shrink without breaking its size floor.
+    Walks down (see ``_greedy_walk``) and stops at the first pair with
+    d' < d/2, or when the walk ends or its next removal does not lower the
+    induced density.
     """
     na, nb = g.left.size, g.right.size
     e_full = g.edge_count
     e = count_edges_between(g, amask, bmask)
-    while True:
-        ka, kb = amask.bit_count(), bmask.bit_count()
-        if want_low and 2 * e * na * nb < e_full * ka * kb:
-            return amask, bmask
-        best = None  # (density after removal, side, vertex, edges after)
-        if thr.floor_ok(ka - 1, na) and ka > 1:
-            for a in iter_bits(amask):
-                e2 = e - (g.rows[a] & bmask).bit_count()
-                d2 = Fraction(e2, (ka - 1) * kb)
-                key = d2 if want_low else -d2
-                if best is None or key < best[0]:
-                    best = (key, 0, a, e2)
-        if thr.floor_ok(kb - 1, nb) and kb > 1:
-            for b in iter_bits(bmask):
-                e2 = e - (g.cols[b] & amask).bit_count()
-                d2 = Fraction(e2, ka * (kb - 1))
-                key = d2 if want_low else -d2
-                if best is None or key < best[0]:
-                    best = (key, 1, b, e2)
-        if best is None:
-            return None
-        cur = Fraction(e, ka * kb)
-        if (best[0] if want_low else -best[0]) >= cur and want_low:
+    prev = None
+    for am, bm, e2 in _greedy_walk(g, thr, amask, bmask, e, True):
+        ka, kb = am.bit_count(), bm.bit_count()
+        if prev is not None and e2 * prev[1] >= prev[0] * ka * kb:
             # No removal lowers the density any further.
             return None
-        _, side, v, e = best
-        if side == 0:
-            amask ^= 1 << v
-        else:
-            bmask ^= 1 << v
+        if 2 * e2 * na * nb < e_full * ka * kb:
+            return am, bm
+        prev = (e2, ka * kb)
+    return None
 
 
 def _random_subset(rng: random.Random, n: int, k: int) -> int:
     return subset_mask(rng.sample(range(n), k), n)
+
+
+def _random_starts(g: BipartiteGraph, thr: Threshold, rng: random.Random,
+                   trials: int) -> list[tuple[int, int]]:
+    """The full sides, then ``trials`` random pairs meeting the size floors.
+
+    Each random pair draws its two sizes and then its two subsets, in that
+    order, so a seed always yields the same starts.
+    """
+    na, nb = g.left.size, g.right.size
+    min_ka, min_kb = thr.least(na), thr.least(nb)
+    starts = [((1 << na) - 1, (1 << nb) - 1)]
+    for _ in range(trials):
+        ka = rng.randint(min_ka, na)
+        kb = rng.randint(min_kb, nb)
+        starts.append((_random_subset(rng, na, ka),
+                       _random_subset(rng, nb, kb)))
+    return starts
 
 
 def find_delta_witness_greedy(g: BipartiteGraph, delta: ThresholdLike,
@@ -365,23 +431,13 @@ def find_delta_witness_greedy(g: BipartiteGraph, delta: ThresholdLike,
     witness has been re-verified against the definition.
     """
     thr = _as_threshold(delta)
-    na, nb = g.left.size, g.right.size
     if g.edge_count == 0:
         return None
     rng = random.Random(seed)
-    starts = [((1 << na) - 1, (1 << nb) - 1)]
-    min_ka = next(k for k in range(1, na + 1) if thr.floor_ok(k, na))
-    min_kb = next(k for k in range(1, nb + 1) if thr.floor_ok(k, nb))
-    for _ in range(restarts):
-        ka = rng.randint(min_ka, na)
-        kb = rng.randint(min_kb, nb)
-        starts.append((_random_subset(rng, na, ka),
-                       _random_subset(rng, nb, kb)))
-    for amask, bmask in starts:
-        found = _peel(g, thr, amask, bmask, want_low=True)
+    for amask, bmask in _random_starts(g, thr, rng, restarts):
+        found = _peel(g, thr, amask, bmask)
         if found is not None:
-            witness = (tuple(sorted(mask_to_set(found[0]))),
-                       tuple(sorted(mask_to_set(found[1]))))
+            witness = (_bits(found[0]), _bits(found[1]))
             if verify_delta_witness(g, thr, witness):
                 return witness
     return None
@@ -390,62 +446,30 @@ def find_delta_witness_greedy(g: BipartiteGraph, delta: ThresholdLike,
 def _random_eps_search(g: BipartiteGraph, eps: Fraction, params: CheckParams
                        ) -> tuple[Optional[tuple[tuple[int, ...],
                                                  tuple[int, ...]]], int]:
-    """Random sampling plus greedy pushes for the two-sided condition."""
+    """Random sampling plus greedy walks for the two-sided condition.
+
+    From each start, walks down and then up (see ``_greedy_walk``) and
+    returns the first pair on the way whose witness re-verifies.
+    """
     thr = Threshold(eps)
     na, nb = g.left.size, g.right.size
+    e_full = g.edge_count
+    p, q = eps.numerator, eps.denominator
+    nn = na * nb
     rng = random.Random(params.seed)
-    min_ka = next(k for k in range(1, na + 1) if thr.floor_ok(k, na))
-    min_kb = next(k for k in range(1, nb + 1) if thr.floor_ok(k, nb))
     trials = 0
-    candidates = [((1 << na) - 1, (1 << nb) - 1)]
-    for _ in range(params.random_trials):
-        ka = rng.randint(min_ka, na)
-        kb = rng.randint(min_kb, nb)
-        candidates.append((_random_subset(rng, na, ka),
-                           _random_subset(rng, nb, kb)))
-    for amask, bmask in candidates:
+    for amask, bmask in _random_starts(g, thr, rng, params.random_trials):
         trials += 1
+        e = count_edges_between(g, amask, bmask)
         for want_low in (True, False):
-            am, bm = amask, bmask
-            # Greedy walk: keep the pair, push density away from d(g).
-            for _ in range(na + nb):
-                witness = (tuple(sorted(mask_to_set(am))),
-                           tuple(sorted(mask_to_set(bm))))
-                if verify_eps_witness(g, eps, witness):
-                    return witness, trials
-                step = _eps_push(g, thr, am, bm, want_low)
-                if step is None:
-                    break
-                am, bm = step
+            for am, bm, e2 in _greedy_walk(g, thr, amask, bmask, e, want_low):
+                kk = am.bit_count() * bm.bit_count()
+                # |d' - d| > eps, multiplied out as verify_eps_witness does.
+                if abs(e2 * nn - e_full * kk) * q > p * kk * nn:
+                    witness = (_bits(am), _bits(bm))
+                    if verify_eps_witness(g, eps, witness):
+                        return witness, trials
     return None, trials
-
-
-def _eps_push(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
-              want_low: bool) -> Optional[tuple[int, int]]:
-    """One greedy removal pushing induced density down (or up)."""
-    na, nb = g.left.size, g.right.size
-    ka, kb = amask.bit_count(), bmask.bit_count()
-    e = count_edges_between(g, amask, bmask)
-    best = None
-    if thr.floor_ok(ka - 1, na) and ka > 1:
-        for a in iter_bits(amask):
-            e2 = e - (g.rows[a] & bmask).bit_count()
-            key = Fraction(e2, (ka - 1) * kb)
-            if not want_low:
-                key = -key
-            if best is None or key < best[0]:
-                best = (key, amask ^ (1 << a), bmask)
-    if thr.floor_ok(kb - 1, nb) and kb > 1:
-        for b in iter_bits(bmask):
-            e2 = e - (g.cols[b] & amask).bit_count()
-            key = Fraction(e2, ka * (kb - 1))
-            if not want_low:
-                key = -key
-            if best is None or key < best[0]:
-                best = (key, amask, bmask ^ (1 << b))
-    if best is None:
-        return None
-    return best[1], best[2]
 
 
 # ---------------------------------------------------------------------------

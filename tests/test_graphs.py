@@ -26,6 +26,19 @@ def test_subset_mask_rejects_out_of_range():
         subset_mask([5], 5)
 
 
+@pytest.mark.parametrize("edge, text", [
+    ((4, 0), "left index 4 out of range [0, 4)"),
+    ((-1, 2), "left index -1 out of range [0, 4)"),
+    ((3, 3), "right index 3 out of range [0, 3)"),
+    ((0, -2), "right index -2 out of range [0, 3)"),
+    ((7, 9), "left index 7 out of range [0, 4)"),
+])
+def test_graph_rejects_out_of_range_edges(edge, text):
+    with pytest.raises(IndexError) as err:
+        BipartiteGraph(A, B, [(0, 0), edge])
+    assert str(err.value) == text
+
+
 def test_graph_rows_and_cols():
     g = BipartiteGraph(A, B, [(0, 1), (2, 0), (2, 2)])
     assert g.rows[0] == 0b010
