@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import constructions as cn
 from . import fileio, hyperreg, suites
 from .errors import FormatError, RegkitError
-from .regcheck import (NOT_CERTIFIED, UNKNOWN, CheckParams,
+from .regcheck import (IRREGULAR, NOT_CERTIFIED, UNKNOWN, CheckParams,
                        check_delta_partition_with_edits, check_delta_regular,
                        check_eps_regular)
 
@@ -55,26 +55,27 @@ def _emit(args, report: dict, caveats: list[str]) -> None:
         print(f"caveat: {cv}")
 
 
+def _emit_verdict(args, check: str, verdict) -> int:
+    caveats = ["no witness found; not a certification"] \
+        if verdict.status == UNKNOWN else []
+    _emit(args, {
+        "check": check,
+        "status": verdict.status,
+        "method": verdict.method,
+        "witness": _witness_dict(verdict.witness),
+    }, caveats)
+    return CHECK_FAILED if verdict.status == IRREGULAR else 0
+
+
 def _cmd_check_pair(args) -> int:
     g = fileio.load_graph(args.graph)
     if (args.eps is None) == (args.delta is None):
         raise _UsageError("give exactly one of --eps or --delta")
     if args.eps is not None:
-        verdict = check_eps_regular(g, _fraction(args.eps), _params(args))
-        kind = "eps"
-    else:
-        verdict = check_delta_regular(g, _fraction(args.delta),
-                                      _params(args))
-        kind = "delta"
-    caveats = ["no witness found; not a certification"] \
-        if verdict.status == UNKNOWN else []
-    _emit(args, {
-        "check": f"{kind}-regular pair",
-        "status": verdict.status,
-        "method": verdict.method,
-        "witness": _witness_dict(verdict.witness),
-    }, caveats)
-    return 0 if verdict.status != "IrregularWithWitness" else CHECK_FAILED
+        return _emit_verdict(args, "eps-regular pair", check_eps_regular(
+            g, _fraction(args.eps), _params(args)))
+    return _emit_verdict(args, "delta-regular pair", check_delta_regular(
+        g, _fraction(args.delta), _params(args)))
 
 
 def _cmd_check_partition(args) -> int:
@@ -112,17 +113,9 @@ def _cmd_check_3partition(args) -> int:
 def _cmd_check_fr(args) -> int:
     h = fileio.load_threegraph(args.h)
     triad = fileio.load_triad(args.triad)
-    verdict = hyperreg.check_fr_triad(h, triad, _fraction(args.eps),
-                                      _params(args))
-    caveats = ["no witness found; not a certification"] \
-        if verdict.status == UNKNOWN else []
-    _emit(args, {
-        "check": "deviation-regular triad",
-        "status": verdict.status,
-        "method": verdict.method,
-        "witness": _witness_dict(verdict.witness),
-    }, caveats)
-    return 0 if verdict.status != "IrregularWithWitness" else CHECK_FAILED
+    return _emit_verdict(args, "deviation-regular triad",
+                         hyperreg.check_fr_triad(h, triad, _fraction(args.eps),
+                                                 _params(args)))
 
 
 def _cmd_quasirandom(args) -> int:

@@ -2,21 +2,21 @@
 octahedron quasirandomness, and the reduction to graph regularity.
 
 Everything is exact.  Triad densities are rationals with the convention
-d = 0 when the triad carries no triangles.  Subtriad checks follow the
-same verdict discipline as the graph-level module: CertifiedRegular only
-from an exhaustive scan, irregular verdicts always carry a re-verified
-witness, and randomized searches otherwise answer Unknown.
+d = 0 when the triad carries no triangles.  Subtriad checks take their
+search mode, budget and verdicts from ``regcheck``, where every verdict is
+made: CertifiedRegular only from an exhaustive scan, irregular verdicts
+always carry a re-verified witness, and randomized searches otherwise
+answer Unknown.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import kernels
-from .errors import (BudgetExceeded, ClassSizeMismatch,
-                     FrameMismatch, ParameterOutOfContract)
+from .errors import ClassSizeMismatch, FrameMismatch, ParameterOutOfContract
 from .graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
                      VertexClass, density, iter_bits)
 from .partitions import (ThreePartiteFrame, TwoPartition,
@@ -70,18 +70,6 @@ def auxiliary_graph(h: ThreeGraph, axis: int) -> AuxGraph:
 # Triads and their densities
 
 
-def triangle_support(t: Triad) -> tuple[int, Iterator[tuple[int, int, int]]]:
-    """t(P) and an iterator over T(P), via codegrees over the AB edges."""
-    count = kernels.triangle_count(t.ab.rows, t.ac.rows, t.bc.rows)
-
-    def support() -> Iterator[tuple[int, int, int]]:
-        for a, b in sorted(t.ab.edges):
-            for c in iter_bits(t.ac.rows[a] & t.bc.rows[b]):
-                yield (a, b, c)
-
-    return count, support()
-
-
 @dataclass(frozen=True)
 class TriadStats:
     """Triangle count, hyperedge-triangle count, and the exact density."""
@@ -105,32 +93,48 @@ def _check_embedding(h: ThreeGraph, t: Triad) -> None:
                     f"embedded vertex {v} outside class of size {cls.size}")
 
 
+def _triangle_masks(h: ThreeGraph, t: Triad) -> tuple[list[int], list[int]]:
+    """The triangles of ``t`` and its hyperedge triangles, per AB pair.
+
+    Entry a * |B| + b of the first list is the bitmask of the c with
+    (a, b, c) a triangle, and of the second the bitmask of those whose
+    embedded triple is a hyperedge of ``h``; both are 0 off the AB edges.
+    """
+    ea, eb, ec = t.embedding
+    triples = h.triples
+    ac_rows, bc_rows = t.ac.rows, t.bc.rows
+    nb = t.ab.right.size
+    tm = [0] * (t.ab.left.size * nb)
+    hm = [0] * len(tm)
+    for a, b in t.ab.edges:
+        i = a * nb + b
+        tm[i] = rest = ac_rows[a] & bc_rows[b]
+        hmask = 0
+        while rest:
+            low = rest & -rest
+            if (ea[a], eb[b], ec[low.bit_length() - 1]) in triples:
+                hmask |= low
+            rest ^= low
+        hm[i] = hmask
+    return tm, hm
+
+
 def triad_density(h: ThreeGraph, t: Triad) -> TriadStats:
     """d_H(P) with the zero-triangle convention d = 0."""
     _check_embedding(h, t)
-    ea, eb, ec = t.embedding
-    count = 0
-    hcount = 0
-    for a, b in t.ab.edges:
-        for c in iter_bits(t.ac.rows[a] & t.bc.rows[b]):
-            count += 1
-            if (ea[a], eb[b], ec[c]) in h.triples:
-                hcount += 1
-    return TriadStats(t, count, hcount)
+    tm, hm = _triangle_masks(h, t)
+    return TriadStats(t, sum(map(int.bit_count, tm)),
+                      sum(map(int.bit_count, hm)))
 
 
 def _h_amask(h: ThreeGraph, t: Triad) -> list[int]:
-    """For each (b, c), the bitmask of local a with an embedded hyperedge."""
-    ea, eb, ec = t.embedding
+    """Per (b, c): the mask of the a with (a, b, c) a hyperedge triangle."""
     nb, nc = t.ab.right.size, t.ac.right.size
+    hm = _triangle_masks(h, t)[1]
     out = [0] * (nb * nc)
-    for b in range(nb):
-        for c in range(nc):
-            mask = 0
-            for a in range(t.ab.left.size):
-                if (ea[a], eb[b], ec[c]) in h.triples:
-                    mask |= 1 << a
-            out[b * nc + c] = mask
+    for a, b in t.ab.edges:
+        for c in iter_bits(hm[a * nb + b]):
+            out[b * nc + c] |= 1 << a
     return out
 
 
@@ -176,41 +180,26 @@ def _subtriad_scan_verdict(h: ThreeGraph, t: Triad, mode: int,
     ab = sorted(t.ab.edges)
     ac = sorted(t.ac.edges)
     bc = sorted(t.bc.edges)
-    total = len(ab) + len(ac) + len(bc)
-    mode_name = params.mode
-    if mode_name == "auto":
-        mode_name = "exhaustive" if total <= SUBTRIAD_EDGE_BUDGET \
-            else "randomized"
-    if mode_name == "exhaustive":
-        if total > SUBTRIAD_EDGE_BUDGET:
-            raise BudgetExceeded(
-                f"{total} triad edges exceed the exhaustive subtriad "
-                f"budget {SUBTRIAD_EDGE_BUDGET}")
-        hmask = _h_amask(h, t)
-        witness, states = kernels.scan_subtriads(
+    search = params.pick_mode(len(ab) + len(ac) + len(bc),
+                              SUBTRIAD_EDGE_BUDGET, "triad edge count")
+    if search == "exhaustive":
+        found, states = kernels.scan_subtriads(
             ab, ac, bc, t.ab.left.size, t.ab.right.size, t.ac.right.size,
-            hmask, mode, value.numerator, value.denominator)
-        effort = {"subtriads": states}
-        if witness is None:
-            return Verdict(CERTIFIED, "Exhaustive", None, effort)
-        masks = witness[:3]
-        assert verify_subtriad_witness(h, t, masks, mode, value)
-        return Verdict(IRREGULAR, "Exhaustive", masks, effort)
-    witness = _random_subtriad_search(h, t, mode, value, params)
-    effort = {"trials": params.random_trials}
-    if witness is None:
-        return Verdict(UNKNOWN, "Randomized", None, effort)
-    return Verdict(IRREGULAR, "Randomized", witness, effort)
+            _h_amask(h, t), mode, value.numerator, value.denominator)
+        witness = found[:3] if found else None
+        assert witness is None or \
+            verify_subtriad_witness(h, t, witness, mode, value)
+        return Verdict.of_search(search, witness, {"subtriads": states})
+    witness = _random_subtriad_search(h, t, (ab, ac, bc), mode, value, params)
+    return Verdict.of_search(search, witness, {"trials": params.random_trials})
 
 
-def _random_subtriad_search(h: ThreeGraph, t: Triad, mode: int,
+def _random_subtriad_search(h: ThreeGraph, t: Triad, edges, mode: int,
                             value: Fraction, params: CheckParams
                             ) -> Optional[tuple[int, int, int]]:
-    """Sample random edge subsets and vertex-induced subtriads."""
+    """Sample random subsets of ``edges`` and vertex-induced subtriads."""
     rng = random.Random(params.seed)
-    ab = sorted(t.ab.edges)
-    ac = sorted(t.ac.edges)
-    bc = sorted(t.bc.edges)
+    ab, ac, bc = edges
     na, nb, nc = t.sizes
     for _ in range(params.random_trials):
         if rng.random() < Fraction(1, 2):
@@ -283,32 +272,19 @@ def block_graphs(tp: TwoPartition) -> BlockGraphs:
     return BlockGraphs(clusters, graphs)
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
-    """Per-member verdicts of the goodness check on the edge family."""
-
-    status: str
-    member_verdicts: dict[tuple[int, int, int], Verdict]
-
-    @property
-    def certified(self) -> bool:
-        return self.status == CERTIFIED
-
-
 def is_delta_good(tp: TwoPartition, delta, params: CheckParams = CheckParams()
-                  ) -> GoodnessReport:
-    """Every bipartite graph of the edge family must be delta-regular."""
-    bg = block_graphs(tp)
-    verdicts = {key: check_delta_regular(g, delta, params)
-                for key, g in sorted(bg.graphs.items())}
-    statuses = {v.status for v in verdicts.values()}
-    if statuses <= {CERTIFIED}:
-        status = CERTIFIED
-    elif IRREGULAR in statuses:
-        status = IRREGULAR
-    else:
-        status = UNKNOWN
-    return GoodnessReport(status, verdicts)
+                  ) -> PartitionVerdict:
+    """Every bipartite graph (i, j, block) of the family is delta-regular."""
+    return PartitionVerdict.of({
+        key: check_delta_regular(g, delta, params)
+        for key, g in sorted(block_graphs(tp).graphs.items())})
+
+
+def _unknown_caveats(labelled: Iterable[tuple[str, str]], counted_as: str
+                     ) -> list[str]:
+    """One caveat per (label, status) pair whose status is unknown."""
+    return [f"{label}: unknown verdict counted as {counted_as}"
+            for label, status in labelled if status == UNKNOWN]
 
 
 @dataclass(frozen=True)
@@ -321,7 +297,7 @@ class AxisReport:
 
 @dataclass(frozen=True)
 class ThreePartitionReport:
-    goodness: GoodnessReport
+    goodness: PartitionVerdict
     axes: tuple[AxisReport, AxisReport, AxisReport]
     passed: bool
     caveats: tuple[str, ...]
@@ -345,10 +321,9 @@ def check_delta_regular_3partition(h: ThreeGraph, tp: TwoPartition, delta,
         res = check_delta_partition_with_edits(aux.graph, left_p, right_p,
                                                delta, params)
         axes.append(AxisReport(axis, res))
-        for key, v in res.pair_verdicts.items():
-            if v.status == UNKNOWN:
-                caveats.append(f"axis {axis} pair {key}: unknown verdict "
-                               f"counted as regular")
+        caveats += _unknown_caveats(
+            ((f"axis {axis} pair {key}", v.status)
+             for key, v in res.pair_verdicts.items()), "regular")
     passed = (goodness.status != IRREGULAR
               and all(a.edit_result.status != NOT_CERTIFIED for a in axes))
     if goodness.status == UNKNOWN:
@@ -386,15 +361,13 @@ def check_equipartition_params(tp: TwoPartition, ell: int, t: int,
     target = Fraction(1, ell)
     bad_density = []
     verdicts = {}
-    caveats: list[str] = []
     for key, g in sorted(bg.graphs.items()):
         d = density(g)
         if not target - eps2 <= d <= target + eps2:
             bad_density.append(key)
-        v = check_eps_regular(g, eps2, params)
-        verdicts[key] = v
-        if v.status == UNKNOWN:
-            caveats.append(f"member {key}: unknown verdict counted as regular")
+        verdicts[key] = check_eps_regular(g, eps2, params)
+    caveats = _unknown_caveats(((f"member {key}", v.status)
+                                for key, v in verdicts.items()), "regular")
     passed = (order_ok and equitable and not bad_density
               and all(v.status != IRREGULAR for v in verdicts.values()))
     return EquipartitionReport(order_ok, equitable, tuple(bad_density),
@@ -492,13 +465,13 @@ def _mass_report(h: ThreeGraph, tp: TwoPartition, ell: int, t: int,
     for pt in iter_partition_triads(h, tp):
         stats = triad_density(h, pt.triad)
         status = judge(pt.triad, stats)
-        if status == UNKNOWN:
-            caveats.append(f"triad {pt.clusters}/{pt.block_ids}: unknown "
-                           f"verdict counted as regular")
         if status == IRREGULAR:
             mass += stats.triangle_count
         judgments.append(TriadJudgment(pt.clusters, pt.block_ids,
                                        stats.triangle_count, status))
+    caveats += _unknown_caveats(
+        ((f"triad {j.clusters}/{j.block_ids}", j.verdict_status)
+         for j in judgments), "regular")
     n_total = _frame_of(h).total
     bound = Fraction(threshold) * n_total ** 3
     passed = equip.passed and mass <= bound
@@ -550,26 +523,9 @@ def _scaled_f(h: ThreeGraph, t: Triad) -> tuple[int, int, int,
     if not na == nb == nc:
         raise ClassSizeMismatch(
             f"octahedron sum needs equal class sizes, got {t.sizes}")
-    n = na
-    ea, eb, ec = t.embedding
-    hm = [0] * (n * n)
-    tm = [0] * (n * n)
-    tau = 0
-    ecount = 0
-    for x in range(n):
-        for y in range(n):
-            if not t.ab.has_edge(x, y):
-                continue
-            tri = t.ac.rows[x] & t.bc.rows[y]
-            tm[x * n + y] = tri
-            tau += tri.bit_count()
-            hmask = 0
-            for z in iter_bits(tri):
-                if (ea[x], eb[y], ec[z]) in h.triples:
-                    hmask |= 1 << z
-            hm[x * n + y] = hmask
-            ecount += hmask.bit_count()
-    return n, tau, ecount, hm, tm
+    tm, hm = _triangle_masks(h, t)
+    return (na, sum(map(int.bit_count, tm)), sum(map(int.bit_count, hm)),
+            hm, tm)
 
 
 def octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
@@ -719,16 +675,16 @@ def subtriad_hypothesis_check(h: ThreeGraph, tp: TwoPartition,
     """The two-thirds hypothesis over every triad of the 2-partition."""
     delta = Fraction(delta)
     judgments = []
-    caveats: list[str] = []
     for pt in iter_partition_triads(h, tp):
-        stats = triad_density(h, pt.triad)
-        v = check_subtriad_hypothesis(h, pt.triad, delta, params)
-        if v.status == UNKNOWN:
-            caveats.append(f"triad {pt.clusters}/{pt.block_ids}: unknown "
-                           f"verdict counted as holding")
-        judgments.append(TriadJudgment(pt.clusters, pt.block_ids,
-                                       stats.triangle_count, v.status))
+        t = pt.triad
+        v = check_subtriad_hypothesis(h, t, delta, params)
+        count = kernels.triangle_count(t.ab.rows, t.ac.rows, t.bc.rows)
+        judgments.append(TriadJudgment(pt.clusters, pt.block_ids, count,
+                                       v.status))
     holds = all(j.verdict_status != IRREGULAR for j in judgments)
+    caveats = _unknown_caveats(
+        ((f"triad {j.clusters}/{j.block_ids}", j.verdict_status)
+         for j in judgments), "holding")
     return SubtriadHypothesisReport(tuple(judgments), holds, tuple(caveats))
 
 
@@ -793,10 +749,9 @@ def reduction_check(h: ThreeGraph, tp: TwoPartition, delta: Fraction,
         threshold = Threshold(Fraction(1))
     pv = check_perfect_delta_partition(aux.graph, left_p, right_p,
                                        threshold, params)
-    for key, v in pv.pair_verdicts.items():
-        if v.status == UNKNOWN:
-            caveats.append(f"axis 3 pair {key}: unknown verdict counted "
-                           f"as regular")
+    caveats += _unknown_caveats(((f"axis 3 pair {key}", v.status)
+                                 for key, v in pv.pair_verdicts.items()),
+                                "regular")
     passed = (equip.passed and hypothesis.holds and eps2_ok
               and all(i.t_equals_e_times_c and i.densities_equal
                       for i in identities)

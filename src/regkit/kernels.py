@@ -88,9 +88,13 @@ def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
     """Enumerate every subtriad and report the first predicate violation.
 
     Subtriads are all subsets of the three edge lists.  ``h_amask[b*n_c+c]``
-    is the bitmask of A-vertices a with (a, b, c) a hyperedge.  With the full
-    triad carrying ``t_full`` triangles and ``e_full`` hyperedge triangles,
-    a subtriad with counts (t, e) violates (``den`` > 0):
+    is the bitmask of A-vertices a with (a, b, c) a hyperedge triangle of
+    the full triad.  Marking hyperedges off the triangles too would change
+    no answer: every use masks the entry with ``col_ab_full[b] &
+    col_ac_full[c]`` or a subset of it, and only BC edges (b, c) are read.
+    With the full triad carrying ``t_full`` triangles and ``e_full``
+    hyperedge triangles, a subtriad with counts (t, e) violates, for
+    ``den`` > 0:
 
     * mode 0: t*den >= num*t_full and 3*e*t_full < 2*e_full*t
       (triangle-heavy subtriad loses more than a third of the density);

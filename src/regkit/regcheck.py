@@ -10,7 +10,11 @@ Two notions are checked on a bipartite pair (A, B):
 Both are co-NP-hard in general, so verdicts follow a strict discipline:
 CertifiedRegular only comes out of the exhaustive mode, irregular verdicts
 always carry a witness that re-verifies exactly, and the randomized mode
-otherwise answers UnknownNoWitnessFound.
+otherwise answers UnknownNoWitnessFound.  This module is the one place the
+rule is applied, for the subtriad checks of ``hyperreg`` too:
+``CheckParams.pick_mode`` picks the search and enforces its budget,
+``Verdict.of_search`` makes every verdict and ``PartitionVerdict.of``
+aggregates them.
 
 The exhaustive scan enumerates left subsets only.  For a fixed A' the
 extremal densities over right subsets of each size are reached by taking
@@ -71,7 +75,11 @@ class Threshold:
 
     def least(self, n: int) -> int:
         """Smallest k in 1..n with k >= thr * n; needs thr <= 1."""
-        return next(k for k in range(1, n + 1) if self.floor_ok(k, n))
+        for k in range(1, n + 1):
+            if self.floor_ok(k, n):
+                return k
+        raise ParameterOutOfContract(f"no size in 1..{n} is at least "
+                                     f"{self!r} * {n}")
 
     def is_positive(self) -> bool:
         return self.num > 0
@@ -114,11 +122,16 @@ class CheckParams:
         if self.max_exhaustive_side < 1:
             raise ParameterOutOfContract("max_exhaustive_side must be >= 1")
 
-    def pick_mode(self, na: int, nb: int) -> str:
-        if self.mode != "auto":
-            return self.mode
-        lim = self.max_exhaustive_side
-        return "exhaustive" if na <= lim and nb <= lim else "randomized"
+    def pick_mode(self, size: int, limit: int, what: str) -> str:
+        """The search for an instance of ``size``: auto is exhaustive up to
+        ``limit``; an exhaustive search beyond it raises BudgetExceeded."""
+        mode = self.mode
+        if mode == "auto":
+            mode = "exhaustive" if size <= limit else "randomized"
+        if mode == "exhaustive" and size > limit:
+            raise BudgetExceeded(
+                f"{what} {size} exceeds the exhaustive limit {limit}")
+        return mode
 
 
 @dataclass(frozen=True)
@@ -130,13 +143,17 @@ class Verdict:
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     effort: dict = field(default_factory=dict)
 
-    @property
-    def is_regular(self) -> bool:
-        return self.status == CERTIFIED
-
-    @property
-    def found_witness(self) -> bool:
-        return self.status == IRREGULAR
+    @classmethod
+    def of_search(cls, mode: str, witness, effort: dict) -> "Verdict":
+        """The verdict of a search in ``mode``: irregular when it found a
+        witness, certified when it was exhaustive, unknown otherwise."""
+        if witness is not None:
+            status = IRREGULAR
+        elif mode == "exhaustive":
+            status = CERTIFIED
+        else:
+            status = UNKNOWN
+        return cls(status, mode.capitalize(), witness, effort)
 
 
 def _column_order(g: BipartiteGraph, amask: int) -> list[tuple[int, int]]:
@@ -240,18 +257,12 @@ def _scan_eps(g: BipartiteGraph, eps: Fraction
     return None, examined
 
 
-def _check_floors_and_budget(g: BipartiteGraph, thr: Threshold,
-                             params: CheckParams) -> str:
+def _pair_mode(g: BipartiteGraph, thr: Threshold,
+               params: CheckParams) -> str:
     if not thr.is_positive() or not thr.le_one():
         raise ParameterOutOfContract("parameter must satisfy 0 < value <= 1")
-    mode = params.pick_mode(g.left.size, g.right.size)
-    if mode == "exhaustive":
-        lim = params.max_exhaustive_side
-        if g.left.size > lim or g.right.size > lim:
-            raise BudgetExceeded(
-                f"sides {g.left.size}x{g.right.size} exceed exhaustive "
-                f"limit {lim}")
-    return mode
+    return params.pick_mode(max(g.left.size, g.right.size),
+                            params.max_exhaustive_side, "largest side")
 
 
 def verify_eps_witness(g: BipartiteGraph, eps: Fraction,
@@ -294,40 +305,27 @@ def check_eps_regular(g: BipartiteGraph, eps: Fraction,
                       params: CheckParams = CheckParams()) -> Verdict:
     """Decide or search eps-regularity of the pair (left, right) of ``g``."""
     eps = Fraction(eps)
-    mode = _check_floors_and_budget(g, Threshold(eps), params)
+    mode = _pair_mode(g, Threshold(eps), params)
     if mode == "exhaustive":
         witness, examined = _scan_eps(g, eps)
-        effort = {"left_masks": examined}
-        if witness is None:
-            return Verdict(CERTIFIED, "Exhaustive", None, effort)
-        return Verdict(IRREGULAR, "Exhaustive", witness, effort)
+        return Verdict.of_search(mode, witness, {"left_masks": examined})
     witness, trials = _random_eps_search(g, eps, params)
-    effort = {"trials": trials}
-    if witness is None:
-        return Verdict(UNKNOWN, "Randomized", None, effort)
-    return Verdict(IRREGULAR, "Randomized", witness, effort)
+    return Verdict.of_search(mode, witness, {"trials": trials})
 
 
 def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
                         params: CheckParams = CheckParams()) -> Verdict:
     """Decide or search delta-regularity (one-sided) of ``g``."""
     thr = _as_threshold(delta)
-    mode = _check_floors_and_budget(g, thr, params)
-    if g.edge_count == 0:
-        # Density 0: the inequality d' >= d/2 holds for every subset pair.
-        return Verdict(CERTIFIED, "Exhaustive", None, {"left_masks": 0})
-    if mode == "exhaustive":
+    mode = _pair_mode(g, thr, params)
+    if mode == "exhaustive" or g.edge_count == 0:
+        # Density 0 needs no search: the scan certifies at once, any mode.
         witness, examined = _scan_delta(g, thr)
-        effort = {"left_masks": examined}
-        if witness is None:
-            return Verdict(CERTIFIED, "Exhaustive", None, effort)
-        return Verdict(IRREGULAR, "Exhaustive", witness, effort)
+        return Verdict.of_search("exhaustive", witness,
+                                 {"left_masks": examined})
     witness = find_delta_witness_greedy(g, thr, params.seed,
                                         restarts=params.random_trials)
-    effort = {"trials": params.random_trials}
-    if witness is None:
-        return Verdict(UNKNOWN, "Randomized", None, effort)
-    return Verdict(IRREGULAR, "Randomized", witness, effort)
+    return Verdict.of_search(mode, witness, {"trials": params.random_trials})
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +476,24 @@ def _random_eps_search(g: BipartiteGraph, eps: Fraction, params: CheckParams
 
 @dataclass(frozen=True)
 class PartitionVerdict:
-    """Aggregate of per-cluster-pair verdicts for one bipartite carrier."""
+    """Aggregate of a family of verdicts, keyed by cluster pair or member."""
 
     status: str
-    pair_verdicts: dict[tuple[int, int], Verdict]
+    pair_verdicts: dict[tuple[int, ...], Verdict]
 
-    @property
-    def failing_pairs(self) -> list[tuple[int, int]]:
-        return sorted(k for k, v in self.pair_verdicts.items()
-                      if v.status == IRREGULAR)
+    @classmethod
+    def of(cls, verdicts: dict[tuple[int, ...], Verdict]
+           ) -> "PartitionVerdict":
+        """Certified when every verdict is, irregular when any is, unknown
+        otherwise."""
+        statuses = {v.status for v in verdicts.values()}
+        if statuses <= {CERTIFIED}:
+            status = CERTIFIED
+        elif IRREGULAR in statuses:
+            status = IRREGULAR
+        else:
+            status = UNKNOWN
+        return cls(status, verdicts)
 
 
 def _iter_cluster_pairs(g: BipartiteGraph, left_p: VertexPartition,
@@ -507,22 +514,11 @@ def check_perfect_delta_partition(g: BipartiteGraph,
                                   params: CheckParams = CheckParams()
                                   ) -> PartitionVerdict:
     """Run the delta-check on every induced cluster pair; no edits allowed.
-
-    Aggregate is CertifiedRegular only when every pair certifies; any
-    Unknown pair degrades the aggregate to UnknownNoWitnessFound.
-    """
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    for key, a_sub, b_sub in _iter_cluster_pairs(g, left_p, right_p):
-        sub = induced_subgraph(g, a_sub, b_sub)
-        verdicts[key] = check_delta_regular(sub, delta, params)
-    statuses = {v.status for v in verdicts.values()}
-    if statuses <= {CERTIFIED}:
-        agg = CERTIFIED
-    elif IRREGULAR in statuses:
-        agg = IRREGULAR
-    else:
-        agg = UNKNOWN
-    return PartitionVerdict(agg, verdicts)
+    The aggregate is that of ``PartitionVerdict.of``."""
+    return PartitionVerdict.of({
+        key: check_delta_regular(induced_subgraph(g, a_sub, b_sub), delta,
+                                 params)
+        for key, a_sub, b_sub in _iter_cluster_pairs(g, left_p, right_p)})
 
 
 @dataclass(frozen=True)

@@ -300,13 +300,13 @@ def _suite_claim_3_3(rng: random.Random, scale: dict):
         if res.status != NOT_CERTIFIED:
             found = True
             break
-    ok = good.certified and found
+    ok = good.status == CERTIFIED and found
     rec = {
         "sizes": list(sizes),
         "delta": delta,
         "groups": len(used),
         "digest": _digest(fileio.dumps_twopartition(tp)),
-        "good": good.certified,
+        "good": good.status == CERTIFIED,
         "found_member": found,
     }
     return rec, ok, []

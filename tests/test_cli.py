@@ -146,3 +146,38 @@ def test_json_reports_are_deterministic(fixtures, capsys):
 def test_global_flags_accepted_before_subcommand(fixtures, capsys):
     assert run(["--mode", "exhaustive", "check-pair",
                 "--graph", fixtures["complete"], "--delta", "1/4"]) == 0
+
+
+def test_check_partition_randomized_caveats(fixtures, capsys):
+    """Every cluster pair of a complete graph is unknown to the randomized
+    search; each is named in a caveat line, in cluster-pair order."""
+    assert run(["check-partition", "--graph", fixtures["complete"],
+                "--left", fixtures["vp"], "--right", fixtures["vp"],
+                "--delta", "1/4", "--mode", "randomized"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "budget: 0",
+        "check: delta-regular partition with edit budget",
+        "edits: []",
+        "status: NotCertified",
+        "caveat: pair (0, 0): no witness found",
+        "caveat: pair (0, 1): no witness found",
+        "caveat: pair (1, 0): no witness found",
+        "caveat: pair (1, 1): no witness found"]
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["check-pair", "--graph", "complete", "--eps", "1/4"],
+     "eps-regular pair"),
+    (["check-pair", "--graph", "complete", "--delta", "1/4"],
+     "delta-regular pair"),
+    (["check-fr", "--h", "h3", "--triad", "tr", "--eps", "1/2"],
+     "deviation-regular triad")])
+def test_unknown_verdict_output(fixtures, capsys, argv, check):
+    argv = [fixtures[a] if a in fixtures else a for a in argv]
+    assert run([*argv, "--mode", "randomized"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"check: {check}",
+        "method: Randomized",
+        "status: UnknownNoWitnessFound",
+        "witness: None",
+        "caveat: no witness found; not a certification"]

@@ -9,7 +9,7 @@ from regkit.errors import BudgetExceeded, ParameterOutOfContract
 from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
                            density)
 from regkit.partitions import ThreePartiteFrame, complete_two_partition
-from regkit.regcheck import CERTIFIED, IRREGULAR, CheckParams
+from regkit.regcheck import CERTIFIED, IRREGULAR, UNKNOWN, CheckParams
 
 EXH = CheckParams(mode="exhaustive")
 
@@ -229,7 +229,7 @@ def test_partition_triads_enumeration():
 def test_is_delta_good_complete():
     frame = ThreePartiteFrame(tuple(VertexClass(i, 2) for i in range(3)))
     tp = complete_two_partition(frame.frame_partition())
-    assert hyperreg.is_delta_good(tp, Fraction(1, 4), EXH).certified
+    assert hyperreg.is_delta_good(tp, Fraction(1, 4), EXH).status == CERTIFIED
 
 
 def test_full_reduction_pipeline_complete_instance():
@@ -257,3 +257,121 @@ def test_reduction_rejects_oversized_eps2():
                                       Fraction(1, 2), EXH)
     assert not report.eps2_bound_ok
     assert not report.passed
+
+
+RND = CheckParams(mode="randomized")
+
+
+def frame_instance(h_triples=None):
+    """The frame 2-partition of three classes of size 2 (one triad, three
+    complete members) and a 3-graph on it, complete by default."""
+    cls = tuple(VertexClass(i, 2) for i in range(3))
+    tp = complete_two_partition(ThreePartiteFrame(cls).frame_partition())
+    if h_triples is None:
+        return ThreeGraph.complete(cls), tp
+    return ThreeGraph(cls, frozenset(h_triples)), tp
+
+
+MEMBER_CAVEATS = [f"member {key}: unknown verdict counted as regular"
+                  for key in ((0, 1, 0), (0, 2, 0), (1, 2, 0))]
+
+
+def test_unknown_caveats_in_randomized_mode():
+    """Randomized searches find no witness on complete members, so every
+    verdict is unknown and each is named in a caveat, in a fixed order."""
+    h, tp = frame_instance()
+    report = hyperreg.check_delta_regular_3partition(h, tp, Fraction(1, 4),
+                                                     RND)
+    assert report.goodness.status == UNKNOWN
+    assert not report.passed
+    assert list(report.caveats) == [
+        "axis 1 pair (0, 0): unknown verdict counted as regular",
+        "axis 2 pair (0, 0): unknown verdict counted as regular",
+        "axis 3 pair (0, 0): unknown verdict counted as regular",
+        "goodness: unknown verdicts counted as regular"]
+
+    equip = hyperreg.check_equipartition_params(tp, 1, 3, Fraction(1, 4),
+                                                RND)
+    assert equip.passed
+    assert list(equip.caveats) == MEMBER_CAVEATS
+
+    triad_holding = "triad (0, 1, 2)/(0, 0, 0): unknown verdict counted " \
+        "as holding"
+    hyp = hyperreg.subtriad_hypothesis_check(h, tp, Fraction(1, 4), RND)
+    assert hyp.holds
+    assert list(hyp.caveats) == [triad_holding]
+
+    delta = Fraction(1, 16)
+    red = hyperreg.reduction_check(h, tp, delta, 1, 3, delta ** 2 / 88, RND)
+    assert red.passed
+    assert list(red.caveats) == MEMBER_CAVEATS + [
+        triad_holding,
+        "axis 3 pair (0, 0): unknown verdict counted as regular"]
+
+    fr = hyperreg.check_fr_partition(h, tp, 1, 3, Fraction(1, 4),
+                                     Fraction(1, 4), RND)
+    assert fr.passed
+    assert [j.verdict_status for j in fr.judgments] == [UNKNOWN]
+    assert fr.irregular_mass == 0
+    assert list(fr.caveats) == MEMBER_CAVEATS + [
+        "triad (0, 1, 2)/(0, 0, 0): unknown verdict counted as regular"]
+
+
+def mass_of(report):
+    return sum(j.triangle_count for j in report.judgments
+               if j.verdict_status == IRREGULAR)
+
+
+@pytest.mark.parametrize("check", [hyperreg.check_fr_partition,
+                                   hyperreg.check_quasirandom_partition])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ell, threshold", [
+    (1, Fraction(1, 4)), (1, Fraction(1, 10 ** 6)), (2, Fraction(1, 4))])
+def test_mass_reports_add_up(check, seed, ell, threshold):
+    """The irregular mass is the triangle count of the failing triads, and
+    the partition passes iff the equipartition does and the mass is within
+    the bound threshold * |V|^3."""
+    rng = random.Random(seed)
+    h, tp = frame_instance((a, b, c) for a in range(2) for b in range(2)
+                           for c in range(2) if rng.random() < .5)
+    report = check(h, tp, ell, 3, Fraction(1, 4), threshold, EXH)
+    assert len(report.judgments) == 1
+    assert report.judgments[0].triangle_count == 8
+    assert report.irregular_mass == mass_of(report)
+    assert report.bound == threshold * 6 ** 3
+    assert report.passed == (report.equip.passed
+                             and report.irregular_mass <= report.bound)
+    assert report.equip.passed == (ell == 1)
+    # Exhaustive checks leave no unknown verdict to name.
+    assert list(report.caveats) == \
+        ([] if ell == 1 else ["equipartition precondition failed"])
+
+
+def test_mass_reports_on_the_complete_instance():
+    h, tp = frame_instance()
+    fr = hyperreg.check_fr_partition(h, tp, 1, 3, Fraction(1, 4),
+                                     Fraction(1, 4), EXH)
+    qr = hyperreg.check_quasirandom_partition(h, tp, 1, 3, Fraction(1, 4),
+                                              Fraction(1, 4), EXH)
+    for report in (fr, qr):
+        assert report.passed
+        assert report.irregular_mass == 0
+        assert report.caveats == ()
+        assert [j.verdict_status for j in report.judgments] == [CERTIFIED]
+
+
+def test_mass_report_with_an_irregular_triad():
+    """A random 3-graph on the frame: the one triad (8 triangles) fails
+    both checks, which passes against the bound 54 and fails against a
+    bound below 8."""
+    rng = random.Random(0)
+    h, tp = frame_instance((a, b, c) for a in range(2) for b in range(2)
+                           for c in range(2) if rng.random() < .5)
+    fr = hyperreg.check_fr_partition(h, tp, 1, 3, Fraction(1, 4),
+                                     Fraction(1, 4), EXH)
+    assert [j.verdict_status for j in fr.judgments] == [IRREGULAR]
+    assert (fr.irregular_mass, fr.bound, fr.passed) == (8, 54, True)
+    qr = hyperreg.check_quasirandom_partition(h, tp, 1, 3, Fraction(1, 4),
+                                              Fraction(1, 10 ** 6), EXH)
+    assert [j.verdict_status for j in qr.judgments] == [IRREGULAR]
+    assert (qr.irregular_mass, qr.passed) == (8, False)

@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from regkit.errors import ParameterOutOfContract
+from regkit.errors import BudgetExceeded, ParameterOutOfContract
 from regkit.graphs import (BipartiteGraph, VertexClass, count_edges_between,
                            iter_bits, mask_to_set, subset_mask)
 from regkit.partitions import VertexPartition
@@ -126,6 +126,24 @@ def test_threshold_contract():
         check_delta_regular(g, Fraction(3, 2), EXH)
     with pytest.raises(ParameterOutOfContract):
         check_eps_regular(g, Fraction(0), EXH)
+    # No size meets a floor above 1: a contract error, never StopIteration.
+    with pytest.raises(ParameterOutOfContract):
+        find_delta_witness_greedy(g, Fraction(3, 2), 0)
+    with pytest.raises(ParameterOutOfContract):
+        Threshold(Fraction(3, 2)).least(3)
+
+
+def test_exhaustive_budget():
+    """Auto mode is exhaustive up to the largest side's limit; beyond it an
+    exhaustive search raises, naming the size and the limit."""
+    g = BipartiteGraph.complete(VertexClass(0, 5), VertexClass(1, 3))
+    over = CheckParams(mode="exhaustive", max_exhaustive_side=4)
+    with pytest.raises(BudgetExceeded, match="5 .* limit 4"):
+        check_delta_regular(g, Fraction(1, 4), over)
+    auto = CheckParams(max_exhaustive_side=4)
+    assert check_eps_regular(g, Fraction(1, 4), auto).method == "Randomized"
+    auto = CheckParams(max_exhaustive_side=5)
+    assert check_eps_regular(g, Fraction(1, 4), auto).status == CERTIFIED
 
 
 def test_randomized_mode_never_claims_certified():
@@ -412,7 +430,11 @@ def _ref_eps_push(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
 
 def ref_verdict(g, kind, param, params):
     """check_eps_regular / check_delta_regular on the reference searches."""
-    mode = params.pick_mode(g.left.size, g.right.size)
+    mode = params.mode
+    if mode == "auto":
+        lim = params.max_exhaustive_side
+        mode = "exhaustive" if g.left.size <= lim and g.right.size <= lim \
+            else "randomized"
     if kind == "delta" and g.edge_count == 0:
         return Verdict(CERTIFIED, "Exhaustive", None, {"left_masks": 0})
     if mode == "exhaustive":
