@@ -55,10 +55,6 @@ class BigCount:
         """2^(exponent + shift)."""
         return BigCount(None, exponent, shift, exponent.exact)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
     def as_int(self, max_bits: int = _MAT_BITS) -> Optional[int]:
         """The exact integer value if it fits in ``max_bits`` bits."""
         if self.leaf is not None:

@@ -12,6 +12,10 @@ Formats (``#`` starts a comment, blank lines ignored):
             cluster sizes; edge endpoints are local indices into the
             sorted vertex lists of the two clusters
 
+Every size in a header (the class, side and ground sizes) is at least 1
+and every count (edges, triples, blocks) at least 0; a header that breaks
+this is a FormatError naming its line.
+
 Loading then saving yields the canonical form (edges sorted
 lexicographically); saving a loaded canonical file is byte-identical.
 """
@@ -64,17 +68,26 @@ def _ints(fields: Sequence[str], line: int, expect: int,
     return out
 
 
-def _header(lines: _Lines, tag: str, arity: int) -> tuple[list[int], int]:
+def _header(lines: _Lines, tag: str, sizes: int, counts: int
+            ) -> tuple[list[int], int]:
+    """A ``tag`` line of ``sizes`` sizes (>= 1) and then ``counts`` counts
+    (>= 0)."""
     fields, ln = lines.next_fields()
     if fields[0] != tag:
         raise FormatError(f"expected {tag!r} header, got {fields[0]!r}", ln)
-    return _ints(fields[1:], ln, arity, f"{tag} header"), ln
+    values = _ints(fields[1:], ln, sizes + counts, f"{tag} header")
+    for k, v in enumerate(values):
+        if k < sizes and v < 1:
+            raise FormatError(f"{tag} header: size {v} is below 1", ln)
+        if v < 0:
+            raise FormatError(f"{tag} header: count {v} is negative", ln)
+    return values, ln
 
 
 def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
              expect_sides: Optional[tuple[int, int]] = None
              ) -> BipartiteGraph:
-    (nl, nr, m), ln = _header(lines, "bg", 3)
+    (nl, nr, m), ln = _header(lines, "bg", 2, 1)
     if expect_sides is not None and (nl, nr) != expect_sides:
         raise FormatError(
             f"bg sides {nl}x{nr} do not match expected "
@@ -114,7 +127,7 @@ def dumps_graph(g: BipartiteGraph) -> str:
 
 def loads_threegraph(text: str) -> ThreeGraph:
     lines = _Lines(text)
-    (n1, n2, n3, m), ln = _header(lines, "h3", 4)
+    (n1, n2, n3, m), ln = _header(lines, "h3", 3, 1)
     classes = (VertexClass(0, n1), VertexClass(1, n2), VertexClass(2, n3))
     triples = set()
     for _ in range(m):
@@ -139,7 +152,7 @@ def dumps_threegraph(h: ThreeGraph) -> str:
 
 
 def _read_vp(lines: _Lines) -> VertexPartition:
-    (n, k), ln = _header(lines, "vp", 2)
+    (n, k), ln = _header(lines, "vp", 1, 1)
     fields, lln = lines.next_fields()
     labels = _ints(fields, lln, n, "label line")
     for lab in labels:
@@ -168,7 +181,7 @@ def dumps_partition(p: VertexPartition) -> str:
 def loads_triad(text: str):
     from .graphs import Triad
     lines = _Lines(text)
-    (na, nb, nc), ln = _header(lines, "tr", 3)
+    (na, nb, nc), ln = _header(lines, "tr", 3, 0)
     a = VertexClass(0, na)
     b = VertexClass(1, nb)
     c = VertexClass(2, nc)
@@ -234,22 +247,6 @@ def dumps_twopartition(tp: TwoPartition) -> str:
         out.append(f"bg {len(clusters[i])} {len(clusters[j])} {len(edges)}")
         out.extend(f"{a} {b}" for a, b in edges)
     return "\n".join(out) + "\n"
-
-
-_LOADERS = {
-    "bg": loads_graph,
-    "h3": loads_threegraph,
-    "vp": loads_partition,
-    "tr": loads_triad,
-    "tp": loads_twopartition,
-}
-
-_DUMPERS = {
-    BipartiteGraph: dumps_graph,
-    ThreeGraph: dumps_threegraph,
-    VertexPartition: dumps_partition,
-    TwoPartition: dumps_twopartition,
-}
 
 
 def _read_text(path) -> str:

@@ -127,17 +127,6 @@ def triad_density(h: ThreeGraph, t: Triad) -> TriadStats:
                       sum(map(int.bit_count, hm)))
 
 
-def _h_amask(h: ThreeGraph, t: Triad) -> list[int]:
-    """Per (b, c): the mask of the a with (a, b, c) a hyperedge triangle."""
-    nb, nc = t.ab.right.size, t.ac.right.size
-    hm = _triangle_masks(h, t)[1]
-    out = [0] * (nb * nc)
-    for a, b in t.ab.edges:
-        for c in iter_bits(hm[a * nb + b]):
-            out[b * nc + c] |= 1 << a
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Subtriad checks (Frankl-Rodl deviation and the two-thirds hypothesis)
 
@@ -183,9 +172,19 @@ def _subtriad_scan_verdict(h: ThreeGraph, t: Triad, mode: int,
     search = params.pick_mode(len(ab) + len(ac) + len(bc),
                               SUBTRIAD_EDGE_BUDGET, "triad edge count")
     if search == "exhaustive":
+        nb = t.ab.right.size
+        hm = _triangle_masks(h, t)[1]
+        # Per BC edge (b, c): the a whose triangle (a, b, c) is a hyperedge.
+        bc_h = []
+        for b, c in bc:
+            amask = 0
+            for a in iter_bits(t.ab.cols[b]):
+                if hm[a * nb + b] >> c & 1:
+                    amask |= 1 << a
+            bc_h.append(amask)
         found, states = kernels.scan_subtriads(
-            ab, ac, bc, t.ab.left.size, t.ab.right.size, t.ac.right.size,
-            _h_amask(h, t), mode, value.numerator, value.denominator)
+            ab, ac, bc, nb, t.ac.right.size, bc_h, mode, value.numerator,
+            value.denominator)
         witness = found[:3] if found else None
         assert witness is None or \
             verify_subtriad_witness(h, t, witness, mode, value)
@@ -245,31 +244,29 @@ def _frame_of(h: ThreeGraph) -> ThreePartiteFrame:
     return ThreePartiteFrame(h.classes)
 
 
-@dataclass(frozen=True)
-class BlockGraphs:
-    """Per-cluster-pair bipartite graphs of a 2-partition, reindexed locally.
+def block_graphs(tp: TwoPartition
+                 ) -> dict[tuple[int, int, int], BipartiteGraph]:
+    """The edge family of a 2-partition as bipartite graphs, in one pass.
 
-    ``clusters[i]`` is the sorted vertex list of cluster i (combined
-    indices); ``graphs`` maps (i, j, block_index) to a BipartiteGraph on
-    local indices 0..|cluster|-1.
+    Key (i, j, k) with i < j is the k-th block of cluster pair {i, j} in
+    ``tp.e`` order, oriented from cluster i to cluster j, on local indices
+    into the clusters' sorted vertex lists.
     """
-
-    clusters: tuple[tuple[int, ...], ...]
-    graphs: dict[tuple[int, int, int], BipartiteGraph]
-
-
-def block_graphs(tp: TwoPartition) -> BlockGraphs:
-    clusters = tuple(tuple(sorted(b)) for b in tp.z.blocks)
-    pos = [({v: i for i, v in enumerate(c)}) for c in clusters]
-    graphs: dict[tuple[int, int, int], BipartiteGraph] = {}
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            for idx, eb in enumerate(tp.blocks_for_pair(i, j)):
-                left = VertexClass(i, len(clusters[i]))
-                right = VertexClass(j, len(clusters[j]))
-                edges = [(pos[i][u], pos[j][v]) for u, v in eb.edges]
-                graphs[(i, j, idx)] = BipartiteGraph(left, right, edges)
-    return BlockGraphs(clusters, graphs)
+    pos = [{v: x for x, v in enumerate(sorted(b))} for b in tp.z.blocks]
+    sides = [VertexClass(i, len(b)) for i, b in enumerate(tp.z.blocks)]
+    seen: dict[tuple[int, int], int] = {}
+    graphs = {}
+    for eb in tp.e:
+        i, j = eb.pair
+        if i < j:
+            edges = [(pos[i][u], pos[j][v]) for u, v in eb.edges]
+        else:
+            i, j = j, i
+            edges = [(pos[i][v], pos[j][u]) for u, v in eb.edges]
+        k = seen.get((i, j), 0)
+        seen[(i, j)] = k + 1
+        graphs[(i, j, k)] = BipartiteGraph(sides[i], sides[j], edges)
+    return graphs
 
 
 def is_delta_good(tp: TwoPartition, delta, params: CheckParams = CheckParams()
@@ -277,7 +274,7 @@ def is_delta_good(tp: TwoPartition, delta, params: CheckParams = CheckParams()
     """Every bipartite graph (i, j, block) of the family is delta-regular."""
     return PartitionVerdict.of({
         key: check_delta_regular(g, delta, params)
-        for key, g in sorted(block_graphs(tp).graphs.items())})
+        for key, g in sorted(block_graphs(tp).items())})
 
 
 def _unknown_caveats(labelled: Iterable[tuple[str, str]], counted_as: str
@@ -309,8 +306,7 @@ def check_delta_regular_3partition(h: ThreeGraph, tp: TwoPartition, delta,
     """Goodness of (Z, E) plus, per axis i, the edit-budgeted regularity of
     the combined partition of the auxiliary graph of axis i (edge family on
     the product side, clusters on the class side)."""
-    frame = _frame_of(h)
-    zs, es = sub_partitions(tp, frame)
+    zs, es = sub_partitions(tp, _frame_of(h))
     goodness = is_delta_good(tp, delta, params)
     axes = []
     caveats: list[str] = []
@@ -357,11 +353,10 @@ def check_equipartition_params(tp: TwoPartition, ell: int, t: int,
         raise ParameterOutOfContract("eps2 must be positive")
     order_ok = tp.z.order == t
     equitable = is_equitable(tp.z)
-    bg = block_graphs(tp)
     target = Fraction(1, ell)
     bad_density = []
     verdicts = {}
-    for key, g in sorted(bg.graphs.items()):
+    for key, g in sorted(block_graphs(tp).items()):
         d = density(g)
         if not target - eps2 <= d <= target + eps2:
             bad_density.append(key)
@@ -395,42 +390,34 @@ def iter_partition_triads(h: ThreeGraph, tp: TwoPartition
 
     Cluster triples not meeting every class carry no hyperedges (the
     3-graph is 3-partite), so every subtriad there has density 0 and the
-    triad is regular by convention; they are skipped.
+    triad is regular by convention; they are skipped.  FrameMismatch
+    unless the clusters refine the frame of ``h``.
     """
-    frame = _frame_of(h)
-    if tp.z.ground.size != frame.total:
-        raise FrameMismatch("2-partition ground differs from the frame")
-    cls_of = [frame.class_of(next(iter(b))) for b in tp.z.blocks]
-    by_class: dict[int, list[int]] = {0: [], 1: [], 2: []}
-    for idx, c in enumerate(cls_of):
-        by_class[c].append(idx)
-    bg = block_graphs(tp)
+    layout = _frame_of(h).cluster_layout(tp.z)
+    by_class = [[i for i, (cls, _) in enumerate(layout) if cls == c]
+                for c in range(3)]
+    pairs: dict[tuple[int, int], list[tuple[int, BipartiteGraph]]] = {}
+    for (i, j, k), g in sorted(block_graphs(tp).items()):
+        pairs.setdefault((i, j), []).append((k, g))
+
+    def oriented(i: int, j: int) -> list[tuple[int, BipartiteGraph]]:
+        """The blocks of pair {i, j} as graphs from cluster i to cluster j;
+        a pair is transposed on its first use only."""
+        if i > j and (i, j) not in pairs:
+            pairs[(i, j)] = [(k, g.transpose())
+                             for k, g in pairs.get((j, i), ())]
+        return pairs.get((i, j), [])
+
     for ia in by_class[0]:
         for ib in by_class[1]:
             for ic in by_class[2]:
-                emb = tuple(
-                    tuple(frame.to_local(cls, v) for v in bg.clusters[i])
-                    for cls, i in ((0, ia), (1, ib), (2, ic)))
-                ab_blocks = _pair_blocks(bg, ia, ib)
-                ac_blocks = _pair_blocks(bg, ia, ic)
-                bc_blocks = _pair_blocks(bg, ib, ic)
-                for bi, gab in ab_blocks:
-                    for bj, gac in ac_blocks:
-                        for bk, gbc in bc_blocks:
+                emb = (layout[ia][1], layout[ib][1], layout[ic][1])
+                for bi, gab in oriented(ia, ib):
+                    for bj, gac in oriented(ia, ic):
+                        for bk, gbc in oriented(ib, ic):
                             yield PartitionTriad(
                                 (ia, ib, ic), (bi, bj, bk),
                                 Triad(gab, gac, gbc, embedding=emb))
-
-
-def _pair_blocks(bg: BlockGraphs, i: int, j: int
-                 ) -> list[tuple[int, BipartiteGraph]]:
-    lo, hi = min(i, j), max(i, j)
-    out = []
-    for (a, b, idx), g in sorted(bg.graphs.items()):
-        if (a, b) != (lo, hi):
-            continue
-        out.append((idx, g if i == lo else g.transpose()))
-    return out
 
 
 @dataclass(frozen=True)
@@ -725,8 +712,7 @@ def reduction_check(h: ThreeGraph, tp: TwoPartition, delta: Fraction,
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ParameterOutOfContract("delta must satisfy 0 < delta <= 1")
-    frame = _frame_of(h)
-    zs, es = sub_partitions(tp, frame)
+    zs, es = sub_partitions(tp, _frame_of(h))
     equip = check_equipartition_params(tp, ell, t, eps2, params)
     hypothesis = subtriad_hypothesis_check(h, tp, delta, params)
     eps2_ok = Fraction(eps2) <= (delta ** 2 / 88) * Fraction(1, ell ** 3)
@@ -765,23 +751,15 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
     """For each axis-3 family member E between clusters (A, B) and each
     cluster C of the third class: t(E, A x C, B x C) = |E| * |C| and the
     auxiliary-graph density of (E, C) equals d_H of that triad."""
-    frame = _frame_of(h)
-    cls_of = [frame.class_of(next(iter(b))) for b in tp.z.blocks]
-    bg = block_graphs(tp)
+    layout = _frame_of(h).cluster_layout(tp.z)
     checks = []
-    c_clusters = [i for i, c in enumerate(cls_of) if c == 2]
-    for (i, j, idx), g in sorted(bg.graphs.items()):
-        if not (cls_of[i] == 0 and cls_of[j] == 1):
+    c_clusters = [i for i, (cls, _) in enumerate(layout) if cls == 2]
+    for (i, j, idx), g in sorted(block_graphs(tp).items()):
+        (cls_a, a_vs), (cls_b, b_vs) = layout[i], layout[j]
+        if (cls_a, cls_b) != (0, 1) or g.edge_count == 0:
             continue
-        if g.edge_count == 0:
-            continue
-        a_vs = bg.clusters[i]
-        b_vs = bg.clusters[j]
         for ci in c_clusters:
-            c_vs = bg.clusters[ci]
-            emb = (tuple(frame.to_local(0, v) for v in a_vs),
-                   tuple(frame.to_local(1, v) for v in b_vs),
-                   tuple(frame.to_local(2, v) for v in c_vs))
+            c_vs = layout[ci][1]
             a_cls = VertexClass(0, len(a_vs))
             b_cls = VertexClass(1, len(b_vs))
             c_cls = VertexClass(2, len(c_vs))
@@ -789,14 +767,14 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
                 BipartiteGraph(a_cls, b_cls, g.edges),
                 BipartiteGraph.complete(a_cls, c_cls),
                 BipartiteGraph.complete(b_cls, c_cls),
-                embedding=emb)
+                embedding=(a_vs, b_vs, c_vs))
             stats = triad_density(h, triad)
             t_ok = stats.triangle_count == g.edge_count * len(c_vs)
             # Auxiliary-graph density between the product-side set E and C.
             hits = 0
             for (a, b) in g.edges:
-                pidx = aux.product.index(emb[0][a], emb[1][b])
-                for z in emb[2]:
+                pidx = aux.product.index(a_vs[a], b_vs[b])
+                for z in c_vs:
                     if aux.graph.has_edge(pidx, z):
                         hits += 1
             d_aux = Fraction(hits, g.edge_count * len(c_vs))

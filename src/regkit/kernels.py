@@ -6,7 +6,7 @@ wide.  The subtriad scan skips blocks that provably hold no violation and
 counts them as examined, so its witnesses and state counts are those of
 the plain walk over every state.  Masks are Python ints (bit z of
 ``hm[x*n+y]`` says whether (x, y, z) is a hyperedge-carrying triangle,
-etc.).
+bit a of ``bc_h[k]`` whether a and BC edge k span one, etc.).
 """
 from __future__ import annotations
 
@@ -81,17 +81,16 @@ def octahedron_fast_scaled(n: int, tau: int, ecount: int,
 def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
                    ac_edges: Sequence[tuple[int, int]],
                    bc_edges: Sequence[tuple[int, int]],
-                   n_a: int, n_b: int, n_c: int,
-                   h_amask: Sequence[int],
+                   n_b: int, n_c: int, bc_h: Sequence[int],
                    mode: int, num: int, den: int
                    ) -> tuple[Optional[tuple[int, int, int, int, int]], int]:
     """Enumerate every subtriad and report the first predicate violation.
 
-    Subtriads are all subsets of the three edge lists.  ``h_amask[b*n_c+c]``
-    is the bitmask of A-vertices a with (a, b, c) a hyperedge triangle of
-    the full triad.  Marking hyperedges off the triangles too would change
-    no answer: every use masks the entry with ``col_ab_full[b] &
-    col_ac_full[c]`` or a subset of it, and only BC edges (b, c) are read.
+    Subtriads are all subsets of the three edge lists.  ``bc_h[k]`` is the
+    bitmask of A-vertices a with (a, b, c) a hyperedge triangle of the full
+    triad, for BC edge ``bc_edges[k]`` = (b, c).  Marking hyperedges off
+    the triangles too would change no answer: every use masks the entry
+    with ``col_ab_full[b] & col_ac_full[c]`` or a subset of it.
     With the full triad carrying ``t_full`` triangles and ``e_full``
     hyperedge triangles, a subtriad with counts (t, e) violates, for
     ``den`` > 0:
@@ -140,10 +139,10 @@ def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
         col_ac_full[c] |= 1 << a
     t_full = 0
     e_full = 0
-    for b, c in bc_edges:
+    for (b, c), h in zip(bc_edges, bc_h):
         am = col_ab_full[b] & col_ac_full[c]
         t_full += am.bit_count()
-        e_full += (am & h_amask[b * n_c + c]).bit_count()
+        e_full += (am & h).bit_count()
     if t_full == 0:
         # Every subtriad has t = e = 0, which violates neither predicate.
         return None, 1 << (m1 + m2 + m3)
@@ -159,7 +158,6 @@ def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
         hi = e_full * den + need
     bc_b = [b for b, _ in bc_edges]
     bc_c = [c for _, c in bc_edges]
-    bc_h = [h_amask[b * n_c + c] for b, c in bc_edges]
     bc_nh = [~h for h in bc_h]
     zero_in_band = lo <= 0
     one_in_band = q <= hi

@@ -44,12 +44,6 @@ class VertexPartition:
     def order(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, v: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if v in block:
-                return i
-        raise IndexError(f"vertex {v} not in ground set")
-
     def labels(self) -> list[int]:
         out = [0] * self.ground.size
         for i, block in enumerate(self.blocks):
@@ -68,10 +62,6 @@ class VertexPartition:
             blocks[lab].add(v)
         return VertexPartition(ground, tuple(frozenset(b) for b in blocks
                                              if b))
-
-    @staticmethod
-    def single_block(ground: VertexClass) -> "VertexPartition":
-        return VertexPartition(ground, (frozenset(range(ground.size)),))
 
     @staticmethod
     def singletons(ground: VertexClass) -> "VertexPartition":
@@ -147,6 +137,27 @@ class ThreePartiteFrame:
     def to_combined(self, i: int, v: int) -> int:
         return v + self.offset(i)
 
+    def cluster_layout(self, z: VertexPartition
+                       ) -> list[tuple[int, tuple[int, ...]]]:
+        """Per block of ``z``: its frame class and its sorted vertices as
+        indices local to that class.
+
+        FrameMismatch unless ``z`` has the frame's ground size (its class
+        id is advisory; loaded files use 0) and refines the frame.
+        """
+        if z.ground.size != self.total:
+            raise FrameMismatch("2-partition ground differs from the frame")
+        layout = []
+        for block in z.blocks:
+            vs = sorted(block)
+            cls = self.class_of(vs[0])
+            if self.class_of(vs[-1]) != cls:
+                raise FrameMismatch(
+                    "vertex partition does not refine the frame")
+            off = self.offset(cls)
+            layout.append((cls, tuple(v - off for v in vs)))
+        return layout
+
     def frame_partition(self) -> VertexPartition:
         blocks = []
         off = 0
@@ -183,17 +194,6 @@ class TwoPartition:
         if problems:
             raise DegenerateInput("; ".join(problems))
         return self
-
-    def blocks_for_pair(self, i: int, j: int) -> list[EdgeBlock]:
-        """Blocks between clusters i and j, edges oriented (i, j)."""
-        out = []
-        for eb in self.e:
-            if eb.pair == (i, j):
-                out.append(eb)
-            elif eb.pair == (j, i):
-                out.append(EdgeBlock((i, j),
-                                     frozenset((v, u) for u, v in eb.edges)))
-        return out
 
 
 def complete_two_partition(z: VertexPartition) -> TwoPartition:
@@ -422,22 +422,11 @@ def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
     indices) and (E_1, E_2, E_3) where E_i partitions V_j x V_k,
     {i, j, k} = {1, 2, 3}.
     """
-    z = tp.z
-    if z.ground.size != frame.total:
-        raise FrameMismatch("2-partition ground differs from the frame")
-    # The ground's class id is advisory (loaded files use 0); align it
-    # with the frame before the refinement test.
-    z = VertexPartition(frame.combined_class(), z.blocks)
-    if not refines(z, frame.frame_partition()):
-        raise FrameMismatch("vertex partition does not refine the frame")
-    cls_of_block = [frame.class_of(next(iter(b))) for b in z.blocks]
-
-    zs = []
-    for i in range(3):
-        off = frame.offset(i)
-        blocks = tuple(frozenset(v - off for v in b)
-                       for b, c in zip(z.blocks, cls_of_block) if c == i)
-        zs.append(VertexPartition(frame.classes[i], blocks))
+    layout = frame.cluster_layout(tp.z)
+    zs = [VertexPartition(frame.classes[i],
+                          tuple(frozenset(vs) for cls, vs in layout
+                                if cls == i))
+          for i in range(3)]
 
     pair_for_axis = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     es = []
@@ -447,7 +436,7 @@ def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
         offj, offk = frame.offset(j), frame.offset(k)
         graphs = []
         for eb in tp.e:
-            ci, cj = cls_of_block[eb.pair[0]], cls_of_block[eb.pair[1]]
+            ci, cj = layout[eb.pair[0]][0], layout[eb.pair[1]][0]
             if {ci, cj} != {j, k}:
                 continue
             if ci == j:

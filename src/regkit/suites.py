@@ -111,11 +111,13 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _random_graph(rng: random.Random, na: int, nb: int, p: float
-                  ) -> BipartiteGraph:
-    return BipartiteGraph(
-        VertexClass(0, na), VertexClass(1, nb),
-        [(a, b) for a in range(na) for b in range(nb) if rng.random() < p])
+def _rg(rng: random.Random, left: VertexClass, right: VertexClass,
+        p: float) -> BipartiteGraph:
+    if p >= 1.0:
+        return BipartiteGraph.complete(left, right)
+    return BipartiteGraph(left, right,
+                          [(a, b) for a in range(left.size)
+                           for b in range(right.size) if rng.random() < p])
 
 
 def _exh() -> CheckParams:
@@ -152,7 +154,7 @@ def _suite_claim_3_1(rng: random.Random, scale: dict):
     elif kind == "dense":
         g = None
         for _ in range(40):
-            cand = _random_graph(rng, na, nb, rng.choice([0.85, 0.9, 0.95]))
+            cand = _rg(rng, left, right, rng.choice([0.85, 0.9, 0.95]))
             if certified(cand):
                 g = cand
                 break
@@ -410,15 +412,6 @@ def _random_equal_triad(rng: random.Random, n: int
     return h, t
 
 
-def _rg(rng: random.Random, left: VertexClass, right: VertexClass,
-        p: float) -> BipartiteGraph:
-    if p >= 1.0:
-        return BipartiteGraph.complete(left, right)
-    return BipartiteGraph(left, right,
-                          [(a, b) for a in range(left.size)
-                           for b in range(right.size) if rng.random() < p])
-
-
 def _scaled_sum_f(h: ThreeGraph, t: Triad) -> int:
     n, tau, ecount, hm, tm = hyperreg._scaled_f(h, t)
     hi, lo = tau - ecount, -ecount
@@ -598,7 +591,8 @@ def _suite_lemma_a1(rng: random.Random, scale: dict):
     2*eps/alpha-regular with density within eps."""
     na = rng.randint(6, scale.get("max_side", 10))
     nb = rng.randint(6, scale.get("max_side", 10))
-    g = _random_graph(rng, na, nb, rng.choice([0.3, 0.5, 0.7]))
+    g = _rg(rng, VertexClass(0, na), VertexClass(1, nb),
+            rng.choice([0.3, 0.5, 0.7]))
     eps = _certify_ladder(g)
     ka = rng.randint(max(1, -(-na * eps.numerator // eps.denominator)), na)
     kb = rng.randint(max(1, -(-nb * eps.numerator // eps.denominator)), nb)
@@ -626,7 +620,8 @@ def _suite_claim_a2(rng: random.Random, scale: dict):
     eps-large Y', for certified eps-regular pairs."""
     na = rng.randint(6, scale.get("max_side", 10))
     nb = rng.randint(6, scale.get("max_side", 10))
-    g = _random_graph(rng, na, nb, rng.choice([0.3, 0.5, 0.7]))
+    g = _rg(rng, VertexClass(0, na), VertexClass(1, nb),
+            rng.choice([0.3, 0.5, 0.7]))
     eps = _certify_ladder(g)
     ky = rng.randint(max(1, -(-nb * eps.numerator // eps.denominator)), nb)
     y_sub = sorted(rng.sample(range(nb), ky))

@@ -78,6 +78,13 @@ def test_malformed_file_exit2(fixtures):
     assert run(["check-pair", "--graph", bad, "--delta", "1/4"]) == 2
 
 
+def test_negative_edge_count_exit2(fixtures, capsys):
+    bad = fixtures["tmp"] / "negative.bg"
+    bad.write_text("bg 2 2 -1\n")
+    assert run(["check-pair", "--graph", bad, "--delta", "1/4"]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_check_partition(fixtures, capsys):
     assert run(["check-partition", "--graph", fixtures["half"],
                 "--left", fixtures["vp"], "--right", fixtures["vp"],

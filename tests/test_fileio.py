@@ -95,6 +95,43 @@ def test_bad_header_and_truncation():
         fileio.loads_graph("bg 2 2 0\n0 0\n")  # trailing content
 
 
+BAD_BG_HEADERS = ("bg 2 2 -1", "bg 0 2 0", "bg -1 2 0")
+BAD_H3_HEADERS = ("h3 2 2 2 -3", "h3 0 1 1 0")
+COMPLETE_BG_2X2 = "bg 2 2 4\n0 0\n0 1\n1 0\n1 1\n"
+
+
+def _header_error(load, text: str) -> FormatError:
+    with pytest.raises(FormatError) as err:
+        load(text)
+    return err.value
+
+
+@pytest.mark.parametrize("header", BAD_BG_HEADERS + BAD_H3_HEADERS)
+def test_malformed_header_reports_line(header):
+    load = (fileio.loads_graph if header.startswith("bg")
+            else fileio.loads_threegraph)
+    err = _header_error(load, header + "\n")
+    assert err.line == 1
+    assert "header" in str(err)
+
+
+@pytest.mark.parametrize("header", BAD_BG_HEADERS)
+def test_malformed_bg_header_inside_triad(header):
+    text = "tr 2 2 2\n" + header + "\n" + COMPLETE_BG_2X2 * 2
+    err = _header_error(fileio.loads_triad, text)
+    assert err.line == 2
+    assert "bg header" in str(err)
+
+
+@pytest.mark.parametrize("header", BAD_BG_HEADERS)
+def test_malformed_bg_header_inside_twopartition(header):
+    text = ("vp 6 3\n0 0 1 1 2 2\npair 0 1\n" + header + "\n"
+            + "pair 0 2\n" + COMPLETE_BG_2X2 + "pair 1 2\n" + COMPLETE_BG_2X2)
+    err = _header_error(fileio.loads_twopartition, text)
+    assert err.line == 4
+    assert "bg header" in str(err)
+
+
 def test_partition_label_errors():
     with pytest.raises(FormatError):
         fileio.loads_partition("vp 3 2\n0 0 5\n")

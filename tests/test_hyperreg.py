@@ -1,14 +1,21 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regkit import hyperreg
-from regkit.errors import BudgetExceeded, ParameterOutOfContract
+from regkit.errors import (BudgetExceeded, FrameMismatch,
+                           ParameterOutOfContract)
 from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
                            density)
-from regkit.partitions import ThreePartiteFrame, complete_two_partition
+from regkit.hyperreg import PartitionTriad, _frame_of
+from regkit.partitions import (EdgeBlock, ThreePartiteFrame, TwoPartition,
+                               VertexPartition, complete_two_partition)
 from regkit.regcheck import CERTIFIED, IRREGULAR, UNKNOWN, CheckParams
 
 EXH = CheckParams(mode="exhaustive")
@@ -375,3 +382,168 @@ def test_mass_report_with_an_irregular_triad():
                                               Fraction(1, 10 ** 6), EXH)
     assert [j.verdict_status for j in qr.judgments] == [IRREGULAR]
     assert (qr.irregular_mass, qr.passed) == (8, False)
+
+
+def test_partition_checks_reject_a_partition_off_the_frame():
+    """Clusters {0, 2} and {1, 3} each straddle classes 0 and 1, and no
+    cluster lies in class 1: the triad walks must refuse the partition,
+    not report that it has no triad."""
+    h = ThreeGraph.complete(tuple(VertexClass(i, 2) for i in range(3)))
+    tp = complete_two_partition(
+        VertexPartition.from_labels(VertexClass(0, 6), [0, 1, 0, 1, 2, 2]))
+    half = Fraction(1, 2)
+    with pytest.raises(FrameMismatch, match="does not refine the frame"):
+        list(hyperreg.iter_partition_triads(h, tp))
+    with pytest.raises(FrameMismatch):
+        hyperreg.subtriad_hypothesis_check(h, tp, half, EXH)
+    with pytest.raises(FrameMismatch):
+        hyperreg.check_fr_partition(h, tp, 1, 3, half, half, EXH)
+    with pytest.raises(FrameMismatch):
+        hyperreg.check_quasirandom_partition(h, tp, 1, 3, half, half, EXH)
+
+
+# The layout code that ``ThreePartiteFrame.cluster_layout`` and the one-pass
+# ``block_graphs`` replaced, kept verbatim as the oracle for the property
+# test below; only ``tp.blocks_for_pair(i, j)``, a deleted method, is now
+# the function ``blocks_for_pair(tp, i, j)``.
+
+
+def blocks_for_pair(tp, i: int, j: int) -> list[EdgeBlock]:
+    """Blocks between clusters i and j, edges oriented (i, j)."""
+    out = []
+    for eb in tp.e:
+        if eb.pair == (i, j):
+            out.append(eb)
+        elif eb.pair == (j, i):
+            out.append(EdgeBlock((i, j),
+                                 frozenset((v, u) for u, v in eb.edges)))
+    return out
+
+
+@dataclass(frozen=True)
+class BlockGraphs:
+    """Per-cluster-pair bipartite graphs of a 2-partition, reindexed locally.
+
+    ``clusters[i]`` is the sorted vertex list of cluster i (combined
+    indices); ``graphs`` maps (i, j, block_index) to a BipartiteGraph on
+    local indices 0..|cluster|-1.
+    """
+
+    clusters: tuple[tuple[int, ...], ...]
+    graphs: dict[tuple[int, int, int], BipartiteGraph]
+
+
+def block_graphs(tp: TwoPartition) -> BlockGraphs:
+    clusters = tuple(tuple(sorted(b)) for b in tp.z.blocks)
+    pos = [({v: i for i, v in enumerate(c)}) for c in clusters]
+    graphs: dict[tuple[int, int, int], BipartiteGraph] = {}
+    for i in range(len(clusters)):
+        for j in range(i + 1, len(clusters)):
+            for idx, eb in enumerate(blocks_for_pair(tp, i, j)):
+                left = VertexClass(i, len(clusters[i]))
+                right = VertexClass(j, len(clusters[j]))
+                edges = [(pos[i][u], pos[j][v]) for u, v in eb.edges]
+                graphs[(i, j, idx)] = BipartiteGraph(left, right, edges)
+    return BlockGraphs(clusters, graphs)
+
+
+def iter_partition_triads(h: ThreeGraph, tp: TwoPartition
+                          ) -> Iterator[PartitionTriad]:
+    """All triads with one cluster per class of ``h``.
+
+    Cluster triples not meeting every class carry no hyperedges (the
+    3-graph is 3-partite), so every subtriad there has density 0 and the
+    triad is regular by convention; they are skipped.
+    """
+    frame = _frame_of(h)
+    if tp.z.ground.size != frame.total:
+        raise FrameMismatch("2-partition ground differs from the frame")
+    cls_of = [frame.class_of(next(iter(b))) for b in tp.z.blocks]
+    by_class: dict[int, list[int]] = {0: [], 1: [], 2: []}
+    for idx, c in enumerate(cls_of):
+        by_class[c].append(idx)
+    bg = block_graphs(tp)
+    for ia in by_class[0]:
+        for ib in by_class[1]:
+            for ic in by_class[2]:
+                emb = tuple(
+                    tuple(frame.to_local(cls, v) for v in bg.clusters[i])
+                    for cls, i in ((0, ia), (1, ib), (2, ic)))
+                ab_blocks = _pair_blocks(bg, ia, ib)
+                ac_blocks = _pair_blocks(bg, ia, ic)
+                bc_blocks = _pair_blocks(bg, ib, ic)
+                for bi, gab in ab_blocks:
+                    for bj, gac in ac_blocks:
+                        for bk, gbc in bc_blocks:
+                            yield PartitionTriad(
+                                (ia, ib, ic), (bi, bj, bk),
+                                Triad(gab, gac, gbc, embedding=emb))
+
+
+def _pair_blocks(bg: BlockGraphs, i: int, j: int
+                 ) -> list[tuple[int, BipartiteGraph]]:
+    lo, hi = min(i, j), max(i, j)
+    out = []
+    for (a, b, idx), g in sorted(bg.graphs.items()):
+        if (a, b) != (lo, hi):
+            continue
+        out.append((idx, g if i == lo else g.transpose()))
+    return out
+
+
+@st.composite
+def framed_two_partitions(draw):
+    """A frame of classes of 1-3 vertices and a valid 2-partition refining
+    it: clusters in shuffled order, the product of every cluster pair cut
+    into 1-3 blocks (possibly empty), each stored as (i, j) or reversed as
+    (j, i), and the blocks in shuffled order."""
+    sizes = [draw(st.integers(1, 3)) for _ in range(3)]
+    frame = ThreePartiteFrame(tuple(VertexClass(i, n)
+                                    for i, n in enumerate(sizes)))
+    clusters = []
+    for cls, n in enumerate(sizes):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        off = frame.offset(cls)
+        clusters += [frozenset(off + v for v in range(n) if labels[v] == lab)
+                     for lab in sorted(set(labels))]
+    clusters = draw(st.permutations(clusters))
+    z = VertexPartition(frame.combined_class(), tuple(clusters))
+    blocks = []
+    for i, j in itertools.combinations(range(z.order), 2):
+        product = sorted((u, v) for u in z.blocks[i] for v in z.blocks[j])
+        k = draw(st.integers(1, 3))
+        owner = draw(st.lists(st.integers(0, k - 1), min_size=len(product),
+                              max_size=len(product)))
+        for b in range(k):
+            edges = [e for e, o in zip(product, owner) if o == b]
+            if draw(st.booleans()):
+                blocks.append(EdgeBlock((j, i),
+                                        frozenset((v, u) for u, v in edges)))
+            else:
+                blocks.append(EdgeBlock((i, j), frozenset(edges)))
+    tp = TwoPartition(z, tuple(draw(st.permutations(blocks))))
+    assert tp.validate() == []
+    return frame, tp
+
+
+def _graph_key(g: BipartiteGraph):
+    return g.left, g.right, g.edges
+
+
+def _triad_key(pt: PartitionTriad):
+    t = pt.triad
+    return (pt.clusters, pt.block_ids,
+            tuple(map(_graph_key, (t.ab, t.ac, t.bc))), t.embedding)
+
+
+@settings(deadline=None, derandomize=True)
+@given(framed_two_partitions())
+def test_partition_layout_matches_the_per_pair_layout(case):
+    frame, tp = case
+    h = ThreeGraph(frame.classes, frozenset())
+    want = block_graphs(tp).graphs
+    got = hyperreg.block_graphs(tp)
+    assert sorted(got) == sorted(want)
+    assert all(_graph_key(got[key]) == _graph_key(want[key]) for key in want)
+    assert ([_triad_key(pt) for pt in hyperreg.iter_partition_triads(h, tp)]
+            == [_triad_key(pt) for pt in iter_partition_triads(h, tp)])

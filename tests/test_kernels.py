@@ -114,7 +114,8 @@ def test_scan_witness_canonical_order_regression():
         hma = [sum(1 << c for c in range(n) if rng.random() < .4)
                for _ in range(n * n)]
         want = _reference_scan_subtriads(ab, ac, bc, n, n, n, hma, 1, 1, 2)
-        got = kernels.scan_subtriads(ab, ac, bc, n, n, n, hma, 1, 1, 2)
+        got = kernels.scan_subtriads(ab, ac, bc, n, n,
+                                     [hma[b * n + c] for b, c in bc], 1, 1, 2)
         assert got[0] == want[0]
 
 
@@ -149,10 +150,13 @@ def test_scan_subtriads_matches_plain_walk():
     witnesses = 0
     for _ in range(60):
         args = _random_scan_instance(rng)
+        ab, ac, bc, n, _, _, hma = args
+        bc_h = [hma[b * n + c] for b, c in bc]
         for mode in (0, 1):
             for num, den in SCAN_FRACTIONS:
                 want = _reference_scan_subtriads(*args, mode, num, den)
-                assert kernels.scan_subtriads(*args, mode, num, den) == want
+                assert kernels.scan_subtriads(ab, ac, bc, n, n, bc_h, mode,
+                                              num, den) == want
                 witnesses += want[0] is not None
     assert witnesses >= 50
 
@@ -165,7 +169,9 @@ def test_scan_subtriads_without_triangles():
     hma = [0b11] * 4
     for mode in (0, 1):
         for num, den in SCAN_FRACTIONS:
-            got = kernels.scan_subtriads(ab, ac, bc, 2, 2, 2, hma, mode, num, den)
+            got = kernels.scan_subtriads(ab, ac, bc, 2, 2,
+                                         [hma[b * 2 + c] for b, c in bc],
+                                         mode, num, den)
             assert got == (None, 1 << 6)
             assert got == _reference_scan_subtriads(ab, ac, bc, 2, 2, 2, hma,
                                                     mode, num, den)
@@ -180,7 +186,9 @@ def test_scan_subtriads_every_triangle_a_hyperedge():
     hma = [(1 << n) - 1] * (n * n)
     for mode in (0, 1):
         for num, den in SCAN_FRACTIONS:
-            got = kernels.scan_subtriads(ab, ac, bc, n, n, n, hma, mode, num, den)
+            got = kernels.scan_subtriads(ab, ac, bc, n, n,
+                                         [hma[b * n + c] for b, c in bc],
+                                         mode, num, den)
             assert got == (None, 1 << 11)
             assert got == _reference_scan_subtriads(ab, ac, bc, n, n, n, hma,
                                                     mode, num, den)
@@ -197,8 +205,9 @@ def test_scan_subtriads_planted_witness():
     for mode in (0, 1):
         want = _reference_scan_subtriads(ab, ac, bc, n, n, n, hma, mode, 1, 4)
         assert want[0] is not None
-        assert kernels.scan_subtriads(ab, ac, bc, n, n, n, hma, mode, 1, 4) \
-            == want
+        assert kernels.scan_subtriads(ab, ac, bc, n, n,
+                                      [hma[b * n + c] for b, c in bc],
+                                      mode, 1, 4) == want
 
 
 def _brute_triangle_count(n, ab_rows, ac_rows, bc_rows):

@@ -115,6 +115,21 @@ def test_frame_offsets():
     assert frame.to_combined(2, 1) == 6
 
 
+def test_cluster_layout():
+    frame = ThreePartiteFrame(tuple(VertexClass(i, 2 + i) for i in range(3)))
+    z = VertexPartition.from_labels(frame.combined_class(),
+                                    [2, 2, 0, 4, 0, 3, 1, 1, 3])
+    assert frame.cluster_layout(z) == [(1, (0, 2)), (2, (1, 2)), (0, (0, 1)),
+                                       (2, (0, 3)), (1, (1,))]
+    short = VertexPartition.from_labels(VertexClass(0, 8), [0] * 8)
+    with pytest.raises(FrameMismatch, match="ground differs"):
+        frame.cluster_layout(short)
+    straddling = VertexPartition.from_labels(VertexClass(0, 9),
+                                             [0, 1, 1, 1, 1, 2, 2, 2, 2])
+    with pytest.raises(FrameMismatch, match="does not refine"):
+        frame.cluster_layout(straddling)
+
+
 def test_complete_two_partition_valid():
     frame = ThreePartiteFrame(tuple(VertexClass(i, 2) for i in range(3)))
     tp = complete_two_partition(frame.frame_partition())
