@@ -18,9 +18,16 @@ this is a FormatError naming its line.
 
 Loading then saving yields the canonical form (edges sorted
 lexicographically); saving a loaded canonical file is byte-identical.
+
+A bg or h3 section whose lines are all plain rows (digits joined by single
+spaces, as the writers emit them) with values in range and no repeated row
+is read in bulk.  Every other section, however well-formed, is read line by
+line with the same result, and every FormatError, message and line number,
+comes from that per-line reader.
 """
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence
 
 from .errors import FormatError
@@ -68,6 +75,42 @@ def _ints(fields: Sequence[str], line: int, expect: int,
     return out
 
 
+# A section of rows in the canonical layout: each line is ``width`` runs of
+# ASCII digits joined by single spaces, nothing else.
+_PLAIN_ROWS = {width: re.compile(
+    "(?:" + " ".join(["[0-9]+"] * width) + "\n)*") for width in (2, 3)}
+
+
+def _bulk_rows(lines: _Lines, m: int, sizes: tuple[int, ...]
+               ) -> Optional[frozenset[tuple[int, ...]]]:
+    """The next m lines as m distinct rows with ``row[k] < sizes[k]``, read
+    in bulk; or None, with ``lines.pos`` unchanged.
+
+    Only plain rows are accepted (see ``_PLAIN_ROWS``), and on these the
+    per-line reader returns the same rows.  Anything else (a comment, a
+    blank line, other whitespace, a sign, a wrong field count, a value out
+    of range, a repeated row, a short file) gives None, so the per-line
+    reader reads the section and every FormatError is its own.
+    """
+    end = lines.pos + m
+    text = "\n".join(lines.raw[lines.pos:end]) + "\n"
+    width = len(sizes)
+    if not _PLAIN_ROWS[width].fullmatch(text):
+        return None
+    try:
+        values = list(map(int, text.split()))
+    except ValueError:  # beyond the limit on digits that int() converts
+        return None
+    cols = [values[k::width] for k in range(width)]
+    if any(max(col) >= n for col, n in zip(cols, sizes)):
+        return None
+    rows = frozenset(zip(*cols))
+    if len(rows) != m:
+        return None
+    lines.pos = end
+    return rows
+
+
 def _header(lines: _Lines, tag: str, sizes: int, counts: int
             ) -> tuple[list[int], int]:
     """A ``tag`` line of ``sizes`` sizes (>= 1) and then ``counts`` counts
@@ -95,6 +138,9 @@ def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
     if (left.size, right.size) != (nl, nr):
         left = VertexClass(left.id, nl)
         right = VertexClass(right.id, nr)
+    rows = _bulk_rows(lines, m, (nl, nr))
+    if rows is not None:
+        return BipartiteGraph._from_checked(left, right, rows)
     edges = []
     seen = set()
     for _ in range(m):
@@ -129,15 +175,18 @@ def loads_threegraph(text: str) -> ThreeGraph:
     lines = _Lines(text)
     (n1, n2, n3, m), ln = _header(lines, "h3", 3, 1)
     classes = (VertexClass(0, n1), VertexClass(1, n2), VertexClass(2, n3))
-    triples = set()
-    for _ in range(m):
-        fields, tln = lines.next_fields()
-        v1, v2, v3 = _ints(fields, tln, 3, "triple")
-        if not (0 <= v1 < n1 and 0 <= v2 < n2 and 0 <= v3 < n3):
-            raise FormatError(f"triple ({v1},{v2},{v3}) out of range", tln)
-        if (v1, v2, v3) in triples:
-            raise FormatError(f"duplicate triple ({v1},{v2},{v3})", tln)
-        triples.add((v1, v2, v3))
+    triples = _bulk_rows(lines, m, (n1, n2, n3))
+    if triples is None:
+        triples = set()
+        for _ in range(m):
+            fields, tln = lines.next_fields()
+            v1, v2, v3 = _ints(fields, tln, 3, "triple")
+            if not (0 <= v1 < n1 and 0 <= v2 < n2 and 0 <= v3 < n3):
+                raise FormatError(f"triple ({v1},{v2},{v3}) out of range",
+                                  tln)
+            if (v1, v2, v3) in triples:
+                raise FormatError(f"duplicate triple ({v1},{v2},{v3})", tln)
+            triples.add((v1, v2, v3))
     if not lines.at_end():
         fields, ln = lines.next_fields()
         raise FormatError(f"trailing content {' '.join(fields)!r}", ln)
@@ -231,18 +280,16 @@ def dumps_twopartition(tp: TwoPartition) -> str:
     clusters = [sorted(blk) for blk in tp.z.blocks]
     pos = [{v: i for i, v in enumerate(c)} for c in clusters]
     out = [dumps_partition(tp.z).rstrip("\n")]
-    ordered = sorted(
-        range(len(tp.e)),
-        key=lambda k: (min(tp.e[k].pair), max(tp.e[k].pair),
-                       sorted(tp.e[k].edges)))
-    for k in ordered:
-        eb = tp.e[k]
+    sections = []
+    for eb in tp.e:
         i, j = eb.pair
         if i > j:
             i, j = j, i
             edges = sorted((pos[i][v], pos[j][u]) for u, v in eb.edges)
         else:
             edges = sorted((pos[i][u], pos[j][v]) for u, v in eb.edges)
+        sections.append((i, j, edges))
+    for i, j, edges in sorted(sections):
         out.append(f"pair {i} {j}")
         out.append(f"bg {len(clusters[i])} {len(clusters[j])} {len(edges)}")
         out.extend(f"{a} {b}" for a, b in edges)

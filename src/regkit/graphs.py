@@ -81,6 +81,26 @@ class BipartiteGraph:
                 _check_index(b, nb, "right")
             rows[a] |= 1 << b
             cols[b] |= 1 << a
+        self._set(left, right, edges, rows, cols)
+
+    @classmethod
+    def _from_checked(cls, left: VertexClass, right: VertexClass,
+                      edges: frozenset[tuple[int, int]]
+                      ) -> "BipartiteGraph":
+        """A graph on edges that the file reader has already checked: int
+        pairs in range of two non-empty sides, as a frozenset."""
+        rows = [0] * left.size
+        cols = [0] * right.size
+        for a, b in edges:
+            rows[a] |= 1 << b
+            cols[b] |= 1 << a
+        g = cls.__new__(cls)
+        g._set(left, right, edges, rows, cols)
+        return g
+
+    def _set(self, left: VertexClass, right: VertexClass,
+             edges: frozenset[tuple[int, int]], rows: list[int],
+             cols: list[int]) -> None:
         self.left = left
         self.right = right
         self.edges = edges

@@ -754,7 +754,10 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
     layout = _frame_of(h).cluster_layout(tp.z)
     checks = []
     c_clusters = [i for i, (cls, _) in enumerate(layout) if cls == 2]
-    for (i, j, idx), g in sorted(block_graphs(tp).items()):
+    for key, g in sorted(block_graphs(tp).items()):
+        i, j, _ = key
+        if (layout[i][0], layout[j][0]) == (1, 0):
+            i, j, g = j, i, g.transpose()
         (cls_a, a_vs), (cls_b, b_vs) = layout[i], layout[j]
         if (cls_a, cls_b) != (0, 1) or g.edge_count == 0:
             continue
@@ -778,6 +781,6 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
                     if aux.graph.has_edge(pidx, z):
                         hits += 1
             d_aux = Fraction(hits, g.edge_count * len(c_vs))
-            checks.append(IdentityCheck((i, j, idx), ci, t_ok,
+            checks.append(IdentityCheck(key, ci, t_ok,
                                         d_aux == stats.density))
     return tuple(checks)

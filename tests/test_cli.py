@@ -85,6 +85,17 @@ def test_negative_edge_count_exit2(fixtures, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_corrupted_triad_exit2_names_line(fixtures, capsys):
+    lines = fixtures["tr"].read_text().splitlines()
+    assert lines[9] == "1 0"  # the AC section's third edge
+    lines[9] = "1 2"
+    bad = fixtures["tmp"] / "bad.tr"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["check-fr", "--h", fixtures["h3"], "--triad", bad,
+                "--eps", "1/2"]) == 2
+    assert "line 10: edge (1,2) out of range 2x2" in capsys.readouterr().err
+
+
 def test_check_partition(fixtures, capsys):
     assert run(["check-partition", "--graph", fixtures["half"],
                 "--left", fixtures["vp"], "--right", fixtures["vp"],

@@ -1,12 +1,18 @@
+import itertools
 import random
+from typing import Optional
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from regkit import fileio
 from regkit.errors import FormatError
+from regkit.fileio import _header, _ints, _Lines
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
-from regkit.partitions import (ThreePartiteFrame, VertexPartition,
-                               complete_two_partition)
+from regkit.partitions import (EdgeBlock, ThreePartiteFrame, TwoPartition,
+                               VertexPartition, complete_two_partition)
 
 
 def _random_graph(rng, left, right, p=0.5):
@@ -163,3 +169,229 @@ def test_path_round_trip(tmp_path):
     path = tmp_path / "g.bg"
     fileio.save_graph(path, g)
     assert fileio.load_graph(path) == g
+
+
+# The per-line readers of bg sections and of h3 files as they were before
+# plain sections were read in bulk, kept verbatim as the oracle for the
+# property tests below.
+
+
+def _ref_read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
+                 expect_sides: Optional[tuple[int, int]] = None
+                 ) -> BipartiteGraph:
+    (nl, nr, m), ln = _header(lines, "bg", 2, 1)
+    if expect_sides is not None and (nl, nr) != expect_sides:
+        raise FormatError(
+            f"bg sides {nl}x{nr} do not match expected "
+            f"{expect_sides[0]}x{expect_sides[1]}", ln)
+    if (left.size, right.size) != (nl, nr):
+        left = VertexClass(left.id, nl)
+        right = VertexClass(right.id, nr)
+    edges = []
+    seen = set()
+    for _ in range(m):
+        fields, eln = lines.next_fields()
+        a, b = _ints(fields, eln, 2, "edge")
+        if not (0 <= a < nl and 0 <= b < nr):
+            raise FormatError(f"edge ({a},{b}) out of range "
+                              f"{nl}x{nr}", eln)
+        if (a, b) in seen:
+            raise FormatError(f"duplicate edge ({a},{b})", eln)
+        seen.add((a, b))
+        edges.append((a, b))
+    return BipartiteGraph(left, right, edges)
+
+
+def _ref_loads_threegraph(text: str) -> ThreeGraph:
+    lines = _Lines(text)
+    (n1, n2, n3, m), ln = _header(lines, "h3", 3, 1)
+    classes = (VertexClass(0, n1), VertexClass(1, n2), VertexClass(2, n3))
+    triples = set()
+    for _ in range(m):
+        fields, tln = lines.next_fields()
+        v1, v2, v3 = _ints(fields, tln, 3, "triple")
+        if not (0 <= v1 < n1 and 0 <= v2 < n2 and 0 <= v3 < n3):
+            raise FormatError(f"triple ({v1},{v2},{v3}) out of range", tln)
+        if (v1, v2, v3) in triples:
+            raise FormatError(f"duplicate triple ({v1},{v2},{v3})", tln)
+        triples.add((v1, v2, v3))
+    if not lines.at_end():
+        fields, ln = lines.next_fields()
+        raise FormatError(f"trailing content {' '.join(fields)!r}", ln)
+    return ThreeGraph(classes, frozenset(triples))
+
+
+LOADS = {"bg": fileio.loads_graph, "h3": fileio.loads_threegraph,
+         "tr": fileio.loads_triad, "tp": fileio.loads_twopartition}
+DUMPS = {"bg": fileio.dumps_graph, "h3": fileio.dumps_threegraph,
+         "tr": fileio.dumps_triad, "tp": fileio.dumps_twopartition}
+
+
+def _ref_loads(fmt: str, text: str):
+    if fmt == "h3":
+        return _ref_loads_threegraph(text)
+    with mock.patch.object(fileio, "_read_bg", _ref_read_bg):
+        return LOADS[fmt](text)
+
+
+def _key(obj):
+    """Everything a loaded object holds; graphs with their masks."""
+    if isinstance(obj, BipartiteGraph):
+        return obj.left, obj.right, obj.edges, obj.rows, obj.cols, hash(obj)
+    if isinstance(obj, Triad):
+        return tuple(map(_key, (obj.ab, obj.ac, obj.bc))), obj.embedding
+    return obj
+
+
+def _outcome(load, text: str):
+    try:
+        obj = load(text)
+    except FormatError as err:
+        return "error", str(err), err.line
+    return "ok", _key(obj)
+
+
+@st.composite
+def _graphs(draw, left: VertexClass, right: VertexClass) -> BipartiteGraph:
+    return BipartiteGraph(left, right, draw(st.sets(st.tuples(
+        st.integers(0, left.size - 1), st.integers(0, right.size - 1)))))
+
+
+def _classes(draw, k: int, most: int) -> list[VertexClass]:
+    return [VertexClass(i, draw(st.integers(1, most))) for i in range(k)]
+
+
+@st.composite
+def _two_partitions(draw) -> TwoPartition:
+    """A random vertex partition, the product of every cluster pair cut into
+    1-2 blocks (possibly empty), each stored in either orientation."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    z = VertexPartition.from_labels(VertexClass(0, n), labels)
+    blocks = []
+    for i, j in itertools.combinations(range(z.order), 2):
+        product = sorted((u, v) for u in z.blocks[i] for v in z.blocks[j])
+        k = draw(st.integers(1, 2))
+        owner = draw(st.lists(st.integers(0, k - 1), min_size=len(product),
+                              max_size=len(product)))
+        for b in range(k):
+            edges = frozenset(e for e, o in zip(product, owner) if o == b)
+            if draw(st.booleans()):
+                blocks.append(EdgeBlock((j, i), frozenset(
+                    (v, u) for u, v in edges)))
+            else:
+                blocks.append(EdgeBlock((i, j), edges))
+    return TwoPartition(z, tuple(blocks)).require_valid()
+
+
+@st.composite
+def valid_texts(draw) -> tuple[str, str]:
+    """A format and a canonical text of a random object of that format;
+    bg sides reach 12, so that a value such as ``1_0`` can be in range."""
+    fmt = draw(st.sampled_from(sorted(LOADS)))
+    if fmt == "bg":
+        left, right = _classes(draw, 2, 12)
+        obj = draw(_graphs(left, right))
+    elif fmt == "h3":
+        classes = tuple(_classes(draw, 3, 4))
+        obj = ThreeGraph(classes, frozenset(draw(st.sets(st.tuples(
+            *(st.integers(0, c.size - 1) for c in classes))))))
+    elif fmt == "tr":
+        a, b, c = _classes(draw, 3, 5)
+        obj = Triad(draw(_graphs(a, b)), draw(_graphs(a, c)),
+                    draw(_graphs(b, c)))
+    else:
+        obj = draw(_two_partitions())
+    return fmt, DUMPS[fmt](obj)
+
+
+def _row_lines(text: str) -> dict[int, tuple[int, ...]]:
+    """Index of every edge or triple line of a canonical text -> the sizes
+    its columns must stay below."""
+    rows = {}
+    lines = text.splitlines()
+    for k, line in enumerate(lines):
+        tag, *nums = line.split() or [""]
+        if tag in ("bg", "h3"):
+            *sizes, m = map(int, nums)
+            rows.update((k + 1 + r, tuple(sizes)) for r in range(m))
+    return rows
+
+
+@given(valid_texts(), st.randoms(use_true_random=False))
+def test_reader_matches_the_per_line_reader(case, rng):
+    """A canonical text, with some rows swapped within their sections,
+    reads as the per-line reader reads it and re-dumps canonically."""
+    fmt, text = case
+    lines = text.splitlines()
+    rows = _row_lines(text)
+    for k in rows:
+        if k - 1 in rows and rng.random() < 0.5:
+            lines[k - 1], lines[k] = lines[k], lines[k - 1]
+    shuffled = "\n".join(lines) + "\n"
+    got = LOADS[fmt](shuffled)
+    assert _key(got) == _key(_ref_loads(fmt, shuffled))
+    assert DUMPS[fmt](got) == text
+
+
+# One-line corruptions of a row line -> whether the file stays valid (None
+# when that depends on the row).
+CORRUPTIONS = {
+    "comment line": True, "blank line": True, "trailing comment": True,
+    "tab": True, "extra spaces": True, "plus sign": True,
+    "underscore": None, "field missing": False, "field extra": False,
+    "bad integer": False, "negative": False, "out of range": False,
+    "duplicate": False, "line dropped": False, "file cut": False}
+
+
+def _corrupt(lines: list[str], k: int, sizes: tuple[int, ...], how: str,
+             col: int) -> list[str]:
+    out = list(lines)
+    row = lines[k].split(" ")
+    tokens = {"plus sign": "+" + row[col], "underscore": "1_0",
+              "bad integer": "x", "negative": "-1",
+              "out of range": str(sizes[col])}
+    if how in tokens:
+        row[col] = tokens[how]
+        out[k] = " ".join(row)
+    elif how == "field missing":
+        out[k] = " ".join(row[:col] + row[col + 1:])
+    elif how == "field extra":
+        out[k] = " ".join(row[:col] + ["0"] + row[col:])
+    elif how == "comment line":
+        out.insert(k, "# a comment")
+    elif how == "blank line":
+        out.insert(k, "")
+    elif how == "trailing comment":
+        out[k] += "  # a comment"
+    elif how == "tab":
+        out[k] = "\t".join(row)
+    elif how == "extra spaces":
+        out[k] = " " + "  ".join(row) + " "
+    elif how == "duplicate":
+        out[k] = lines[k - 1]
+    elif how == "line dropped":
+        del out[k]
+    else:  # file cut
+        del out[k:]
+    return out
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+@given(case=valid_texts(), data=st.data())
+def test_corrupted_row_gives_the_per_line_outcome(how, case, data):
+    """The same object, or the same FormatError message and line, as the
+    per-line reader."""
+    fmt, text = case
+    rows = _row_lines(text)
+    if how == "duplicate":
+        rows = {k: s for k, s in rows.items() if k - 1 in rows}
+    assume(rows)
+    k = data.draw(st.sampled_from(sorted(rows)))
+    col = data.draw(st.integers(0, len(rows[k]) - 1))
+    lines = _corrupt(text.splitlines(), k, rows[k], how, col)
+    bad = "\n".join(lines) + "\n"
+    got = _outcome(LOADS[fmt], bad)
+    assert got == _outcome(lambda t: _ref_loads(fmt, t), bad)
+    if CORRUPTIONS[how] is not None:
+        assert (got[0] == "ok") == CORRUPTIONS[how], got

@@ -5,7 +5,7 @@ from fractions import Fraction
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from regkit import hyperreg
@@ -536,7 +536,6 @@ def _triad_key(pt: PartitionTriad):
             tuple(map(_graph_key, (t.ab, t.ac, t.bc))), t.embedding)
 
 
-@settings(deadline=None, derandomize=True)
 @given(framed_two_partitions())
 def test_partition_layout_matches_the_per_pair_layout(case):
     frame, tp = case
@@ -547,3 +546,42 @@ def test_partition_layout_matches_the_per_pair_layout(case):
     assert all(_graph_key(got[key]) == _graph_key(want[key]) for key in want)
     assert ([_triad_key(pt) for pt in hyperreg.iter_partition_triads(h, tp)]
             == [_triad_key(pt) for pt in iter_partition_triads(h, tp)])
+
+
+@given(framed_two_partitions(), st.data())
+def test_reduction_identities_cover_every_axis3_member(case, data):
+    """One identity per non-empty member between a class-0 and a class-1
+    cluster and per class-2 cluster, whichever cluster has the lower label
+    and however the member is stored; both identities hold on any h."""
+    frame, tp = case
+    h = ThreeGraph(frame.classes, frozenset(data.draw(st.sets(st.tuples(
+        *(st.integers(0, c.size - 1) for c in frame.classes))))))
+    cls_of = [frame.class_of(min(b)) for b in tp.z.blocks]
+    c_clusters = [i for i, c in enumerate(cls_of) if c == 2]
+    seen: dict[tuple[int, int], int] = {}
+    want = []
+    for eb in tp.e:
+        i, j = sorted(eb.pair)
+        k = seen.get((i, j), 0)
+        seen[(i, j)] = k + 1
+        if {cls_of[i], cls_of[j]} == {0, 1} and eb.edges:
+            want += [((i, j, k), ci) for ci in c_clusters]
+    got = hyperreg._reduction_identities(h, tp, hyperreg.auxiliary_graph(h, 3))
+    assert sorted((c.block_key, c.cluster_c) for c in got) == sorted(want)
+    assert all(c.t_equals_e_times_c and c.densities_equal for c in got)
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 2, 2]])
+def test_reduction_identities_orient_each_member(labels):
+    """The class-0 cluster of the axis-3 member may carry either label."""
+    cls = tuple(VertexClass(i, 2) for i in range(3))
+    frame = ThreePartiteFrame(cls)
+    tp = complete_two_partition(
+        VertexPartition.from_labels(frame.combined_class(), labels))
+    delta = Fraction(1, 16)
+    report = hyperreg.reduction_check(ThreeGraph.complete(cls), tp, delta,
+                                      1, 3, delta ** 2 / 88, EXH)
+    assert [(c.block_key, c.cluster_c) for c in report.identities] == [
+        ((0, 1, 0), 2)]
+    assert report.identities[0].densities_equal
+    assert report.passed
