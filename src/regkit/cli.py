@@ -55,6 +55,19 @@ def _emit(args, report: dict, caveats: list[str]) -> None:
         print(f"caveat: {cv}")
 
 
+def _emit_file(args, text: str, report: dict) -> int:
+    """Write a built file to ``--out``; with ``--json`` print the report
+    with the text under "graph", else print the text unless written."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if args.json:
+        _emit(args, {**report, "graph": text}, [])
+    elif not args.out:
+        sys.stdout.write(text)
+    return 0
+
+
 def _emit_verdict(args, check: str, verdict) -> int:
     caveats = ["no witness found; not a certification"] \
         if verdict.status == UNKNOWN else []
@@ -137,20 +150,11 @@ def _cmd_quasirandom(args) -> int:
 def _cmd_aux_graph(args) -> int:
     h = fileio.load_threegraph(args.h)
     aux = hyperreg.auxiliary_graph(h, args.axis)
-    text = fileio.dumps_graph(aux.graph)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.json:
-        _emit(args, {
-            "check": "auxiliary graph",
-            "axis": args.axis,
-            "edges": aux.graph.edge_count,
-            "graph": text,
-        }, [])
-    elif not args.out:
-        sys.stdout.write(text)
-    return 0
+    return _emit_file(args, fileio.dumps_graph(aux.graph), {
+        "check": "auxiliary graph",
+        "axis": args.axis,
+        "edges": aux.graph.edge_count,
+    })
 
 
 def _cmd_paste(args) -> int:
@@ -158,20 +162,11 @@ def _cmd_paste(args) -> int:
     if len(parts) != 6:
         raise _UsageError("paste needs exactly six part files")
     h = cn.six_cycle_paste(parts)
-    text = fileio.dumps_threegraph(h)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.json:
-        _emit(args, {
-            "check": "six-cycle paste",
-            "edges": h.edge_count,
-            "density": h.density,
-            "graph": text,
-        }, [])
-    elif not args.out:
-        sys.stdout.write(text)
-    return 0
+    return _emit_file(args, fileio.dumps_threegraph(h), {
+        "check": "six-cycle paste",
+        "edges": h.edge_count,
+        "density": h.density,
+    })
 
 
 _SCHEDULE_FUNCS = {

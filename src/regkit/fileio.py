@@ -61,6 +61,13 @@ class _Lines:
         return False
 
 
+def _expect_end(lines: _Lines) -> None:
+    """FormatError at the first content line left after a record."""
+    if not lines.at_end():
+        fields, ln = lines.next_fields()
+        raise FormatError(f"trailing content {' '.join(fields)!r}", ln)
+
+
 def _ints(fields: Sequence[str], line: int, expect: int,
           what: str) -> list[int]:
     if len(fields) != expect:
@@ -159,9 +166,7 @@ def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
 def loads_graph(text: str) -> BipartiteGraph:
     lines = _Lines(text)
     g = _read_bg(lines, VertexClass(0, 1), VertexClass(1, 1))
-    if not lines.at_end():
-        fields, ln = lines.next_fields()
-        raise FormatError(f"trailing content {' '.join(fields)!r}", ln)
+    _expect_end(lines)
     return g
 
 
@@ -187,9 +192,7 @@ def loads_threegraph(text: str) -> ThreeGraph:
             if (v1, v2, v3) in triples:
                 raise FormatError(f"duplicate triple ({v1},{v2},{v3})", tln)
             triples.add((v1, v2, v3))
-    if not lines.at_end():
-        fields, ln = lines.next_fields()
-        raise FormatError(f"trailing content {' '.join(fields)!r}", ln)
+    _expect_end(lines)
     return ThreeGraph(classes, frozenset(triples))
 
 
@@ -216,9 +219,7 @@ def _read_vp(lines: _Lines) -> VertexPartition:
 def loads_partition(text: str) -> VertexPartition:
     lines = _Lines(text)
     p = _read_vp(lines)
-    if not lines.at_end():
-        fields, ln = lines.next_fields()
-        raise FormatError(f"trailing content {' '.join(fields)!r}", ln)
+    _expect_end(lines)
     return p
 
 
@@ -237,9 +238,7 @@ def loads_triad(text: str):
     ab = _read_bg(lines, a, b, (na, nb))
     ac = _read_bg(lines, a, c, (na, nc))
     bc = _read_bg(lines, b, c, (nb, nc))
-    if not lines.at_end():
-        fields, eln = lines.next_fields()
-        raise FormatError(f"trailing content {' '.join(fields)!r}", eln)
+    _expect_end(lines)
     return Triad(ab, ac, bc)
 
 
@@ -277,21 +276,12 @@ def loads_twopartition(text: str) -> TwoPartition:
 
 
 def dumps_twopartition(tp: TwoPartition) -> str:
-    clusters = [sorted(blk) for blk in tp.z.blocks]
-    pos = [{v: i for i, v in enumerate(c)} for c in clusters]
     out = [dumps_partition(tp.z).rstrip("\n")]
-    sections = []
-    for eb in tp.e:
-        i, j = eb.pair
-        if i > j:
-            i, j = j, i
-            edges = sorted((pos[i][v], pos[j][u]) for u, v in eb.edges)
-        else:
-            edges = sorted((pos[i][u], pos[j][v]) for u, v in eb.edges)
-        sections.append((i, j, edges))
-    for i, j, edges in sorted(sections):
+    for i, j, edges in sorted((i, j, g.sorted_edges())
+                              for (i, j, _), g in tp.graphs.items()):
         out.append(f"pair {i} {j}")
-        out.append(f"bg {len(clusters[i])} {len(clusters[j])} {len(edges)}")
+        out.append(f"bg {len(tp.z.blocks[i])} {len(tp.z.blocks[j])} "
+                   f"{len(edges)}")
         out.extend(f"{a} {b}" for a, b in edges)
     return "\n".join(out) + "\n"
 

@@ -185,9 +185,10 @@ class ThreeGraph:
         if n1 == 0 or n2 == 0 or n3 == 0:
             raise DegenerateInput("3-graph with an empty class")
         for (v1, v2, v3) in self.triples:
-            _check_index(v1, n1, "class-1")
-            _check_index(v2, n2, "class-2")
-            _check_index(v3, n3, "class-3")
+            if not (0 <= v1 < n1 and 0 <= v2 < n2 and 0 <= v3 < n3):
+                _check_index(v1, n1, "class-1")
+                _check_index(v2, n2, "class-2")
+                _check_index(v3, n3, "class-3")
 
     @property
     def edge_count(self) -> int:

@@ -6,14 +6,15 @@ d = 0 when the triad carries no triangles.  Subtriad checks take their
 search mode, budget and verdicts from ``regcheck``, where every verdict is
 made: CertifiedRegular only from an exhaustive scan, irregular verdicts
 always carry a re-verified witness, and randomized searches otherwise
-answer Unknown.
+answer Unknown.  Partition-level checks read a 2-partition's edge family
+from ``TwoPartition.graphs``.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernels
 from .errors import ClassSizeMismatch, FrameMismatch, ParameterOutOfContract
@@ -244,37 +245,12 @@ def _frame_of(h: ThreeGraph) -> ThreePartiteFrame:
     return ThreePartiteFrame(h.classes)
 
 
-def block_graphs(tp: TwoPartition
-                 ) -> dict[tuple[int, int, int], BipartiteGraph]:
-    """The edge family of a 2-partition as bipartite graphs, in one pass.
-
-    Key (i, j, k) with i < j is the k-th block of cluster pair {i, j} in
-    ``tp.e`` order, oriented from cluster i to cluster j, on local indices
-    into the clusters' sorted vertex lists.
-    """
-    pos = [{v: x for x, v in enumerate(sorted(b))} for b in tp.z.blocks]
-    sides = [VertexClass(i, len(b)) for i, b in enumerate(tp.z.blocks)]
-    seen: dict[tuple[int, int], int] = {}
-    graphs = {}
-    for eb in tp.e:
-        i, j = eb.pair
-        if i < j:
-            edges = [(pos[i][u], pos[j][v]) for u, v in eb.edges]
-        else:
-            i, j = j, i
-            edges = [(pos[i][v], pos[j][u]) for u, v in eb.edges]
-        k = seen.get((i, j), 0)
-        seen[(i, j)] = k + 1
-        graphs[(i, j, k)] = BipartiteGraph(sides[i], sides[j], edges)
-    return graphs
-
-
 def is_delta_good(tp: TwoPartition, delta, params: CheckParams = CheckParams()
                   ) -> PartitionVerdict:
-    """Every bipartite graph (i, j, block) of the family is delta-regular."""
+    """Every graph (i, j, block) of ``tp.graphs`` is delta-regular."""
     return PartitionVerdict.of({
         key: check_delta_regular(g, delta, params)
-        for key, g in sorted(block_graphs(tp).items())})
+        for key, g in sorted(tp.graphs.items())})
 
 
 def _unknown_caveats(labelled: Iterable[tuple[str, str]], counted_as: str
@@ -356,7 +332,7 @@ def check_equipartition_params(tp: TwoPartition, ell: int, t: int,
     target = Fraction(1, ell)
     bad_density = []
     verdicts = {}
-    for key, g in sorted(block_graphs(tp).items()):
+    for key, g in sorted(tp.graphs.items()):
         d = density(g)
         if not target - eps2 <= d <= target + eps2:
             bad_density.append(key)
@@ -397,7 +373,7 @@ def iter_partition_triads(h: ThreeGraph, tp: TwoPartition
     by_class = [[i for i, (cls, _) in enumerate(layout) if cls == c]
                 for c in range(3)]
     pairs: dict[tuple[int, int], list[tuple[int, BipartiteGraph]]] = {}
-    for (i, j, k), g in sorted(block_graphs(tp).items()):
+    for (i, j, k), g in sorted(tp.graphs.items()):
         pairs.setdefault((i, j), []).append((k, g))
 
     def oriented(i: int, j: int) -> list[tuple[int, BipartiteGraph]]:
@@ -440,30 +416,39 @@ class MassReport:
     caveats: tuple[str, ...]
 
 
+def _judge_triads(h: ThreeGraph, tp: TwoPartition,
+                  judge: Callable[[Triad], str], counted_as: str
+                  ) -> tuple[tuple[TriadJudgment, ...], list[str]]:
+    """Every triad of ``tp`` with its triangle count and ``judge``'s
+    status, and a caveat per unknown status counted as ``counted_as``."""
+    judgments = []
+    for pt in iter_partition_triads(h, tp):
+        t = pt.triad
+        count = kernels.triangle_count(t.ab.rows, t.ac.rows, t.bc.rows)
+        judgments.append(TriadJudgment(pt.clusters, pt.block_ids, count,
+                                       judge(t)))
+    caveats = _unknown_caveats(
+        ((f"triad {j.clusters}/{j.block_ids}", j.verdict_status)
+         for j in judgments), counted_as)
+    return tuple(judgments), caveats
+
+
 def _mass_report(h: ThreeGraph, tp: TwoPartition, ell: int, t: int,
-                 eps2: Fraction, threshold: Fraction, judge,
+                 eps2: Fraction, threshold: Fraction,
+                 judge: Callable[[Triad], str],
                  params: CheckParams) -> MassReport:
     equip = check_equipartition_params(tp, ell, t, eps2, params)
     caveats = list(equip.caveats)
     if not equip.passed:
         caveats.append("equipartition precondition failed")
-    judgments = []
-    mass = 0
-    for pt in iter_partition_triads(h, tp):
-        stats = triad_density(h, pt.triad)
-        status = judge(pt.triad, stats)
-        if status == IRREGULAR:
-            mass += stats.triangle_count
-        judgments.append(TriadJudgment(pt.clusters, pt.block_ids,
-                                       stats.triangle_count, status))
-    caveats += _unknown_caveats(
-        ((f"triad {j.clusters}/{j.block_ids}", j.verdict_status)
-         for j in judgments), "regular")
+    judgments, unknown = _judge_triads(h, tp, judge, "regular")
+    caveats += unknown
+    mass = sum(j.triangle_count for j in judgments
+               if j.verdict_status == IRREGULAR)
     n_total = _frame_of(h).total
     bound = Fraction(threshold) * n_total ** 3
     passed = equip.passed and mass <= bound
-    return MassReport(equip, tuple(judgments), mass, bound, passed,
-                      tuple(caveats))
+    return MassReport(equip, judgments, mass, bound, passed, tuple(caveats))
 
 
 def check_fr_partition(h: ThreeGraph, tp: TwoPartition, ell: int, t: int,
@@ -473,7 +458,7 @@ def check_fr_partition(h: ThreeGraph, tp: TwoPartition, ell: int, t: int,
     that fail the eps-check must not exceed eps * |V|^3."""
     eps = Fraction(eps)
 
-    def judge(triad: Triad, stats: TriadStats) -> str:
+    def judge(triad: Triad) -> str:
         return check_fr_triad(h, triad, eps, params).status
 
     return _mass_report(h, tp, ell, t, eps2, eps, judge, params)
@@ -487,7 +472,7 @@ def check_quasirandom_partition(h: ThreeGraph, tp: TwoPartition, ell: int,
     not alpha-quasirandom must not exceed alpha * |V|^3."""
     alpha = Fraction(alpha)
 
-    def judge(triad: Triad, stats: TriadStats) -> str:
+    def judge(triad: Triad) -> str:
         report = check_quasirandom_triad(h, triad, alpha)
         return CERTIFIED if report.verdict else IRREGULAR
 
@@ -661,18 +646,13 @@ def subtriad_hypothesis_check(h: ThreeGraph, tp: TwoPartition,
                               ) -> SubtriadHypothesisReport:
     """The two-thirds hypothesis over every triad of the 2-partition."""
     delta = Fraction(delta)
-    judgments = []
-    for pt in iter_partition_triads(h, tp):
-        t = pt.triad
-        v = check_subtriad_hypothesis(h, t, delta, params)
-        count = kernels.triangle_count(t.ab.rows, t.ac.rows, t.bc.rows)
-        judgments.append(TriadJudgment(pt.clusters, pt.block_ids, count,
-                                       v.status))
+
+    def judge(triad: Triad) -> str:
+        return check_subtriad_hypothesis(h, triad, delta, params).status
+
+    judgments, caveats = _judge_triads(h, tp, judge, "holding")
     holds = all(j.verdict_status != IRREGULAR for j in judgments)
-    caveats = _unknown_caveats(
-        ((f"triad {j.clusters}/{j.block_ids}", j.verdict_status)
-         for j in judgments), "holding")
-    return SubtriadHypothesisReport(tuple(judgments), holds, tuple(caveats))
+    return SubtriadHypothesisReport(judgments, holds, tuple(caveats))
 
 
 @dataclass(frozen=True)
@@ -754,7 +734,7 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
     layout = _frame_of(h).cluster_layout(tp.z)
     checks = []
     c_clusters = [i for i, (cls, _) in enumerate(layout) if cls == 2]
-    for key, g in sorted(block_graphs(tp).items()):
+    for key, g in sorted(tp.graphs.items()):
         i, j, _ = key
         if (layout[i][0], layout[j][0]) == (1, 0):
             i, j, g = j, i, g.transpose()

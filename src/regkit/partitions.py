@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (ClassMismatch, DegenerateInput, FrameMismatch,
                      GroundMismatch, NotDisjoint, ParameterOutOfContract,
@@ -185,6 +187,33 @@ class TwoPartition:
 
     z: VertexPartition
     e: tuple[EdgeBlock, ...]
+
+    @cached_property
+    def graphs(self) -> Mapping[tuple[int, int, int], BipartiteGraph]:
+        """The edge family as bipartite graphs, built on first use and
+        read-only.
+
+        Key (i, j, k) with i < j is the k-th block of cluster pair {i, j}
+        in ``e`` order, oriented from cluster i to cluster j (the classes of
+        ids i and j) on local indices into the clusters' sorted vertex
+        lists; keys come in ``e`` order.  Assumes a valid 2-partition.
+        """
+        pos = [{v: x for x, v in enumerate(sorted(b))}
+               for b in self.z.blocks]
+        sides = [VertexClass(i, len(b)) for i, b in enumerate(self.z.blocks)]
+        seen: dict[tuple[int, int], int] = {}
+        graphs = {}
+        for eb in self.e:
+            i, j = eb.pair
+            if i < j:
+                edges = [(pos[i][u], pos[j][v]) for u, v in eb.edges]
+            else:
+                i, j = j, i
+                edges = [(pos[i][v], pos[j][u]) for u, v in eb.edges]
+            k = seen.get((i, j), 0)
+            seen[(i, j)] = k + 1
+            graphs[(i, j, k)] = BipartiteGraph(sides[i], sides[j], edges)
+        return MappingProxyType(graphs)
 
     def validate(self) -> list[str]:
         return validate_two_partition(self)

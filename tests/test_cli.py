@@ -132,6 +132,31 @@ def test_paste_writes_file(fixtures):
     assert h.edge_count == 48  # 6 complete parts of 8 triples each
 
 
+@pytest.mark.parametrize("argv, load, report", [
+    (["aux-graph", "--h", "h3", "--axis", "3"], fileio.load_graph,
+     {"check": "auxiliary graph", "axis": 3, "edges": 8}),
+    (["paste", "--parts", "parts"], fileio.load_threegraph,
+     {"check": "six-cycle paste", "edges": 48, "density": "3/4"}),
+], ids=["aux-graph", "paste"])
+def test_json_and_out_write_both(fixtures, capsys, argv, load, report):
+    """--out alone writes the file and prints nothing; with --json as well
+    it writes the same file and prints the JSON document holding its
+    text."""
+    out = fixtures["tmp"] / "built.txt"
+    args = []
+    for a in argv:
+        args += fixtures[a] if a == "parts" else [fixtures.get(a, a)]
+    assert run([*args, "--out", out]) == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text(encoding="utf-8")
+    assert load(out).edge_count == report["edges"]
+    out.unlink()
+    assert run(["--json", *args, "--out", out]) == 0
+    assert out.read_text(encoding="utf-8") == text
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"report": {**report, "graph": text}, "caveats": []}
+
+
 def test_paste_wrong_count_exit2(fixtures):
     assert run(["paste", "--parts", *fixtures["parts"][:3]]) == 2
 

@@ -13,6 +13,7 @@ from regkit.fileio import _header, _ints, _Lines
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
 from regkit.partitions import (EdgeBlock, ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
+from test_hyperreg import framed_two_partitions
 
 
 def _random_graph(rng, left, right, p=0.5):
@@ -101,6 +102,22 @@ def test_bad_header_and_truncation():
         fileio.loads_graph("bg 2 2 0\n0 0\n")  # trailing content
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("bg 2 2 0\n0 0\n", "line 2: trailing content '0 0'"),
+    ("h3 1 1 1 1\n0 0 0\n# note\n\n0 0 0  # again\n",
+     "line 5: trailing content '0 0 0'"),
+    ("vp 3 2\n0 1 1\n1\n", "line 3: trailing content '1'"),
+    ("tr 1 1 1\nbg 1 1 1\n0 0\nbg 1 1 0\nbg 1 1 0\nextra 7\n",
+     "line 6: trailing content 'extra 7'"),
+], ids=["bg", "h3", "vp", "tr"])
+def test_trailing_content_reports_line(text, expected):
+    load = {"bg": fileio.loads_graph, "h3": fileio.loads_threegraph,
+            "vp": fileio.loads_partition, "tr": fileio.loads_triad}
+    with pytest.raises(FormatError) as err:
+        load[text[:2]](text)
+    assert str(err.value) == expected
+
+
 BAD_BG_HEADERS = ("bg 2 2 -1", "bg 0 2 0", "bg -1 2 0")
 BAD_H3_HEADERS = ("h3 2 2 2 -3", "h3 0 1 1 0")
 COMPLETE_BG_2X2 = "bg 2 2 4\n0 0\n0 1\n1 0\n1 1\n"
@@ -143,6 +160,40 @@ def test_partition_label_errors():
         fileio.loads_partition("vp 3 2\n0 0 5\n")
     with pytest.raises(FormatError):
         fileio.loads_partition("vp 4 3\n0 0 1 1\n")  # block 2 empty
+
+
+# The writer before it read ``TwoPartition.graphs``, kept verbatim as the
+# oracle for the property test below.
+
+
+def _ref_dumps_twopartition(tp: TwoPartition) -> str:
+    clusters = [sorted(blk) for blk in tp.z.blocks]
+    pos = [{v: i for i, v in enumerate(c)} for c in clusters]
+    out = [fileio.dumps_partition(tp.z).rstrip("\n")]
+    sections = []
+    for eb in tp.e:
+        i, j = eb.pair
+        if i > j:
+            i, j = j, i
+            edges = sorted((pos[i][v], pos[j][u]) for u, v in eb.edges)
+        else:
+            edges = sorted((pos[i][u], pos[j][v]) for u, v in eb.edges)
+        sections.append((i, j, edges))
+    for i, j, edges in sorted(sections):
+        out.append(f"pair {i} {j}")
+        out.append(f"bg {len(clusters[i])} {len(clusters[j])} {len(edges)}")
+        out.extend(f"{a} {b}" for a, b in edges)
+    return "\n".join(out) + "\n"
+
+
+@given(framed_two_partitions())
+def test_twopartition_writer_matches_the_per_block_writer(case):
+    """Shuffled clusters, blocks stored either way round, 1-3 blocks per
+    pair: the same bytes as the writer that oriented each block itself."""
+    _, tp = case
+    text = fileio.dumps_twopartition(tp)
+    assert text == _ref_dumps_twopartition(tp)
+    assert fileio.dumps_twopartition(fileio.loads_twopartition(text)) == text
 
 
 def test_twopartition_missing_edge_names_pair():

@@ -79,6 +79,20 @@ def test_three_graph_density():
     assert ThreeGraph.complete(cls).density == 1
 
 
+@pytest.mark.parametrize("triple, text", [
+    ((2, 0, 0), "class-1 index 2 out of range [0, 2)"),
+    ((0, 3, 0), "class-2 index 3 out of range [0, 3)"),
+    ((1, 2, 4), "class-3 index 4 out of range [0, 4)"),
+    ((0, -1, 0), "class-2 index -1 out of range [0, 3)"),
+    ((5, 7, 9), "class-1 index 5 out of range [0, 2)"),
+])
+def test_three_graph_rejects_out_of_range_triples(triple, text):
+    cls = (VertexClass(0, 2), VertexClass(1, 3), VertexClass(2, 4))
+    with pytest.raises(IndexError) as err:
+        ThreeGraph(cls, frozenset({(0, 0, 0), triple}))
+    assert str(err.value) == text
+
+
 def test_triad_class_checks():
     a, b, c = (VertexClass(i, 2) for i in range(3))
     with pytest.raises(ClassMismatch):

@@ -402,10 +402,10 @@ def test_partition_checks_reject_a_partition_off_the_frame():
         hyperreg.check_quasirandom_partition(h, tp, 1, 3, half, half, EXH)
 
 
-# The layout code that ``ThreePartiteFrame.cluster_layout`` and the one-pass
-# ``block_graphs`` replaced, kept verbatim as the oracle for the property
-# test below; only ``tp.blocks_for_pair(i, j)``, a deleted method, is now
-# the function ``blocks_for_pair(tp, i, j)``.
+# The layout code that ``ThreePartiteFrame.cluster_layout`` and the
+# one-pass edge family ``TwoPartition.graphs`` replaced, kept verbatim as the
+# oracle for the property test below; only ``tp.blocks_for_pair(i, j)``, a
+# deleted method, is now the function ``blocks_for_pair(tp, i, j)``.
 
 
 def blocks_for_pair(tp, i: int, j: int) -> list[EdgeBlock]:
@@ -541,8 +541,16 @@ def test_partition_layout_matches_the_per_pair_layout(case):
     frame, tp = case
     h = ThreeGraph(frame.classes, frozenset())
     want = block_graphs(tp).graphs
-    got = hyperreg.block_graphs(tp)
+    got = tp.graphs
     assert sorted(got) == sorted(want)
+    seen: dict[tuple[int, int], int] = {}
+    order = []  # one key per block, in the order of ``tp.e``
+    for eb in tp.e:
+        i, j = sorted(eb.pair)
+        k = seen.get((i, j), 0)
+        seen[(i, j)] = k + 1
+        order.append((i, j, k))
+    assert list(got) == order
     assert all(_graph_key(got[key]) == _graph_key(want[key]) for key in want)
     assert ([_triad_key(pt) for pt in hyperreg.iter_partition_triads(h, tp)]
             == [_triad_key(pt) for pt in iter_partition_triads(h, tp)])
@@ -585,3 +593,47 @@ def test_reduction_identities_orient_each_member(labels):
         ((0, 1, 0), 2)]
     assert report.identities[0].densities_equal
     assert report.passed
+
+
+def _subset(draw, items: list) -> list:
+    keep = draw(st.lists(st.booleans(), min_size=len(items),
+                         max_size=len(items)))
+    return list(itertools.compress(items, keep))
+
+
+@st.composite
+def small_triads(draw):
+    """A triad with classes of 2-3 vertices, any three edge sets, and a
+    3-graph with any triples on the same classes."""
+    sizes = [draw(st.integers(2, 3)) for _ in range(3)]
+    cls = [VertexClass(i, n) for i, n in enumerate(sizes)]
+
+    def side(x: int, y: int) -> BipartiteGraph:
+        return BipartiteGraph(cls[x], cls[y], _subset(draw, list(
+            itertools.product(range(sizes[x]), range(sizes[y])))))
+
+    t = Triad(side(0, 1), side(0, 2), side(1, 2))
+    h = ThreeGraph(tuple(cls), frozenset(_subset(draw, list(
+        itertools.product(*map(range, sizes))))))
+    return h, t
+
+
+@pytest.mark.parametrize("check, mode", [
+    (hyperreg.check_fr_triad, hyperreg.MODE_DEVIATION),
+    (hyperreg.check_subtriad_hypothesis, hyperreg.MODE_TWO_THIRDS),
+], ids=["fr", "two-thirds"])
+@given(case=small_triads(),
+       value=st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]),
+       search=st.sampled_from(["auto", "randomized"]),
+       trials=st.integers(1, 16), seed=st.integers(0, 1 << 16))
+def test_every_subtriad_witness_reverifies(check, mode, case, value, search,
+                                           trials, seed):
+    """An irregular subtriad verdict, from the exhaustive scan (auto mode
+    within the edge budget) or the randomized search, carries masks that
+    ``verify_subtriad_witness`` accepts; no other verdict carries any."""
+    h, t = case
+    v = check(h, t, value, CheckParams(mode=search, random_trials=trials,
+                                       seed=seed))
+    assert (v.witness is not None) == (v.status == IRREGULAR)
+    if v.witness is not None:
+        assert hyperreg.verify_subtriad_witness(h, t, v.witness, mode, value)

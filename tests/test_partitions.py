@@ -136,6 +136,34 @@ def test_complete_two_partition_valid():
     assert validate_two_partition(tp) == []
 
 
+def test_two_partition_graphs():
+    """One graph per block, keyed (i, j, k) with i < j in block order,
+    oriented from cluster i to cluster j on cluster-local indices, built
+    once and read-only."""
+    z = vp([0, 0, 1, 1, 1, 2])  # clusters {0, 1}, {2, 3, 4} and {5}
+    e = (EdgeBlock((1, 0), frozenset({(2, 0), (3, 0), (4, 0)})),
+         EdgeBlock((0, 2), frozenset({(0, 5), (1, 5)})),
+         EdgeBlock((0, 1), frozenset({(1, 2), (1, 3), (1, 4)})),
+         EdgeBlock((2, 1), frozenset({(5, 2), (5, 3), (5, 4)})))
+    tp = TwoPartition(z, e)
+    assert tp.validate() == []
+    c0, c1, c2 = VertexClass(0, 2), VertexClass(1, 3), VertexClass(2, 1)
+    want = {
+        (0, 1, 0): BipartiteGraph(c0, c1, [(0, 0), (0, 1), (0, 2)]),
+        (0, 2, 0): BipartiteGraph(c0, c2, [(0, 0), (1, 0)]),
+        (0, 1, 1): BipartiteGraph(c0, c1, [(1, 0), (1, 1), (1, 2)]),
+        (1, 2, 0): BipartiteGraph(c1, c2, [(0, 0), (1, 0), (2, 0)]),
+    }
+    assert list(tp.graphs) == list(want)
+    for key, g in want.items():
+        got = tp.graphs[key]
+        assert (got.left, got.right, got.edges) == (g.left, g.right, g.edges)
+    assert tp.graphs is tp.graphs
+    with pytest.raises(TypeError):
+        tp.graphs[(0, 1, 0)] = want[(0, 1, 0)]
+    assert tp == TwoPartition(z, e) and hash(tp) == hash(TwoPartition(z, e))
+
+
 def test_two_partition_detects_overlap_and_gap():
     z = vp([0, 0, 0, 1, 1, 1])
     full = frozenset((u, v) for u in z.blocks[0] for v in z.blocks[1])

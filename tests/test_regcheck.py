@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regkit.errors import BudgetExceeded, ParameterOutOfContract
 from regkit.graphs import (BipartiteGraph, VertexClass, count_edges_between,
@@ -575,3 +578,35 @@ def test_exhaustive_witness_order_pinned(scan, g, param, expected):
     else:
         assert _scan_eps(g, param) == expected
         assert _ref_scan_eps(g, param) == expected
+
+
+@st.composite
+def small_graphs(draw):
+    """A bipartite graph with sides of 1-7 vertices and any edge set."""
+    na, nb = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(na) for b in range(nb)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return BipartiteGraph(VertexClass(0, na), VertexClass(1, nb),
+                          itertools.compress(pairs, keep))
+
+
+@pytest.mark.parametrize("check, verify, values", [
+    (check_eps_regular, verify_eps_witness,
+     (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))),
+    (check_delta_regular, verify_delta_witness,
+     (Fraction(1, 4), Fraction(1, 2), Threshold.sqrt_of(Fraction(1, 4)))),
+], ids=["eps", "delta"])
+@given(g=small_graphs(), data=st.data(),
+       mode=st.sampled_from(["exhaustive", "randomized"]),
+       trials=st.integers(1, 16), seed=st.integers(0, 1 << 16))
+def test_every_witness_reverifies(check, verify, values, g, data, mode,
+                                  trials, seed):
+    """An irregular verdict, from either search, carries a witness that
+    the verifier accepts; no other verdict carries one."""
+    value = data.draw(st.sampled_from(values))
+    v = check(g, value, CheckParams(mode=mode, random_trials=trials,
+                                    seed=seed))
+    assert (v.witness is not None) == (v.status == IRREGULAR)
+    if v.witness is not None:
+        assert verify(g, value, v.witness)
