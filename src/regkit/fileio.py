@@ -10,7 +10,9 @@ Formats (``#`` starts a comment, blank lines ignored):
 * ``.tp``   2-partition: a vp section, then per edge block a line
             ``pair <i> <j>`` followed by a bg section whose sides are the
             cluster sizes; edge endpoints are local indices into the
-            sorted vertex lists of the two clusters
+            sorted vertex lists of the two clusters.  The section is the
+            block as ``TwoPartition`` stores it; one written ``pair j i``
+            (j > i) is read as its transpose, block (i, j)
 
 Every size in a header (the class, side and ground sizes) is at least 1
 and every count (edges, triples, blocks) at least 0; a header that breaks
@@ -30,9 +32,9 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from .errors import FormatError
+from .errors import DegenerateInput, FormatError
 from .graphs import BipartiteGraph, ThreeGraph, VertexClass
-from .partitions import EdgeBlock, TwoPartition, VertexPartition
+from .partitions import TwoPartition, VertexPartition
 
 
 class _Lines:
@@ -251,7 +253,7 @@ def dumps_triad(t) -> str:
 def loads_twopartition(text: str) -> TwoPartition:
     lines = _Lines(text)
     z = _read_vp(lines)
-    clusters = [sorted(blk) for blk in z.blocks]
+    sizes = [len(blk) for blk in z.blocks]
     blocks = []
     while not lines.at_end():
         fields, ln = lines.next_fields()
@@ -261,18 +263,14 @@ def loads_twopartition(text: str) -> TwoPartition:
         i, j = _ints(fields[1:], ln, 2, "pair header")
         if not (0 <= i < z.order and 0 <= j < z.order) or i == j:
             raise FormatError(f"bad cluster pair ({i},{j})", ln)
-        sides = (len(clusters[i]), len(clusters[j]))
-        g = _read_bg(lines, VertexClass(0, sides[0]),
-                     VertexClass(1, sides[1]), sides)
-        edges = frozenset((clusters[i][a], clusters[j][b])
-                          for a, b in g.edges)
-        blocks.append(EdgeBlock((i, j), edges))
-    tp = TwoPartition(z, tuple(blocks))
-    problems = tp.validate()
-    if problems:
-        raise FormatError("invalid 2-partition: " + "; ".join(problems),
-                          len(lines.raw))
-    return tp
+        g = _read_bg(lines, VertexClass(i, sizes[i]),
+                     VertexClass(j, sizes[j]), (sizes[i], sizes[j]))
+        blocks.append((i, j, g) if i < j else (j, i, g.transpose()))
+    try:
+        return TwoPartition(z, tuple(blocks))
+    except DegenerateInput as err:
+        raise FormatError(f"invalid 2-partition: {err}",
+                          len(lines.raw)) from None
 
 
 def dumps_twopartition(tp: TwoPartition) -> str:

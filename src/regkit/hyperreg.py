@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import kernels
 from .errors import ClassSizeMismatch, FrameMismatch, ParameterOutOfContract
@@ -742,25 +742,30 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
         if (cls_a, cls_b) != (0, 1) or g.edge_count == 0:
             continue
         for ci in c_clusters:
-            c_vs = layout[ci][1]
-            a_cls = VertexClass(0, len(a_vs))
-            b_cls = VertexClass(1, len(b_vs))
-            c_cls = VertexClass(2, len(c_vs))
-            triad = Triad(
-                BipartiteGraph(a_cls, b_cls, g.edges),
-                BipartiteGraph.complete(a_cls, c_cls),
-                BipartiteGraph.complete(b_cls, c_cls),
-                embedding=(a_vs, b_vs, c_vs))
-            stats = triad_density(h, triad)
-            t_ok = stats.triangle_count == g.edge_count * len(c_vs)
-            # Auxiliary-graph density between the product-side set E and C.
-            hits = 0
-            for (a, b) in g.edges:
-                pidx = aux.product.index(a_vs[a], b_vs[b])
-                for z in c_vs:
-                    if aux.graph.has_edge(pidx, z):
-                        hits += 1
-            d_aux = Fraction(hits, g.edge_count * len(c_vs))
-            checks.append(IdentityCheck(key, ci, t_ok,
-                                        d_aux == stats.density))
+            t_ok, d_ok = _reduction_identity(h, aux, g.edges, a_vs, b_vs,
+                                             layout[ci][1])
+            checks.append(IdentityCheck(key, ci, t_ok, d_ok))
     return tuple(checks)
+
+
+def _reduction_identity(h: ThreeGraph, aux: AuxGraph,
+                        e_edges: Iterable[tuple[int, int]],
+                        a_vs: Sequence[int], b_vs: Sequence[int],
+                        c_vs: Sequence[int]) -> tuple[bool, bool]:
+    """For E (edges on local indices into the class-1 vertices ``a_vs`` and
+    the class-2 vertices ``b_vs`` of ``h``) and C (class-3 vertices
+    ``c_vs``): whether t(E, A x C, B x C) = |E| * |C|, and whether the
+    axis-3 auxiliary-graph density of (E, C) equals d_H of that triad."""
+    a_cls = VertexClass(0, len(a_vs))
+    b_cls = VertexClass(1, len(b_vs))
+    c_cls = VertexClass(2, len(c_vs))
+    e = BipartiteGraph(a_cls, b_cls, e_edges)
+    triad = Triad(e, BipartiteGraph.complete(a_cls, c_cls),
+                  BipartiteGraph.complete(b_cls, c_cls),
+                  embedding=(a_vs, b_vs, c_vs))
+    stats = triad_density(h, triad)
+    pairs = e.edge_count * len(c_vs)
+    hits = sum(1 for (a, b) in e.edges for z in c_vs
+               if aux.graph.has_edge(aux.product.index(a_vs[a], b_vs[b]), z))
+    return (stats.triangle_count == pairs,
+            Fraction(hits, pairs) == stats.density)

@@ -11,13 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (ClassMismatch, DegenerateInput, FrameMismatch,
                      GroundMismatch, NotDisjoint, ParameterOutOfContract,
                      PreconditionFailed)
-from .graphs import BipartiteGraph, ProductSide, VertexClass
+from .graphs import (BipartiteGraph, ProductSide, VertexClass,
+                     induced_subgraph)
 
 HALF = Fraction(1, 2)
 
@@ -170,69 +172,65 @@ class ThreePartiteFrame:
 
 
 @dataclass(frozen=True)
-class EdgeBlock:
-    """A bipartite graph of a 2-partition, tagged with its cluster pair.
+class TwoPartition:
+    """A vertex partition ``z`` (the clusters) plus an edge family that cuts
+    the complete bipartite graph of every cluster pair into blocks.
 
-    Edges are stored as pairs of combined vertex indices, oriented so that the
-    first endpoint lies in cluster ``pair[0]`` and the second in ``pair[1]``.
+    Each block is ``(i, j, g)`` with ``i < j``: ``g`` is a bipartite graph
+    from cluster i to cluster j on the classes ``VertexClass(i, |Z_i|)`` and
+    ``VertexClass(j, |Z_j|)``, on indices into the clusters' sorted vertex
+    lists.  The blocks of a pair are edge-disjoint and cover its product;
+    anything else raises DegenerateInput naming the pair.
     """
 
-    pair: tuple[int, int]
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class TwoPartition:
-    """A vertex partition plus bipartite graphs covering every cluster pair."""
-
     z: VertexPartition
-    e: tuple[EdgeBlock, ...]
+    blocks: tuple[tuple[int, int, BipartiteGraph], ...]
+
+    def __post_init__(self) -> None:
+        sides = [VertexClass(i, len(b)) for i, b in enumerate(self.z.blocks)]
+        by_pair: dict[tuple[int, int], list[BipartiteGraph]] = {}
+        for i, j, g in self.blocks:
+            if not 0 <= i < j < len(sides):
+                raise DegenerateInput(
+                    f"edge block tagged with bad pair ({i},{j})")
+            if (g.left, g.right) != (sides[i], sides[j]):
+                raise DegenerateInput(
+                    f"pair ({i},{j}): graph on classes {g.left} and "
+                    f"{g.right}, not {sides[i]} and {sides[j]}")
+            by_pair.setdefault((i, j), []).append(g)
+        problems = []
+        for i, j in combinations(range(len(sides)), 2):
+            gs = by_pair.get((i, j), ())
+            covered = len(frozenset().union(*(g.edges for g in gs)))
+            if covered != sum(g.edge_count for g in gs):
+                problems.append(
+                    f"pair ({i},{j}): duplicated edge (NotDisjoint)")
+            missing = sides[i].size * sides[j].size - covered
+            if missing:
+                problems.append(
+                    f"pair ({i},{j}): {missing} product edge(s) missing")
+        if problems:
+            raise DegenerateInput("; ".join(problems))
 
     @cached_property
     def graphs(self) -> Mapping[tuple[int, int, int], BipartiteGraph]:
-        """The edge family as bipartite graphs, built on first use and
-        read-only.
-
-        Key (i, j, k) with i < j is the k-th block of cluster pair {i, j}
-        in ``e`` order, oriented from cluster i to cluster j (the classes of
-        ids i and j) on local indices into the clusters' sorted vertex
-        lists; keys come in ``e`` order.  Assumes a valid 2-partition.
-        """
-        pos = [{v: x for x, v in enumerate(sorted(b))}
-               for b in self.z.blocks]
-        sides = [VertexClass(i, len(b)) for i, b in enumerate(self.z.blocks)]
+        """The blocks keyed (i, j, k), the k-th block of pair (i, j) in
+        ``blocks`` order; keys come in ``blocks`` order.  Read-only."""
         seen: dict[tuple[int, int], int] = {}
         graphs = {}
-        for eb in self.e:
-            i, j = eb.pair
-            if i < j:
-                edges = [(pos[i][u], pos[j][v]) for u, v in eb.edges]
-            else:
-                i, j = j, i
-                edges = [(pos[i][v], pos[j][u]) for u, v in eb.edges]
+        for i, j, g in self.blocks:
             k = seen.get((i, j), 0)
             seen[(i, j)] = k + 1
-            graphs[(i, j, k)] = BipartiteGraph(sides[i], sides[j], edges)
+            graphs[(i, j, k)] = g
         return MappingProxyType(graphs)
-
-    def validate(self) -> list[str]:
-        return validate_two_partition(self)
-
-    def require_valid(self) -> "TwoPartition":
-        problems = self.validate()
-        if problems:
-            raise DegenerateInput("; ".join(problems))
-        return self
 
 
 def complete_two_partition(z: VertexPartition) -> TwoPartition:
     """The 2-partition whose edge family has one complete graph per pair."""
-    blocks = []
-    for i in range(z.order):
-        for j in range(i + 1, z.order):
-            blocks.append(EdgeBlock((i, j), frozenset(
-                (u, v) for u in z.blocks[i] for v in z.blocks[j])))
-    return TwoPartition(z, tuple(blocks))
+    sides = [VertexClass(i, len(b)) for i, b in enumerate(z.blocks)]
+    return TwoPartition(z, tuple(
+        (i, j, BipartiteGraph.complete(sides[i], sides[j]))
+        for i, j in combinations(range(z.order), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,78 +364,33 @@ def restrict_vertex_partition(p: VertexPartition,
     return VertexPartition(ground, tuple(b for b in blocks if b))
 
 
-def validate_two_partition(tp: TwoPartition) -> list[str]:
-    """Structured violations of the 2-partition invariants (empty iff valid)."""
-    problems: list[str] = []
-    z = tp.z
-    owner = z.labels()
-    n = z.ground.size
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for eb in tp.e:
-        i, j = eb.pair
-        if i == j or not (0 <= i < z.order and 0 <= j < z.order):
-            problems.append(f"edge block tagged with bad pair ({i},{j})")
-            continue
-        for (u, v) in eb.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                problems.append(f"pair ({i},{j}): edge ({u},{v}) out of range")
-            elif owner[u] != i or owner[v] != j:
-                problems.append(
-                    f"pair ({i},{j}): edge ({u},{v}) not between the clusters")
-        key = (min(i, j), max(i, j))
-        oriented = eb.edges if i < j else frozenset(
-            (v, u) for u, v in eb.edges)
-        by_pair.setdefault(key, []).append(sorted(oriented))
-    for i in range(z.order):
-        for j in range(i + 1, z.order):
-            complete = {(u, v) for u in z.blocks[i] for v in z.blocks[j]}
-            got: list[tuple[int, int]] = []
-            for chunk in by_pair.get((i, j), []):
-                got.extend(chunk)
-            gotset = set(got)
-            if len(got) != len(gotset):
-                problems.append(f"pair ({i},{j}): duplicated edge (NotDisjoint)")
-            missing = complete - gotset
-            if missing:
-                problems.append(
-                    f"pair ({i},{j}): {len(missing)} product edge(s) missing")
-            extra = gotset - complete
-            if extra:
-                problems.append(
-                    f"pair ({i},{j}): {len(extra)} foreign edge(s) present")
-    return problems
-
-
 def restrict_two_partition(tp: TwoPartition,
                            sub: Iterable[int]) -> TwoPartition:
     """Restriction of a 2-partition to a subset of the combined ground.
 
-    Vertex blocks become traces; edge blocks keep only edges with both
-    endpoints surviving.  The ground is reindexed to 0..|sub|-1.
+    Vertex blocks become traces; edge blocks become the subgraphs induced
+    on the surviving vertices, and blocks left empty are dropped.  The
+    ground is reindexed to 0..|sub|-1.
     """
     sub = sorted(set(sub))
     if not sub:
         raise DegenerateInput("restriction to an empty subset")
-    pos = {v: i for i, v in enumerate(sub)}
     zr = restrict_vertex_partition(tp.z, sub)
-    # Map old cluster index -> new cluster index (None if the trace is empty).
-    newidx: dict[int, int] = {}
-    k = 0
+    keep = set(sub)
+    # Old cluster index -> new index and the surviving local vertices.
+    traces: dict[int, tuple[int, list[int]]] = {}
     for i, block in enumerate(tp.z.blocks):
-        if any(v in pos for v in block):
-            newidx[i] = k
-            k += 1
+        local = [x for x, v in enumerate(sorted(block)) if v in keep]
+        if local:
+            traces[i] = (len(traces), local)
     blocks = []
-    for eb in tp.e:
-        i, j = eb.pair
-        if i not in newidx or j not in newidx:
-            continue
-        kept = frozenset((pos[u], pos[v]) for u, v in eb.edges
-                         if u in pos and v in pos)
-        if kept:
-            blocks.append(EdgeBlock((newidx[i], newidx[j]), kept))
-    out = TwoPartition(zr, tuple(blocks))
-    return out.require_valid()
+    for i, j, g in tp.blocks:
+        if i in traces and j in traces:
+            (ni, a_sub), (nj, b_sub) = traces[i], traces[j]
+            kept = induced_subgraph(g, a_sub, b_sub, ni, nj)
+            if kept.edge_count:
+                blocks.append((ni, nj, kept))
+    return TwoPartition(zr, tuple(blocks))
 
 
 def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
@@ -457,23 +410,19 @@ def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
                                 if cls == i))
           for i in range(3)]
 
-    pair_for_axis = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     es = []
-    for axis in range(3):
-        j, k = pair_for_axis[axis]
-        carrier = ProductSide(frame.classes[j], frame.classes[k])
-        offj, offk = frame.offset(j), frame.offset(k)
+    for j, k in ((1, 2), (0, 2), (0, 1)):
         graphs = []
-        for eb in tp.e:
-            ci, cj = layout[eb.pair[0]][0], layout[eb.pair[1]][0]
-            if {ci, cj} != {j, k}:
+        for (ci, cj, _), g in tp.graphs.items():
+            (cls_i, vs_i), (cls_j, vs_j) = layout[ci], layout[cj]
+            if {cls_i, cls_j} != {j, k} or not g.edge_count:
                 continue
-            if ci == j:
-                edges = [(u - offj, v - offk) for u, v in eb.edges]
+            if cls_i == j:
+                edges = [(vs_i[a], vs_j[b]) for a, b in g.edges]
             else:
-                edges = [(v - offj, u - offk) for u, v in eb.edges]
-            if edges:
-                graphs.append(BipartiteGraph(frame.classes[j],
-                                             frame.classes[k], edges))
-        es.append(EdgePartition(carrier, tuple(graphs)))
+                edges = [(vs_j[b], vs_i[a]) for a, b in g.edges]
+            graphs.append(BipartiteGraph(frame.classes[j], frame.classes[k],
+                                         edges))
+        es.append(EdgePartition(ProductSide(frame.classes[j],
+                                            frame.classes[k]), tuple(graphs)))
     return (tuple(zs), tuple(es))

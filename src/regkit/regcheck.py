@@ -548,7 +548,6 @@ def check_delta_partition_with_edits(g: BipartiteGraph,
     if first.status == CERTIFIED:
         return EditResult(PERFECT, (), 0, first.pair_verdicts)
     budget_num = thr.num * g.edge_count
-    d_global = density(g)
     edits: list[tuple[int, int]] = []
     kept = set(g.edges)
     for key, a_sub, b_sub in _iter_cluster_pairs(g, left_p, right_p):
@@ -558,12 +557,9 @@ def check_delta_partition_with_edits(g: BipartiteGraph,
         amask = subset_mask(a_sub, g.left.size)
         bmask = subset_mask(b_sub, g.right.size)
         e_pair = count_edges_between(g, amask, bmask)
-        pair_density = Fraction(e_pair, len(a_sub) * len(b_sub))
-        if thr.is_sqrt:
-            low = pair_density * pair_density < \
-                Fraction(thr.num, thr.den) * d_global * d_global
-        else:
-            low = pair_density < Fraction(thr.num, thr.den) * d_global
+        # Low: d(pair) < thr * d(g), cross-multiplied.
+        low = not thr.floor_ok(e_pair * g.left.size * g.right.size,
+                               g.edge_count * len(a_sub) * len(b_sub))
         if low:
             for a in a_sub:
                 for b in iter_bits(g.rows[a] & bmask):

@@ -374,20 +374,9 @@ def _suite_eq_red_d(rng: random.Random, scale: dict):
     if not e_edges:
         e_edges = [(0, 0)]
     c_sub = sorted(rng.sample(range(nc), rng.randint(1, nc)))
-    a_cls, b_cls = classes[0], classes[1]
-    c_cls = VertexClass(2, len(c_sub))
-    triad = Triad(BipartiteGraph(a_cls, b_cls, e_edges),
-                  BipartiteGraph.complete(a_cls, c_cls),
-                  BipartiteGraph.complete(b_cls, c_cls),
-                  embedding=(tuple(range(na)), tuple(range(nb)),
-                             tuple(c_sub)))
-    stats = hyperreg.triad_density(h, triad)
-    t_ok = stats.triangle_count == len(e_edges) * len(c_sub)
-    aux = hyperreg.auxiliary_graph(h, 3)
-    hits = sum(1 for (a, b) in e_edges for c in c_sub
-               if aux.graph.has_edge(aux.product.index(a, b), c))
-    d_aux = Fraction(hits, len(e_edges) * len(c_sub))
-    d_ok = d_aux == stats.density
+    t_ok, d_ok = hyperreg._reduction_identity(
+        h, hyperreg.auxiliary_graph(h, 3), e_edges, tuple(range(na)),
+        tuple(range(nb)), tuple(c_sub))
     rec = {
         "sizes": [na, nb, nc],
         "E": len(e_edges),

@@ -11,9 +11,10 @@ from regkit import fileio
 from regkit.errors import FormatError
 from regkit.fileio import _header, _ints, _Lines
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
-from regkit.partitions import (EdgeBlock, ThreePartiteFrame, TwoPartition,
+from regkit.partitions import (ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
-from test_hyperreg import framed_two_partitions
+from test_hyperreg import (DrawnTwoPartition, EdgeBlock,
+                           framed_two_partitions, two_partition)
 
 
 def _random_graph(rng, left, right, p=0.5):
@@ -163,10 +164,10 @@ def test_partition_label_errors():
 
 
 # The writer before it read ``TwoPartition.graphs``, kept verbatim as the
-# oracle for the property test below.
+# oracle for the property test below; it reads the drawn blocks.
 
 
-def _ref_dumps_twopartition(tp: TwoPartition) -> str:
+def _ref_dumps_twopartition(tp: DrawnTwoPartition) -> str:
     clusters = [sorted(blk) for blk in tp.z.blocks]
     pos = [{v: i for i, v in enumerate(c)} for c in clusters]
     out = [fileio.dumps_partition(tp.z).rstrip("\n")]
@@ -190,9 +191,9 @@ def _ref_dumps_twopartition(tp: TwoPartition) -> str:
 def test_twopartition_writer_matches_the_per_block_writer(case):
     """Shuffled clusters, blocks stored either way round, 1-3 blocks per
     pair: the same bytes as the writer that oriented each block itself."""
-    _, tp = case
+    _, drawn, tp = case
     text = fileio.dumps_twopartition(tp)
-    assert text == _ref_dumps_twopartition(tp)
+    assert text == _ref_dumps_twopartition(drawn)
     assert fileio.dumps_twopartition(fileio.loads_twopartition(text)) == text
 
 
@@ -213,6 +214,49 @@ def test_twopartition_missing_edge_names_pair():
         fileio.loads_twopartition(broken)
     assert "pair" in str(err.value) or "cover" in str(err.value) \
         or "missing" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vp 4 2\n0 0 1 1\npair 0 1\nbg 2 2 3\n0 0\n0 1\n1 0\n",
+     "line 7: invalid 2-partition: pair (0,1): 1 product edge(s) missing"),
+    ("vp 4 2\n0 0 1 1\npair 0 1\nbg 2 2 4\n0 0\n0 1\n1 0\n1 1\n"
+     "pair 1 0\nbg 2 2 1\n1 0\n",
+     "line 11: invalid 2-partition: pair (0,1): duplicated edge "
+     "(NotDisjoint)"),
+    ("vp 5 3\n0 0 1 1 2\npair 0 1\nbg 2 2 2\n0 0\n0 1\npair 0 1\n"
+     "bg 2 2 1\n0 0\npair 1 2\nbg 2 1 1\n0 0\n",
+     "line 12: invalid 2-partition: pair (0,1): duplicated edge "
+     "(NotDisjoint); pair (0,1): 2 product edge(s) missing; pair (0,2): 2 "
+     "product edge(s) missing; pair (1,2): 1 product edge(s) missing"),
+], ids=["missing", "duplicated", "every pair"])
+def test_invalid_twopartition_message(text, message):
+    """Every problem of every pair, in pair order, on the last line."""
+    with pytest.raises(FormatError) as err:
+        fileio.loads_twopartition(text)
+    assert str(err.value) == message
+
+
+# Clusters of sizes 2, 3 and 1; pair (0, 1) is cut into two blocks.
+CANONICAL_TP = ("vp 6 3\n0 0 1 1 1 2\n"
+                "pair 0 1\nbg 2 3 3\n0 0\n0 1\n1 2\n"
+                "pair 0 1\nbg 2 3 3\n0 2\n1 0\n1 1\n"
+                "pair 0 2\nbg 2 1 2\n0 0\n1 0\n"
+                "pair 1 2\nbg 3 1 3\n0 0\n1 0\n2 0\n")
+
+
+def test_reversed_pair_section_loads_as_its_canonical_twin():
+    """A section written ``pair j i`` is the transpose of block (i, j): the
+    same 2-partition as the canonical text, which it re-dumps to."""
+    reversed_text = CANONICAL_TP.replace(
+        "pair 0 1\nbg 2 3 3\n0 0\n0 1\n1 2\n",
+        "pair 1 0\nbg 3 2 3\n0 0\n1 0\n2 1\n").replace(
+        "pair 1 2\nbg 3 1 3\n0 0\n1 0\n2 0\n",
+        "pair 2 1\nbg 1 3 3\n0 2\n0 0\n0 1\n")
+    a = fileio.loads_twopartition(CANONICAL_TP)
+    b = fileio.loads_twopartition(reversed_text)
+    assert a == b and hash(a) == hash(b)
+    assert fileio.dumps_twopartition(b) == CANONICAL_TP
+    assert fileio.dumps_twopartition(a) == CANONICAL_TP
 
 
 def test_path_round_trip(tmp_path):
@@ -332,7 +376,7 @@ def _two_partitions(draw) -> TwoPartition:
                     (v, u) for u, v in edges)))
             else:
                 blocks.append(EdgeBlock((i, j), edges))
-    return TwoPartition(z, tuple(blocks)).require_valid()
+    return two_partition(DrawnTwoPartition(z, tuple(blocks)))
 
 
 @st.composite

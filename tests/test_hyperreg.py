@@ -2,7 +2,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import pytest
 from hypothesis import given
@@ -14,7 +14,7 @@ from regkit.errors import (BudgetExceeded, FrameMismatch,
 from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
                            density)
 from regkit.hyperreg import PartitionTriad, _frame_of
-from regkit.partitions import (EdgeBlock, ThreePartiteFrame, TwoPartition,
+from regkit.partitions import (ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
 from regkit.regcheck import CERTIFIED, IRREGULAR, UNKNOWN, CheckParams
 
@@ -402,10 +402,42 @@ def test_partition_checks_reject_a_partition_off_the_frame():
         hyperreg.check_quasirandom_partition(h, tp, 1, 3, half, half, EXH)
 
 
+class EdgeBlock(NamedTuple):
+    """A drawn edge block: its cluster pair, in either order, and its edges
+    as pairs of combined vertex indices, the first endpoint in cluster
+    ``pair[0]``."""
+
+    pair: tuple[int, int]
+    edges: frozenset[tuple[int, int]]
+
+
+class DrawnTwoPartition(NamedTuple):
+    """A drawn 2-partition: the clusters and the blocks as drawn."""
+
+    z: VertexPartition
+    e: tuple[EdgeBlock, ...]
+
+
+def two_partition(drawn: DrawnTwoPartition) -> TwoPartition:
+    """The ``TwoPartition`` of drawn blocks, in drawn order: each block
+    oriented from its lower cluster, on cluster-local indices."""
+    clusters = [sorted(b) for b in drawn.z.blocks]
+    pos = [{v: x for x, v in enumerate(c)} for c in clusters]
+    blocks = []
+    for (i, j), edges in drawn.e:
+        if i > j:
+            i, j, edges = j, i, [(v, u) for u, v in edges]
+        blocks.append((i, j, BipartiteGraph(
+            VertexClass(i, len(clusters[i])), VertexClass(j, len(clusters[j])),
+            [(pos[i][u], pos[j][v]) for u, v in edges])))
+    return TwoPartition(drawn.z, tuple(blocks))
+
+
 # The layout code that ``ThreePartiteFrame.cluster_layout`` and the
 # one-pass edge family ``TwoPartition.graphs`` replaced, kept verbatim as the
-# oracle for the property test below; only ``tp.blocks_for_pair(i, j)``, a
-# deleted method, is now the function ``blocks_for_pair(tp, i, j)``.
+# oracle for the property test below; it reads the drawn blocks.  Only
+# ``tp.blocks_for_pair(i, j)``, a deleted method, is now the function
+# ``blocks_for_pair(tp, i, j)``.
 
 
 def blocks_for_pair(tp, i: int, j: int) -> list[EdgeBlock]:
@@ -495,8 +527,9 @@ def _pair_blocks(bg: BlockGraphs, i: int, j: int
 def framed_two_partitions(draw):
     """A frame of classes of 1-3 vertices and a valid 2-partition refining
     it: clusters in shuffled order, the product of every cluster pair cut
-    into 1-3 blocks (possibly empty), each stored as (i, j) or reversed as
-    (j, i), and the blocks in shuffled order."""
+    into 1-3 blocks (possibly empty), each drawn as (i, j) or reversed as
+    (j, i), and the blocks in shuffled order.  Returns the frame, the
+    drawn blocks and their ``TwoPartition``."""
     sizes = [draw(st.integers(1, 3)) for _ in range(3)]
     frame = ThreePartiteFrame(tuple(VertexClass(i, n)
                                     for i, n in enumerate(sizes)))
@@ -521,9 +554,8 @@ def framed_two_partitions(draw):
                                         frozenset((v, u) for u, v in edges)))
             else:
                 blocks.append(EdgeBlock((i, j), frozenset(edges)))
-    tp = TwoPartition(z, tuple(draw(st.permutations(blocks))))
-    assert tp.validate() == []
-    return frame, tp
+    drawn = DrawnTwoPartition(z, tuple(draw(st.permutations(blocks))))
+    return frame, drawn, two_partition(drawn)
 
 
 def _graph_key(g: BipartiteGraph):
@@ -538,14 +570,14 @@ def _triad_key(pt: PartitionTriad):
 
 @given(framed_two_partitions())
 def test_partition_layout_matches_the_per_pair_layout(case):
-    frame, tp = case
+    frame, drawn, tp = case
     h = ThreeGraph(frame.classes, frozenset())
-    want = block_graphs(tp).graphs
+    want = block_graphs(drawn).graphs
     got = tp.graphs
     assert sorted(got) == sorted(want)
     seen: dict[tuple[int, int], int] = {}
-    order = []  # one key per block, in the order of ``tp.e``
-    for eb in tp.e:
+    order = []  # one key per block, in drawn order
+    for eb in drawn.e:
         i, j = sorted(eb.pair)
         k = seen.get((i, j), 0)
         seen[(i, j)] = k + 1
@@ -553,7 +585,7 @@ def test_partition_layout_matches_the_per_pair_layout(case):
     assert list(got) == order
     assert all(_graph_key(got[key]) == _graph_key(want[key]) for key in want)
     assert ([_triad_key(pt) for pt in hyperreg.iter_partition_triads(h, tp)]
-            == [_triad_key(pt) for pt in iter_partition_triads(h, tp)])
+            == [_triad_key(pt) for pt in iter_partition_triads(h, drawn)])
 
 
 @given(framed_two_partitions(), st.data())
@@ -561,14 +593,14 @@ def test_reduction_identities_cover_every_axis3_member(case, data):
     """One identity per non-empty member between a class-0 and a class-1
     cluster and per class-2 cluster, whichever cluster has the lower label
     and however the member is stored; both identities hold on any h."""
-    frame, tp = case
+    frame, drawn, tp = case
     h = ThreeGraph(frame.classes, frozenset(data.draw(st.sets(st.tuples(
         *(st.integers(0, c.size - 1) for c in frame.classes))))))
     cls_of = [frame.class_of(min(b)) for b in tp.z.blocks]
     c_clusters = [i for i, c in enumerate(cls_of) if c == 2]
     seen: dict[tuple[int, int], int] = {}
     want = []
-    for eb in tp.e:
+    for eb in drawn.e:
         i, j = sorted(eb.pair)
         k = seen.get((i, j), 0)
         seen[(i, j)] = k + 1

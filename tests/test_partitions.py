@@ -1,19 +1,23 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regkit.errors import (DegenerateInput, FrameMismatch, GroundMismatch,
                            NotDisjoint, PreconditionFailed)
 from regkit.graphs import BipartiteGraph, ProductSide, VertexClass
-from regkit.partitions import (EdgeBlock, EdgePartition, ThreePartiteFrame,
+from regkit.partitions import (EdgePartition, ThreePartiteFrame,
                                TwoPartition, VertexPartition, approx_member,
                                approx_refines, approx_subset,
                                common_refinement, complete_two_partition,
                                is_equitable, refinement_union_extract,
                                refines, restrict_two_partition,
-                               restrict_vertex_partition, sub_partitions,
-                               validate_two_partition)
+                               restrict_vertex_partition, sub_partitions)
+from test_hyperreg import (DrawnTwoPartition, EdgeBlock,
+                           framed_two_partitions, two_partition)
 
 G6 = VertexClass(0, 6)
 
@@ -133,46 +137,73 @@ def test_cluster_layout():
 def test_complete_two_partition_valid():
     frame = ThreePartiteFrame(tuple(VertexClass(i, 2) for i in range(3)))
     tp = complete_two_partition(frame.frame_partition())
-    assert validate_two_partition(tp) == []
+    c = [VertexClass(i, 2) for i in range(3)]
+    assert tp.blocks == tuple(
+        (i, j, BipartiteGraph.complete(c[i], c[j]))
+        for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+# Clusters {0, 1}, {2, 3, 4} and {5}, and their classes as block sides.
+Z3 = vp([0, 0, 1, 1, 1, 2])
+C0, C1, C2 = VertexClass(0, 2), VertexClass(1, 3), VertexClass(2, 1)
+K01 = (0, 1, BipartiteGraph.complete(C0, C1))
+K02 = (0, 2, BipartiteGraph.complete(C0, C2))
+K12 = (1, 2, BipartiteGraph.complete(C1, C2))
 
 
 def test_two_partition_graphs():
-    """One graph per block, keyed (i, j, k) with i < j in block order,
-    oriented from cluster i to cluster j on cluster-local indices, built
-    once and read-only."""
-    z = vp([0, 0, 1, 1, 1, 2])  # clusters {0, 1}, {2, 3, 4} and {5}
-    e = (EdgeBlock((1, 0), frozenset({(2, 0), (3, 0), (4, 0)})),
-         EdgeBlock((0, 2), frozenset({(0, 5), (1, 5)})),
-         EdgeBlock((0, 1), frozenset({(1, 2), (1, 3), (1, 4)})),
-         EdgeBlock((2, 1), frozenset({(5, 2), (5, 3), (5, 4)})))
-    tp = TwoPartition(z, e)
-    assert tp.validate() == []
-    c0, c1, c2 = VertexClass(0, 2), VertexClass(1, 3), VertexClass(2, 1)
-    want = {
-        (0, 1, 0): BipartiteGraph(c0, c1, [(0, 0), (0, 1), (0, 2)]),
-        (0, 2, 0): BipartiteGraph(c0, c2, [(0, 0), (1, 0)]),
-        (0, 1, 1): BipartiteGraph(c0, c1, [(1, 0), (1, 1), (1, 2)]),
-        (1, 2, 0): BipartiteGraph(c1, c2, [(0, 0), (1, 0), (2, 0)]),
-    }
-    assert list(tp.graphs) == list(want)
-    for key, g in want.items():
-        got = tp.graphs[key]
-        assert (got.left, got.right, got.edges) == (g.left, g.right, g.edges)
+    """The stored graphs keyed (i, j, k) in block order, the k-th block of
+    pair (i, j); built once and read-only."""
+    g01a = BipartiteGraph(C0, C1, [(0, 0), (0, 1), (0, 2)])
+    g01b = BipartiteGraph(C0, C1, [(1, 0), (1, 1), (1, 2)])
+    blocks = ((0, 1, g01a), K02, (0, 1, g01b), K12)
+    tp = TwoPartition(Z3, blocks)
+    assert list(tp.graphs.items()) == [
+        ((0, 1, 0), g01a), ((0, 2, 0), K02[2]), ((0, 1, 1), g01b),
+        ((1, 2, 0), K12[2])]
+    assert all(tp.graphs[key] is g
+               for key, (_, _, g) in zip(tp.graphs, blocks))
     assert tp.graphs is tp.graphs
     with pytest.raises(TypeError):
-        tp.graphs[(0, 1, 0)] = want[(0, 1, 0)]
-    assert tp == TwoPartition(z, e) and hash(tp) == hash(TwoPartition(z, e))
+        tp.graphs[(0, 1, 0)] = g01b
+    assert tp == TwoPartition(Z3, blocks)
+    assert hash(tp) == hash(TwoPartition(Z3, blocks))
 
 
 def test_two_partition_detects_overlap_and_gap():
-    z = vp([0, 0, 0, 1, 1, 1])
-    full = frozenset((u, v) for u in z.blocks[0] for v in z.blocks[1])
-    some = frozenset(list(sorted(full))[:4])
-    tp = TwoPartition(z, (EdgeBlock((0, 1), some),))
-    assert any("cover" in p or "missing" in p for p in tp.validate())
-    tp2 = TwoPartition(z, (EdgeBlock((0, 1), full),
-                           EdgeBlock((0, 1), some)))
-    assert tp2.validate()
+    some = (0, 1, BipartiteGraph(C0, C1, [(0, 0), (1, 2)]))
+    with pytest.raises(DegenerateInput, match=r"^pair \(0,1\): 4 product "
+                       r"edge\(s\) missing$"):
+        TwoPartition(Z3, (some, K02, K12))
+    with pytest.raises(DegenerateInput, match=r"^pair \(0,1\): duplicated "
+                       r"edge \(NotDisjoint\)$"):
+        TwoPartition(Z3, (K01, some, K02, K12))
+
+
+@pytest.mark.parametrize("blocks, pair", [
+    ((K01, K02, (1, 3, BipartiteGraph.complete(C1, VertexClass(3, 1)))),
+     "(1,3)"),
+    ((K01, K02, K12, (2, 2, BipartiteGraph.empty(C2, C2))), "(2,2)"),
+    ((K01, K02, (-1, 2, BipartiteGraph.empty(C1, C2)), K12), "(-1,2)"),
+    (((1, 0, BipartiteGraph.complete(C1, C0)), K02, K12), "(1,0)"),
+    ((K01, (0, 2, BipartiteGraph.complete(VertexClass(0, 3), C2)), K12),
+     "(0,2)"),
+    ((K01, K02, (1, 2, BipartiteGraph.complete(VertexClass(1, 2), C2))),
+     "(1,2)"),
+    ((K01, (0, 2, BipartiteGraph.complete(C0, VertexClass(1, 1))), K12),
+     "(0,2)"),
+    ((K01, (0, 2, BipartiteGraph.complete(C2, C0)), K12), "(0,2)"),
+    ((K01, K02, K12, (1, 2, BipartiteGraph(C1, C2, [(2, 0)]))), "(1,2)"),
+    ((K01, K12), "(0,2)"),
+    ((K01, K02, (1, 2, BipartiteGraph(C1, C2, [(0, 0), (2, 0)]))),
+     "(1,2)"),
+], ids=["pair out of range", "pair with itself", "negative cluster",
+        "pair unordered", "side too large", "side too small", "side id",
+        "sides swapped", "blocks overlap", "pair absent",
+        "pair not covered"])
+def test_invalid_two_partition_raises_naming_the_pair(blocks, pair):
+    with pytest.raises(DegenerateInput, match=re.escape(pair)):
+        TwoPartition(Z3, blocks)
 
 
 def test_sub_partitions_axes():
@@ -199,7 +230,85 @@ def test_restrict_two_partition():
     sub = [0, 2, 4]  # first vertex of each class
     r = restrict_two_partition(tp, sub)
     assert r.z.ground.size == 3
-    assert validate_two_partition(r) == []
+    assert r == complete_two_partition(restrict_vertex_partition(tp.z, sub))
+
+
+# ``restrict_two_partition`` and ``sub_partitions`` as they were when blocks
+# were stored on combined indices, kept verbatim as oracles for the property
+# tests below; they read the drawn blocks.  The restriction returns drawn
+# blocks, which the test builds into a ``TwoPartition``; that replaces its
+# last call, to the deleted ``require_valid()``.
+
+
+def _ref_restrict_two_partition(tp: DrawnTwoPartition,
+                                sub) -> DrawnTwoPartition:
+    sub = sorted(set(sub))
+    if not sub:
+        raise DegenerateInput("restriction to an empty subset")
+    pos = {v: i for i, v in enumerate(sub)}
+    zr = restrict_vertex_partition(tp.z, sub)
+    # Map old cluster index -> new cluster index (None if the trace is empty).
+    newidx: dict[int, int] = {}
+    k = 0
+    for i, block in enumerate(tp.z.blocks):
+        if any(v in pos for v in block):
+            newidx[i] = k
+            k += 1
+    blocks = []
+    for eb in tp.e:
+        i, j = eb.pair
+        if i not in newidx or j not in newidx:
+            continue
+        kept = frozenset((pos[u], pos[v]) for u, v in eb.edges
+                         if u in pos and v in pos)
+        if kept:
+            blocks.append(EdgeBlock((newidx[i], newidx[j]), kept))
+    return DrawnTwoPartition(zr, tuple(blocks))
+
+
+def _ref_sub_partitions(tp: DrawnTwoPartition, frame: ThreePartiteFrame):
+    layout = frame.cluster_layout(tp.z)
+    zs = [VertexPartition(frame.classes[i],
+                          tuple(frozenset(vs) for cls, vs in layout
+                                if cls == i))
+          for i in range(3)]
+
+    pair_for_axis = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+    es = []
+    for axis in range(3):
+        j, k = pair_for_axis[axis]
+        carrier = ProductSide(frame.classes[j], frame.classes[k])
+        offj, offk = frame.offset(j), frame.offset(k)
+        graphs = []
+        for eb in tp.e:
+            ci, cj = layout[eb.pair[0]][0], layout[eb.pair[1]][0]
+            if {ci, cj} != {j, k}:
+                continue
+            if ci == j:
+                edges = [(u - offj, v - offk) for u, v in eb.edges]
+            else:
+                edges = [(v - offj, u - offk) for u, v in eb.edges]
+            if edges:
+                graphs.append(BipartiteGraph(frame.classes[j],
+                                             frame.classes[k], edges))
+        es.append(EdgePartition(carrier, tuple(graphs)))
+    return (tuple(zs), tuple(es))
+
+
+@given(framed_two_partitions(), st.data())
+def test_restriction_matches_the_combined_index_restriction(case, data):
+    """Any non-empty subset, including ones that empty a cluster or a
+    block."""
+    frame, drawn, tp = case
+    sub = data.draw(st.sets(st.integers(0, frame.total - 1), min_size=1))
+    want = two_partition(_ref_restrict_two_partition(drawn, sub))
+    assert restrict_two_partition(tp, sub) == want
+
+
+@given(framed_two_partitions())
+def test_sub_partitions_match_the_combined_index_projection(case):
+    frame, drawn, tp = case
+    assert sub_partitions(tp, frame) == _ref_sub_partitions(drawn, frame)
 
 
 def test_edge_partition_rejects_partial_cover():

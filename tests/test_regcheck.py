@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from regkit.errors import BudgetExceeded, ParameterOutOfContract
 from regkit.graphs import (BipartiteGraph, VertexClass, count_edges_between,
-                           iter_bits, mask_to_set, subset_mask)
+                           density, iter_bits, mask_to_set, subset_mask)
 from regkit.partitions import VertexPartition
 from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              NOT_CERTIFIED, PERFECT, UNKNOWN, CheckParams,
-                             Threshold, ThresholdLike, Verdict, _as_threshold,
-                             _greedy_walk, _peel, _scan_delta, _scan_eps,
+                             EditResult, Threshold, ThresholdLike, Verdict,
+                             _as_threshold, _greedy_walk, _iter_cluster_pairs,
+                             _peel, _scan_delta, _scan_eps,
                              check_delta_partition_with_edits,
                              check_delta_regular, check_eps_regular,
                              check_perfect_delta_partition, degree_profile,
@@ -610,3 +611,98 @@ def test_every_witness_reverifies(check, verify, values, g, data, mode,
     assert (v.witness is not None) == (v.status == IRREGULAR)
     if v.witness is not None:
         assert verify(g, value, v.witness)
+
+
+# ``check_delta_partition_with_edits`` as it was when its low-density test
+# built Fractions, with a branch per threshold kind, kept verbatim as the
+# oracle for the test below.
+
+
+def _ref_check_delta_partition_with_edits(g: BipartiteGraph,
+                                          left_p: VertexPartition,
+                                          right_p: VertexPartition,
+                                          delta: ThresholdLike,
+                                          params: CheckParams = CheckParams()
+                                          ) -> EditResult:
+    thr = _as_threshold(delta)
+    first = check_perfect_delta_partition(g, left_p, right_p, thr, params)
+    if first.status == CERTIFIED:
+        return EditResult(PERFECT, (), 0, first.pair_verdicts)
+    budget_num = thr.num * g.edge_count
+    d_global = density(g)
+    edits: list[tuple[int, int]] = []
+    kept = set(g.edges)
+    for key, a_sub, b_sub in _iter_cluster_pairs(g, left_p, right_p):
+        v = first.pair_verdicts[key]
+        if v.status != IRREGULAR:
+            continue
+        amask = subset_mask(a_sub, g.left.size)
+        bmask = subset_mask(b_sub, g.right.size)
+        e_pair = count_edges_between(g, amask, bmask)
+        pair_density = Fraction(e_pair, len(a_sub) * len(b_sub))
+        if thr.is_sqrt:
+            low = pair_density * pair_density < \
+                Fraction(thr.num, thr.den) * d_global * d_global
+        else:
+            low = pair_density < Fraction(thr.num, thr.den) * d_global
+        if low:
+            for a in a_sub:
+                for b in iter_bits(g.rows[a] & bmask):
+                    edits.append((a, b))
+                    kept.discard((a, b))
+    # Budget: |edits| <= delta * e(g), exact comparison.
+    if thr.is_sqrt:
+        within = len(edits) ** 2 * thr.den <= thr.num * g.edge_count ** 2
+    else:
+        within = len(edits) * thr.den <= budget_num
+    if not edits or not within:
+        return EditResult(NOT_CERTIFIED, (), 0, first.pair_verdicts)
+    edited = BipartiteGraph(g.left, g.right, kept)
+    second = check_perfect_delta_partition(edited, left_p, right_p, thr,
+                                           params)
+    if second.status == CERTIFIED:
+        return EditResult(AFTER_EDITS, tuple(sorted(edits)), len(edits),
+                          second.pair_verdicts)
+    return EditResult(NOT_CERTIFIED, (), 0, second.pair_verdicts)
+
+
+def _planted_partition(rng, na: int, nb: int):
+    """Sides cut into 1-3 clusters each; every cluster pair gets its own
+    edge probability, so that sparse irregular pairs sit next to dense
+    regular ones."""
+    left = VertexPartition.from_labels(VertexClass(0, na), sorted(
+        rng.randrange(rng.randint(1, 3)) for _ in range(na)))
+    right = VertexPartition.from_labels(VertexClass(1, nb), sorted(
+        rng.randrange(rng.randint(1, 3)) for _ in range(nb)))
+    lab_a, lab_b = left.labels(), right.labels()
+    prob: dict[tuple[int, int], float] = {}
+    edges = []
+    for a in range(na):
+        for b in range(nb):
+            p = prob.setdefault((lab_a[a], lab_b[b]),
+                                rng.choice([.1, .2, .5, .9, 1.]))
+            if rng.random() < p:
+                edges.append((a, b))
+    return (BipartiteGraph(VertexClass(0, na), VertexClass(1, nb), edges),
+            left, right)
+
+
+def test_partition_with_edits_matches_reference():
+    """Whole ``EditResult``s, rational and square-root deltas, exhaustive
+    and randomized searches; every outcome occurs for both kinds."""
+    rng = random.Random(301)
+    outcomes = set()
+    for _ in range(400):
+        g, left, right = _planted_partition(rng, rng.randint(2, 9),
+                                            rng.randint(2, 9))
+        delta = rng.choice(DELTA_PARAMS)
+        params = CheckParams(mode=rng.choice(["exhaustive", "randomized"]),
+                             random_trials=rng.randint(1, 8),
+                             seed=rng.randrange(1 << 16))
+        got = check_delta_partition_with_edits(g, left, right, delta, params)
+        assert got == _ref_check_delta_partition_with_edits(
+            g, left, right, delta, params)
+        outcomes.add((got.status, isinstance(delta, Threshold)))
+    assert outcomes == {(status, kind)
+                        for status in (PERFECT, AFTER_EDITS, NOT_CERTIFIED)
+                        for kind in (False, True)}
