@@ -371,7 +371,8 @@ def edge_partition_refines(fine: EdgePartition, coarse: EdgePartition
                            ) -> bool:
     """Every block of ``fine`` sits inside one block of ``coarse``."""
     for g in fine.blocks:
-        if not any(g.edges <= h.edges for h in coarse.blocks):
+        if not any(all(h.has_edge(a, b) for a, b in g.sorted_edges())
+                   for h in coarse.blocks):
             return False
     return True
 
@@ -468,12 +469,12 @@ def build_key_argument_scenario(s: int, n: int, seed: int
     edge_chain = random_edge_equipartition_chain(carrier, s, seed)
     g_prime = edge_chain.chain[-1].blocks[0]
     triples = frozenset(
-        (*product.pair(p), z) for p, z in g_prime.edges)
+        (*product.pair(p), z) for p, z in g_prime.sorted_edges())
     h = ThreeGraph((v1, v2, v3), triples)
 
     from .hyperreg import auxiliary_graph
     aux = auxiliary_graph(h, 3)
-    if aux.graph.edges != g_prime.edges:
+    if aux.graph.rows != g_prime.rows:
         raise DegenerateInput("pullback identity failed (internal error)")
 
     orders = [1 << j for j in range(1, s + 1)]

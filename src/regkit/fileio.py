@@ -23,9 +23,10 @@ lexicographically); saving a loaded canonical file is byte-identical.
 
 A bg or h3 section whose lines are all plain rows (digits joined by single
 spaces, as the writers emit them) with values in range and no repeated row
-is read in bulk.  Every other section, however well-formed, is read line by
-line with the same result, and every FormatError, message and line number,
-comes from that per-line reader.
+is read in bulk, a bg section straight into the graph's row masks.  Every
+other section, however well-formed, is read line by line with the same
+result, and every FormatError, message and line number, comes from that
+per-line reader.
 """
 from __future__ import annotations
 
@@ -90,19 +91,19 @@ _PLAIN_ROWS = {width: re.compile(
     "(?:" + " ".join(["[0-9]+"] * width) + "\n)*") for width in (2, 3)}
 
 
-def _bulk_rows(lines: _Lines, m: int, sizes: tuple[int, ...]
-               ) -> Optional[frozenset[tuple[int, ...]]]:
-    """The next m lines as m distinct rows with ``row[k] < sizes[k]``, read
-    in bulk; or None, with ``lines.pos`` unchanged.
+def _bulk_columns(lines: _Lines, m: int, sizes: tuple[int, ...]
+                  ) -> Optional[list[list[int]]]:
+    """The next m lines as columns, column k below ``sizes[k]``, or None;
+    ``lines.pos`` is unchanged, and the caller skips the lines only if
+    they are m distinct rows (not so for a repeat or a short file).
 
     Only plain rows are accepted (see ``_PLAIN_ROWS``), and on these the
     per-line reader returns the same rows.  Anything else (a comment, a
     blank line, other whitespace, a sign, a wrong field count, a value out
-    of range, a repeated row, a short file) gives None, so the per-line
-    reader reads the section and every FormatError is its own.
+    of range) gives None, so the per-line reader reads the section and
+    every FormatError is its own.
     """
-    end = lines.pos + m
-    text = "\n".join(lines.raw[lines.pos:end]) + "\n"
+    text = "\n".join(lines.raw[lines.pos:lines.pos + m]) + "\n"
     width = len(sizes)
     if not _PLAIN_ROWS[width].fullmatch(text):
         return None
@@ -113,11 +114,7 @@ def _bulk_rows(lines: _Lines, m: int, sizes: tuple[int, ...]
     cols = [values[k::width] for k in range(width)]
     if any(max(col) >= n for col, n in zip(cols, sizes)):
         return None
-    rows = frozenset(zip(*cols))
-    if len(rows) != m:
-        return None
-    lines.pos = end
-    return rows
+    return cols
 
 
 def _header(lines: _Lines, tag: str, sizes: int, counts: int
@@ -147,9 +144,14 @@ def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
     if (left.size, right.size) != (nl, nr):
         left = VertexClass(left.id, nl)
         right = VertexClass(right.id, nr)
-    rows = _bulk_rows(lines, m, (nl, nr))
-    if rows is not None:
-        return BipartiteGraph._from_checked(left, right, rows)
+    cols = _bulk_columns(lines, m, (nl, nr))
+    if cols is not None:
+        rows = [0] * nl
+        for a, b in zip(*cols):
+            rows[a] |= 1 << b
+        if sum(map(int.bit_count, rows)) == m:  # m distinct rows
+            lines.pos += m
+            return BipartiteGraph.from_rows(left, right, rows)
     edges = []
     seen = set()
     for _ in range(m):
@@ -182,8 +184,11 @@ def loads_threegraph(text: str) -> ThreeGraph:
     lines = _Lines(text)
     (n1, n2, n3, m), ln = _header(lines, "h3", 3, 1)
     classes = (VertexClass(0, n1), VertexClass(1, n2), VertexClass(2, n3))
-    triples = _bulk_rows(lines, m, (n1, n2, n3))
-    if triples is None:
+    cols = _bulk_columns(lines, m, (n1, n2, n3))
+    triples = None if cols is None else frozenset(zip(*cols))
+    if triples is not None and len(triples) == m:
+        lines.pos += m
+    else:
         triples = set()
         for _ in range(m):
             fields, tln = lines.next_fields()

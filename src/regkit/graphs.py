@@ -1,8 +1,10 @@
 """Immutable graph types and exact density/counting primitives.
 
-Vertex classes are plain index spaces 0..size-1.  Bipartite adjacency is kept
-as one packed bitmask per left vertex, so degrees and codegrees reduce to mask
-intersection plus popcount.  All densities are exact rationals.
+Vertex classes are plain index spaces 0..size-1.  A bipartite graph is its
+adjacency masks, one packed bitmask per vertex, so degrees and codegrees
+reduce to mask intersection plus popcount; ``BipartiteGraph.from_rows``
+builds one from its rows, and its edge set is derived from them on access.
+All densities are exact rationals.
 """
 from __future__ import annotations
 
@@ -24,9 +26,6 @@ class VertexClass:
         if self.size < 0:
             raise DegenerateInput(f"vertex class {self.id} has negative size")
 
-    def indices(self) -> range:
-        return range(self.size)
-
 
 def _check_index(v: int, n: int, what: str) -> None:
     if not 0 <= v < n:
@@ -42,15 +41,6 @@ def subset_mask(sub: Iterable[int], n: int, what: str = "vertex") -> int:
     return mask
 
 
-def mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -58,91 +48,107 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(iter_bits(mask))
+
+
 class BipartiteGraph:
     """Immutable bipartite graph between two vertex classes.
 
     ``rows[a]`` is the bitmask of right-neighbours of left vertex ``a``;
     ``cols[b]`` the bitmask of left-neighbours of right vertex ``b``.
+    These masks are all that is stored.
     """
 
-    __slots__ = ("left", "right", "edges", "rows", "cols", "_hash")
+    __slots__ = ("left", "right", "rows", "cols", "edge_count")
 
     def __init__(self, left: VertexClass, right: VertexClass,
                  edges: Iterable[tuple[int, int]]):
-        if left.size == 0 or right.size == 0:
-            raise DegenerateInput("bipartite graph with an empty side")
-        edges = frozenset((int(a), int(b)) for a, b in edges)
         na, nb = left.size, right.size
         rows = [0] * na
-        cols = [0] * nb
-        for a, b in edges:
+        # An empty side is refused by _store before any edge is read.
+        for a, b in edges if na and nb else ():
+            a, b = int(a), int(b)
             if not (0 <= a < na and 0 <= b < nb):
                 _check_index(a, na, "left")
                 _check_index(b, nb, "right")
             rows[a] |= 1 << b
-            cols[b] |= 1 << a
-        self._set(left, right, edges, rows, cols)
+        self._store(left, right, rows)
 
     @classmethod
-    def _from_checked(cls, left: VertexClass, right: VertexClass,
-                      edges: frozenset[tuple[int, int]]
-                      ) -> "BipartiteGraph":
-        """A graph on edges that the file reader has already checked: int
-        pairs in range of two non-empty sides, as a frozenset."""
-        rows = [0] * left.size
-        cols = [0] * right.size
-        for a, b in edges:
-            rows[a] |= 1 << b
-            cols[b] |= 1 << a
+    def from_rows(cls, left: VertexClass, right: VertexClass,
+                  rows: Sequence[int]) -> "BipartiteGraph":
+        """The graph whose left vertex ``a`` has the right-neighbour mask
+        ``rows[a]``; one row per left vertex, each in [0, 2^|right|)."""
         g = cls.__new__(cls)
-        g._set(left, right, edges, rows, cols)
+        g._store(left, right, rows)
         return g
 
-    def _set(self, left: VertexClass, right: VertexClass,
-             edges: frozenset[tuple[int, int]], rows: list[int],
-             cols: list[int]) -> None:
+    def _store(self, left: VertexClass, right: VertexClass,
+               rows: Sequence[int]) -> None:
+        if left.size == 0 or right.size == 0:
+            raise DegenerateInput("bipartite graph with an empty side")
+        rows = tuple(rows)
+        if len(rows) != left.size:
+            raise ValueError(f"{len(rows)} rows for a left side of size "
+                             f"{left.size}")
+        limit = 1 << right.size
+        cols = [0] * right.size
+        for a, row in enumerate(rows):
+            if not 0 <= row < limit:
+                raise ValueError(f"row {a} is {row}, not in [0, {limit})")
+            bit = 1 << a
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         self.left = left
         self.right = right
-        self.edges = edges
-        self.rows = tuple(rows)
+        self.rows = rows
         self.cols = tuple(cols)
-        self._hash = hash((left, right, edges))
+        self.edge_count = sum(map(int.bit_count, rows))
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set, built from ``rows`` on each access."""
+        return frozenset(self.sorted_edges())
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges
+        return (0 <= a < self.left.size and 0 <= b < self.right.size
+                and self.rows[a] >> b & 1 == 1)
 
     def same_classes(self, other: "BipartiteGraph") -> bool:
         return self.left == other.left and self.right == other.right
 
     def transpose(self) -> "BipartiteGraph":
-        return BipartiteGraph(self.right, self.left,
-                              ((b, a) for a, b in self.edges))
+        return BipartiteGraph.from_rows(self.right, self.left, self.cols)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        out = []
+        for a, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                out.append((a, low.bit_length() - 1))
+                row ^= low
+        return out
 
     @staticmethod
     def complete(left: VertexClass, right: VertexClass) -> "BipartiteGraph":
-        return BipartiteGraph(
-            left, right,
-            ((a, b) for a in range(left.size) for b in range(right.size)))
+        return BipartiteGraph.from_rows(left, right,
+                                        [(1 << right.size) - 1] * left.size)
 
     @staticmethod
     def empty(left: VertexClass, right: VertexClass) -> "BipartiteGraph":
-        return BipartiteGraph(left, right, ())
+        return BipartiteGraph.from_rows(left, right, [0] * left.size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
         return (self.left == other.left and self.right == other.right
-                and self.edges == other.edges)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.left, self.right, self.rows))
 
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.left.size}x{self.right.size}, "
@@ -300,15 +306,17 @@ def edge_disjoint_union(gs: Sequence[BipartiteGraph]) -> BipartiteGraph:
     if not gs:
         raise DegenerateInput("union of an empty family")
     first = gs[0]
-    edges: set[tuple[int, int]] = set()
+    rows = [0] * first.left.size
     for g in gs:
         if not g.same_classes(first):
             raise ClassMismatch("union members on different vertex classes")
-        shared = edges & g.edges
-        if shared:
-            raise NotDisjoint(f"shared edge {min(shared)}")
-        edges |= g.edges
-    return BipartiteGraph(first.left, first.right, edges)
+        for a, (row, new) in enumerate(zip(rows, g.rows)):
+            shared = row & new
+            if shared:
+                b = (shared & -shared).bit_length() - 1
+                raise NotDisjoint(f"shared edge {(a, b)}")
+            rows[a] = row | new
+    return BipartiteGraph.from_rows(first.left, first.right, rows)
 
 
 def count_edges_between(g: BipartiteGraph, amask: int, bmask: int) -> int:

@@ -107,7 +107,7 @@ def _triangle_masks(h: ThreeGraph, t: Triad) -> tuple[list[int], list[int]]:
     nb = t.ab.right.size
     tm = [0] * (t.ab.left.size * nb)
     hm = [0] * len(tm)
-    for a, b in t.ab.edges:
+    for a, b in t.ab.sorted_edges():
         i = a * nb + b
         tm[i] = rest = ac_rows[a] & bc_rows[b]
         hmask = 0
@@ -134,14 +134,11 @@ def triad_density(h: ThreeGraph, t: Triad) -> TriadStats:
 
 def _witness_triad(t: Triad, masks: tuple[int, int, int]) -> Triad:
     """The subtriad selected by masks over the sorted edge lists."""
-    lists = (sorted(t.ab.edges), sorted(t.ac.edges), sorted(t.bc.edges))
-    kept = []
-    for mask, edges in zip(masks, lists):
-        kept.append([e for i, e in enumerate(edges) if mask >> i & 1])
-    return Triad(BipartiteGraph(t.ab.left, t.ab.right, kept[0]),
-                 BipartiteGraph(t.ac.left, t.ac.right, kept[1]),
-                 BipartiteGraph(t.bc.left, t.bc.right, kept[2]),
-                 embedding=t.embedding)
+    ab, ac, bc = (
+        BipartiteGraph(g.left, g.right, (e for i, e in enumerate(
+            g.sorted_edges()) if mask >> i & 1))
+        for mask, g in zip(masks, (t.ab, t.ac, t.bc)))
+    return Triad(ab, ac, bc, embedding=t.embedding)
 
 
 def verify_subtriad_witness(h: ThreeGraph, t: Triad,
@@ -167,9 +164,7 @@ def _subtriad_scan_verdict(h: ThreeGraph, t: Triad, mode: int,
     value = Fraction(value)
     if not 0 < value <= 1:
         raise ParameterOutOfContract("parameter must satisfy 0 < value <= 1")
-    ab = sorted(t.ab.edges)
-    ac = sorted(t.ac.edges)
-    bc = sorted(t.bc.edges)
+    ab, ac, bc = (g.sorted_edges() for g in (t.ab, t.ac, t.bc))
     search = params.pick_mode(len(ab) + len(ac) + len(bc),
                               SUBTRIAD_EDGE_BUDGET, "triad edge count")
     if search == "exhaustive":
@@ -742,8 +737,8 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
         if (cls_a, cls_b) != (0, 1) or g.edge_count == 0:
             continue
         for ci in c_clusters:
-            t_ok, d_ok = _reduction_identity(h, aux, g.edges, a_vs, b_vs,
-                                             layout[ci][1])
+            t_ok, d_ok = _reduction_identity(h, aux, g.sorted_edges(), a_vs,
+                                             b_vs, layout[ci][1])
             checks.append(IdentityCheck(key, ci, t_ok, d_ok))
     return tuple(checks)
 
@@ -765,7 +760,7 @@ def _reduction_identity(h: ThreeGraph, aux: AuxGraph,
                   embedding=(a_vs, b_vs, c_vs))
     stats = triad_density(h, triad)
     pairs = e.edge_count * len(c_vs)
-    hits = sum(1 for (a, b) in e.edges for z in c_vs
+    hits = sum(1 for (a, b) in e.sorted_edges() for z in c_vs
                if aux.graph.has_edge(aux.product.index(a_vs[a], b_vs[b]), z))
     return (stats.triangle_count == pairs,
             Fraction(hits, pairs) == stats.density)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -84,13 +85,13 @@ class EdgePartition:
         if not self.blocks:
             raise DegenerateInput("edge partition with no blocks")
         total = 0
-        seen: set[tuple[int, int]] = set()
+        seen = [0] * self.carrier.first.size
         for g in self.blocks:
             if g.left != self.carrier.first or g.right != self.carrier.second:
                 raise ClassMismatch("edge block not on the carrier classes")
-            if seen & g.edges:
+            if any(s & r for s, r in zip(seen, g.rows)):
                 raise NotDisjoint("edge blocks overlap")
-            seen |= g.edges
+            seen = [s | r for s, r in zip(seen, g.rows)]
             total += g.edge_count
         if total != self.carrier.size:
             raise DegenerateInput("edge blocks do not cover the product")
@@ -103,7 +104,7 @@ class EdgePartition:
         """The same partition read over the linearized product side."""
         ground = self.carrier.as_vertex_class()
         blocks = tuple(
-            frozenset(self.carrier.index(a, b) for a, b in g.edges)
+            frozenset(self.carrier.index(a, b) for a, b in g.sorted_edges())
             for g in self.blocks)
         return VertexPartition(ground, blocks)
 
@@ -201,7 +202,8 @@ class TwoPartition:
         problems = []
         for i, j in combinations(range(len(sides)), 2):
             gs = by_pair.get((i, j), ())
-            covered = len(frozenset().union(*(g.edges for g in gs)))
+            covered = sum(reduce(or_, rows).bit_count()
+                          for rows in zip(*(g.rows for g in gs)))
             if covered != sum(g.edge_count for g in gs):
                 problems.append(
                     f"pair ({i},{j}): duplicated edge (NotDisjoint)")
@@ -418,9 +420,9 @@ def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
             if {cls_i, cls_j} != {j, k} or not g.edge_count:
                 continue
             if cls_i == j:
-                edges = [(vs_i[a], vs_j[b]) for a, b in g.edges]
+                edges = [(vs_i[a], vs_j[b]) for a, b in g.sorted_edges()]
             else:
-                edges = [(vs_j[b], vs_i[a]) for a, b in g.edges]
+                edges = [(vs_j[b], vs_i[a]) for a, b in g.sorted_edges()]
             graphs.append(BipartiteGraph(frame.classes[j], frame.classes[k],
                                          edges))
         es.append(EdgePartition(ProductSide(frame.classes[j],

@@ -73,6 +73,12 @@ class Threshold:
             return k * k * self.den >= self.num * n * n
         return k * self.den >= self.num * n
 
+    def ceiling_ok(self, k: int, n: int) -> bool:
+        """Exact test of k <= thr * n for integers k, n >= 0."""
+        if self.is_sqrt:
+            return k * k * self.den <= self.num * n * n
+        return k * self.den <= self.num * n
+
     def least(self, n: int) -> int:
         """Smallest k in 1..n with k >= thr * n; needs thr <= 1."""
         for k in range(1, n + 1):
@@ -86,10 +92,6 @@ class Threshold:
 
     def le_one(self) -> bool:
         return self.num <= self.den
-
-    def __float__(self) -> float:
-        v = self.num / self.den
-        return v ** 0.5 if self.is_sqrt else v
 
     def __repr__(self) -> str:
         frac = f"{self.num}/{self.den}"
@@ -275,9 +277,8 @@ def verify_eps_witness(g: BipartiteGraph, eps: Fraction,
     na, nb = g.left.size, g.right.size
     if ka == 0 or kb == 0:
         return False
-    if ka * eps.denominator < eps.numerator * na:
-        return False
-    if kb * eps.denominator < eps.numerator * nb:
+    thr = Threshold(eps)
+    if not thr.floor_ok(ka, na) or not thr.floor_ok(kb, nb):
         return False
     e = count_edges_between(g, amask, bmask)
     dev = abs(e * na * nb - g.edge_count * ka * kb)
@@ -547,9 +548,8 @@ def check_delta_partition_with_edits(g: BipartiteGraph,
     first = check_perfect_delta_partition(g, left_p, right_p, thr, params)
     if first.status == CERTIFIED:
         return EditResult(PERFECT, (), 0, first.pair_verdicts)
-    budget_num = thr.num * g.edge_count
     edits: list[tuple[int, int]] = []
-    kept = set(g.edges)
+    kept = list(g.rows)
     for key, a_sub, b_sub in _iter_cluster_pairs(g, left_p, right_p):
         v = first.pair_verdicts[key]
         if v.status != IRREGULAR:
@@ -562,17 +562,11 @@ def check_delta_partition_with_edits(g: BipartiteGraph,
                                g.edge_count * len(a_sub) * len(b_sub))
         if low:
             for a in a_sub:
-                for b in iter_bits(g.rows[a] & bmask):
-                    edits.append((a, b))
-                    kept.discard((a, b))
-    # Budget: |edits| <= delta * e(g), exact comparison.
-    if thr.is_sqrt:
-        within = len(edits) ** 2 * thr.den <= thr.num * g.edge_count ** 2
-    else:
-        within = len(edits) * thr.den <= budget_num
-    if not edits or not within:
+                edits.extend((a, b) for b in iter_bits(g.rows[a] & bmask))
+                kept[a] &= ~bmask
+    if not edits or not thr.ceiling_ok(len(edits), g.edge_count):
         return EditResult(NOT_CERTIFIED, (), 0, first.pair_verdicts)
-    edited = BipartiteGraph(g.left, g.right, kept)
+    edited = BipartiteGraph.from_rows(g.left, g.right, kept)
     second = check_perfect_delta_partition(edited, left_p, right_p, thr,
                                            params)
     if second.status == CERTIFIED:

@@ -21,13 +21,13 @@ from typing import Callable
 from . import constructions as cn
 from . import fileio, hyperreg, partitions
 from .errors import UnknownSuite
-from .graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
-                     VertexClass, density, induced_subgraph)
+from .graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
+                     density, edge_disjoint_union, induced_subgraph)
 from .partitions import (ThreePartiteFrame, VertexPartition,
                          approx_refines, complete_two_partition,
                          refinement_union_extract, restrict_two_partition)
-from .regcheck import (CERTIFIED, NOT_CERTIFIED,
-                       CheckParams, check_delta_partition_with_edits,
+from .regcheck import (CERTIFIED, NOT_CERTIFIED, CheckParams, Threshold,
+                       check_delta_partition_with_edits,
                        check_delta_regular, check_eps_regular,
                        degree_profile)
 
@@ -283,20 +283,15 @@ def _suite_claim_3_3(rng: random.Random, scale: dict):
     tp = complete_two_partition(z)
     good = hyperreg.is_delta_good(tp, delta, _exh())
     zs, es = partitions.sub_partitions(tp, frame)
-    e3 = es[2].as_vertex_partition()
+    e3 = es[2].blocks
     # Coarsen E3 into random groups; exact refinement implies E3 <_d G.
-    groups = max(1, e3.order - rng.randint(0, e3.order - 1))
-    relabel = [rng.randrange(groups) for _ in range(e3.order)]
+    groups = max(1, len(e3) - rng.randint(0, len(e3) - 1))
+    relabel = [rng.randrange(groups) for _ in range(len(e3))]
     used = sorted(set(relabel))
-    remap = {g: i for i, g in enumerate(used)}
-    product = ProductSide(classes[0], classes[1])
-    g_edges: list[set] = [set() for _ in used]
-    for bi, block in enumerate(e3.blocks):
-        g_edges[remap[relabel[bi]]].update(
-            product.pair(v) for v in block)
     found = False
-    for edges in g_edges:
-        g = BipartiteGraph(classes[0], classes[1], edges)
+    for group in used:
+        g = edge_disjoint_union([m for m, lab in zip(e3, relabel)
+                                 if lab == group])
         res = check_delta_partition_with_edits(g, zs[0], zs[1], 3 * delta,
                                                _exh())
         if res.status != NOT_CERTIFIED:
@@ -583,8 +578,8 @@ def _suite_lemma_a1(rng: random.Random, scale: dict):
     g = _rg(rng, VertexClass(0, na), VertexClass(1, nb),
             rng.choice([0.3, 0.5, 0.7]))
     eps = _certify_ladder(g)
-    ka = rng.randint(max(1, -(-na * eps.numerator // eps.denominator)), na)
-    kb = rng.randint(max(1, -(-nb * eps.numerator // eps.denominator)), nb)
+    ka = rng.randint(Threshold(eps).least(na), na)
+    kb = rng.randint(Threshold(eps).least(nb), nb)
     alpha = min(Fraction(ka, na), Fraction(kb, nb))
     a_sub = sorted(rng.sample(range(na), ka))
     b_sub = sorted(rng.sample(range(nb), kb))
@@ -612,7 +607,7 @@ def _suite_claim_a2(rng: random.Random, scale: dict):
     g = _rg(rng, VertexClass(0, na), VertexClass(1, nb),
             rng.choice([0.3, 0.5, 0.7]))
     eps = _certify_ladder(g)
-    ky = rng.randint(max(1, -(-nb * eps.numerator // eps.denominator)), nb)
+    ky = rng.randint(Threshold(eps).least(nb), nb)
     y_sub = sorted(rng.sample(range(nb), ky))
     count, exceptional = degree_profile(g, y_sub, eps)
     ok = Fraction(count) <= 2 * eps * na

@@ -90,6 +90,17 @@ def test_random_edge_equipartition_chain():
         assert cn.edge_partition_refines(fine, coarse)
 
 
+def test_edge_partition_refines_needs_every_edge_inside():
+    """Levels of two unrelated chains: each fine block meets coarse blocks
+    but sits inside none, so neither refines the other."""
+    carrier = ProductSide(VertexClass(0, 8), VertexClass(1, 8))
+    a = cn.random_edge_equipartition_chain(carrier, 2, seed=4).chain
+    b = cn.random_edge_equipartition_chain(carrier, 2, seed=5).chain
+    assert cn.edge_partition_refines(a[1], a[0])
+    assert not cn.edge_partition_refines(a[1], b[0])
+    assert not cn.edge_partition_refines(b[1], a[0])
+
+
 def test_six_cycle_template():
     tpl = cn.tight_six_cycle()
     assert len(tpl.edges) == 6

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from typing import Optional
 from unittest import mock
 
@@ -80,6 +81,23 @@ def test_duplicate_edge_reports_line():
         fileio.loads_graph("bg 2 2 2\n0 0\n0 0\n")
     assert err.value.line == 3
     assert "duplicate" in str(err.value)
+
+
+def test_loaded_graph_keeps_its_masks_only():
+    """A dense 64x64 graph costs its row and column masks, under 16 bytes
+    an edge; an edge set of tuples would take about 60."""
+    rng = random.Random(64)
+    text = fileio.dumps_graph(_random_graph(
+        rng, VertexClass(0, 64), VertexClass(1, 64), 0.9))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = fileio.loads_graph(text)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 3500
+    assert kept < 16 * g.edge_count, kept / g.edge_count
 
 
 def test_out_of_range_reports_line():

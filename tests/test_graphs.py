@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regkit.errors import ClassMismatch, DegenerateInput, NotDisjoint
 from regkit.graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
-                           VertexClass, codegree, count_edges_between,
-                           degree_into, density, edge_disjoint_union,
-                           induced_density, induced_subgraph, iter_bits,
-                           mask_to_set, subset_mask)
+                           VertexClass, _check_index, codegree,
+                           count_edges_between, degree_into, density,
+                           edge_disjoint_union, induced_density,
+                           induced_subgraph, iter_bits, mask_to_set,
+                           subset_mask)
 
 A = VertexClass(0, 4)
 B = VertexClass(1, 3)
@@ -130,3 +134,224 @@ def test_edge_disjoint_union():
     assert u.edges == frozenset({(0, 0), (1, 1)})
     with pytest.raises(NotDisjoint):
         edge_disjoint_union([g1, g1])
+
+
+@pytest.mark.parametrize("rows, error, text", [
+    ([0, 0, 0], ValueError, "3 rows for a left side of size 4"),
+    ([0, 0, 0, 0, 0], ValueError, "5 rows for a left side of size 4"),
+    ([0, -1, 0, 0], ValueError, "row 1 is -1, not in [0, 8)"),
+    ([0, 0, 0b1000, 0], ValueError, "row 2 is 8, not in [0, 8)"),
+    ([1 << 9, 0, 0, 0], ValueError, "row 0 is 512, not in [0, 8)"),
+])
+def test_from_rows_refuses_bad_rows(rows, error, text):
+    with pytest.raises(error) as err:
+        BipartiteGraph.from_rows(A, B, rows)
+    assert str(err.value) == text
+
+
+def test_from_rows_refuses_an_empty_side():
+    with pytest.raises(DegenerateInput):
+        BipartiteGraph.from_rows(VertexClass(0, 0), B, [])
+    with pytest.raises(DegenerateInput):
+        BipartiteGraph.from_rows(A, VertexClass(1, 0), [0] * 4)
+
+
+def test_from_rows_is_the_edge_constructor():
+    g = BipartiteGraph(A, B, [(0, 1), (2, 0), (2, 2)])
+    h = BipartiteGraph.from_rows(A, B, [0b010, 0, 0b101, 0])
+    assert g == h and hash(g) == hash(h)
+    assert (h.rows, h.cols, h.edge_count) == (g.rows, g.cols, 3)
+    assert h.edges == frozenset({(0, 1), (2, 0), (2, 2)})
+
+
+# ``BipartiteGraph`` as it was when it also stored its edge set, kept
+# verbatim but for its name as the oracle for the property test below.
+
+
+class _EdgeSetGraph:
+    """Immutable bipartite graph between two vertex classes.
+
+    ``rows[a]`` is the bitmask of right-neighbours of left vertex ``a``;
+    ``cols[b]`` the bitmask of left-neighbours of right vertex ``b``.
+    """
+
+    __slots__ = ("left", "right", "edges", "rows", "cols", "_hash")
+
+    def __init__(self, left: VertexClass, right: VertexClass,
+                 edges: Iterable[tuple[int, int]]):
+        if left.size == 0 or right.size == 0:
+            raise DegenerateInput("bipartite graph with an empty side")
+        edges = frozenset((int(a), int(b)) for a, b in edges)
+        na, nb = left.size, right.size
+        rows = [0] * na
+        cols = [0] * nb
+        for a, b in edges:
+            if not (0 <= a < na and 0 <= b < nb):
+                _check_index(a, na, "left")
+                _check_index(b, nb, "right")
+            rows[a] |= 1 << b
+            cols[b] |= 1 << a
+        self._set(left, right, edges, rows, cols)
+
+    @classmethod
+    def _from_checked(cls, left: VertexClass, right: VertexClass,
+                      edges: frozenset[tuple[int, int]]
+                      ) -> "_EdgeSetGraph":
+        """A graph on edges that the file reader has already checked: int
+        pairs in range of two non-empty sides, as a frozenset."""
+        rows = [0] * left.size
+        cols = [0] * right.size
+        for a, b in edges:
+            rows[a] |= 1 << b
+            cols[b] |= 1 << a
+        g = cls.__new__(cls)
+        g._set(left, right, edges, rows, cols)
+        return g
+
+    def _set(self, left: VertexClass, right: VertexClass,
+             edges: frozenset[tuple[int, int]], rows: list[int],
+             cols: list[int]) -> None:
+        self.left = left
+        self.right = right
+        self.edges = edges
+        self.rows = tuple(rows)
+        self.cols = tuple(cols)
+        self._hash = hash((left, right, edges))
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return (a, b) in self.edges
+
+    def same_classes(self, other: "_EdgeSetGraph") -> bool:
+        return self.left == other.left and self.right == other.right
+
+    def transpose(self) -> "_EdgeSetGraph":
+        return _EdgeSetGraph(self.right, self.left,
+                             ((b, a) for a, b in self.edges))
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        return sorted(self.edges)
+
+    @staticmethod
+    def complete(left: VertexClass, right: VertexClass) -> "_EdgeSetGraph":
+        return _EdgeSetGraph(
+            left, right,
+            ((a, b) for a in range(left.size) for b in range(right.size)))
+
+    @staticmethod
+    def empty(left: VertexClass, right: VertexClass) -> "_EdgeSetGraph":
+        return _EdgeSetGraph(left, right, ())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _EdgeSetGraph):
+            return NotImplemented
+        return (self.left == other.left and self.right == other.right
+                and self.edges == other.edges)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"_EdgeSetGraph({self.left.size}x{self.right.size}, "
+                f"{self.edge_count} edges)")
+
+
+def _state(g) -> tuple:
+    return (g.left, g.right, g.edges, g.sorted_edges(), g.rows, g.cols,
+            g.edge_count)
+
+
+@st.composite
+def edge_lists(draw):
+    """Sides of 1-70 vertices and an edge list in random order: empty,
+    complete, sparse or of random density."""
+    left = VertexClass(draw(st.integers(-1, 2)), draw(st.integers(1, 70)))
+    right = VertexClass(draw(st.integers(-1, 2)), draw(st.integers(1, 70)))
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([rng.random(), .02, 0., 1.]))
+    edges = [(a, b) for a in range(left.size) for b in range(right.size)
+             if p == 1. or rng.random() < p]
+    rng.shuffle(edges)
+    return left, right, edges
+
+
+@given(edge_lists(), st.data())
+def test_graph_matches_the_edge_set_graph(case, data):
+    """Every answer of the mask-only graph is that of the graph that also
+    stored its edge set: state, membership, transpose, complete, empty,
+    equality and hashes, and the IndexError of an out-of-range edge."""
+    left, right, edges = case
+    na, nb = left.size, right.size
+    g, ref = BipartiteGraph(left, right, edges), _EdgeSetGraph(left, right,
+                                                               edges)
+    assert _state(g) == _state(ref)
+    assert BipartiteGraph.from_rows(left, right, g.rows) == g
+    assert [g.has_edge(a, b) for a in range(-1, na + 1)
+            for b in range(-1, nb + 1)] == [
+        ref.has_edge(a, b) for a in range(-1, na + 1)
+        for b in range(-1, nb + 1)]
+    assert _state(g.transpose()) == _state(ref.transpose())
+    assert g.transpose().transpose() == g
+    for make in ("complete", "empty"):
+        assert _state(getattr(BipartiteGraph, make)(left, right)) == \
+            _state(getattr(_EdgeSetGraph, make)(left, right))
+
+    # A second graph: the same edges in another order, one edge toggled,
+    # or the same edges on sides with other ids.
+    how = data.draw(st.sampled_from(["reordered", "toggled", "relabelled"]))
+    other = list(reversed(edges))
+    left2 = left
+    if how == "toggled":
+        e = (data.draw(st.integers(0, na - 1)),
+             data.draw(st.integers(0, nb - 1)))
+        other = [x for x in other if x != e] + ([] if e in edges else [e])
+    elif how == "relabelled":
+        left2 = VertexClass(left.id + 5, na)
+    g2 = BipartiteGraph(left2, right, other)
+    ref2 = _EdgeSetGraph(left2, right, other)
+    assert (g == g2, g2 == g, g != g2) == (ref == ref2, ref2 == ref,
+                                           ref != ref2)
+    assert (g == g2) == (how == "reordered")
+    if g == g2:
+        assert hash(g) == hash(g2)
+
+    bad = data.draw(st.sampled_from([(na, 0), (-1, 0), (0, nb), (0, -1)]))
+    with pytest.raises(IndexError) as got:
+        BipartiteGraph(left, right, edges + [bad])
+    with pytest.raises(IndexError) as want:
+        _EdgeSetGraph(left, right, edges + [bad])
+    assert str(got.value) == str(want.value)
+
+
+@given(st.data())
+def test_equality_matches_the_edge_set_graph(data):
+    """Two graphs on small sides, often with as many edges but others:
+    equal, unequal and hashed as the graph that stored its edge set."""
+    na, nb = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    right = VertexClass(1, nb)
+    edge_sets = st.sets(st.tuples(st.integers(0, na - 1),
+                                  st.integers(0, nb - 1)))
+    graphs = []
+    for _ in range(2):
+        left = VertexClass(data.draw(st.integers(0, 1)), na)
+        edges = data.draw(edge_sets)
+        graphs.append((BipartiteGraph(left, right, edges),
+                       _EdgeSetGraph(left, right, edges)))
+    (g1, f1), (g2, f2) = graphs
+    assert (g1 == g2, g2 == g1, g1 != g2) == (f1 == f2, f2 == f1, f1 != f2)
+    if g1 == g2:
+        assert hash(g1) == hash(g2)
+
+
+def test_edge_disjoint_union_names_the_least_shared_edge():
+    g1 = BipartiteGraph(A, B, [(0, 2), (2, 1), (2, 2), (3, 0)])
+    g2 = BipartiteGraph(A, B, [(1, 1)])
+    g3 = BipartiteGraph(A, B, [(3, 0), (2, 2), (2, 1), (0, 0)])
+    with pytest.raises(NotDisjoint) as err:
+        edge_disjoint_union([g1, g2, g3])
+    assert str(err.value) == "shared edge (2, 1)"
+    u = edge_disjoint_union([g1, g2])
+    assert u.edges == g1.edges | g2.edges

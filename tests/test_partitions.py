@@ -316,3 +316,16 @@ def test_edge_partition_rejects_partial_cover():
     g = BipartiteGraph(ps.first, ps.second, [(0, 0)])
     with pytest.raises(DegenerateInput):
         EdgePartition(ps, (g,))
+
+
+def test_edge_partition_rejects_overlap_even_at_full_count():
+    """Blocks that share an edge are refused although their edge counts
+    add up to the product."""
+    ps = ProductSide(VertexClass(0, 2), VertexClass(1, 2))
+    g1 = BipartiteGraph(ps.first, ps.second, [(0, 0), (0, 1)])
+    g2 = BipartiteGraph(ps.first, ps.second, [(0, 1), (1, 0)])
+    with pytest.raises(NotDisjoint, match="edge blocks overlap"):
+        EdgePartition(ps, (g1, g2))
+    g3 = BipartiteGraph(ps.first, ps.second, [(1, 0), (1, 1)])
+    assert EdgePartition(ps, (g1, g3)).as_vertex_partition().blocks == (
+        frozenset({0, 1}), frozenset({2, 3}))

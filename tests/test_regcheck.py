@@ -124,6 +124,57 @@ def test_threshold_floor_and_sqrt():
     assert s.floor_ok(2, 4) and not s.floor_ok(1, 4)
 
 
+@pytest.mark.parametrize("thr, n, most", [
+    (Threshold(Fraction(1, 4)), 8, 2),  # 8/4 = 2 exactly
+    (Threshold(Fraction(2, 3)), 7, 4),  # 14/3
+    (Threshold.sqrt_of(Fraction(1, 4)), 8, 4),  # sqrt(1/4) * 8 = 4 exactly
+    (Threshold.sqrt_of(Fraction(1, 2)), 10, 7),  # 7.07...
+])
+def test_threshold_ceiling_boundary(thr, n, most):
+    """k <= thr * n holds up to and at the bound, and fails one above."""
+    assert thr.ceiling_ok(most, n) and not thr.ceiling_ok(most + 1, n)
+    assert thr.ceiling_ok(0, n)
+
+
+@given(st.fractions(0, 2), st.booleans(), st.integers(0, 60),
+       st.integers(0, 60))
+def test_threshold_ceiling_matches_fractions(value, is_sqrt, k, n):
+    thr = Threshold(value, is_sqrt)
+    if is_sqrt:  # both sides are nonnegative: compare squares
+        assert thr.ceiling_ok(k, n) == (k * k <= value * n * n)
+    else:
+        assert thr.ceiling_ok(k, n) == (k <= value * n)
+
+
+def test_edit_budget_is_never_the_binding_test():
+    """Edits delete only low pairs, of density below thr * d(g), and the
+    pairs tile the product, so |edits| < thr * e(g) always: every edit
+    result of the planted partitions keeps strictly inside its budget."""
+    rng = random.Random(302)
+    edited = 0
+    for _ in range(200):
+        g, left, right = _planted_partition(rng, rng.randint(2, 9),
+                                            rng.randint(2, 9))
+        delta = rng.choice(DELTA_PARAMS)
+        res = check_delta_partition_with_edits(g, left, right, delta, EXH)
+        if res.edits:
+            edited += 1
+            thr = _as_threshold(delta)
+            assert not thr.floor_ok(len(res.edits), g.edge_count)
+    assert edited >= 20
+
+
+def test_eps_witness_needs_both_sides_large():
+    """Column 0 is empty, so it deviates by 3/4 from the density; yet one
+    column is below the floor eps * 4 = 2, on either side."""
+    g = BipartiteGraph(VertexClass(0, 4), VertexClass(1, 4),
+                       [(a, b) for a in range(4) for b in range(1, 4)])
+    eps = Fraction(1, 2)
+    assert not verify_eps_witness(g, eps, ((0, 1, 2, 3), (0,)))
+    assert not verify_eps_witness(g.transpose(), eps, ((0,), (0, 1, 2, 3)))
+    assert verify_eps_witness(g, Fraction(1, 4), ((0, 1, 2, 3), (0,)))
+
+
 def test_threshold_contract():
     g = BipartiteGraph.complete(VertexClass(0, 3), VertexClass(1, 3))
     with pytest.raises(ParameterOutOfContract):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,34 @@ def test_every_suite_passes_smoke(suite_id):
     assert report.passed, report.records
     assert report.trials == trials
     assert len(report.records) == trials
+
+
+# sha256 prefixes of every suite's canonical report at seed 0 and default
+# trials.  A change to any report byte fails here.
+REPORT_DIGESTS = {
+    "claim-3.1": "738334ffe5639419",
+    "claim-3.2": "18fed10570556583",
+    "claim-3.3": "494907bab8c6199f",
+    "claim-3.4": "889dbcc1b1656343",
+    "claim-3.5": "e643e5918b3a1c2f",
+    "claim-4.8": "dfb1e1b5bf879676",
+    "claim-a2": "d5203ec4df6efa5b",
+    "def-4.3-nonneg": "faebe345cea1b525",
+    "eq-red-d": "3a04c5c625294992",
+    "lemma-a1": "72c9dd78db06c54b",
+    "lemma-a3": "6781ddf8b9d97eb7",
+    "oct-equiv": "9427b872d6653a87",
+    "paste-density": "dec4c27e8ffdfb87",
+    "schacht": "011c486f95bbdb59",
+    "schedule": "cc5a72d71b3efafa",
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(suite_id):
+    text = suites.run_suite(suites.SuiteSpec(suite_id, seed=0)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        REPORT_DIGESTS[suite_id]
 
 
 def test_reports_are_byte_identical():
