@@ -1,5 +1,4 @@
-"""Growth-schedule arithmetic, refinement-chain surrogates, tight 6-cycle
-pasting, and toy-scale scenario builders.
+"""Growth-schedule arithmetic and tight 6-cycle pasting.
 
 The schedule functions (e, t, f*, w, twr, wow) outgrow machine integers
 almost immediately, so values are kept as exact base-2 exponent towers:
@@ -11,16 +10,11 @@ wow beyond height 3) a lower bound is returned with ``exact=False``.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import (ClassSizeMismatch, DegenerateInput,
                      ParameterOutOfContract, PreconditionFailed)
-from .graphs import BipartiteGraph, ProductSide, ThreeGraph, VertexClass
-from .partitions import (EdgePartition, VertexPartition, is_equitable,
-                         refines)
+from .graphs import ThreeGraph, VertexClass
 
 # Largest value materialized as a plain int during comparisons: 2^(2^22).
 _MAT_BITS = 1 << 22
@@ -234,173 +228,14 @@ def func_wow(x: int) -> BigCount:
 
 
 # ---------------------------------------------------------------------------
-# Refinement chains
-
-
-@dataclass(frozen=True)
-class ChainPair:
-    """Two matched sequences of successively refined equipartitions."""
-
-    l_side: VertexClass
-    r_side: VertexClass
-    l_chain: tuple[VertexPartition, ...]
-    r_chain: tuple[VertexPartition, ...]
-
-
-@dataclass(frozen=True)
-class EdgeChain:
-    """Edge-partition chain with orders 2^1, ..., 2^s, each equitable."""
-
-    carrier: ProductSide
-    chain: tuple[EdgePartition, ...]
-
-
-def validate_core_assumptions(c: ChainPair) -> list[str]:
-    """Violations of the core-construction shape, as data.
-
-    Checked per level i (1-based): |R_1| >= 2^200, every |R_i| a power of
-    two, |R_{i+1}| >= 4 |R_i|, and |L_i| = 2^(|R_i| / 2^(i+10)); plus the
-    chain-shape invariants (equitability, successive refinement).
-    """
-    out: list[str] = []
-    if len(c.l_chain) != len(c.r_chain):
-        out.append("chains have different lengths")
-    for name, chain in (("L", c.l_chain), ("R", c.r_chain)):
-        for i, p in enumerate(chain, start=1):
-            if not is_equitable(p):
-                out.append(f"{name}_{i} is not equitable")
-        for i in range(1, len(chain)):
-            if not refines(chain[i], chain[i - 1]):
-                out.append(f"{name}_{i + 1} does not refine {name}_{i}")
-    r_orders = [p.order for p in c.r_chain]
-    l_orders = [p.order for p in c.l_chain]
-    if r_orders and r_orders[0] < 1 << 200:
-        out.append(f"|R_1| = {r_orders[0]} < 2^200")
-    for i, r in enumerate(r_orders, start=1):
-        if r & (r - 1):
-            out.append(f"|R_{i}| = {r} is not a power of 2")
-    for i in range(1, len(r_orders)):
-        if r_orders[i] < 4 * r_orders[i - 1]:
-            out.append(f"|R_{i + 1}| = {r_orders[i]} < 4 |R_{i}|")
-    for i, (ll, rr) in enumerate(zip(l_orders, r_orders), start=1):
-        denom = 1 << (i + 10)
-        if rr % denom:
-            out.append(f"|R_{i}| not divisible by 2^{i + 10}")
-            continue
-        expo = rr // denom
-        if expo > 62 or ll != 1 << expo:
-            out.append(f"|L_{i}| = {ll} != 2^(|R_{i}|/2^{i + 10})")
-    return out
-
-
-def random_refinement_chain(n: int, orders: Sequence[int], seed: int
-                            ) -> list[VertexPartition]:
-    """A uniformly random chain of successively refined equipartitions.
-
-    Each order must divide n, orders must be strictly increasing, and
-    each must divide the next (so equitable refinement is possible).
-    """
-    orders = list(orders)
-    if not orders:
-        raise DegenerateInput("empty order list")
-    for k in orders:
-        if k < 1 or n % k:
-            raise ParameterOutOfContract(f"order {k} does not divide {n}")
-    for a, b in zip(orders, orders[1:]):
-        if b <= a or b % a:
-            raise ParameterOutOfContract(
-                f"orders must strictly increase and divide: {a} -> {b}")
-    rng = random.Random(seed)
-    ground = VertexClass(0, n)
-    verts = list(range(n))
-    rng.shuffle(verts)
-    chain = []
-    prev_blocks = [verts]
-    prev_order = 1
-    for k in orders:
-        split = k // prev_order
-        blocks = []
-        for blk in prev_blocks:
-            blk = list(blk)
-            rng.shuffle(blk)
-            size = len(blk) // split
-            for j in range(split):
-                blocks.append(blk[j * size:(j + 1) * size])
-        chain.append(VertexPartition(
-            ground, tuple(frozenset(b) for b in blocks)))
-        prev_blocks = blocks
-        prev_order = k
-    return chain
-
-
-def random_edge_equipartition_chain(carrier: ProductSide, s: int, seed: int
-                                    ) -> EdgeChain:
-    """Random equitable edge-partition chain with |G_j| = 2^j.
-
-    Every block of level j carries exactly |carrier| / 2^j edges.  This
-    is only a shape surrogate: no regularity property is claimed.
-    """
-    if s < 1:
-        raise ParameterOutOfContract("s must be >= 1")
-    size = carrier.size
-    if size % (1 << s):
-        raise ParameterOutOfContract(
-            f"carrier size {size} not divisible by 2^{s}")
-    rng = random.Random(seed)
-    pairs = [(a, b) for a in range(carrier.first.size)
-             for b in range(carrier.second.size)]
-    rng.shuffle(pairs)
-    levels = []
-    blocks = [pairs]
-    for _ in range(s):
-        nxt = []
-        for blk in blocks:
-            blk = list(blk)
-            rng.shuffle(blk)
-            half = len(blk) // 2
-            nxt.append(blk[:half])
-            nxt.append(blk[half:])
-        blocks = nxt
-        levels.append(EdgePartition(carrier, tuple(
-            BipartiteGraph(carrier.first, carrier.second, blk)
-            for blk in blocks)))
-    return EdgeChain(carrier, tuple(levels))
-
-
-def edge_partition_refines(fine: EdgePartition, coarse: EdgePartition
-                           ) -> bool:
-    """Every block of ``fine`` sits inside one block of ``coarse``."""
-    for g in fine.blocks:
-        if not any(all(h.has_edge(a, b) for a, b in g.sorted_edges())
-                   for h in coarse.blocks):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Tight 6-cycle pasting
-
-
-@dataclass(frozen=True)
-class SixCycleTemplate:
-    """The tight 6-cycle on 0..5: edges {x, x+1, x+2} mod 6, 3-partite
-    with classes ({0,3}, {1,4}, {2,5})."""
-
-    edges: tuple[frozenset[int], ...]
-    classes: tuple[frozenset[int], frozenset[int], frozenset[int]]
-
-
-def tight_six_cycle() -> SixCycleTemplate:
-    edges = tuple(frozenset({x % 6, (x + 1) % 6, (x + 2) % 6})
-                  for x in range(6))
-    classes = (frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5}))
-    return SixCycleTemplate(edges, classes)
 
 
 def six_cycle_paste(parts: Sequence[ThreeGraph]) -> ThreeGraph:
     """Edge-disjoint union of six 3-graphs along the tight 6-cycle.
 
-    ``parts[x]`` lives on classes (V^x, V^{x+1}, V^{x+2}) (indices mod
+    The tight 6-cycle on 0..5 has the edges {x, x+1, x+2} mod 6 and is
+    3-partite with classes {0,3}, {1,4}, {2,5}.  ``parts[x]`` lives on classes (V^x, V^{x+1}, V^{x+2}) (indices mod
     6); all six V^j must have one common size n.  The result lives on
     the 3-partition (V^0 u V^3, V^1 u V^4, V^2 u V^5) with classes of
     size 2n; V^j occupies the low half when j < 3, the high half else.
@@ -434,103 +269,3 @@ def part_frames(n: int) -> list[tuple[VertexClass, VertexClass, VertexClass]]:
     """Class triples (V^x, V^{x+1}, V^{x+2}) for the six pasting slots."""
     return [tuple(VertexClass((x + d) % 6, n) for d in range(3))
             for x in range(6)]
-
-
-# ---------------------------------------------------------------------------
-# Scenario builders (toy scale)
-
-
-@dataclass(frozen=True)
-class KeyArgumentScenario:
-    """A 3-graph pulled back from a bipartite graph on (V1 x V2, V3),
-    together with the surrogate chains the argument walks over."""
-
-    h: ThreeGraph
-    g_prime: BipartiteGraph
-    edge_chain: EdgeChain
-    chain_pair: ChainPair
-    product: ProductSide
-
-
-def build_key_argument_scenario(s: int, n: int, seed: int
-                                ) -> KeyArgumentScenario:
-    """Toy instance of the key-argument wiring.
-
-    Builds a random equitable edge chain between V1 x V2 and V3, takes
-    the first block of the deepest level as G', and pulls the hyperedges
-    of H back from G'.  The identity G' = (axis-3 auxiliary graph of H)
-    then holds by construction and is re-verified here.
-    """
-    if (n * n * n) % (1 << s):
-        raise ParameterOutOfContract("n^3 must be divisible by 2^s")
-    v1, v2, v3 = (VertexClass(i, n) for i in range(3))
-    product = ProductSide(v1, v2)
-    carrier = ProductSide(product.as_vertex_class(), v3)
-    edge_chain = random_edge_equipartition_chain(carrier, s, seed)
-    g_prime = edge_chain.chain[-1].blocks[0]
-    triples = frozenset(
-        (*product.pair(p), z) for p, z in g_prime.sorted_edges())
-    h = ThreeGraph((v1, v2, v3), triples)
-
-    from .hyperreg import auxiliary_graph
-    aux = auxiliary_graph(h, 3)
-    if aux.graph.rows != g_prime.rows:
-        raise DegenerateInput("pullback identity failed (internal error)")
-
-    orders = [1 << j for j in range(1, s + 1)]
-    if any(n % k for k in orders):
-        orders = [k for k in orders if n % k == 0] or [1]
-    l_chain = tuple(random_refinement_chain(n, orders, seed + 1))
-    r_chain = tuple(random_refinement_chain(n, orders, seed + 2))
-    pair = ChainPair(v1, v2, l_chain, r_chain)
-    return KeyArgumentScenario(h, g_prime, edge_chain, pair, product)
-
-
-@dataclass(frozen=True)
-class TheoremMainScenario:
-    h: ThreeGraph
-    v0: VertexPartition
-    parts: tuple[ThreeGraph, ...]
-    part_density: Fraction
-
-
-def build_theorem_main_scenario(s: int, n: int, seed: int,
-                                blocks_per_class: int = 1
-                                ) -> TheoremMainScenario:
-    """Six surrogate parts of density 2^-(s-1) pasted along the 6-cycle.
-
-    The pasted 3-graph has density (6/8) * 2^-(s-1) >= 2^-s.  V0 is an
-    equitable partition splitting each of the six original classes into
-    ``blocks_per_class`` blocks (so its order is 6 * blocks_per_class).
-    """
-    if s < 1:
-        raise ParameterOutOfContract("s must be >= 1")
-    denom = 1 << (s - 1)
-    if (n * n * n) % denom:
-        raise ParameterOutOfContract(
-            f"n^3 must be divisible by 2^{s - 1}")
-    if n % blocks_per_class:
-        raise ParameterOutOfContract("blocks_per_class must divide n")
-    rng = random.Random(seed)
-    count = n * n * n // denom
-    parts = []
-    for frame in part_frames(n):
-        allt = [(a, b, c) for a in range(n) for b in range(n)
-                for c in range(n)]
-        chosen = rng.sample(allt, count)
-        parts.append(ThreeGraph(frame, frozenset(chosen)))
-    h = six_cycle_paste(parts)
-
-    # V0: each V^j split equitably; V^j sits at combined offset derived
-    # from the pasting layout (class j % 3, high half iff j >= 3).
-    ground = VertexClass(0, 6 * n)
-    blocks = []
-    for j in range(6):
-        cls = j % 3
-        base = cls * 2 * n + (0 if j < 3 else n)
-        size = n // blocks_per_class
-        for b in range(blocks_per_class):
-            blocks.append(frozenset(
-                range(base + b * size, base + (b + 1) * size)))
-    v0 = VertexPartition(ground, tuple(blocks))
-    return TheoremMainScenario(h, v0, tuple(parts), Fraction(1, denom))

@@ -279,28 +279,6 @@ def density(g: BipartiteGraph) -> Fraction:
     return Fraction(g.edge_count, g.left.size * g.right.size)
 
 
-def induced_density(g: BipartiteGraph, a_sub: Iterable[int],
-                    b_sub: Iterable[int]) -> Fraction:
-    """Exact density of ``g`` restricted to the given subsets."""
-    amask = subset_mask(a_sub, g.left.size, "left")
-    bmask = subset_mask(b_sub, g.right.size, "right")
-    ka = amask.bit_count()
-    kb = bmask.bit_count()
-    if ka == 0 or kb == 0:
-        raise DegenerateInput("induced density over an empty subset")
-    e = 0
-    for a in iter_bits(amask):
-        e += (g.rows[a] & bmask).bit_count()
-    return Fraction(e, ka * kb)
-
-
-def degree_into(g: BipartiteGraph, x: int, y_sub: Iterable[int]) -> int:
-    """Number of neighbours of left vertex ``x`` inside ``y_sub``."""
-    _check_index(x, g.left.size, "left")
-    ymask = subset_mask(y_sub, g.right.size, "right")
-    return (g.rows[x] & ymask).bit_count()
-
-
 def edge_disjoint_union(gs: Sequence[BipartiteGraph]) -> BipartiteGraph:
     """Union of pairwise edge-disjoint graphs on identical classes."""
     if not gs:
@@ -345,9 +323,3 @@ def induced_subgraph(g: BipartiteGraph, a_sub: Sequence[int],
     return BipartiteGraph(VertexClass(left_id, len(a_sub)),
                           VertexClass(right_id, len(b_sub)), edges)
 
-
-def codegree(t: Triad, a: int, b: int) -> int:
-    """Number of common C-neighbours of A-vertex ``a`` and B-vertex ``b``."""
-    _check_index(a, t.ab.left.size, "A")
-    _check_index(b, t.ab.right.size, "B")
-    return (t.ac.rows[a] & t.bc.rows[b]).bit_count()

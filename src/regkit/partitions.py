@@ -68,11 +68,6 @@ class VertexPartition:
         return VertexPartition(ground, tuple(frozenset(b) for b in blocks
                                              if b))
 
-    @staticmethod
-    def singletons(ground: VertexClass) -> "VertexPartition":
-        return VertexPartition(
-            ground, tuple(frozenset((v,)) for v in range(ground.size)))
-
 
 @dataclass(frozen=True)
 class EdgePartition:
@@ -295,19 +290,6 @@ def approx_refines(q: VertexPartition, p: VertexPartition,
     stray = sum(len(block) for block in q.blocks
                 if approx_member(block, p, beta) is None)
     return stray <= beta * q.ground.size
-
-
-def common_refinement(p: VertexPartition,
-                      q: VertexPartition) -> VertexPartition:
-    """All nonempty pairwise intersections, ordered by (p-block, q-block)."""
-    _require_same_ground(p, q)
-    blocks = []
-    for pb in p.blocks:
-        for qb in q.blocks:
-            inter = pb & qb
-            if inter:
-                blocks.append(inter)
-    return VertexPartition(p.ground, tuple(blocks))
 
 
 def is_equitable(p: VertexPartition) -> bool:

@@ -538,11 +538,15 @@ def check_delta_partition_with_edits(g: BipartiteGraph,
                                      delta: ThresholdLike,
                                      params: CheckParams = CheckParams()
                                      ) -> EditResult:
-    """Edit-budgeted form: up to delta * e(g) edge deletions are allowed.
+    """Edit form: the partition may become perfect after at most
+    delta * e(g) edge deletions.
 
-    Canonical heuristic: a failing cluster pair has all its edges deleted
-    iff its density is below delta times the overall density; no other
-    edit is attempted.  NotCertified is one-sided (not a refutation).
+    An irregular cluster pair has all its edges deleted iff its density is
+    below delta times the overall density; no other edit is attempted, and
+    the edited graph is checked again.  The cluster pairs tile the
+    product, so the deleted edges always number fewer than delta * e(g);
+    the budget test below is a guard that never binds.  NotCertified is
+    one-sided (not a refutation).
     """
     thr = _as_threshold(delta)
     first = check_perfect_delta_partition(g, left_p, right_p, thr, params)

@@ -1,0 +1,81 @@
+"""The parser of ``scripts/bench_record.py`` on real benchmark output.
+
+The output is captured from ``perfbench/run.py``'s ``main`` in-process, on
+the tiny inputs of each workload, as ``--workload all`` prints it.
+"""
+import contextlib
+import functools
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import bench_record  # noqa: E402
+import run  # noqa: E402
+
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def stdout():
+    """What ``--workload all`` prints, one tiny workload after another.
+
+    The benchmark imports regkit afresh for every pass; the modules the
+    other tests hold are put back afterwards, so their classes stay the
+    ones ``sys.modules`` hands out.
+    """
+    out = io.StringIO()
+    held = {name: mod for name, mod in sys.modules.items()
+            if name == "regkit" or name.startswith("regkit.")}
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "path", list(sys.path))
+            mp.setattr(run, "WORKLOADS", {
+                name: functools.partial(cls, scale="tiny")
+                for name, cls in run.WORKLOADS.items()})
+            with contextlib.redirect_stdout(out):
+                for name in WORKLOADS:
+                    assert run.main(["--workload", name, "--seed", "11",
+                                     "--seconds", "0"]) == 0
+    finally:
+        for name in [name for name in sys.modules
+                     if name == "regkit" or name.startswith("regkit.")]:
+            del sys.modules[name]
+        sys.modules.update(held)
+    return out.getvalue()
+
+
+def test_parse_keeps_each_workloads_results(stdout):
+    parsed = bench_record.parse(stdout, WORKLOADS)
+    assert list(parsed) == WORKLOADS
+    blocks = stdout.split("environment ")[1:]
+    for name, block in zip(WORKLOADS, blocks):
+        lines = block.splitlines()
+        result = json.loads(lines[-1])
+        assert parsed[name] == {
+            "environment": json.loads(lines[0]),
+            "correct": True,
+            "attempted": result["attempted"],
+            "failed": 0,
+            "metrics": result["metrics"],
+            "answers": json.loads(lines[1].partition(" ")[2])["answers"]}
+        assert list(result["metrics"]) == [m for m, _ in run.END_TO_END]
+
+
+def test_parse_refuses_a_failed_or_missing_workload(stdout):
+    lines = stdout.splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("{"))
+    failed = dict(json.loads(lines[last]), correct=False, failed=1)
+    lines[last] = json.dumps(failed)
+    with pytest.raises(ValueError, match=f"^{WORKLOADS[-1]}: 1 of "):
+        bench_record.parse("\n".join(lines), WORKLOADS)
+    head = stdout[:stdout.rindex("environment ")]
+    with pytest.raises(ValueError, match=f"^no result for {WORKLOADS[-1]}$"):
+        bench_record.parse(head, WORKLOADS)

@@ -161,6 +161,14 @@ def test_paste_wrong_count_exit2(fixtures):
     assert run(["paste", "--parts", *fixtures["parts"][:3]]) == 2
 
 
+def test_paste_class_size_mismatch_exit2(fixtures, capsys):
+    odd = fixtures["tmp"] / "odd.h3"
+    fileio.save_threegraph(odd, ThreeGraph.complete(cn.part_frames(3)[5]))
+    assert run(["paste", "--parts", *fixtures["parts"][:5], odd]) == 2
+    assert capsys.readouterr().err == (
+        "error: ClassSizeMismatch: part 5 has class size 3, expected 2\n")
+
+
 def test_schedule_json(fixtures, capsys):
     assert run(["--json", "schedule", "--index", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

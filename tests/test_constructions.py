@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 import regkit.constructions as cn
-from regkit.errors import ParameterOutOfContract, PreconditionFailed
-from regkit.graphs import ProductSide, ThreeGraph, VertexClass
-from regkit.partitions import is_equitable, refines
+from regkit.errors import (ClassSizeMismatch, ParameterOutOfContract,
+                           PreconditionFailed)
+from regkit.graphs import ThreeGraph
 
 
 def test_bigcount_basics():
@@ -63,50 +63,6 @@ def test_w_dominates_wow_where_exact():
         assert cn.func_w(i).cmp(cn.func_wow(i)) >= 0
 
 
-def test_random_refinement_chain():
-    chain = cn.random_refinement_chain(48, [2, 4, 12], seed=9)
-    assert [p.order for p in chain] == [2, 4, 12]
-    for fine, coarse in zip(chain[1:], chain):
-        assert refines(fine, coarse)
-    for p in chain:
-        assert is_equitable(p)
-
-
-def test_random_refinement_chain_contract():
-    with pytest.raises(ParameterOutOfContract):
-        cn.random_refinement_chain(10, [3], seed=0)  # 3 does not divide 10
-    with pytest.raises(ParameterOutOfContract):
-        cn.random_refinement_chain(12, [4, 2], seed=0)  # not increasing
-
-
-def test_random_edge_equipartition_chain():
-    carrier = ProductSide(VertexClass(0, 8), VertexClass(1, 8))
-    ec = cn.random_edge_equipartition_chain(carrier, 3, seed=4)
-    for j, ep in enumerate(ec.chain, start=1):
-        assert ep.order == 1 << j
-        sizes = {g.edge_count for g in ep.blocks}
-        assert sizes == {carrier.size >> j}
-    for fine, coarse in zip(ec.chain[1:], ec.chain):
-        assert cn.edge_partition_refines(fine, coarse)
-
-
-def test_edge_partition_refines_needs_every_edge_inside():
-    """Levels of two unrelated chains: each fine block meets coarse blocks
-    but sits inside none, so neither refines the other."""
-    carrier = ProductSide(VertexClass(0, 8), VertexClass(1, 8))
-    a = cn.random_edge_equipartition_chain(carrier, 2, seed=4).chain
-    b = cn.random_edge_equipartition_chain(carrier, 2, seed=5).chain
-    assert cn.edge_partition_refines(a[1], a[0])
-    assert not cn.edge_partition_refines(a[1], b[0])
-    assert not cn.edge_partition_refines(b[1], a[0])
-
-
-def test_six_cycle_template():
-    tpl = cn.tight_six_cycle()
-    assert len(tpl.edges) == 6
-    assert all(len(e) == 3 for e in tpl.edges)
-
-
 def test_six_cycle_paste_density():
     n = 2
     parts = [ThreeGraph.complete(f) for f in cn.part_frames(n)]
@@ -123,22 +79,9 @@ def test_six_cycle_paste_empty_parts():
     assert h.edge_count == 0
 
 
-def test_key_argument_scenario():
-    sc = cn.build_key_argument_scenario(s=2, n=4, seed=3)
-    aux_edges = sc.h.edge_count
-    assert sc.g_prime.edge_count == aux_edges
-
-
-def test_theorem_main_scenario():
-    sc = cn.build_theorem_main_scenario(s=2, n=2, seed=5)
-    assert sc.h.density == Fraction(6, 8) * Fraction(1, 2)
-    assert sc.v0.order == 6
-
-
-def test_validate_core_assumptions_flags_small_start():
-    r_chain = tuple(cn.random_refinement_chain(8, [2, 4], seed=1))
-    l_chain = tuple(cn.random_refinement_chain(8, [2, 4], seed=2))
-    pair = cn.ChainPair(l_side=VertexClass(0, 8), r_side=VertexClass(1, 8),
-                        l_chain=l_chain, r_chain=r_chain)
-    problems = cn.validate_core_assumptions(pair)
-    assert any("2^200" in p for p in problems)
+def test_six_cycle_paste_needs_one_class_size():
+    parts = [ThreeGraph.complete(f) for f in cn.part_frames(2)]
+    parts[4] = ThreeGraph.complete(cn.part_frames(3)[4])
+    with pytest.raises(ClassSizeMismatch, match="^part 4 has class size 3, "
+                       "expected 2$"):
+        cn.six_cycle_paste(parts)

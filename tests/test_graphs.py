@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from regkit.errors import ClassMismatch, DegenerateInput, NotDisjoint
 from regkit.graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
-                           VertexClass, _check_index, codegree,
-                           count_edges_between, degree_into, density,
-                           edge_disjoint_union, induced_density,
-                           induced_subgraph, iter_bits, mask_to_set,
-                           subset_mask)
+                           VertexClass, _check_index, count_edges_between,
+                           density, edge_disjoint_union, induced_subgraph,
+                           iter_bits, mask_to_set, subset_mask)
 
 A = VertexClass(0, 4)
 B = VertexClass(1, 3)
@@ -105,13 +103,6 @@ def test_triad_class_checks():
               BipartiteGraph.complete(b, c))
     t = Triad.complete(a, b, c)
     assert t.sizes == (2, 2, 2)
-    assert codegree(t, 0, 0) == 2
-
-
-def test_induced_density_and_degree():
-    g = BipartiteGraph(A, B, [(0, 0), (0, 1), (1, 0), (3, 2)])
-    assert induced_density(g, [0, 1], [0, 1]) == Fraction(3, 4)
-    assert degree_into(g, 0, [0, 1, 2]) == 2
 
 
 def test_count_edges_between():

@@ -12,9 +12,9 @@ from regkit.graphs import BipartiteGraph, ProductSide, VertexClass
 from regkit.partitions import (EdgePartition, ThreePartiteFrame,
                                TwoPartition, VertexPartition, approx_member,
                                approx_refines, approx_subset,
-                               common_refinement, complete_two_partition,
-                               is_equitable, refinement_union_extract,
-                               refines, restrict_two_partition,
+                               complete_two_partition, is_equitable,
+                               refinement_union_extract, refines,
+                               restrict_two_partition,
                                restrict_vertex_partition, sub_partitions)
 from test_hyperreg import (DrawnTwoPartition, EdgeBlock,
                            framed_two_partitions, two_partition)
@@ -43,9 +43,6 @@ def test_refines_and_common_refinement():
     p = vp([0, 0, 0, 1, 1, 1])
     q = vp([0, 0, 1, 2, 2, 3])
     assert refines(q, p) and not refines(p, q)
-    c = common_refinement(p, vp([0, 1, 0, 1, 0, 1]))
-    assert refines(c, p)
-    assert c.order == 4
 
 
 def test_refines_requires_same_ground():

@@ -227,8 +227,8 @@ def test_greedy_witness_search_verifies():
 def test_perfect_partition_singletons_certify():
     rng = random.Random(105)
     g = random_graph(rng, 5, 5, .5)
-    left = VertexPartition.singletons(g.left)
-    right = VertexPartition.singletons(g.right)
+    left = VertexPartition.from_labels(g.left, range(5))
+    right = VertexPartition.from_labels(g.right, range(5))
     v = check_perfect_delta_partition(g, left, right, Fraction(1, 4), EXH)
     assert v.status == CERTIFIED
 
