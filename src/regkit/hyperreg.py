@@ -182,8 +182,10 @@ def _subtriad_scan_verdict(h: ThreeGraph, t: Triad, mode: int,
             ab, ac, bc, nb, t.ac.right.size, bc_h, mode, value.numerator,
             value.denominator)
         witness = found[:3] if found else None
-        assert witness is None or \
-            verify_subtriad_witness(h, t, witness, mode, value)
+        if witness is not None and \
+                not verify_subtriad_witness(h, t, witness, mode, value):
+            raise RuntimeError(f"scan_subtriads returned {witness}, which "
+                               "does not re-verify")
         return Verdict.of_search(search, witness, {"subtriads": states})
     witness = _random_subtriad_search(h, t, (ab, ac, bc), mode, value, params)
     return Verdict.of_search(search, witness, {"trials": params.random_trials})

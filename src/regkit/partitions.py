@@ -320,7 +320,8 @@ def refinement_union_extract(q: VertexPartition, p: VertexPartition,
         key = Fraction(sym, len(pb))
         if best is None or key < best[0]:
             best = (key, pb, frozenset(union))
-    assert best is not None
+    if best is None:
+        raise DegenerateInput("partition with no blocks")
     _, pb, union = best
     if Fraction(len(pb ^ union)) > 3 * delta * len(pb):
         # Cannot happen when the precondition holds; guard against misuse.

@@ -20,15 +20,23 @@ The exhaustive scan enumerates left subsets only.  For a fixed A' the
 extremal densities over right subsets of each size are reached by taking
 the columns with smallest (or largest) intersection with A', so sorting
 the column hit counts decides the pair completely without enumerating
-right subsets.  Every density comparison, the randomized searches'
-included, is an exact integer cross-multiplication; no Fraction is built
-inside a search.
+right subsets.  Only the left subsets of the floor size ka, the least
+admissible one, are visited: if a larger A' violates with B', its ka rows
+with the fewest hits into B' (the most, on the eps high side) violate on
+the same side and form a smaller mask, so the first violating mask in
+ascending order has ka bits.  The effort reported as ``left_masks`` is
+the number of masks covered, every mask of at least ka bits up to the
+witness (or all of them), counted exactly rather than visited.  Every
+density comparison, the randomized searches' included, is an exact
+integer cross-multiplication; no Fraction is built inside a search.
 """
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, DegenerateInput, ParameterOutOfContract
@@ -168,24 +176,53 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def _left_masks(g: BipartiteGraph, min_ka: int):
-    """Yield (amask, ka, sorted column hits) for every left mask with at
-    least ``min_ka`` vertices, masks ascending as integers.
+def _left_masks(g: BipartiteGraph, ka: int):
+    """Yield (amask, sorted column hits) for every left mask with exactly
+    ``ka`` vertices, masks ascending as integers.
 
-    The hits of all columns are kept in one integer, column b in byte b,
-    and updated once per mask: going from amask - 1 to amask sets bit t
-    and clears bits 0..t-1.  A byte holds every count, since a column's
-    hits are at most ka and every mask below 2**255 has ka < 256.
+    The masks are walked with Gosper's hack (HAKMEM 175; Knuth, TAOCP 4A
+    7.1.3): the next mask clears the lowest run of ones, bits t..u-1, sets
+    bit u and sets bits 0..u-t-2.  The hits of all columns are kept in one
+    integer, column b in field b, each row spread out to a field per
+    column.  With P[i] the sum of the first i spread rows, a step adds
+    spread[u] - (P[u] - P[t]) + P[u-t-1].  A column's hits are at most ka,
+    so a field is one byte wide when ka < 256 and eight bytes otherwise.
     """
     na, nb = g.left.size, g.right.size
-    spread = [sum(1 << 8 * b for b in iter_bits(row)) for row in g.rows]
-    step = [s - sum(spread[:t]) for t, s in enumerate(spread)]
-    packed = 0
-    for amask in range(1, 1 << na):
-        packed += step[(amask & -amask).bit_length() - 1]
-        ka = amask.bit_count()
-        if ka >= min_ka:
-            yield amask, ka, sorted(packed.to_bytes(nb, "little"))
+    width, fmt = (1, "B") if ka < 1 << 8 else (8, "Q")
+    spread = [sum(1 << 8 * width * b for b in iter_bits(row))
+              for row in g.rows]
+    prefix = [0]
+    for s in spread:
+        prefix.append(prefix[-1] + s)
+    amask, packed = (1 << ka) - 1, prefix[ka]
+    while True:
+        raw = packed.to_bytes(nb * width, sys.byteorder)
+        yield amask, sorted(raw if width == 1 else memoryview(raw).cast(fmt))
+        low = amask & -amask
+        ripple = amask + low
+        t = low.bit_length() - 1
+        u = (ripple & -ripple).bit_length() - 1
+        if u == na:
+            return
+        packed += spread[u] - (prefix[u] - prefix[t]) + prefix[u - t - 1]
+        amask = ripple | ((1 << (u - t - 1)) - 1)
+
+
+def _masks_covered(ka: int, top: int) -> int:
+    """Number of masks m in [1, top] with popcount(m) >= ka >= 1.
+
+    Walking the set bits i of ``top`` from the highest, with ``ones`` set
+    bits above i: the 2**i masks that agree with ``top`` above bit i and
+    have a 0 there count, less the C(i, j) of them with j < ka - ones bits
+    below it.  ``top`` itself is counted last.
+    """
+    count, ones = 0, 0
+    for i in reversed(range(top.bit_length())):
+        if top >> i & 1:
+            count += (1 << i) - sum(comb(i, j) for j in range(ka - ones))
+            ones += 1
+    return count + (ones >= ka)
 
 
 def _scan_witness(g: BipartiteGraph, amask: int, k: int, high: bool
@@ -204,27 +241,31 @@ def _scan_delta(g: BipartiteGraph, thr: Threshold
     Witness order is canonical: left masks ascending as integers, then
     right-subset size ascending; within a size the minimizing columns
     (ties to the lowest index) are taken.  Returns (witness or None,
-    number of left masks examined).
+    number of left masks covered): the masks m in [1, W] with at least ka
+    vertices, W the witness mask or 2**|A| - 1, counted exactly although
+    only those with exactly ka vertices are visited; 0 when g has no edges.
 
-    Only the least admissible size k0 is tested: the mean of the k
-    smallest hits never falls as k grows, so if some k gives d' < d/2,
-    k0 does too, and k0 is the first size in the canonical order.
+    Only the least admissible sizes are tested.  On the right, k0: the
+    mean of the k smallest hits never falls as k grows, so if some k gives
+    d' < d/2, k0 does too, and k0 is the first size in the canonical
+    order.  On the left, ka: if A' with more than ka vertices violates
+    with B', its ka rows with the fewest hits into B' violate too, and
+    they form a smaller mask, so the first violating mask has ka bits.
     """
     na, nb = g.left.size, g.right.size
     e_full = g.edge_count
-    examined = 0
     if e_full == 0:
         # d = 0 and every induced density is >= 0 = d/2.
-        return None, examined
-    k0 = thr.least(nb)
+        return None, 0
+    ka, k0 = thr.least(na), thr.least(nb)
     # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0
     scale = 2 * na * nb
-    bound = [e_full * ka * k0 for ka in range(na + 1)]
-    for amask, ka, hits in _left_masks(g, thr.least(na)):
-        examined += 1
-        if scale * sum(hits[:k0]) < bound[ka]:
-            return _scan_witness(g, amask, k0, False), examined
-    return None, examined
+    bound = e_full * ka * k0
+    for amask, hits in _left_masks(g, ka):
+        if scale * sum(hits[:k0]) < bound:
+            return (_scan_witness(g, amask, k0, False),
+                    _masks_covered(ka, amask))
+    return None, _masks_covered(ka, (1 << na) - 1)
 
 
 def _scan_eps(g: BipartiteGraph, eps: Fraction
@@ -232,31 +273,33 @@ def _scan_eps(g: BipartiteGraph, eps: Fraction
                          int]:
     """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps.
 
-    Same canonical order as ``_scan_delta``; within a size the low side
-    (the k smallest columns) is tried before the high side, which takes
-    the last k pairs of the ascending (hits, column) order, so its ties go
-    to the highest index.  As there, only the least admissible size k0 is
-    tested: the mean of the k smallest hits never falls and that of the k
-    largest never rises as k grows.
+    Same canonical order and count of masks covered as ``_scan_delta``;
+    within a size the low side (the k smallest columns) is tried before
+    the high side, which takes the last k pairs of the ascending (hits,
+    column) order, so its ties go to the highest index.  As there, only
+    the least admissible sizes are tested: the mean of the k smallest hits
+    never falls and that of the k largest never rises as k grows, and the
+    ka rows of a violating A' with the fewest (on the high side the most)
+    hits into B' violate on the same side.
     """
     na, nb = g.left.size, g.right.size
     e_full = g.edge_count
     p, q = eps.numerator, eps.denominator
     thr = Threshold(eps)
-    k0 = thr.least(nb)
-    examined = 0
+    ka, k0 = thr.least(na), thr.least(nb)
     # With e' the edges to the k0 chosen columns, d - d' > eps and
     # d' - d > eps, multiplied out by ka * k0 * na * nb * q:
     nnq = na * nb * q
-    low = [ka * k0 * (e_full * q - p * na * nb) for ka in range(na + 1)]
-    high = [ka * k0 * (e_full * q + p * na * nb) for ka in range(na + 1)]
-    for amask, ka, hits in _left_masks(g, thr.least(na)):
-        examined += 1
-        if nnq * sum(hits[:k0]) < low[ka]:
-            return _scan_witness(g, amask, k0, False), examined
-        if nnq * sum(hits[nb - k0:]) > high[ka]:
-            return _scan_witness(g, amask, k0, True), examined
-    return None, examined
+    low = ka * k0 * (e_full * q - p * na * nb)
+    high = ka * k0 * (e_full * q + p * na * nb)
+    for amask, hits in _left_masks(g, ka):
+        if nnq * sum(hits[:k0]) < low:
+            return (_scan_witness(g, amask, k0, False),
+                    _masks_covered(ka, amask))
+        if nnq * sum(hits[nb - k0:]) > high:
+            return (_scan_witness(g, amask, k0, True),
+                    _masks_covered(ka, amask))
+    return None, _masks_covered(ka, (1 << na) - 1)
 
 
 def _pair_mode(g: BipartiteGraph, thr: Threshold,
@@ -308,8 +351,8 @@ def check_eps_regular(g: BipartiteGraph, eps: Fraction,
     eps = Fraction(eps)
     mode = _pair_mode(g, Threshold(eps), params)
     if mode == "exhaustive":
-        witness, examined = _scan_eps(g, eps)
-        return Verdict.of_search(mode, witness, {"left_masks": examined})
+        witness, covered = _scan_eps(g, eps)
+        return Verdict.of_search(mode, witness, {"left_masks": covered})
     witness, trials = _random_eps_search(g, eps, params)
     return Verdict.of_search(mode, witness, {"trials": trials})
 
@@ -321,9 +364,9 @@ def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
     mode = _pair_mode(g, thr, params)
     if mode == "exhaustive" or g.edge_count == 0:
         # Density 0 needs no search: the scan certifies at once, any mode.
-        witness, examined = _scan_delta(g, thr)
+        witness, covered = _scan_delta(g, thr)
         return Verdict.of_search("exhaustive", witness,
-                                 {"left_masks": examined})
+                                 {"left_masks": covered})
     witness = find_delta_witness_greedy(g, thr, params.seed,
                                         restarts=params.random_trials)
     return Verdict.of_search(mode, witness, {"trials": params.random_trials})

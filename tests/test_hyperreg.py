@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -191,6 +195,48 @@ def test_exhaustive_budget_enforced():
     t = Triad.complete(*cls)  # 27 edges > budget of 20
     with pytest.raises(BudgetExceeded):
         hyperreg.check_fr_triad(h, t, Fraction(1, 2), EXH)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_under_python_O(probe: str) -> str:
+    """The output of ``probe`` run by ``python -O``, which strips asserts."""
+    run = subprocess.run([sys.executable, "-O", "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    return run.stdout
+
+
+# A kernel that names the full 2x2x2 triad (all four edges of each pair)
+# as its witness: the full triad never deviates from itself.
+_NONVIOLATING_KERNEL_PROBE = """
+from fractions import Fraction
+from regkit import hyperreg, kernels
+from regkit.graphs import ThreeGraph, Triad, VertexClass
+from regkit.regcheck import CheckParams
+kernels.scan_subtriads = lambda *args: ((0b1111, 0b1111, 0b1111, 0, 0), 1)
+cls = tuple(VertexClass(i, 2) for i in range(3))
+try:
+    hyperreg.check_fr_triad(ThreeGraph.complete(cls), Triad.complete(*cls),
+                            Fraction(1, 2), CheckParams(mode="exhaustive"))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_kernel_witness_is_reverified_also_under_python_O(monkeypatch,
+                                                          capsys):
+    """An exhaustive witness that does not re-verify raises, in-process
+    and in an interpreter that strips asserts."""
+    # The probe replaces the kernel; monkeypatch puts it back afterwards.
+    monkeypatch.setattr("regkit.kernels.scan_subtriads",
+                        hyperreg.kernels.scan_subtriads)
+    exec(_NONVIOLATING_KERNEL_PROBE, {})
+    message = ("scan_subtriads returned (15, 15, 15), which does not "
+               "re-verify\n")
+    assert capsys.readouterr().out == message
+    assert run_under_python_O(_NONVIOLATING_KERNEL_PROBE) == message
 
 
 def test_quasirandom_flags_unequal_densities():

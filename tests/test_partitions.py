@@ -17,7 +17,8 @@ from regkit.partitions import (EdgePartition, ThreePartiteFrame,
                                restrict_two_partition,
                                restrict_vertex_partition, sub_partitions)
 from test_hyperreg import (DrawnTwoPartition, EdgeBlock,
-                           framed_two_partitions, two_partition)
+                           framed_two_partitions, run_under_python_O,
+                           two_partition)
 
 G6 = VertexClass(0, 6)
 
@@ -97,6 +98,29 @@ def test_refinement_union_requires_precondition():
     q = vp([0, 0, 1, 1, 2, 2])
     with pytest.raises(PreconditionFailed):
         refinement_union_extract(q, p, Fraction(1, 8))
+
+
+# A partition with no blocks, made past the constructor that rejects it; on
+# an empty ground it approximately refines itself.
+_BLOCKLESS_PROBE = """
+from fractions import Fraction
+from regkit.errors import DegenerateInput
+from regkit.graphs import VertexClass
+from regkit.partitions import VertexPartition, refinement_union_extract
+p = object.__new__(VertexPartition)
+object.__setattr__(p, "ground", VertexClass(0, 0))
+object.__setattr__(p, "blocks", ())
+try:
+    refinement_union_extract(p, p, Fraction(1, 4))
+except DegenerateInput as exc:
+    print(exc)
+"""
+
+
+def test_refinement_union_rejects_no_blocks_also_under_python_O(capsys):
+    exec(_BLOCKLESS_PROBE, {})
+    assert capsys.readouterr().out == "partition with no blocks\n"
+    assert run_under_python_O(_BLOCKLESS_PROBE) == "partition with no blocks\n"
 
 
 def test_restrict_vertex_partition_reindexes():

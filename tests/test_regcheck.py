@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from regkit.errors import BudgetExceeded, ParameterOutOfContract
@@ -16,7 +16,8 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              NOT_CERTIFIED, PERFECT, UNKNOWN, CheckParams,
                              EditResult, Threshold, ThresholdLike, Verdict,
                              _as_threshold, _greedy_walk, _iter_cluster_pairs,
-                             _peel, _scan_delta, _scan_eps,
+                             _masks_covered, _peel, _scan_delta,
+                             _scan_eps, _scan_witness,
                              check_delta_partition_with_edits,
                              check_delta_regular, check_eps_regular,
                              check_perfect_delta_partition, degree_profile,
@@ -630,6 +631,163 @@ def test_exhaustive_witness_order_pinned(scan, g, param, expected):
     else:
         assert _scan_eps(g, param) == expected
         assert _ref_scan_eps(g, param) == expected
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exhaustive scans as they were when they visited every left
+# mask of at least the floor size, kept verbatim (renamed only) as the
+# oracle for the scans that visit only the masks of the floor size.
+
+def _ref2_left_masks(g: BipartiteGraph, min_ka: int):
+    """Yield (amask, ka, sorted column hits) for every left mask with at
+    least ``min_ka`` vertices, masks ascending as integers.
+
+    The hits of all columns are kept in one integer, column b in byte b,
+    and updated once per mask: going from amask - 1 to amask sets bit t
+    and clears bits 0..t-1.  A byte holds every count, since a column's
+    hits are at most ka and every mask below 2**255 has ka < 256.
+    """
+    na, nb = g.left.size, g.right.size
+    spread = [sum(1 << 8 * b for b in iter_bits(row)) for row in g.rows]
+    step = [s - sum(spread[:t]) for t, s in enumerate(spread)]
+    packed = 0
+    for amask in range(1, 1 << na):
+        packed += step[(amask & -amask).bit_length() - 1]
+        ka = amask.bit_count()
+        if ka >= min_ka:
+            yield amask, ka, sorted(packed.to_bytes(nb, "little"))
+
+
+def _ref2_scan_delta(g: BipartiteGraph, thr: Threshold
+                ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
+                           int]:
+    """Exhaustive one-sided scan: first (A', B') with d' < d/2, if any.
+
+    Witness order is canonical: left masks ascending as integers, then
+    right-subset size ascending; within a size the minimizing columns
+    (ties to the lowest index) are taken.  Returns (witness or None,
+    number of left masks examined).
+
+    Only the least admissible size k0 is tested: the mean of the k
+    smallest hits never falls as k grows, so if some k gives d' < d/2,
+    k0 does too, and k0 is the first size in the canonical order.
+    """
+    na, nb = g.left.size, g.right.size
+    e_full = g.edge_count
+    examined = 0
+    if e_full == 0:
+        # d = 0 and every induced density is >= 0 = d/2.
+        return None, examined
+    k0 = thr.least(nb)
+    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0
+    scale = 2 * na * nb
+    bound = [e_full * ka * k0 for ka in range(na + 1)]
+    for amask, ka, hits in _ref2_left_masks(g, thr.least(na)):
+        examined += 1
+        if scale * sum(hits[:k0]) < bound[ka]:
+            return _scan_witness(g, amask, k0, False), examined
+    return None, examined
+
+
+def _ref2_scan_eps(g: BipartiteGraph, eps: Fraction
+              ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
+                         int]:
+    """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps.
+
+    Same canonical order as ``_scan_delta``; within a size the low side
+    (the k smallest columns) is tried before the high side, which takes
+    the last k pairs of the ascending (hits, column) order, so its ties go
+    to the highest index.  As there, only the least admissible size k0 is
+    tested: the mean of the k smallest hits never falls and that of the k
+    largest never rises as k grows.
+    """
+    na, nb = g.left.size, g.right.size
+    e_full = g.edge_count
+    p, q = eps.numerator, eps.denominator
+    thr = Threshold(eps)
+    k0 = thr.least(nb)
+    examined = 0
+    # With e' the edges to the k0 chosen columns, d - d' > eps and
+    # d' - d > eps, multiplied out by ka * k0 * na * nb * q:
+    nnq = na * nb * q
+    low = [ka * k0 * (e_full * q - p * na * nb) for ka in range(na + 1)]
+    high = [ka * k0 * (e_full * q + p * na * nb) for ka in range(na + 1)]
+    for amask, ka, hits in _ref2_left_masks(g, thr.least(na)):
+        examined += 1
+        if nnq * sum(hits[:k0]) < low[ka]:
+            return _scan_witness(g, amask, k0, False), examined
+        if nnq * sum(hits[nb - k0:]) > high[ka]:
+            return _scan_witness(g, amask, k0, True), examined
+    return None, examined
+
+
+def ref2_verdict(g, kind, param):
+    """The exhaustive check_eps_regular / check_delta_regular verdict on
+    the reference scans."""
+    if kind == "eps":
+        witness, examined = _ref2_scan_eps(g, param)
+    else:
+        witness, examined = _ref2_scan_delta(g, _as_threshold(param))
+    status = CERTIFIED if witness is None else IRREGULAR
+    return Verdict(status, "Exhaustive", witness, {"left_masks": examined})
+
+
+@st.composite
+def scan_graphs(draw):
+    """Sides of 1-12 vertices, a drawn edge density and, half the time, an
+    empty block planted on drawn left and right subsets."""
+    na, nb = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    p = draw(st.sampled_from([.2, .5, .8, .95, 1]))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    hole_a = draw(st.integers(0, (1 << na) - 1)) if draw(st.booleans()) else 0
+    hole_b = draw(st.integers(1, (1 << nb) - 1))
+    return _graph(na, nb, [(a, b) for a in range(na) for b in range(nb)
+                           if rng.random() < p
+                           and not (hole_a >> a & 1 and hole_b >> b & 1)])
+
+
+# The low-side and the high-side eps witness pinned above, so that both
+# sides are compared on every run.
+@example(g=_graph(2, 2, [(0, 1), (1, 0)]), eps=Fraction(1, 3),
+         delta=Fraction(1, 2))
+@example(g=_graph(4, 4, [(0, 0), (0, 1)]), eps=Fraction(1, 4),
+         delta=Threshold.sqrt_of(Fraction(1, 8)))
+@given(g=scan_graphs(), eps=st.sampled_from(EPS_PARAMS),
+       delta=st.sampled_from(DELTA_PARAMS))
+def test_floor_size_scans_match_full_scans(g, eps, delta):
+    """Visiting only the masks of the floor size gives the verdict, the
+    witness and the left_masks effort of visiting every larger mask too."""
+    params = CheckParams(mode="exhaustive")
+    assert check_eps_regular(g, eps, params) == ref2_verdict(g, "eps", eps)
+    assert check_delta_regular(g, delta, params) == \
+        ref2_verdict(g, "delta", delta)
+
+
+def test_masks_covered_matches_brute_force():
+    """The masks m in [1, W] with at least ka bits, counted."""
+    rng = random.Random(12)
+    pops = [m.bit_count() for m in range(1 << 14)]
+    for ka in range(1, 15):
+        # covered[w] counts the masks in [1, w] with at least ka bits.
+        covered = list(itertools.accumulate(p >= ka for p in pops))
+        for n in range(ka, 15):
+            tops = [(1 << n) - 1] + [rng.randrange(1, 1 << n)
+                                     for _ in range(40)]
+            if n <= 8:
+                tops += range(1, 1 << n)
+            for top in tops:
+                assert _masks_covered(ka, top) == covered[top]
+
+
+def test_scan_fields_wider_than_a_byte():
+    """300 hits in one column, as at the floor size 300 or 299, overflow a
+    byte; the scans then certify, having covered every mask of the size."""
+    g = _graph(300, 2, [(a, 0) for a in range(300)])
+    params = CheckParams(mode="exhaustive", max_exhaustive_side=300)
+    assert check_delta_regular(g, 1, params) == \
+        Verdict(CERTIFIED, "Exhaustive", None, {"left_masks": 1})
+    assert check_eps_regular(g, Fraction(299, 300), params) == \
+        Verdict(CERTIFIED, "Exhaustive", None, {"left_masks": 301})
 
 
 @st.composite
