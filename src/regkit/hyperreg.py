@@ -107,16 +107,19 @@ def _triangle_masks(h: ThreeGraph, t: Triad) -> tuple[list[int], list[int]]:
     nb = t.ab.right.size
     tm = [0] * (t.ab.left.size * nb)
     hm = [0] * len(tm)
-    for a, b in t.ab.sorted_edges():
-        i = a * nb + b
-        tm[i] = rest = ac_rows[a] & bc_rows[b]
-        hmask = 0
-        while rest:
-            low = rest & -rest
-            if (ea[a], eb[b], ec[low.bit_length() - 1]) in triples:
-                hmask |= low
-            rest ^= low
-        hm[i] = hmask
+    for a, row in enumerate(t.ab.rows):
+        ac, va = ac_rows[a], ea[a]
+        for b in iter_bits(row):
+            i = a * nb + b
+            tm[i] = rest = ac & bc_rows[b]
+            vb = eb[b]
+            hmask = 0
+            while rest:
+                low = rest & -rest
+                if (va, vb, ec[low.bit_length() - 1]) in triples:
+                    hmask |= low
+                rest ^= low
+            hm[i] = hmask
     return tm, hm
 
 
@@ -530,7 +533,8 @@ def octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
 
 
 def octahedron_sum_fast(h: ThreeGraph, t: Triad) -> Fraction:
-    """Same value as the naive sum via the z-collapse; O(n^5)."""
+    """Same value as the naive sum, via the z-collapse and the
+    bit-sliced kernel: O(n^4) popcounts of the S, U, V triangle masks."""
     n, tau, ecount, hm, tm = _scaled_f(h, t)
     if tau == 0:
         return Fraction(0)

@@ -4,15 +4,16 @@ Three entry points: ``triangle_count``, ``octahedron_fast_scaled`` and
 ``scan_subtriads``.  All arithmetic is on Python ints, so no input is too
 wide.  The subtriad scan skips blocks that provably hold no violation and
 counts them as examined, so its witnesses and state counts are those of
-the plain walk over every state.  Masks are Python ints (bit z of
+the plain walk over every state.  The octahedron sum is bit-sliced: per
+pair of rows it keeps three nested masks S, U and V (shared triangles,
+those with at least one hyperedge, those with two), so each dot product
+is five popcounts weighted by constants fixed per call.  Masks are Python ints (bit z of
 ``hm[x*n+y]`` says whether (x, y, z) is a hyperedge-carrying triangle,
 bit a of ``bc_h[k]`` whether a and BC edge k span one, etc.).
 """
 from __future__ import annotations
 
-from functools import reduce
-from itertools import compress
-from operator import and_, gt, mul, or_
+from operator import and_, gt
 from typing import Optional, Sequence
 
 BACKEND = "python"
@@ -34,45 +35,72 @@ def triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
 
 def octahedron_fast_scaled(n: int, tau: int, ecount: int,
                            hm: Sequence[int], tm: Sequence[int]) -> int:
-    """Octahedron sum scaled by tau**8, via the z-collapse reorganization.
+    """Octahedron sum scaled by tau**8, as popcounts of triangle masks.
 
-    Entry (x, y, z) of the scaled weight function g is tau - ecount on
-    hyperedge triangles, -ecount on the remaining triangles, 0 elsewhere.
-    The sum is sum over x0, x1, y0, y1 of dot(P[y0], P[y1])**2 with rows
-    P[y] = g[x0, y, .] * g[x1, y, .] taken pointwise over z.  Swapping x0
-    with x1 leaves P unchanged and swapping y0 with y1 leaves the dot
-    product unchanged, so only x0 <= x1 and y0 <= y1 are visited: a
-    diagonal pair weighs 1 and an off-diagonal pair 2, on each axis.
-    Runs in O(n^5); the returned integer is a sum of squares, hence >= 0.
+    Entry (x, y, z) of the scaled weight function g is hi = tau - ecount on
+    hyperedge triangles, lo = -ecount on the remaining triangles, 0
+    elsewhere.  The sum is sum over x0, x1, y0, y1 of dot(P[y0], P[y1])**2
+    with rows P[y] = g[x0, y, .] * g[x1, y, .] taken pointwise over z.
+    Swapping x0 with x1 leaves P unchanged and swapping y0 with y1 leaves
+    the dot product unchanged, so only x0 <= x1 and y0 <= y1 are visited:
+    a diagonal pair weighs 1 and an off-diagonal pair 2, on each axis.
+
+    Each row is kept as three nested masks over z:
+
+    * S = tm[x0, y] & tm[x1, y], the triangles (x0, y) and (x1, y) share;
+    * U = S & (hm[x0, y] | hm[x1, y]), those where at least one is a
+      hyperedge;
+    * V = hm[x0, y] & hm[x1, y], those where both are.
+
+    As g = lo*T + tau*H (T the triangles, H the hyperedge triangles),
+    P[y] = lo**2*S + lo*tau*U + hi*tau*V, so a dot product is 9 popcounts
+    |K0 & L1| of K, L among S, U, V, weighted by products of those three
+    coefficients.  Term z is a product of four entries of g, lo**(4-k) *
+    hi**k when k of its four triangles are hyperedges, so the 9 popcounts
+    group into 5: the z of S0 & S1 with k >= j, for j = 0..4.  The count
+    for j = 0 weighs lo**4, and the count for j >= 1 weighs lo**(4-j) *
+    hi**(j-1) * tau, the step from weight j - 1 to weight j.  A pair with
+    S0 & S1 == 0 adds nothing.  Runs in O(n^4) popcounts of n-bit masks;
+    the returned integer is a sum of squares, hence >= 0.
     """
-    hi = tau - ecount
     lo = -ecount
-    vals = []
-    for xy in range(n * n):
-        h = hm[xy]
-        t = tm[xy]
-        vals.append(tuple(hi if (h >> z) & 1 else (lo if (t >> z) & 1 else 0)
-                          for z in range(n)))
+    hi = tau + lo
+    w0 = lo ** 4
+    w1, w2, w3, w4 = (lo ** (4 - j) * hi ** (j - 1) * tau
+                      for j in (1, 2, 3, 4))
+    # On the diagonal y0 == y1, k is 0 on S - U, 2 on U - V and 4 on V.
+    wu, wv = w1 + w2, w3 + w4
     total = 0
     for x0 in range(n):
+        t0 = tm[x0 * n:(x0 + 1) * n]
+        h0 = hm[x0 * n:(x0 + 1) * n]
         for x1 in range(x0, n):
-            # P[y] is zero off the triangles shared by (x0, y) and (x1, y):
-            # keep only the rows y and the positions z that can be nonzero.
-            shared = list(map(and_, tm[x0 * n:(x0 + 1) * n],
-                              tm[x1 * n:(x1 + 1) * n]))
-            zmask = reduce(or_, shared)
-            keep = [zmask >> z & 1 for z in range(n)]
-            prods = [tuple(map(mul, compress(vals[x0 * n + y], keep),
-                               compress(vals[x1 * n + y], keep)))
-                     for y in range(n) if shared[y]]
+            t1 = tm[x1 * n:(x1 + 1) * n]
+            h1 = hm[x1 * n:(x1 + 1) * n]
+            # Rows with S = 0 are zero: keep only the others.
+            rows = []
+            for y in range(n):
+                s = t0[y] & t1[y]
+                if s:
+                    rows.append((s, s & (h0[y] | h1[y]), h0[y] & h1[y]))
             diag = 0
             off = 0
-            for y0, p0 in enumerate(prods):
-                s = sum(map(mul, p0, p0))
-                diag += s * s
-                for p1 in prods[y0 + 1:]:
-                    s = sum(map(mul, p0, p1))
-                    off += s * s
+            for y0, (s0, u0, v0) in enumerate(rows):
+                d = (w0 * s0.bit_count() + wu * u0.bit_count()
+                     + wv * v0.bit_count())
+                diag += d * d
+                for s1, u1, v1 in rows[y0 + 1:]:
+                    m = s0 & s1
+                    if m:
+                        uu = u0 & u1
+                        vv = v0 | v1
+                        # The z with k >= 0, 1, 2, 3 and 4.
+                        d = (w0 * m.bit_count()
+                             + w1 * (m & (u0 | u1)).bit_count()
+                             + w2 * (m & (uu | vv)).bit_count()
+                             + w3 * (uu & vv).bit_count()
+                             + w4 * (v0 & v1).bit_count())
+                        off += d * d
             block = diag + 2 * off
             total += block if x0 == x1 else 2 * block
     return total

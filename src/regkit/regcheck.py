@@ -176,6 +176,29 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
+def _spread_table(width: int) -> tuple[int, ...]:
+    """Entry v puts bit i of byte v in field i, fields ``width`` bytes
+    wide: the spread of v >> 1 moved up one field, plus bit 0."""
+    table = [0]
+    for v in range(1, 256):
+        table.append(table[v >> 1] << 8 * width | v & 1)
+    return tuple(table)
+
+
+_SPREAD_BYTE = {width: _spread_table(width) for width in (1, 8)}
+
+
+def _spread_row(row: int, width: int) -> int:
+    """``row`` with bit b moved to the low bit of field b, fields ``width``
+    bytes wide: one table lookup per 8 columns."""
+    table = _SPREAD_BYTE[width]
+    shift = 64 * width
+    out = 0
+    for v in row.to_bytes((row.bit_length() + 7) // 8, "big"):
+        out = out << shift | table[v]
+    return out
+
+
 def _left_masks(g: BipartiteGraph, ka: int):
     """Yield (amask, sorted column hits) for every left mask with exactly
     ``ka`` vertices, masks ascending as integers.
@@ -190,8 +213,7 @@ def _left_masks(g: BipartiteGraph, ka: int):
     """
     na, nb = g.left.size, g.right.size
     width, fmt = (1, "B") if ka < 1 << 8 else (8, "Q")
-    spread = [sum(1 << 8 * width * b for b in iter_bits(row))
-              for row in g.rows]
+    spread = [_spread_row(row, width) for row in g.rows]
     prefix = [0]
     for s in spread:
         prefix.append(prefix[-1] + s)

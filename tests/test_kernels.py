@@ -1,9 +1,18 @@
 """The kernels against independent oracles: a brute-force triangle count,
-and the plain subtriad walk that visits every state."""
+the plain subtriad walk that visits every state, and the previous
+octahedron kernel with the literal six-index sum."""
 import random
+from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import and_, mul, or_
 from typing import Optional, Sequence
 
-from regkit import kernels
+from hypothesis import given
+from hypothesis import strategies as st
+
+from regkit import hyperreg, kernels
+from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
 
 
 def _random_rows(rng, n_left, n_right, p):
@@ -230,3 +239,114 @@ def test_triangle_count_matches_brute_force():
     want = _brute_triangle_count(70, *rows)
     assert want > 0
     assert kernels.triangle_count(*rows) == want
+
+
+def _ref_octahedron_fast_scaled(n: int, tau: int, ecount: int,
+                                hm: Sequence[int], tm: Sequence[int]) -> int:
+    """Octahedron sum scaled by tau**8, via the z-collapse reorganization.
+
+    Entry (x, y, z) of the scaled weight function g is tau - ecount on
+    hyperedge triangles, -ecount on the remaining triangles, 0 elsewhere.
+    The sum is sum over x0, x1, y0, y1 of dot(P[y0], P[y1])**2 with rows
+    P[y] = g[x0, y, .] * g[x1, y, .] taken pointwise over z.  Swapping x0
+    with x1 leaves P unchanged and swapping y0 with y1 leaves the dot
+    product unchanged, so only x0 <= x1 and y0 <= y1 are visited: a
+    diagonal pair weighs 1 and an off-diagonal pair 2, on each axis.
+    Runs in O(n^5); the returned integer is a sum of squares, hence >= 0.
+    """
+    hi = tau - ecount
+    lo = -ecount
+    vals = []
+    for xy in range(n * n):
+        h = hm[xy]
+        t = tm[xy]
+        vals.append(tuple(hi if (h >> z) & 1 else (lo if (t >> z) & 1 else 0)
+                          for z in range(n)))
+    total = 0
+    for x0 in range(n):
+        for x1 in range(x0, n):
+            # P[y] is zero off the triangles shared by (x0, y) and (x1, y):
+            # keep only the rows y and the positions z that can be nonzero.
+            shared = list(map(and_, tm[x0 * n:(x0 + 1) * n],
+                              tm[x1 * n:(x1 + 1) * n]))
+            zmask = reduce(or_, shared)
+            keep = [zmask >> z & 1 for z in range(n)]
+            prods = [tuple(map(mul, compress(vals[x0 * n + y], keep),
+                               compress(vals[x1 * n + y], keep)))
+                     for y in range(n) if shared[y]]
+            diag = 0
+            off = 0
+            for y0, p0 in enumerate(prods):
+                s = sum(map(mul, p0, p0))
+                diag += s * s
+                for p1 in prods[y0 + 1:]:
+                    s = sum(map(mul, p0, p1))
+                    off += s * s
+            block = diag + 2 * off
+            total += block if x0 == x1 else 2 * block
+    return total
+
+
+def _random_octahedron_masks(rng, n, p_tri, p_hyper):
+    """(hm, tm) with each bit of tm set with probability ``p_tri`` and each
+    triangle a hyperedge with probability ``p_hyper``."""
+    tm = _random_rows(rng, n * n, n, p_tri)
+    hm = [t & row for t, row in zip(tm, _random_rows(rng, n * n, n, p_hyper))]
+    return hm, tm
+
+
+def test_octahedron_kernel_matches_previous_kernel():
+    # Hyperedge density 0 gives hm == 0 and density 1 gives hm == tm; the
+    # forced ecount = 0 and ecount = tau make lo and hi vanish in turn
+    # (up to n = 12, where the previous kernel is still cheap).
+    rng = random.Random(13)
+    for n in range(1, 21):
+        for p_tri in (0, .3, .5, .8, 1):
+            for p_hyper in (0, .2, .5, 1):
+                hm, tm = _random_octahedron_masks(rng, n, p_tri, p_hyper)
+                tau = sum(map(int.bit_count, tm))
+                ecounts = {sum(map(int.bit_count, hm))}
+                if n <= 12:
+                    ecounts |= {0, tau}
+                for ecount in sorted(ecounts):
+                    args = (n, tau, ecount, hm, tm)
+                    assert (kernels.octahedron_fast_scaled(*args)
+                            == _ref_octahedron_fast_scaled(*args))
+
+
+@st.composite
+def _octahedron_inputs(draw):
+    n = draw(st.integers(1, 7))
+    tm = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n * n,
+                       max_size=n * n))
+    hm = [t & draw(st.integers(0, (1 << n) - 1)) for t in tm]
+    tau = sum(map(int.bit_count, tm))
+    ecount = draw(st.sampled_from(
+        [sum(map(int.bit_count, hm)), 0, tau, draw(st.integers(0, tau))]))
+    return n, tau, ecount, hm, tm
+
+
+@given(_octahedron_inputs())
+def test_octahedron_kernel_matches_previous_kernel_property(args):
+    assert (kernels.octahedron_fast_scaled(*args)
+            == _ref_octahedron_fast_scaled(*args))
+
+
+def test_octahedron_kernel_matches_naive_sum():
+    rng = random.Random(31)
+    for n in range(1, 7):
+        cls = tuple(VertexClass(i, n) for i in range(3))
+        for p_edge in (.5, .8, 1):
+            t = Triad(*(BipartiteGraph(
+                cls[i], cls[j], [(u, v) for u in range(n) for v in range(n)
+                                 if rng.random() < p_edge])
+                for i, j in ((0, 1), (0, 2), (1, 2))))
+            for p_hyper in (0, .5, 1):
+                h = ThreeGraph(cls, frozenset(
+                    (a, b, c) for a in range(n) for b in range(n)
+                    for c in range(n) if rng.random() < p_hyper))
+                args = hyperreg._scaled_f(h, t)
+                tau = args[1]
+                scaled = kernels.octahedron_fast_scaled(*args)
+                want = hyperreg.octahedron_sum_naive(h, t)
+                assert want == (Fraction(scaled, tau ** 8) if tau else 0)

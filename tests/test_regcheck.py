@@ -17,7 +17,7 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              EditResult, Threshold, ThresholdLike, Verdict,
                              _as_threshold, _greedy_walk, _iter_cluster_pairs,
                              _masks_covered, _peel, _scan_delta,
-                             _scan_eps, _scan_witness,
+                             _scan_eps, _scan_witness, _spread_row,
                              check_delta_partition_with_edits,
                              check_delta_regular, check_eps_regular,
                              check_perfect_delta_partition, degree_profile,
@@ -788,6 +788,18 @@ def test_scan_fields_wider_than_a_byte():
         Verdict(CERTIFIED, "Exhaustive", None, {"left_masks": 1})
     assert check_eps_regular(g, Fraction(299, 300), params) == \
         Verdict(CERTIFIED, "Exhaustive", None, {"left_masks": 301})
+
+
+def test_spread_rows_match_bit_by_bit_spread():
+    """The byte-table spread row puts bit b of the row in field b, as the
+    walk over its bits does, at both field widths."""
+    rng = random.Random(13)
+    rows = list(range(1 << 16)) + [rng.getrandbits(rng.randint(17, 70))
+                                   for _ in range(2000)]
+    for width in (1, 8):
+        for row in rows:
+            assert _spread_row(row, width) == \
+                sum(1 << 8 * width * b for b in iter_bits(row))
 
 
 @st.composite
