@@ -22,15 +22,20 @@ Loading then saving yields the canonical form (edges sorted
 lexicographically); saving a loaded canonical file is byte-identical.
 
 A bg or h3 section whose lines are all plain rows (digits joined by single
-spaces, as the writers emit them) with values in range and no repeated row
-is read in bulk, a bg section straight into the graph's row masks.  Every
-other section, however well-formed, is read line by line with the same
+spaces, as the writers emit them) with no repeated row is read in bulk, a
+bg section straight into the graph's row masks.  The bulk reader converts
+each value by a lookup in a table of the canonical numerals below its
+column's size, built once per size; a miss (a value out of range, or a
+numeral such as ``007`` that the writers never emit) sends the section to
+the per-line reader.  So does a side above ``_TABLE_MAX_SIDE``.  Every
+such section, however well-formed, is read line by line with the same
 result, and every FormatError, message and line number, comes from that
 per-line reader.
 """
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, FormatError
@@ -91,6 +96,22 @@ _PLAIN_ROWS = {width: re.compile(
     "(?:" + " ".join(["[0-9]+"] * width) + "\n)*") for width in (2, 3)}
 
 
+# Sections with a larger side are read line by line: the tables below grow
+# with the side, the table of bits with its square.
+_TABLE_MAX_SIDE = 1024
+
+
+@cache
+def _numerals(n: int) -> dict[str, int]:
+    """The canonical numeral of each value below n -> that value."""
+    return {str(i): i for i in range(n)}
+
+
+@cache
+def _bits(n: int) -> tuple[int, ...]:
+    return tuple(1 << b for b in range(n))
+
+
 def _bulk_columns(lines: _Lines, m: int, sizes: tuple[int, ...]
                   ) -> Optional[list[list[int]]]:
     """The next m lines as columns, column k below ``sizes[k]``, or None;
@@ -98,23 +119,27 @@ def _bulk_columns(lines: _Lines, m: int, sizes: tuple[int, ...]
     they are m distinct rows (not so for a repeat or a short file).
 
     Only plain rows are accepted (see ``_PLAIN_ROWS``), and on these the
-    per-line reader returns the same rows.  Anything else (a comment, a
-    blank line, other whitespace, a sign, a wrong field count, a value out
-    of range) gives None, so the per-line reader reads the section and
-    every FormatError is its own.
+    per-line reader returns the same rows.  Each value is looked up in the
+    table of canonical numerals below its size, so anything else (a
+    comment, a blank line, other whitespace, a sign, a wrong field count,
+    a value out of range, a leading zero) gives None, the per-line reader
+    reads the section and every FormatError is its own.
     """
+    if max(sizes) > _TABLE_MAX_SIDE:
+        return None
     text = "\n".join(lines.raw[lines.pos:lines.pos + m]) + "\n"
     width = len(sizes)
     if not _PLAIN_ROWS[width].fullmatch(text):
         return None
+    # Tables are built before the tokens exist, so that no long-lived key
+    # lands between short-lived tokens and keeps their memory in use.
+    tables = [_numerals(n).__getitem__ for n in sizes]
+    tokens = text.split()
     try:
-        values = list(map(int, text.split()))
-    except ValueError:  # beyond the limit on digits that int() converts
+        return [list(map(tables[k], tokens[k::width]))
+                for k in range(width)]
+    except KeyError:
         return None
-    cols = [values[k::width] for k in range(width)]
-    if any(max(col) >= n for col, n in zip(cols, sizes)):
-        return None
-    return cols
 
 
 def _header(lines: _Lines, tag: str, sizes: int, counts: int
@@ -147,8 +172,9 @@ def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
     cols = _bulk_columns(lines, m, (nl, nr))
     if cols is not None:
         rows = [0] * nl
+        bits = _bits(nr)
         for a, b in zip(*cols):
-            rows[a] |= 1 << b
+            rows[a] |= bits[b]
         if sum(map(int.bit_count, rows)) == m:  # m distinct rows
             lines.pos += m
             return BipartiteGraph.from_rows(left, right, rows)

@@ -4,12 +4,16 @@ Vertex classes are plain index spaces 0..size-1.  A bipartite graph is its
 adjacency masks, one packed bitmask per vertex, so degrees and codegrees
 reduce to mask intersection plus popcount; ``BipartiteGraph.from_rows``
 builds one from its rows, and its edge set is derived from them on access.
-All densities are exact rationals.
+The column masks are the rows transposed as one bit matrix, by masked
+block swaps on a single int when the matrix is dense enough to pay (see
+``_block_swap``), one bit at a time otherwise.  All densities are exact
+rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ClassMismatch, DegenerateInput, NotDisjoint
@@ -50,6 +54,53 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(iter_bits(mask))
+
+
+# The block swap of a W x W square costs about as much as the loop does on
+# 4 edges per row of W (timed from 8x8 to 1024x1024), so a sparser matrix,
+# and any of fewer than 32 cells, takes the loop.  Beyond W = 1024 the
+# swap's cost, and its cached masks of W*W bits each, grow faster than
+# that, so larger matrices take the loop too.
+_SWAP_EDGES_PER_LINE = 4
+_SWAP_MAX_WIDTH = 1024
+
+
+@cache
+def _swap_masks(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each round of the W x W block-swap transpose: mask
+    holds bit (r, c), at r*W + c, iff r & s == 0 and c & s != 0, for
+    s = W/2, ..., 1, and its partner (r + s, c - s) lies shift bits up."""
+    step = w >> 3
+    out = []
+    s = w >> 1
+    while s:
+        # A row of runs of s zeros and s ones, then s such rows and s empty
+        # ones, repeated down the square.
+        line = ((((1 << s) - 1) << s) * ((1 << w) - 1)
+                // ((1 << 2 * s) - 1)).to_bytes(step, "little")
+        rows = (line * s + bytes(step * s)) * (w // (2 * s))
+        out.append((s * (w - 1), int.from_bytes(rows, "little")))
+        s >>= 1
+    return tuple(out)
+
+
+def _block_swap(rows: Sequence[int], n: int, w: int) -> tuple[int, ...]:
+    """The n column masks of a bit matrix with the given rows, each below
+    2^n, for W = ``w`` a power of two >= 8 that bounds both sides.
+
+    The rows are packed with stride W into one W*W-bit int, transposed
+    there by log2(W) masked swaps of the off-diagonal blocks (Warren,
+    *Hacker's Delight*, 2nd ed., 7-3) and unpacked.
+    """
+    step = w >> 3
+    x = int.from_bytes(b"".join(row.to_bytes(step, "little")
+                                for row in rows), "little")
+    for shift, mask in _swap_masks(w):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    buf = x.to_bytes(step * w, "little")
+    return tuple(int.from_bytes(buf[k:k + step], "little")
+                 for k in range(0, step * n, step))
 
 
 class BipartiteGraph:
@@ -93,20 +144,28 @@ class BipartiteGraph:
             raise ValueError(f"{len(rows)} rows for a left side of size "
                              f"{left.size}")
         limit = 1 << right.size
-        cols = [0] * right.size
         for a, row in enumerate(rows):
             if not 0 <= row < limit:
                 raise ValueError(f"row {a} is {row}, not in [0, {limit})")
-            bit = 1 << a
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
+        edge_count = sum(map(int.bit_count, rows))
+        w = 8
+        while w < left.size or w < right.size:
+            w <<= 1
+        if w <= _SWAP_MAX_WIDTH and edge_count >= _SWAP_EDGES_PER_LINE * w:
+            cols = _block_swap(rows, right.size, w)
+        else:
+            cols = [0] * right.size
+            for a, row in enumerate(rows):
+                bit = 1 << a
+                while row:
+                    low = row & -row
+                    cols[low.bit_length() - 1] |= bit
+                    row ^= low
         self.left = left
         self.right = right
         self.rows = rows
         self.cols = tuple(cols)
-        self.edge_count = sum(map(int.bit_count, rows))
+        self.edge_count = edge_count
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -2,26 +2,62 @@
 
 Three entry points: ``triangle_count``, ``octahedron_fast_scaled`` and
 ``scan_subtriads``.  All arithmetic is on Python ints, so no input is too
-wide.  The subtriad scan skips blocks that provably hold no violation and
-counts them as examined, so its witnesses and state counts are those of
-the plain walk over every state.  The octahedron sum is bit-sliced: per
-pair of rows it keeps three nested masks S, U and V (shared triangles,
-those with at least one hyperedge, those with two), so each dot product
-is five popcounts weighted by constants fixed per call.  Masks are Python ints (bit z of
-``hm[x*n+y]`` says whether (x, y, z) is a hyperedge-carrying triangle,
-bit a of ``bc_h[k]`` whether a and BC edge k span one, etc.).
+wide.  A dense triangle count is one popcount per A vertex, of a product
+of packed masks.  The subtriad scan skips blocks that provably hold no
+violation and counts them as examined, so its witnesses and state counts
+are those of the plain walk over every state.  The octahedron sum is
+bit-sliced: per pair of rows it keeps three nested masks S, U and V
+(shared triangles, those with at least one hyperedge, those with two), so
+each dot product is five popcounts weighted by constants fixed per call.
+Masks are Python ints (bit z of ``hm[x*n+y]`` says whether (x, y, z) is a
+hyperedge-carrying triangle, bit a of ``bc_h[k]`` whether a and BC edge k
+span one, etc.).
 """
 from __future__ import annotations
 
+from functools import cache
 from operator import and_, gt
 from typing import Optional, Sequence
 
 BACKEND = "python"
 
 
+# The packed count of a row costs about as much as 8 steps of the loop,
+# or one step per 400 bits of the |B| * W-bit product it forms when that
+# is more (timed for triads of side 8-200), so an AB side with fewer edges
+# per row takes the loop.
+_PACKED_MIN_DEGREE = 8
+_PACKED_BITS_PER_EDGE = 400
+
+
+@cache
+def _spread_bytes(w: int) -> tuple[bytes, ...]:
+    """Byte v -> the 8*w-bit int with bit k*w set for each bit k of v, as
+    w little-endian bytes."""
+    spread = [0] * 256
+    for v in range(1, 256):
+        low = v & -v
+        spread[v] = spread[v ^ low] | 1 << (low.bit_length() - 1) * w
+    return tuple(x.to_bytes(w, "little") for x in spread)
+
+
 def triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
                    bc_rows: Sequence[int]) -> int:
-    """Triangles of a triad: sum of codegrees over the AB edges."""
+    """Triangles of a triad: sum of codegrees over the AB edges.
+
+    Per A vertex a this is the popcount of ac[a] & bc[b] summed over the
+    b of ab[a], one AB edge at a time.  Where the AB side is dense enough
+    to pay, the sum is one popcount per a instead (see
+    ``_packed_triangle_count``).
+    """
+    if len(bc_rows) >= _PACKED_MIN_DEGREE:
+        edges = sum(map(int.bit_count, ab_rows))
+        if edges >= _PACKED_MIN_DEGREE * len(ab_rows) > 0:
+            bits = max(map(int.bit_length, (*ac_rows, *bc_rows)))
+            w = max(8, -(-bits // 8) * 8)
+            if (edges * _PACKED_BITS_PER_EDGE
+                    >= len(ab_rows) * len(bc_rows) * w):
+                return _packed_triangle_count(ab_rows, ac_rows, bc_rows, w)
     total = 0
     for a, mask in enumerate(ab_rows):
         ac = ac_rows[a]
@@ -30,6 +66,31 @@ def triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
             b = low.bit_length() - 1
             mask ^= low
             total += (ac & bc_rows[b]).bit_count()
+    return total
+
+
+def _packed_triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
+                           bc_rows: Sequence[int], w: int) -> int:
+    """``triangle_count`` with every AC and BC row below 2^w, w a multiple
+    of 8.
+
+    BC is packed as one int of |B| w-bit blocks.  Spreading ab[a] to bit
+    b*w for each of its b (a byte at a time, from a table) and multiplying
+    by ac[a] puts a copy of ac[a] in block b, with no carry because w
+    bounds ac[a] too; AND with packed BC keeps the C columns of each
+    triangle, so one popcount counts the triangles on a.
+    """
+    step = w >> 3
+    bc = int.from_bytes(b"".join(row.to_bytes(step, "little")
+                                 for row in bc_rows), "little")
+    spread = _spread_bytes(w).__getitem__
+    nbytes = (len(bc_rows) + 7) >> 3
+    total = 0
+    for ab, ac in zip(ab_rows, ac_rows):
+        if ab and ac:
+            blocks = int.from_bytes(b"".join(map(
+                spread, ab.to_bytes(nbytes, "little"))), "little")
+            total += (blocks * ac & bc).bit_count()
     return total
 
 

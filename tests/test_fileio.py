@@ -452,7 +452,8 @@ def test_reader_matches_the_per_line_reader(case, rng):
 CORRUPTIONS = {
     "comment line": True, "blank line": True, "trailing comment": True,
     "tab": True, "extra spaces": True, "plus sign": True,
-    "underscore": None, "field missing": False, "field extra": False,
+    "leading zero": True, "underscore": None, "field missing": False,
+    "field extra": False,
     "bad integer": False, "negative": False, "out of range": False,
     "duplicate": False, "line dropped": False, "file cut": False}
 
@@ -461,7 +462,8 @@ def _corrupt(lines: list[str], k: int, sizes: tuple[int, ...], how: str,
              col: int) -> list[str]:
     out = list(lines)
     row = lines[k].split(" ")
-    tokens = {"plus sign": "+" + row[col], "underscore": "1_0",
+    tokens = {"plus sign": "+" + row[col], "leading zero": "0" + row[col],
+              "underscore": "1_0",
               "bad integer": "x", "negative": "-1",
               "out of range": str(sizes[col])}
     if how in tokens:

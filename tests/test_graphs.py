@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from regkit import graphs
 from regkit.errors import ClassMismatch, DegenerateInput, NotDisjoint
 from regkit.graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
                            VertexClass, _check_index, count_edges_between,
@@ -315,6 +316,57 @@ def test_graph_matches_the_edge_set_graph(case, data):
     with pytest.raises(IndexError) as want:
         _EdgeSetGraph(left, right, edges + [bad])
     assert str(got.value) == str(want.value)
+
+
+def _shape_cases():
+    """(left, right, edges): shapes wider than the hypothesis sides, and
+    squares around the sides where the block width W doubles, each at
+    density 0, 1/2 and 1 and, where the shape holds that many, at one edge
+    below, at and above the block-swap cutoff."""
+    rng = random.Random(70)
+    shapes = ((1, 200), (200, 1), (129, 129), (130, 3), (3, 130),
+              (8, 8), (9, 9), (16, 16), (17, 17), (64, 64), (65, 65))
+    for na, nb in shapes:
+        w = 8
+        while w < max(na, nb):
+            w <<= 1
+        cut = graphs._SWAP_EDGES_PER_LINE * w
+        cells = [(a, b) for a in range(na) for b in range(nb)]
+        counts = {0, len(cells) // 2, len(cells)}
+        counts |= {k for k in (cut - 1, cut, cut + 1) if k <= len(cells)}
+        for k in sorted(counts):
+            yield pytest.param(VertexClass(0, na), VertexClass(1, nb),
+                               rng.sample(cells, k), id=f"{na}x{nb}-{k}")
+
+
+@pytest.mark.parametrize("left, right, edges", _shape_cases())
+def test_transpose_matches_the_edge_set_graph_beyond_hypothesis(
+        left, right, edges):
+    """The graph, with the transpose the cutoff picks, and the block swap
+    forced at the least width W and at 2W give the columns of the graph
+    that stored its edge set."""
+    g, ref = BipartiteGraph(left, right, edges), _EdgeSetGraph(left, right,
+                                                               edges)
+    assert _state(g) == _state(ref)
+    assert _state(g.transpose()) == _state(ref.transpose())
+    w = 8
+    while w < max(left.size, right.size):
+        w <<= 1
+    for width in (w, 2 * w):
+        assert graphs._block_swap(g.rows, right.size, width) == ref.cols
+
+
+@pytest.mark.parametrize("k, row", [(5, -1), (128, 1 << 129),
+                                    (0, (1 << 130) - 1)])
+def test_from_rows_refuses_bad_rows_of_a_dense_graph(k, row):
+    """A dense 129 x 129 graph, which the block swap transposes, refuses a
+    bad row with the message of the loop."""
+    side = VertexClass(0, 129)
+    rows = [(1 << 129) - 1] * 129
+    rows[k] = row
+    with pytest.raises(ValueError) as err:
+        BipartiteGraph.from_rows(side, side, rows)
+    assert str(err.value) == f"row {k} is {row}, not in [0, {1 << 129})"
 
 
 @given(st.data())

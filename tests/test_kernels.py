@@ -1,6 +1,7 @@
-"""The kernels against independent oracles: a brute-force triangle count,
-the plain subtriad walk that visits every state, and the previous
-octahedron kernel with the literal six-index sum."""
+"""The kernels against independent oracles: a brute-force triangle count
+and the previous edge-loop count, the plain subtriad walk that visits every
+state, and the previous octahedron kernel with the literal six-index
+sum."""
 import random
 from fractions import Fraction
 from functools import reduce
@@ -239,6 +240,94 @@ def test_triangle_count_matches_brute_force():
     want = _brute_triangle_count(70, *rows)
     assert want > 0
     assert kernels.triangle_count(*rows) == want
+
+
+# ``kernels.triangle_count`` as it was before dense triads were counted
+# packed, kept verbatim but for its name as the oracle for the tests below.
+
+
+def _ref_triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
+                        bc_rows: Sequence[int]) -> int:
+    """Triangles of a triad: sum of codegrees over the AB edges."""
+    total = 0
+    for a, mask in enumerate(ab_rows):
+        ac = ac_rows[a]
+        while mask:
+            low = mask & -mask
+            b = low.bit_length() - 1
+            mask ^= low
+            total += (ac & bc_rows[b]).bit_count()
+    return total
+
+
+def _rows_of_degree(rng, n_left, n_right, degree):
+    return [sum(1 << b for b in rng.sample(range(n_right), degree))
+            for _ in range(n_left)]
+
+
+def _assert_triangle_counts_match(ab, ac, bc):
+    """The kernel, and the packed count forced at the least block width and
+    at a wider one, against the previous kernel."""
+    want = _ref_triangle_count(ab, ac, bc)
+    assert kernels.triangle_count(ab, ac, bc) == want
+    bits = max(map(int.bit_length, ac + bc), default=0)
+    w = max(8, -(-bits // 8) * 8)
+    for width in (w, w + 8):
+        assert kernels._packed_triangle_count(ab, ac, bc, width) == want
+
+
+def test_triangle_count_matches_previous_kernel():
+    rng = random.Random(41)
+    # Rectangular triads, |A|, |B| and |C| all different, at every density.
+    for na, nb, nc in ((3, 5, 7), (9, 2, 17), (20, 33, 6), (1, 40, 129),
+                       (70, 1, 3), (12, 64, 65), (33, 130, 140)):
+        for p in (0, .1, .5, .9, 1):
+            _assert_triangle_counts_match(_random_rows(rng, na, nb, p),
+                                          _random_rows(rng, na, nc, p),
+                                          _random_rows(rng, nb, nc, p))
+    # AC rows reaching C columns that no BC row reaches: the block width
+    # must bound AC as well, or products carry into the next block.
+    for na, nb, nc, reach in ((16, 16, 64, 8), (40, 30, 200, 90),
+                              (64, 64, 64, 1), (30, 20, 150, 0)):
+        ab = _random_rows(rng, na, nb, .9)
+        ac = _random_rows(rng, na, nc, .9)
+        bc = _random_rows(rng, nb, reach, .9)
+        assert max(map(int.bit_length, ac)) > reach
+        _assert_triangle_counts_match(ab, ac, bc)
+    # AB degrees just below, at and just above the cutoff, both where
+    # the minimum degree sets it (side 16-64) and where the product width
+    # does (side 200, W = 200: |B| * W / 400 = 100).
+    for n in (16, 17, 40, 64, 200):
+        cut = max(kernels._PACKED_MIN_DEGREE,
+                  n * max(8, -(-n // 8) * 8) // kernels._PACKED_BITS_PER_EDGE)
+        for degree in (cut - 1, cut, cut + 1):
+            _assert_triangle_counts_match(
+                _rows_of_degree(rng, n, n, degree),
+                _random_rows(rng, n, n, .5), _random_rows(rng, n, n, .5))
+    # Empty rows in each of the three graphs, and rows wider than 128 bits.
+    n = 150
+    ab, ac, bc = (_random_rows(rng, n, n, .6) for _ in range(3))
+    for rows in (ab, ac, bc):
+        for k in range(0, n, 7):
+            rows[k] = 0
+    _assert_triangle_counts_match(ab, ac, bc)
+    _assert_triangle_counts_match([0] * 5, [0] * 5, [0] * 9)
+    _assert_triangle_counts_match([], [], [1, 2])
+
+
+@st.composite
+def _triad_rows(draw):
+    na, nb, nc = (draw(st.integers(1, 70)) for _ in range(3))
+    reach = draw(st.integers(0, nc))
+    p = draw(st.sampled_from([0., .2, .5, .9, 1.]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return (_random_rows(rng, na, nb, p), _random_rows(rng, na, nc, p),
+            _random_rows(rng, nb, reach, p))
+
+
+@given(_triad_rows())
+def test_triangle_count_matches_previous_kernel_property(rows):
+    _assert_triangle_counts_match(*rows)
 
 
 def _ref_octahedron_fast_scaled(n: int, tau: int, ecount: int,
