@@ -150,10 +150,10 @@ def _cmd_quasirandom(args) -> int:
 def _cmd_aux_graph(args) -> int:
     h = fileio.load_threegraph(args.h)
     aux = hyperreg.auxiliary_graph(h, args.axis)
-    return _emit_file(args, fileio.dumps_graph(aux.graph), {
+    return _emit_file(args, fileio.dumps_graph(aux), {
         "check": "auxiliary graph",
         "axis": args.axis,
-        "edges": aux.graph.edge_count,
+        "edges": aux.edge_count,
     })
 
 

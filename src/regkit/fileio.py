@@ -22,12 +22,12 @@ Loading then saving yields the canonical form (edges sorted
 lexicographically); saving a loaded canonical file is byte-identical.
 
 A bg or h3 section whose lines are all plain rows (digits joined by single
-spaces, as the writers emit them) with no repeated row is read in bulk, a
-bg section straight into the graph's row masks.  The bulk reader converts
-each value by a lookup in a table of the canonical numerals below its
-column's size, built once per size; a miss (a value out of range, or a
-numeral such as ``007`` that the writers never emit) sends the section to
-the per-line reader.  So does a side above ``_TABLE_MAX_SIDE``.  Every
+spaces, as the writers emit them) with no repeated row is read in bulk into
+row masks, an h3 section into those of its axis-3 auxiliary graph.  The bulk
+reader converts each value by a lookup in a table of the canonical numerals
+below its column's size, built once per size; a miss (a value out of range,
+or a numeral such as ``007`` that the writers never emit) sends the section
+to the per-line reader.  So does a side above ``_TABLE_MAX_SIDE``.  Every
 such section, however well-formed, is read line by line with the same
 result, and every FormatError, message and line number, comes from that
 per-line reader.
@@ -211,8 +211,8 @@ def loads_threegraph(text: str) -> ThreeGraph:
     (n1, n2, n3, m), ln = _header(lines, "h3", 3, 1)
     classes = (VertexClass(0, n1), VertexClass(1, n2), VertexClass(2, n3))
     cols = _bulk_columns(lines, m, (n1, n2, n3))
-    triples = None if cols is None else frozenset(zip(*cols))
-    if triples is not None and len(triples) == m:
+    h = None if cols is None else ThreeGraph(classes, zip(*cols))
+    if h is not None and h.edge_count == m:  # m distinct rows
         lines.pos += m
     else:
         triples = set()
@@ -225,8 +225,9 @@ def loads_threegraph(text: str) -> ThreeGraph:
             if (v1, v2, v3) in triples:
                 raise FormatError(f"duplicate triple ({v1},{v2},{v3})", tln)
             triples.add((v1, v2, v3))
+        h = ThreeGraph(classes, triples)
     _expect_end(lines)
-    return ThreeGraph(classes, frozenset(triples))
+    return h
 
 
 def dumps_threegraph(h: ThreeGraph) -> str:

@@ -6,8 +6,8 @@ reduce to mask intersection plus popcount; ``BipartiteGraph.from_rows``
 builds one from its rows, and its edge set is derived from them on access.
 The column masks are the rows transposed as one bit matrix, by masked
 block swaps on a single int when the matrix is dense enough to pay (see
-``_block_swap``), one bit at a time otherwise.  All densities are exact
-rationals.
+``_block_swap``), one bit at a time otherwise.  A 3-graph is its axis-3
+auxiliary graph.  All densities are exact rationals.
 """
 from __future__ import annotations
 
@@ -172,10 +172,6 @@ class BipartiteGraph:
         """The edge set, built from ``rows`` on each access."""
         return frozenset(self.sorted_edges())
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (0 <= a < self.left.size and 0 <= b < self.right.size
-                and self.rows[a] >> b & 1 == 1)
-
     def same_classes(self, other: "BipartiteGraph") -> bool:
         return self.left == other.left and self.right == other.right
 
@@ -230,42 +226,51 @@ class ProductSide:
         _check_index(v2, self.second.size, "second")
         return v1 * self.second.size + v2
 
-    def pair(self, idx: int) -> tuple[int, int]:
-        _check_index(idx, self.size, "product")
-        return divmod(idx, self.second.size)
-
     def as_vertex_class(self, label: int = -1) -> VertexClass:
         return VertexClass(label, self.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThreeGraph:
-    """A 3-partite 3-uniform hypergraph on three vertex classes."""
+    """A 3-partite 3-uniform hypergraph on three vertex classes, stored as
+    its axis-3 auxiliary graph: ``graph.rows[v1*|V2| + v2]`` is the mask of
+    the v3 with (v1, v2, v3) a hyperedge; ``triples`` is derived from it."""
 
     classes: tuple[VertexClass, VertexClass, VertexClass]
-    triples: frozenset[tuple[int, int, int]]
+    graph: BipartiteGraph
 
-    def __post_init__(self) -> None:
-        n1, n2, n3 = (c.size for c in self.classes)
+    def __init__(self, classes: tuple[VertexClass, VertexClass, VertexClass],
+                 triples: Iterable[tuple[int, int, int]]):
+        n1, n2, n3 = (c.size for c in classes)
         if n1 == 0 or n2 == 0 or n3 == 0:
             raise DegenerateInput("3-graph with an empty class")
-        for (v1, v2, v3) in self.triples:
+        rows = [0] * (n1 * n2)
+        for (v1, v2, v3) in triples:
             if not (0 <= v1 < n1 and 0 <= v2 < n2 and 0 <= v3 < n3):
                 _check_index(v1, n1, "class-1")
                 _check_index(v2, n2, "class-2")
                 _check_index(v3, n3, "class-3")
+            rows[v1 * n2 + v2] |= 1 << v3
+        object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "graph", BipartiteGraph.from_rows(
+            VertexClass(-1, n1 * n2), classes[2], rows))
+
+    @property
+    def triples(self) -> frozenset[tuple[int, int, int]]:
+        return frozenset(self.sorted_triples())
 
     @property
     def edge_count(self) -> int:
-        return len(self.triples)
+        return self.graph.edge_count
 
     @property
     def density(self) -> Fraction:
         n1, n2, n3 = (c.size for c in self.classes)
-        return Fraction(len(self.triples), n1 * n2 * n3)
+        return Fraction(self.graph.edge_count, n1 * n2 * n3)
 
     def sorted_triples(self) -> list[tuple[int, int, int]]:
-        return sorted(self.triples)
+        n2 = self.classes[1].size
+        return [(p // n2, p % n2, v3) for p, v3 in self.graph.sorted_edges()]
 
     @staticmethod
     def complete(classes: tuple[VertexClass, VertexClass, VertexClass]

@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import kernels
 from .errors import ClassSizeMismatch, FrameMismatch, ParameterOutOfContract
-from .graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
-                     VertexClass, density, iter_bits)
+from .graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
+                     density, iter_bits, subset_mask)
 from .partitions import (ThreePartiteFrame, TwoPartition,
                          is_equitable, sub_partitions)
 from .regcheck import (CERTIFIED, IRREGULAR, NOT_CERTIFIED,
@@ -38,33 +38,20 @@ MODE_DEVIATION = 1
 # Auxiliary graphs
 
 
-@dataclass(frozen=True)
-class AuxGraph:
-    """The bipartite graph of axis ``i``: pairs of the other two classes on
-    the left, class ``i`` on the right; ((v_j, v_k), v_i) is an edge exactly
-    when the corresponding triple is a hyperedge."""
-
-    base: ThreeGraph
-    axis: int
-    product: ProductSide
-    graph: BipartiteGraph
+_AXIS_ORDER = {1: (1, 2, 0), 2: (0, 2, 1)}
 
 
-_AXIS_PAIRS = {1: (1, 2), 2: (0, 2), 3: (0, 1)}
-
-
-def auxiliary_graph(h: ThreeGraph, axis: int) -> AuxGraph:
-    """Build the axis-``i`` auxiliary graph of a 3-graph."""
+def auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
+    """The axis-``i`` auxiliary graph, pairs (v_j, v_k) against class i: the
+    axis-3 graph of ``h`` with its classes reordered to (j, k, i)."""
     if axis not in (1, 2, 3):
         raise ParameterOutOfContract("axis must be 1, 2 or 3")
-    j, k = _AXIS_PAIRS[axis]
-    i = axis - 1
-    product = ProductSide(h.classes[j], h.classes[k])
-    edges = []
-    for triple in h.triples:
-        edges.append((product.index(triple[j], triple[k]), triple[i]))
-    graph = BipartiteGraph(product.as_vertex_class(), h.classes[i], edges)
-    return AuxGraph(h, axis, product, graph)
+    if axis == 3:
+        return h.graph
+    order = _AXIS_ORDER[axis]
+    return ThreeGraph(tuple(h.classes[x] for x in order),
+                      (tuple(v[x] for x in order)
+                       for v in h.sorted_triples())).graph
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +87,25 @@ def _triangle_masks(h: ThreeGraph, t: Triad) -> tuple[list[int], list[int]]:
     Entry a * |B| + b of the first list is the bitmask of the c with
     (a, b, c) a triangle, and of the second the bitmask of those whose
     embedded triple is a hyperedge of ``h``; both are 0 off the AB edges.
+    FrameMismatch unless the embedding lies inside the classes of ``h``.
     """
+    _check_embedding(h, t)
     ea, eb, ec = t.embedding
-    triples = h.triples
+    h_rows, n2 = h.graph.rows, h.classes[1].size
     ac_rows, bc_rows = t.ac.rows, t.bc.rows
     nb = t.ab.right.size
     tm = [0] * (t.ab.left.size * nb)
     hm = [0] * len(tm)
     for a, row in enumerate(t.ab.rows):
-        ac, va = ac_rows[a], ea[a]
+        ac, base = ac_rows[a], ea[a] * n2
         for b in iter_bits(row):
             i = a * nb + b
             tm[i] = rest = ac & bc_rows[b]
-            vb = eb[b]
+            h_row = h_rows[base + eb[b]]
             hmask = 0
             while rest:
                 low = rest & -rest
-                if (va, vb, ec[low.bit_length() - 1]) in triples:
+                if h_row >> ec[low.bit_length() - 1] & 1:
                     hmask |= low
                 rest ^= low
             hm[i] = hmask
@@ -125,7 +114,6 @@ def _triangle_masks(h: ThreeGraph, t: Triad) -> tuple[list[int], list[int]]:
 
 def triad_density(h: ThreeGraph, t: Triad) -> TriadStats:
     """d_H(P) with the zero-triangle convention d = 0."""
-    _check_embedding(h, t)
     tm, hm = _triangle_masks(h, t)
     return TriadStats(t, sum(map(int.bit_count, tm)),
                       sum(map(int.bit_count, hm)))
@@ -148,13 +136,17 @@ def verify_subtriad_witness(h: ThreeGraph, t: Triad,
                             masks: tuple[int, int, int], mode: int,
                             value: Fraction) -> bool:
     """Recount a claimed violating subtriad from scratch, exactly."""
-    full = triad_density(h, t)
+    return _violates(h, t, masks, mode, value, triad_density(h, t))
+
+
+def _violates(h: ThreeGraph, t: Triad, masks: tuple[int, int, int],
+              mode: int, value: Fraction, full: TriadStats) -> bool:
+    """``verify_subtriad_witness`` given ``full``, the counts of ``t``."""
     sub = triad_density(h, _witness_triad(t, masks))
-    if sub.triangle_count * value.denominator < \
-            value.numerator * full.triangle_count:
-        return False
     tf, ts = full.triangle_count, sub.triangle_count
     ef, es = full.h_edge_count, sub.h_edge_count
+    if ts * value.denominator < value.numerator * tf:
+        return False
     if mode == MODE_TWO_THIRDS:
         return 3 * es * tf < 2 * ef * ts
     dev = abs(es * tf - ef * ts)
@@ -170,9 +162,11 @@ def _subtriad_scan_verdict(h: ThreeGraph, t: Triad, mode: int,
     ab, ac, bc = (g.sorted_edges() for g in (t.ab, t.ac, t.bc))
     search = params.pick_mode(len(ab) + len(ac) + len(bc),
                               SUBTRIAD_EDGE_BUDGET, "triad edge count")
+    tm, hm = _triangle_masks(h, t)
+    full = TriadStats(t, sum(map(int.bit_count, tm)),
+                      sum(map(int.bit_count, hm)))
     if search == "exhaustive":
         nb = t.ab.right.size
-        hm = _triangle_masks(h, t)[1]
         # Per BC edge (b, c): the a whose triangle (a, b, c) is a hyperedge.
         bc_h = []
         for b, c in bc:
@@ -186,16 +180,18 @@ def _subtriad_scan_verdict(h: ThreeGraph, t: Triad, mode: int,
             value.denominator)
         witness = found[:3] if found else None
         if witness is not None and \
-                not verify_subtriad_witness(h, t, witness, mode, value):
+                not _violates(h, t, witness, mode, value, full):
             raise RuntimeError(f"scan_subtriads returned {witness}, which "
                                "does not re-verify")
         return Verdict.of_search(search, witness, {"subtriads": states})
-    witness = _random_subtriad_search(h, t, (ab, ac, bc), mode, value, params)
+    witness = _random_subtriad_search(h, t, (ab, ac, bc), mode, value, params,
+                                      full)
     return Verdict.of_search(search, witness, {"trials": params.random_trials})
 
 
 def _random_subtriad_search(h: ThreeGraph, t: Triad, edges, mode: int,
-                            value: Fraction, params: CheckParams
+                            value: Fraction, params: CheckParams,
+                            full: TriadStats
                             ) -> Optional[tuple[int, int, int]]:
     """Sample random subsets of ``edges`` and vertex-induced subtriads."""
     rng = random.Random(params.seed)
@@ -218,7 +214,7 @@ def _random_subtriad_search(h: ThreeGraph, t: Triad, edges, mode: int,
                 sum(1 << i for i, (b, c) in enumerate(bc)
                     if bmask >> b & 1 and cmask >> c & 1),
             )
-        if verify_subtriad_witness(h, t, masks, mode, value):
+        if _violates(h, t, masks, mode, value, full):
             return masks
     return None
 
@@ -290,7 +286,7 @@ def check_delta_regular_3partition(h: ThreeGraph, tp: TwoPartition, delta,
         aux = auxiliary_graph(h, axis)
         left_p = es[axis - 1].as_vertex_partition()
         right_p = zs[axis - 1]
-        res = check_delta_partition_with_edits(aux.graph, left_p, right_p,
+        res = check_delta_partition_with_edits(aux, left_p, right_p,
                                                delta, params)
         axes.append(AxisReport(axis, res))
         caveats += _unknown_caveats(
@@ -706,16 +702,15 @@ def reduction_check(h: ThreeGraph, tp: TwoPartition, delta: Fraction,
     if not eps2_ok:
         caveats.append("eps2 exceeds (delta^2/88) * ell^-3")
 
-    aux = auxiliary_graph(h, 3)
-    identities = _reduction_identities(h, tp, aux)
+    identities = _reduction_identities(h, tp)
 
     left_p = es[2].as_vertex_partition()
     right_p = zs[2]
     threshold = Threshold.sqrt_of(4 * delta)  # 2*sqrt(delta) = sqrt(4*delta)
     if not threshold.le_one():
         threshold = Threshold(Fraction(1))
-    pv = check_perfect_delta_partition(aux.graph, left_p, right_p,
-                                       threshold, params)
+    pv = check_perfect_delta_partition(auxiliary_graph(h, 3), left_p,
+                                       right_p, threshold, params)
     caveats += _unknown_caveats(((f"axis 3 pair {key}", v.status)
                                  for key, v in pv.pair_verdicts.items()),
                                 "regular")
@@ -727,7 +722,7 @@ def reduction_check(h: ThreeGraph, tp: TwoPartition, delta: Fraction,
                            passed, tuple(caveats))
 
 
-def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
+def _reduction_identities(h: ThreeGraph, tp: TwoPartition
                           ) -> tuple[IdentityCheck, ...]:
     """For each axis-3 family member E between clusters (A, B) and each
     cluster C of the third class: t(E, A x C, B x C) = |E| * |C| and the
@@ -743,14 +738,13 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition, aux: AuxGraph
         if (cls_a, cls_b) != (0, 1) or g.edge_count == 0:
             continue
         for ci in c_clusters:
-            t_ok, d_ok = _reduction_identity(h, aux, g.sorted_edges(), a_vs,
-                                             b_vs, layout[ci][1])
+            t_ok, d_ok = _reduction_identity(h, g.sorted_edges(), a_vs, b_vs,
+                                             layout[ci][1])
             checks.append(IdentityCheck(key, ci, t_ok, d_ok))
     return tuple(checks)
 
 
-def _reduction_identity(h: ThreeGraph, aux: AuxGraph,
-                        e_edges: Iterable[tuple[int, int]],
+def _reduction_identity(h: ThreeGraph, e_edges: Iterable[tuple[int, int]],
                         a_vs: Sequence[int], b_vs: Sequence[int],
                         c_vs: Sequence[int]) -> tuple[bool, bool]:
     """For E (edges on local indices into the class-1 vertices ``a_vs`` and
@@ -766,7 +760,8 @@ def _reduction_identity(h: ThreeGraph, aux: AuxGraph,
                   embedding=(a_vs, b_vs, c_vs))
     stats = triad_density(h, triad)
     pairs = e.edge_count * len(c_vs)
-    hits = sum(1 for (a, b) in e.sorted_edges() for z in c_vs
-               if aux.graph.has_edge(aux.product.index(a_vs[a], b_vs[b]), z))
+    n2, cmask = h.classes[1].size, subset_mask(c_vs, h.classes[2].size)
+    hits = sum((h.graph.rows[a_vs[a] * n2 + b_vs[b]] & cmask).bit_count()
+               for a, b in e.sorted_edges())
     return (stats.triangle_count == pairs,
             Fraction(hits, pairs) == stats.density)

@@ -370,8 +370,7 @@ def _suite_eq_red_d(rng: random.Random, scale: dict):
         e_edges = [(0, 0)]
     c_sub = sorted(rng.sample(range(nc), rng.randint(1, nc)))
     t_ok, d_ok = hyperreg._reduction_identity(
-        h, hyperreg.auxiliary_graph(h, 3), e_edges, tuple(range(na)),
-        tuple(range(nb)), tuple(c_sub))
+        h, e_edges, tuple(range(na)), tuple(range(nb)), tuple(c_sub))
     rec = {
         "sizes": [na, nb, nc],
         "E": len(e_edges),

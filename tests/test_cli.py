@@ -118,6 +118,20 @@ def test_check_fr_and_quasirandom(fixtures, capsys):
     assert "octahedron_sum: 0/1" in out
 
 
+def test_triad_larger_than_the_3graph_exit2(fixtures, capsys):
+    """A 3x3x3 triad against a 2x2x2 3-graph is a frame mismatch for the
+    octahedron check, which finds no witness, and for the subtriad check."""
+    big = fixtures["tmp"] / "big.tr"
+    fileio.save_triad(big, Triad.complete(*(VertexClass(i, 3)
+                                            for i in range(3))))
+    assert run(["quasirandom", "--h", fixtures["h3"], "--triad", big,
+                "--alpha", "1/100"]) == 2
+    assert run(["check-fr", "--h", fixtures["h3"], "--triad", big,
+                "--eps", "1/2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("embedded vertex 2 outside class of size 2") == 2
+
+
 def test_aux_graph_stdout(fixtures, capsys):
     assert run(["aux-graph", "--h", fixtures["h3"], "--axis", "3"]) == 0
     out = capsys.readouterr().out

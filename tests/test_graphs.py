@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -48,7 +49,7 @@ def test_graph_rows_and_cols():
     assert g.rows[2] == 0b101
     assert g.cols[0] == 0b0100
     assert g.edge_count == 3
-    assert g.has_edge(2, 2) and not g.has_edge(1, 1)
+    assert g.rows[2] >> 2 & 1 and not g.rows[1] >> 1 & 1
 
 
 def test_graph_rejects_empty_side():
@@ -72,7 +73,6 @@ def test_product_side_row_major():
     ps = ProductSide(A, B)
     assert ps.size == 12
     assert ps.index(2, 1) == 7
-    assert ps.pair(7) == (2, 1)
 
 
 def test_three_graph_density():
@@ -273,18 +273,14 @@ def edge_lists(draw):
 @given(edge_lists(), st.data())
 def test_graph_matches_the_edge_set_graph(case, data):
     """Every answer of the mask-only graph is that of the graph that also
-    stored its edge set: state, membership, transpose, complete, empty,
-    equality and hashes, and the IndexError of an out-of-range edge."""
+    stored its edge set: state, transpose, complete, empty, equality and
+    hashes, and the IndexError of an out-of-range edge."""
     left, right, edges = case
     na, nb = left.size, right.size
     g, ref = BipartiteGraph(left, right, edges), _EdgeSetGraph(left, right,
                                                                edges)
     assert _state(g) == _state(ref)
     assert BipartiteGraph.from_rows(left, right, g.rows) == g
-    assert [g.has_edge(a, b) for a in range(-1, na + 1)
-            for b in range(-1, nb + 1)] == [
-        ref.has_edge(a, b) for a in range(-1, na + 1)
-        for b in range(-1, nb + 1)]
     assert _state(g.transpose()) == _state(ref.transpose())
     assert g.transpose().transpose() == g
     for make in ("complete", "empty"):
@@ -398,3 +394,116 @@ def test_edge_disjoint_union_names_the_least_shared_edge():
     assert str(err.value) == "shared edge (2, 1)"
     u = edge_disjoint_union([g1, g2])
     assert u.edges == g1.edges | g2.edges
+
+
+# ``ThreeGraph`` as it was when it stored its triple set, kept verbatim but
+# for its name as the oracle for the mask-stored 3-graph.
+
+
+@dataclass(frozen=True)
+class _TripleSetThreeGraph:
+    """A 3-partite 3-uniform hypergraph on three vertex classes."""
+
+    classes: tuple[VertexClass, VertexClass, VertexClass]
+    triples: frozenset[tuple[int, int, int]]
+
+    def __post_init__(self) -> None:
+        n1, n2, n3 = (c.size for c in self.classes)
+        if n1 == 0 or n2 == 0 or n3 == 0:
+            raise DegenerateInput("3-graph with an empty class")
+        for (v1, v2, v3) in self.triples:
+            if not (0 <= v1 < n1 and 0 <= v2 < n2 and 0 <= v3 < n3):
+                _check_index(v1, n1, "class-1")
+                _check_index(v2, n2, "class-2")
+                _check_index(v3, n3, "class-3")
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.triples)
+
+    @property
+    def density(self) -> Fraction:
+        n1, n2, n3 = (c.size for c in self.classes)
+        return Fraction(len(self.triples), n1 * n2 * n3)
+
+    def sorted_triples(self) -> list[tuple[int, int, int]]:
+        return sorted(self.triples)
+
+    @staticmethod
+    def complete(classes: tuple[VertexClass, VertexClass, VertexClass]
+                 ) -> "_TripleSetThreeGraph":
+        n1, n2, n3 = (c.size for c in classes)
+        return _TripleSetThreeGraph(classes, frozenset(
+            (a, b, c) for a in range(n1) for b in range(n2) for c in range(n3)))
+
+
+def _three_state(h) -> tuple:
+    return (h.classes, h.triples, h.sorted_triples(), h.edge_count,
+            h.density)
+
+
+@st.composite
+def triple_sets(draw):
+    """Classes of 1-9 vertices and a triple set: empty, complete, sparse
+    or of random density."""
+    classes = tuple(VertexClass(i, draw(st.integers(1, 9))) for i in range(3))
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from([rng.random(), .02, 0., 1.]))
+    n1, n2, n3 = (c.size for c in classes)
+    triples = frozenset((a, b, c) for a in range(n1) for b in range(n2)
+                        for c in range(n3) if p == 1. or rng.random() < p)
+    return classes, triples
+
+
+@given(triple_sets(), st.data())
+def test_three_graph_matches_the_triple_set_graph(case, data):
+    """Every answer of the mask-stored 3-graph is that of the 3-graph that
+    stored its triple set: state, complete, equality both ways and hashes,
+    and the IndexError of an out-of-range triple."""
+    classes, triples = case
+    n1, n2, n3 = (c.size for c in classes)
+    h, ref = ThreeGraph(classes, triples), _TripleSetThreeGraph(classes,
+                                                                triples)
+    assert _three_state(h) == _three_state(ref)
+    assert _three_state(ThreeGraph.complete(classes)) == \
+        _three_state(_TripleSetThreeGraph.complete(classes))
+    assert h.graph.left == VertexClass(-1, n1 * n2)
+    assert h.graph.right == classes[2]
+
+    # A second 3-graph: the same triples, one triple toggled, or the same
+    # triples on classes with other ids.
+    how = data.draw(st.sampled_from(["same", "toggled", "relabelled"]))
+    other, classes2 = set(triples), classes
+    if how == "toggled":
+        other ^= {tuple(data.draw(st.integers(0, n - 1))
+                        for n in (n1, n2, n3))}
+    elif how == "relabelled":
+        classes2 = (VertexClass(5, n1),) + classes[1:]
+    h2 = ThreeGraph(classes2, other)
+    ref2 = _TripleSetThreeGraph(classes2, frozenset(other))
+    assert (h == h2, h2 == h, h != h2) == (ref == ref2, ref2 == ref,
+                                           ref != ref2)
+    assert (h == h2) == (how == "same")
+    if h == h2:
+        assert hash(h) == hash(h2)
+
+    bad = data.draw(st.sampled_from([(n1, 0, 0), (-1, 0, 0), (0, n2, 0),
+                                     (0, -1, 0), (0, 0, n3), (0, 0, -1)]))
+    with pytest.raises(IndexError) as got:
+        ThreeGraph(classes, triples | {bad})
+    with pytest.raises(IndexError) as want:
+        _TripleSetThreeGraph(classes, triples | {bad})
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_three_graph_with_an_empty_class_is_degenerate(empty):
+    """An empty class is refused before any triple is read, as by the
+    3-graph that stored its triple set, and so is its complete 3-graph."""
+    classes = tuple(VertexClass(i, 0 if i == empty else 2) for i in range(3))
+    for make in (ThreeGraph, _TripleSetThreeGraph):
+        with pytest.raises(DegenerateInput, match="3-graph with an empty "
+                           "class"):
+            make(classes, frozenset({(5, 5, 5)}))
+        with pytest.raises(DegenerateInput):
+            make.complete(classes)

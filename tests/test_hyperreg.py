@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regkit import hyperreg
+from regkit import fileio, hyperreg
 from regkit.errors import (BudgetExceeded, FrameMismatch,
                            ParameterOutOfContract)
-from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
-                           density)
+from regkit.graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
+                           VertexClass, density)
 from regkit.hyperreg import PartitionTriad, _frame_of
 from regkit.partitions import (ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
@@ -45,18 +45,96 @@ def test_aux_graph_edge_counts_all_axes():
     h = random_h(rng, (3, 4, 2), .5)
     for axis in (1, 2, 3):
         aux = hyperreg.auxiliary_graph(h, axis)
-        assert aux.graph.edge_count == h.edge_count
+        assert aux.edge_count == h.edge_count
 
 
 def test_aux_graph_axis3_incidence():
     rng = random.Random(32)
     h = random_h(rng, (3, 3, 3), .5)
     aux = hyperreg.auxiliary_graph(h, 3)
+    assert aux is h.graph
+    product = ProductSide(h.classes[0], h.classes[1])
     for a in range(3):
         for b in range(3):
             for c in range(3):
-                assert aux.graph.has_edge(aux.product.index(a, b), c) \
+                assert (aux.rows[product.index(a, b)] >> c & 1 == 1) \
                     == ((a, b, c) in h.triples)
+
+
+# The auxiliary-graph builder as it was when a 3-graph stored its triple
+# set, verbatim but for its name and for returning the graph alone (it
+# returned it wrapped with its arguments and product side), as the oracle
+# for the mask-built graphs of every axis.
+
+_AXIS_PAIRS = {1: (1, 2), 2: (0, 2), 3: (0, 1)}
+
+
+def _ref_auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
+    """Build the axis-``i`` auxiliary graph of a 3-graph."""
+    if axis not in (1, 2, 3):
+        raise ParameterOutOfContract("axis must be 1, 2 or 3")
+    j, k = _AXIS_PAIRS[axis]
+    i = axis - 1
+    product = ProductSide(h.classes[j], h.classes[k])
+    edges = []
+    for triple in h.triples:
+        edges.append((product.index(triple[j], triple[k]), triple[i]))
+    graph = BipartiteGraph(product.as_vertex_class(), h.classes[i], edges)
+    return graph
+
+
+def test_aux_graph_matches_the_per_triple_builder():
+    """Every axis, on class sizes 1-6 and empty, complete and random
+    3-graphs, gives the graph the per-triple builder gave, byte for byte
+    as a .bg file; axis 3 is the 3-graph's own graph."""
+    rng = random.Random(37)
+    for _ in range(60):
+        sizes = tuple(rng.randint(1, 6) for _ in range(3))
+        h = random_h(rng, sizes, rng.choice([0, .1, .5, 1]))
+        for axis in (1, 2, 3):
+            got = hyperreg.auxiliary_graph(h, axis)
+            want = _ref_auxiliary_graph(h, axis)
+            assert got == want
+            assert got.cols == want.cols
+            assert fileio.dumps_graph(got) == fileio.dumps_graph(want)
+        assert hyperreg.auxiliary_graph(h, 3) is h.graph
+    for axis in (0, 4):
+        with pytest.raises(ParameterOutOfContract):
+            hyperreg.auxiliary_graph(h, axis)
+
+
+@pytest.mark.parametrize("fill", ["empty", "complete"])
+def test_every_triad_path_rejects_an_embedding_off_the_3graph(fill):
+    """An embedding past a class, or negative, is a FrameMismatch on every
+    path that reads the 3-graph through a triad, whether or not a witness
+    is found; none of them reads an alias or another row instead."""
+    cls = tuple(VertexClass(i, 2) for i in range(3))
+    h = ThreeGraph(cls, ()) if fill == "empty" else ThreeGraph.complete(cls)
+    paths = {
+        "triad_density": hyperreg.triad_density,
+        "octahedron_sum_naive": hyperreg.octahedron_sum_naive,
+        "quasirandom": lambda h, t: hyperreg.check_quasirandom_triad(
+            h, t, Fraction(1, 100)),
+        "hypothesis": lambda h, t: hyperreg.check_subtriad_hypothesis(
+            h, t, Fraction(1, 2)),
+        "hypothesis-randomized": lambda h, t:
+            hyperreg.check_subtriad_hypothesis(
+                h, t, Fraction(1, 2), CheckParams(mode="randomized",
+                                                  random_trials=1)),
+        "fr": lambda h, t: hyperreg.check_fr_triad(h, t, Fraction(1, 2)),
+    }
+    for embedding, vertex in [(((0, 1), (0, 1), (0, 2)), 2),
+                              (((0, 1), (-1, 0), (0, 1)), -1),
+                              (((2, 1), (0, 1), (0, 1)), 2),
+                              (((0, 1), (0, 1), (-1, 1)), -1)]:
+        t = Triad(BipartiteGraph.complete(cls[0], cls[1]),
+                  BipartiteGraph.complete(cls[0], cls[2]),
+                  BipartiteGraph.complete(cls[1], cls[2]), embedding=embedding)
+        for name, path in paths.items():
+            with pytest.raises(FrameMismatch) as err:
+                path(h, t)
+            assert str(err.value) == (f"embedded vertex {vertex} outside "
+                                      "class of size 2"), name
 
 
 def test_triad_density_product_form():
@@ -86,13 +164,13 @@ def _octahedron_oracle(h, t):
     """Definition-literal 8-fold product sum, written independently."""
     n = t.sizes[0]
     ea, eb, ec = t.embedding
+    ab, ac, bc = t.ab.edges, t.ac.edges, t.bc.edges
     tau = 0
     e = 0
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                if (t.ab.has_edge(x, y) and t.ac.has_edge(x, z)
-                        and t.bc.has_edge(y, z)):
+                if (x, y) in ab and (x, z) in ac and (y, z) in bc:
                     tau += 1
                     if (ea[x], eb[y], ec[z]) in h.triples:
                         e += 1
@@ -107,8 +185,8 @@ def _octahedron_oracle(h, t):
                 for x in xs:
                     for y in ys:
                         for z in zs:
-                            if (t.ab.has_edge(x, y) and t.ac.has_edge(x, z)
-                                    and t.bc.has_edge(y, z)):
+                            if (x, y) in ab and (x, z) in ac and \
+                                    (y, z) in bc:
                                 ind = 1 if (ea[x], eb[y], ec[z]) in h.triples \
                                     else 0
                                 prod *= Fraction(ind) - d
@@ -652,7 +730,7 @@ def test_reduction_identities_cover_every_axis3_member(case, data):
         seen[(i, j)] = k + 1
         if {cls_of[i], cls_of[j]} == {0, 1} and eb.edges:
             want += [((i, j, k), ci) for ci in c_clusters]
-    got = hyperreg._reduction_identities(h, tp, hyperreg.auxiliary_graph(h, 3))
+    got = hyperreg._reduction_identities(h, tp)
     assert sorted((c.block_key, c.cluster_c) for c in got) == sorted(want)
     assert all(c.t_equals_e_times_c and c.densities_equal for c in got)
 
