@@ -7,8 +7,8 @@ counting loops live in ``regkit.kernels``, in pure Python.
 
 __version__ = "1.0.0"
 
-from .graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
-                     VertexClass, density)
+from .graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
+                     density)
 from .kernels import BACKEND
 from .partitions import (ThreePartiteFrame, TwoPartition, VertexPartition,
                          complete_two_partition)
@@ -19,7 +19,6 @@ __all__ = [
     "BACKEND",
     "BipartiteGraph",
     "CheckParams",
-    "ProductSide",
     "ThreeGraph",
     "ThreePartiteFrame",
     "Threshold",

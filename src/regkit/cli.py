@@ -117,7 +117,8 @@ def _cmd_check_3partition(args) -> int:
     _emit(args, {
         "check": "delta-regular 2-partition of a 3-graph",
         "goodness": report.goodness.status,
-        "axes": {str(a.axis): a.edit_result.status for a in report.axes},
+        "axes": {str(axis): res.status
+                 for axis, res in enumerate(report.axes, 1)},
         "passed": report.passed,
     }, list(report.caveats))
     return 0 if report.passed else CHECK_FAILED

@@ -210,26 +210,6 @@ class BipartiteGraph:
                 f"{self.edge_count} edges)")
 
 
-@dataclass(frozen=True)
-class ProductSide:
-    """The vertex class V1 x V2, linearized row-major: idx = v1*|V2| + v2."""
-
-    first: VertexClass
-    second: VertexClass
-
-    @property
-    def size(self) -> int:
-        return self.first.size * self.second.size
-
-    def index(self, v1: int, v2: int) -> int:
-        _check_index(v1, self.first.size, "first")
-        _check_index(v2, self.second.size, "second")
-        return v1 * self.second.size + v2
-
-    def as_vertex_class(self, label: int = -1) -> VertexClass:
-        return VertexClass(label, self.size)
-
-
 @dataclass(frozen=True, init=False)
 class ThreeGraph:
     """A 3-partite 3-uniform hypergraph on three vertex classes, stored as

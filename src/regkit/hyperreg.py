@@ -257,17 +257,9 @@ def _unknown_caveats(labelled: Iterable[tuple[str, str]], counted_as: str
 
 
 @dataclass(frozen=True)
-class AxisReport:
-    """Result of one axis of the 3-partition regularity check."""
-
-    axis: int
-    edit_result: EditResult
-
-
-@dataclass(frozen=True)
 class ThreePartitionReport:
     goodness: PartitionVerdict
-    axes: tuple[AxisReport, AxisReport, AxisReport]
+    axes: tuple[EditResult, EditResult, EditResult]  # axes 1, 2, 3
     passed: bool
     caveats: tuple[str, ...]
 
@@ -283,17 +275,15 @@ def check_delta_regular_3partition(h: ThreeGraph, tp: TwoPartition, delta,
     axes = []
     caveats: list[str] = []
     for axis in (1, 2, 3):
-        aux = auxiliary_graph(h, axis)
-        left_p = es[axis - 1].as_vertex_partition()
-        right_p = zs[axis - 1]
-        res = check_delta_partition_with_edits(aux, left_p, right_p,
-                                               delta, params)
-        axes.append(AxisReport(axis, res))
+        res = check_delta_partition_with_edits(
+            auxiliary_graph(h, axis), es[axis - 1], zs[axis - 1], delta,
+            params)
+        axes.append(res)
         caveats += _unknown_caveats(
             ((f"axis {axis} pair {key}", v.status)
              for key, v in res.pair_verdicts.items()), "regular")
     passed = (goodness.status != IRREGULAR
-              and all(a.edit_result.status != NOT_CERTIFIED for a in axes))
+              and all(res.status != NOT_CERTIFIED for res in axes))
     if goodness.status == UNKNOWN:
         caveats.append("goodness: unknown verdicts counted as regular")
     return ThreePartitionReport(goodness, tuple(axes), passed,
@@ -704,13 +694,11 @@ def reduction_check(h: ThreeGraph, tp: TwoPartition, delta: Fraction,
 
     identities = _reduction_identities(h, tp)
 
-    left_p = es[2].as_vertex_partition()
-    right_p = zs[2]
     threshold = Threshold.sqrt_of(4 * delta)  # 2*sqrt(delta) = sqrt(4*delta)
     if not threshold.le_one():
         threshold = Threshold(Fraction(1))
-    pv = check_perfect_delta_partition(auxiliary_graph(h, 3), left_p,
-                                       right_p, threshold, params)
+    pv = check_perfect_delta_partition(auxiliary_graph(h, 3), es[2], zs[2],
+                                       threshold, params)
     caveats += _unknown_caveats(((f"axis 3 pair {key}", v.status)
                                  for key, v in pv.pair_verdicts.items()),
                                 "regular")

@@ -1,5 +1,5 @@
-"""Vertex partitions, edge partitions, 2-partitions, and the exact and
-approximate refinement algebra.
+"""Vertex partitions, 2-partitions and their projection onto a 3-partite
+frame, and the exact and approximate refinement algebra.
 
 All set arithmetic is exact.  The approximate containment ``S c_beta T``
 means ``|S \\ T| < beta * |S|`` (strict, as defined), with the degenerate
@@ -16,11 +16,9 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import (ClassMismatch, DegenerateInput, FrameMismatch,
-                     GroundMismatch, NotDisjoint, ParameterOutOfContract,
-                     PreconditionFailed)
-from .graphs import (BipartiteGraph, ProductSide, VertexClass,
-                     induced_subgraph)
+from .errors import (DegenerateInput, FrameMismatch, GroundMismatch,
+                     NotDisjoint, ParameterOutOfContract, PreconditionFailed)
+from .graphs import BipartiteGraph, VertexClass, induced_subgraph
 
 HALF = Fraction(1, 2)
 
@@ -67,41 +65,6 @@ class VertexPartition:
             blocks[lab].add(v)
         return VertexPartition(ground, tuple(frozenset(b) for b in blocks
                                              if b))
-
-
-@dataclass(frozen=True)
-class EdgePartition:
-    """A partition of a complete bipartite product into edge-disjoint graphs."""
-
-    carrier: ProductSide
-    blocks: tuple[BipartiteGraph, ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise DegenerateInput("edge partition with no blocks")
-        total = 0
-        seen = [0] * self.carrier.first.size
-        for g in self.blocks:
-            if g.left != self.carrier.first or g.right != self.carrier.second:
-                raise ClassMismatch("edge block not on the carrier classes")
-            if any(s & r for s, r in zip(seen, g.rows)):
-                raise NotDisjoint("edge blocks overlap")
-            seen = [s | r for s, r in zip(seen, g.rows)]
-            total += g.edge_count
-        if total != self.carrier.size:
-            raise DegenerateInput("edge blocks do not cover the product")
-
-    @property
-    def order(self) -> int:
-        return len(self.blocks)
-
-    def as_vertex_partition(self) -> VertexPartition:
-        """The same partition read over the linearized product side."""
-        ground = self.carrier.as_vertex_class()
-        blocks = tuple(
-            frozenset(self.carrier.index(a, b) for a, b in g.sorted_edges())
-            for g in self.blocks)
-        return VertexPartition(ground, blocks)
 
 
 @dataclass(frozen=True)
@@ -381,13 +344,16 @@ def restrict_two_partition(tp: TwoPartition,
 def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
                    ) -> tuple[tuple[VertexPartition, VertexPartition,
                                     VertexPartition],
-                              tuple[EdgePartition, EdgePartition,
-                                    EdgePartition]]:
+                              tuple[VertexPartition, VertexPartition,
+                                    VertexPartition]]:
     """Project a 2-partition onto a 3-partite frame.
 
     Returns (Z_1, Z_2, Z_3) as partitions of the individual classes (local
-    indices) and (E_1, E_2, E_3) where E_i partitions V_j x V_k,
-    {i, j, k} = {1, 2, 3}.
+    indices) and (E_1, E_2, E_3), where E_i partitions V_j x V_k,
+    {i, j, k} = {1, 2, 3} and j < k, read as the left side of the axis-i
+    auxiliary graph: the pair (v_j, v_k) is vertex v_j * |V_k| + v_k of the
+    ground ``VertexClass(-1, |V_j| * |V_k|)``.  E_i has one block per
+    nonempty graph of ``tp.graphs`` between classes j and k, in that order.
     """
     layout = frame.cluster_layout(tp.z)
     zs = [VertexPartition(frame.classes[i],
@@ -397,17 +363,16 @@ def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
 
     es = []
     for j, k in ((1, 2), (0, 2), (0, 1)):
-        graphs = []
+        nk = frame.classes[k].size
+        blocks = []
         for (ci, cj, _), g in tp.graphs.items():
             (cls_i, vs_i), (cls_j, vs_j) = layout[ci], layout[cj]
             if {cls_i, cls_j} != {j, k} or not g.edge_count:
                 continue
-            if cls_i == j:
-                edges = [(vs_i[a], vs_j[b]) for a, b in g.sorted_edges()]
-            else:
-                edges = [(vs_j[b], vs_i[a]) for a, b in g.sorted_edges()]
-            graphs.append(BipartiteGraph(frame.classes[j], frame.classes[k],
-                                         edges))
-        es.append(EdgePartition(ProductSide(frame.classes[j],
-                                            frame.classes[k]), tuple(graphs)))
+            if cls_i != j:
+                (vs_i, vs_j), g = (vs_j, vs_i), g.transpose()
+            blocks.append(frozenset(vs_i[a] * nk + vs_j[b]
+                                    for a, b in g.sorted_edges()))
+        es.append(VertexPartition(
+            VertexClass(-1, frame.classes[j].size * nk), tuple(blocks)))
     return (tuple(zs), tuple(es))

@@ -610,12 +610,14 @@ def check_delta_partition_with_edits(g: BipartiteGraph,
     below delta times the overall density; no other edit is attempted, and
     the edited graph is checked again.  The cluster pairs tile the
     product, so the deleted edges always number fewer than delta * e(g);
-    the budget test below is a guard that never binds.  NotCertified is
-    one-sided (not a refutation).
+    the budget test below is a guard that never binds.  A pair with an
+    unknown verdict counts as regular, at both checks, so NotCertified
+    means that an irregular pair with a verified witness survives these
+    edits (not that no other edits would do).
     """
     thr = _as_threshold(delta)
     first = check_perfect_delta_partition(g, left_p, right_p, thr, params)
-    if first.status == CERTIFIED:
+    if first.status != IRREGULAR:
         return EditResult(PERFECT, (), 0, first.pair_verdicts)
     edits: list[tuple[int, int]] = []
     kept = list(g.rows)
@@ -638,7 +640,7 @@ def check_delta_partition_with_edits(g: BipartiteGraph,
     edited = BipartiteGraph.from_rows(g.left, g.right, kept)
     second = check_perfect_delta_partition(edited, left_p, right_p, thr,
                                            params)
-    if second.status == CERTIFIED:
+    if second.status != IRREGULAR:
         return EditResult(AFTER_EDITS, tuple(sorted(edits)), len(edits),
                           second.pair_verdicts)
     return EditResult(NOT_CERTIFIED, (), 0, second.pair_verdicts)

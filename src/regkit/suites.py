@@ -163,7 +163,6 @@ def _suite_claim_3_1(rng: random.Random, scale: dict):
     rng.shuffle(members)
 
     all_certified = all(certified(g) for g in members)
-    from .graphs import edge_disjoint_union
     union = edge_disjoint_union(members)
     union_certified = certified(union)
     ok = (not all_certified) or union_certified
@@ -289,9 +288,11 @@ def _suite_claim_3_3(rng: random.Random, scale: dict):
     relabel = [rng.randrange(groups) for _ in range(len(e3))]
     used = sorted(set(relabel))
     found = False
+    n2 = classes[1].size
     for group in used:
-        g = edge_disjoint_union([m for m, lab in zip(e3, relabel)
-                                 if lab == group])
+        g = BipartiteGraph(classes[0], classes[1], [
+            divmod(p, n2) for m, lab in zip(e3, relabel) if lab == group
+            for p in m])
         res = check_delta_partition_with_edits(g, zs[0], zs[1], 3 * delta,
                                                _exh())
         if res.status != NOT_CERTIFIED:

@@ -109,6 +109,25 @@ def test_check_3partition(fixtures, capsys):
     assert "passed: True" in capsys.readouterr().out
 
 
+def test_check_3partition_randomized_caveats(fixtures, capsys):
+    """Every member and every axis pair of the complete 3-graph is unknown
+    to the randomized search; unknowns count as regular, so the check
+    passes, with one caveat each, axes numbered 1-3."""
+    assert run(["check-3partition", "--h", fixtures["h3"],
+                "--tp", fixtures["tp"], "--delta", "1/2",
+                "--mode", "randomized"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "axes: {'1': 'PerfectlyRegular', '2': 'PerfectlyRegular', "
+        "'3': 'PerfectlyRegular'}",
+        "check: delta-regular 2-partition of a 3-graph",
+        "goodness: UnknownNoWitnessFound",
+        "passed: True",
+        "caveat: axis 1 pair (0, 0): unknown verdict counted as regular",
+        "caveat: axis 2 pair (0, 0): unknown verdict counted as regular",
+        "caveat: axis 3 pair (0, 0): unknown verdict counted as regular",
+        "caveat: goodness: unknown verdicts counted as regular"]
+
+
 def test_check_fr_and_quasirandom(fixtures, capsys):
     assert run(["check-fr", "--h", fixtures["h3"],
                 "--triad", fixtures["tr"], "--eps", "1/2"]) == 0
@@ -215,15 +234,16 @@ def test_global_flags_accepted_before_subcommand(fixtures, capsys):
 
 def test_check_partition_randomized_caveats(fixtures, capsys):
     """Every cluster pair of a complete graph is unknown to the randomized
-    search; each is named in a caveat line, in cluster-pair order."""
+    search; unknown pairs count as regular, so the check passes, and each
+    is named in a caveat line, in cluster-pair order."""
     assert run(["check-partition", "--graph", fixtures["complete"],
                 "--left", fixtures["vp"], "--right", fixtures["vp"],
-                "--delta", "1/4", "--mode", "randomized"]) == 1
+                "--delta", "1/4", "--mode", "randomized"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "budget: 0",
         "check: delta-regular partition with edit budget",
         "edits: []",
-        "status: NotCertified",
+        "status: PerfectlyRegular",
         "caveat: pair (0, 0): no witness found",
         "caveat: pair (0, 1): no witness found",
         "caveat: pair (1, 0): no witness found",

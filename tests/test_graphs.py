@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from regkit import graphs
 from regkit.errors import ClassMismatch, DegenerateInput, NotDisjoint
-from regkit.graphs import (BipartiteGraph, ProductSide, ThreeGraph, Triad,
-                           VertexClass, _check_index, count_edges_between,
+from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
+                           _check_index, count_edges_between,
                            density, edge_disjoint_union, induced_subgraph,
                            iter_bits, mask_to_set, subset_mask)
 
@@ -67,12 +67,6 @@ def test_transpose_involution():
     g = BipartiteGraph(A, B, [(a, b) for a in range(4) for b in range(3)
                               if rng.random() < .5])
     assert g.transpose().transpose() == g
-
-
-def test_product_side_row_major():
-    ps = ProductSide(A, B)
-    assert ps.size == 12
-    assert ps.index(2, 1) == 7
 
 
 def test_three_graph_density():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from regkit.errors import (DegenerateInput, FrameMismatch, GroundMismatch,
                            NotDisjoint, PreconditionFailed)
-from regkit.graphs import BipartiteGraph, ProductSide, VertexClass
-from regkit.partitions import (EdgePartition, ThreePartiteFrame,
-                               TwoPartition, VertexPartition, approx_member,
+from regkit.graphs import BipartiteGraph, VertexClass
+from regkit.partitions import (ThreePartiteFrame, TwoPartition, VertexPartition, approx_member,
                                approx_refines, approx_subset,
                                complete_two_partition, is_equitable,
                                refinement_union_extract, refines,
@@ -232,10 +231,9 @@ def test_sub_partitions_axes():
     tp = complete_two_partition(frame.frame_partition())
     zs, es = sub_partitions(tp, frame)
     assert [z.ground.size for z in zs] == [2, 2, 2]
-    # E_3 partitions V1 x V2
-    assert es[2].carrier.size == 4
-    assert es[2].order == 1
-    assert es[2].blocks[0].edge_count == 4
+    # E_3 partitions V1 x V2, pair (v1, v2) at v1 * |V2| + v2
+    assert es[2] == VertexPartition(VertexClass(-1, 4),
+                                    (frozenset({0, 1, 2, 3}),))
 
 
 def test_sub_partitions_frame_mismatch():
@@ -255,8 +253,9 @@ def test_restrict_two_partition():
 
 
 # ``restrict_two_partition`` and ``sub_partitions`` as they were when blocks
-# were stored on combined indices, kept verbatim as oracles for the property
-# tests below; they read the drawn blocks.  The restriction returns drawn
+# were stored on combined indices, kept verbatim (but for the projection's
+# last step, marked below) as oracles for the property tests below; they
+# read the drawn blocks.  The restriction returns drawn
 # blocks, which the test builds into a ``TwoPartition``; that replaces its
 # last call, to the deleted ``require_valid()``.
 
@@ -298,7 +297,6 @@ def _ref_sub_partitions(tp: DrawnTwoPartition, frame: ThreePartiteFrame):
     es = []
     for axis in range(3):
         j, k = pair_for_axis[axis]
-        carrier = ProductSide(frame.classes[j], frame.classes[k])
         offj, offk = frame.offset(j), frame.offset(k)
         graphs = []
         for eb in tp.e:
@@ -310,9 +308,15 @@ def _ref_sub_partitions(tp: DrawnTwoPartition, frame: ThreePartiteFrame):
             else:
                 edges = [(v - offj, u - offk) for u, v in eb.edges]
             if edges:
-                graphs.append(BipartiteGraph(frame.classes[j],
-                                             frame.classes[k], edges))
-        es.append(EdgePartition(carrier, tuple(graphs)))
+                graphs.append(edges)
+        # The last step maps each block's pairs to product indices
+        # v_j * |V_k| + v_k; it built an ``EdgePartition`` of bipartite
+        # graphs on V_j x V_k, a class that is gone.
+        nk = frame.classes[k].size
+        es.append(VertexPartition(
+            VertexClass(-1, frame.classes[j].size * nk),
+            tuple(frozenset(a * nk + b for a, b in edges)
+                  for edges in graphs)))
     return (tuple(zs), tuple(es))
 
 
@@ -330,23 +334,3 @@ def test_restriction_matches_the_combined_index_restriction(case, data):
 def test_sub_partitions_match_the_combined_index_projection(case):
     frame, drawn, tp = case
     assert sub_partitions(tp, frame) == _ref_sub_partitions(drawn, frame)
-
-
-def test_edge_partition_rejects_partial_cover():
-    ps = ProductSide(VertexClass(0, 2), VertexClass(1, 2))
-    g = BipartiteGraph(ps.first, ps.second, [(0, 0)])
-    with pytest.raises(DegenerateInput):
-        EdgePartition(ps, (g,))
-
-
-def test_edge_partition_rejects_overlap_even_at_full_count():
-    """Blocks that share an edge are refused although their edge counts
-    add up to the product."""
-    ps = ProductSide(VertexClass(0, 2), VertexClass(1, 2))
-    g1 = BipartiteGraph(ps.first, ps.second, [(0, 0), (0, 1)])
-    g2 = BipartiteGraph(ps.first, ps.second, [(0, 1), (1, 0)])
-    with pytest.raises(NotDisjoint, match="edge blocks overlap"):
-        EdgePartition(ps, (g1, g2))
-    g3 = BipartiteGraph(ps.first, ps.second, [(1, 0), (1, 1)])
-    assert EdgePartition(ps, (g1, g3)).as_vertex_partition().blocks == (
-        frozenset({0, 1}), frozenset({2, 3}))
