@@ -2,12 +2,15 @@
 
 Exit codes: 0 when the requested check passes (Unknown verdicts count as
 passing but are listed as caveats), 1 when a check fails, 2 on usage or
-file-format errors.  With ``--json`` a single canonical JSON document is
-printed to standard output; otherwise a short human-readable summary.
+file-format errors, 141 (128 + SIGPIPE) when standard output is closed
+before the report is written.  With ``--json`` a single canonical JSON
+document is printed to standard output; otherwise a short human-readable
+summary.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from .regcheck import (IRREGULAR, NOT_CERTIFIED, UNKNOWN, CheckParams,
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 class _UsageError(Exception):
@@ -292,6 +296,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no file descriptor, nothing flushes to one at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -299,7 +315,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: report nothing, and let the flush at exit
+        # write to os.devnull instead of failing again.
+        _stdout_to_devnull()
+        return BROKEN_PIPE
     except (_UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

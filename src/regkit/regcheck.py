@@ -29,15 +29,27 @@ the number of masks covered, every mask of at least ka bits up to the
 witness (or all of them), counted exactly rather than visited.  Every
 density comparison, the randomized searches' included, is an exact
 integer cross-multiplication; no Fraction is built inside a search.
+
+The randomized searches walk greedily from the full sides and then from
+random pairs meeting the size floors, removing one vertex per step.  A
+walk keeps the hit counts of each side packed in one integer, one field
+per vertex, one byte wide below 255 vertices a side and eight bytes from
+there on.  A removed vertex's field holds a sentinel that the pick never
+takes, so a step is a max (or min) over the fields plus a fixed number of
+integer operations, whatever the sides' sizes.  The random starts come
+from a generator private to the search and are drawn only as the search
+reaches them, so a search that finds a witness early draws no more.
 """
 from __future__ import annotations
 
 import random
 import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, DegenerateInput, ParameterOutOfContract
 from .graphs import (BipartiteGraph, count_edges_between, density,
@@ -398,48 +410,115 @@ def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
 # Randomized searches
 
 
-def _greedy_walk(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
-                 e: int, want_low: bool):
+class _WalkTables(NamedTuple):
+    """What every greedy walk of one search shares: the field width in
+    bytes, the spread rows and columns of g and the size floors."""
+
+    width: int
+    rows: list[int]
+    cols: list[int]
+    min_ka: int
+    min_kb: int
+
+    @classmethod
+    def of(cls, g: BipartiteGraph, thr: Threshold) -> "_WalkTables":
+        """Fields are one byte wide while both sides have at most 254
+        vertices, so that a hit count biased by one fits in a byte and an
+        unbiased one stays below the all-ones sentinel; eight bytes wide
+        otherwise."""
+        width = 1 if max(g.left.size, g.right.size) < 255 else 8
+        return cls(width, [_spread_row(row, width) for row in g.rows],
+                   [_spread_row(col, width) for col in g.cols],
+                   thr.least(g.left.size), thr.least(g.right.size))
+
+
+def _members(mask: int, n: int) -> bytes:
+    """Byte v is 1 if bit v of ``mask`` is set, else 0; n bytes."""
+    return _spread_row(mask, 1).to_bytes(n, "little")
+
+
+def _fields(packed: int, n: int, width: int):
+    """The n fields of ``packed``, ``width`` bytes each, lowest first."""
+    raw = packed.to_bytes(n * width, "little")
+    if width == 1:
+        return raw
+    words = array("Q", raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _greedy_walk(g: BipartiteGraph, tables: _WalkTables, amask: int,
+                 bmask: int, want_low: bool):
     """Yield the pairs of a greedy walk from (amask, bmask), the start first.
 
     Each step removes the single vertex (either side) whose removal moves
     the induced density furthest down (or up), ties going to the left side
     first and then to the lowest index.  The walk ends when neither side
-    can shrink without breaking its size floor.  ``e`` is the edge count
-    between the masks; every pair is yielded as (amask, bmask, edges).
+    can shrink without breaking its size floor.  Every pair is yielded as
+    (amask, bmask, edges between them).
+
+    The hit counts of each side (row a's edges into bmask, column b's into
+    amask) are kept packed in one integer, vertex v in field v, so a step
+    costs a fixed number of integer operations.  A removed vertex's field
+    holds a sentinel that never wins the pick: 0 on the way down, where
+    the pick is the most hits and the present fields are biased by +1, and
+    all ones on the way up, where it is the fewest.  A pick is then a max
+    (or min) over the fields and the first index of that value.  Removing
+    row a subtracts its spread row, restricted to the present columns, from
+    the column hits, and likewise for a column.
     """
     na, nb = g.left.size, g.right.size
-    rows, cols = g.rows, g.cols
+    width, srows, scols, min_ka, min_kb = tables
+    bits = 8 * width
+    full = (1 << bits) - 1
     pick = max if want_low else min  # removing the most hits lowers d most
-    left, right = list(iter_bits(amask)), list(iter_bits(bmask))
+    bias, sentinel = (1, 0) if want_low else (0, full)
+    # 1 in the field of every vertex still in the pair.
+    lflags, rflags = _spread_row(amask, width), _spread_row(bmask, width)
+    lhits = sum(compress(scols, _members(bmask, nb))) & lflags * full
+    rhits = sum(compress(srows, _members(amask, na))) & rflags * full
+    e = sum(_fields(lhits, na, width))
+    lhits += bias * lflags + sentinel * ((1 << bits * na) // full - lflags)
+    rhits += bias * rflags + sentinel * ((1 << bits * nb) // full - rflags)
+    ka, kb = amask.bit_count(), bmask.bit_count()
     while True:
         yield amask, bmask, e
-        ka, kb = len(left), len(right)
-        # Best removal: position i in side, density best_e2 / best_den.
-        side = None
-        if ka > 1 and thr.floor_ok(ka - 1, na):
-            hits = [(rows[a] & bmask).bit_count() for a in left]
-            h = pick(hits)
-            side, i = left, hits.index(h)
-            best_e2, best_den = e - h, (ka - 1) * kb
-        if kb > 1 and thr.floor_ok(kb - 1, nb):
-            hits = [(cols[b] & amask).bit_count() for b in right]
-            h = pick(hits)
-            e2, den = e - h, ka * (kb - 1)
-            if side is None or (e2 * best_den < best_e2 * den if want_low
+        # Best removal: vertex i of field value h, on the left side or not,
+        # leaving density best_e2 / best_den.
+        left = None
+        if ka > min_ka:
+            fields = _fields(lhits, na, width)
+            h = pick(fields)
+            left, i = True, fields.index(h)
+            best_e2, best_den = e - h + bias, (ka - 1) * kb
+        if kb > min_kb:
+            fields = _fields(rhits, nb, width)
+            h2 = pick(fields)
+            e2, den = e - h2 + bias, ka * (kb - 1)
+            if left is None or (e2 * best_den < best_e2 * den if want_low
                                 else e2 * best_den > best_e2 * den):
-                side, i = right, hits.index(h)
+                left, i, h = False, fields.index(h2), h2
                 best_e2, best_den = e2, den
-        if side is None:
+        if left is None:
             return
-        if side is left:
-            amask ^= 1 << left.pop(i)
+        shift = bits * i
+        if left:
+            amask ^= 1 << i
+            lflags -= 1 << shift
+            lhits += (sentinel - h) << shift
+            rhits -= srows[i] & rflags
+            ka -= 1
         else:
-            bmask ^= 1 << right.pop(i)
+            bmask ^= 1 << i
+            rflags -= 1 << shift
+            rhits += (sentinel - h) << shift
+            lhits -= scols[i] & lflags
+            kb -= 1
         e = best_e2
 
 
-def _peel(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int
+def _peel(g: BipartiteGraph, tables: _WalkTables, amask: int, bmask: int
           ) -> Optional[tuple[int, int]]:
     """Greedy peeling from a starting pair; returns a violating pair or None.
 
@@ -449,9 +528,8 @@ def _peel(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int
     """
     na, nb = g.left.size, g.right.size
     e_full = g.edge_count
-    e = count_edges_between(g, amask, bmask)
     prev = None
-    for am, bm, e2 in _greedy_walk(g, thr, amask, bmask, e, True):
+    for am, bm, e2 in _greedy_walk(g, tables, amask, bmask, True):
         ka, kb = am.bit_count(), bm.bit_count()
         if prev is not None and e2 * prev[1] >= prev[0] * ka * kb:
             # No removal lowers the density any further.
@@ -463,25 +541,26 @@ def _peel(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int
 
 
 def _random_subset(rng: random.Random, n: int, k: int) -> int:
-    return subset_mask(rng.sample(range(n), k), n)
+    return sum(map((1).__lshift__, rng.sample(range(n), k)))
 
 
 def _random_starts(g: BipartiteGraph, thr: Threshold, rng: random.Random,
-                   trials: int) -> list[tuple[int, int]]:
-    """The full sides, then ``trials`` random pairs meeting the size floors.
+                   trials: int):
+    """Yield the full sides, then ``trials`` random pairs meeting the size
+    floors.
 
     Each random pair draws its two sizes and then its two subsets, in that
-    order, so a seed always yields the same starts.
+    order, so a seed always yields the same starts.  A pair is drawn only
+    when it is asked for: a search that stops early draws no more, and as
+    its generator is private to the search the starts do not change.
     """
     na, nb = g.left.size, g.right.size
     min_ka, min_kb = thr.least(na), thr.least(nb)
-    starts = [((1 << na) - 1, (1 << nb) - 1)]
+    yield (1 << na) - 1, (1 << nb) - 1
     for _ in range(trials):
         ka = rng.randint(min_ka, na)
         kb = rng.randint(min_kb, nb)
-        starts.append((_random_subset(rng, na, ka),
-                       _random_subset(rng, nb, kb)))
-    return starts
+        yield _random_subset(rng, na, ka), _random_subset(rng, nb, kb)
 
 
 def find_delta_witness_greedy(g: BipartiteGraph, delta: ThresholdLike,
@@ -498,8 +577,9 @@ def find_delta_witness_greedy(g: BipartiteGraph, delta: ThresholdLike,
     if g.edge_count == 0:
         return None
     rng = random.Random(seed)
+    tables = _WalkTables.of(g, thr)
     for amask, bmask in _random_starts(g, thr, rng, restarts):
-        found = _peel(g, thr, amask, bmask)
+        found = _peel(g, tables, amask, bmask)
         if found is not None:
             witness = (_bits(found[0]), _bits(found[1]))
             if verify_delta_witness(g, thr, witness):
@@ -521,12 +601,12 @@ def _random_eps_search(g: BipartiteGraph, eps: Fraction, params: CheckParams
     p, q = eps.numerator, eps.denominator
     nn = na * nb
     rng = random.Random(params.seed)
+    tables = _WalkTables.of(g, thr)
     trials = 0
     for amask, bmask in _random_starts(g, thr, rng, params.random_trials):
         trials += 1
-        e = count_edges_between(g, amask, bmask)
         for want_low in (True, False):
-            for am, bm, e2 in _greedy_walk(g, thr, amask, bmask, e, want_low):
+            for am, bm, e2 in _greedy_walk(g, tables, amask, bmask, want_low):
                 kk = am.bit_count() * bm.bit_count()
                 # |d' - d| > eps, multiplied out as verify_eps_witness does.
                 if abs(e2 * nn - e_full * kk) * q > p * kk * nn:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -206,6 +208,21 @@ def test_schedule_json(fixtures, capsys):
     assert run(["--json", "schedule", "--index", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["values"]["t"]["value"] == "2^250"
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A standard output whose reader has gone, as in ``regkit ... | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["--json", "verify", "--suite", "schedule"],
+                                  ["schedule", "--index", "1"]])
+def test_closed_stdout_exits_141_silently(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(argv) == cli.BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_pass_and_unknown(capsys):

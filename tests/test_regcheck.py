@@ -15,8 +15,9 @@ from regkit.partitions import VertexPartition
 from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              NOT_CERTIFIED, PERFECT, UNKNOWN, CheckParams,
                              EditResult, Threshold, ThresholdLike, Verdict,
-                             _as_threshold, _greedy_walk, _iter_cluster_pairs,
-                             _masks_covered, _peel, _scan_delta,
+                             _WalkTables, _as_threshold, _greedy_walk,
+                             _iter_cluster_pairs, _masks_covered, _peel,
+                             _random_starts, _scan_delta,
                              _scan_eps, _scan_witness, _spread_row,
                              check_delta_partition_with_edits,
                              check_delta_regular, check_eps_regular,
@@ -562,7 +563,7 @@ def test_searches_match_reference(mode, sides, count, seed):
 def _walk_pairs(g, thr, want_low, steps):
     e = g.edge_count
     full = ((1 << g.left.size) - 1, (1 << g.right.size) - 1)
-    walk = _greedy_walk(g, thr, *full, e, want_low)
+    walk = _greedy_walk(g, _WalkTables.of(g, thr), *full, want_low)
     return [next(walk) for _ in range(steps)]
 
 
@@ -578,7 +579,7 @@ def test_greedy_tie_goes_to_left_then_lowest_index():
     assert _ref_eps_push(g, thr, 0b111, 0b111, False) == (0b011, 0b111)
     # Peeling: left 0, then a density-0 tie between left 1 and right 0.
     g = BipartiteGraph(a, b, [(0, 0), (0, 1), (1, 0)])
-    assert _peel(g, thr, 0b111, 0b111) == (0b100, 0b111)
+    assert _peel(g, _WalkTables.of(g, thr), 0b111, 0b111) == (0b100, 0b111)
     assert _ref_peel(g, thr, 0b111, 0b111, want_low=True) == (0b100, 0b111)
     # Two disjoint K_{2,2}: every removal keeps the density at 1/2, so
     # peeling stops at once although ({0}, {2}) violates delta = 1/4.
@@ -586,10 +587,149 @@ def test_greedy_tie_goes_to_left_then_lowest_index():
     g = BipartiteGraph(a, b, [(i, j) for i in range(4) for j in range(4)
                               if i // 2 == j // 2])
     thr = Threshold(Fraction(1, 4))
-    assert _peel(g, thr, 0b1111, 0b1111) is None
+    assert _peel(g, _WalkTables.of(g, thr), 0b1111, 0b1111) is None
     assert _ref_peel(g, thr, 0b1111, 0b1111, want_low=True) is None
     assert verify_delta_witness(g, thr, ((0,), (2,)))
 
+
+
+def _ref_greedy_walk(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
+                 e: int, want_low: bool):
+    """Yield the pairs of a greedy walk from (amask, bmask), the start first.
+
+    Each step removes the single vertex (either side) whose removal moves
+    the induced density furthest down (or up), ties going to the left side
+    first and then to the lowest index.  The walk ends when neither side
+    can shrink without breaking its size floor.  ``e`` is the edge count
+    between the masks; every pair is yielded as (amask, bmask, edges).
+    """
+    na, nb = g.left.size, g.right.size
+    rows, cols = g.rows, g.cols
+    pick = max if want_low else min  # removing the most hits lowers d most
+    left, right = list(iter_bits(amask)), list(iter_bits(bmask))
+    while True:
+        yield amask, bmask, e
+        ka, kb = len(left), len(right)
+        # Best removal: position i in side, density best_e2 / best_den.
+        side = None
+        if ka > 1 and thr.floor_ok(ka - 1, na):
+            hits = [(rows[a] & bmask).bit_count() for a in left]
+            h = pick(hits)
+            side, i = left, hits.index(h)
+            best_e2, best_den = e - h, (ka - 1) * kb
+        if kb > 1 and thr.floor_ok(kb - 1, nb):
+            hits = [(cols[b] & amask).bit_count() for b in right]
+            h = pick(hits)
+            e2, den = e - h, ka * (kb - 1)
+            if side is None or (e2 * best_den < best_e2 * den if want_low
+                                else e2 * best_den > best_e2 * den):
+                side, i = right, hits.index(h)
+                best_e2, best_den = e2, den
+        if side is None:
+            return
+        if side is left:
+            amask ^= 1 << left.pop(i)
+        else:
+            bmask ^= 1 << right.pop(i)
+        e = best_e2
+
+
+def _ref_random_starts(g: BipartiteGraph, thr: Threshold, rng: random.Random,
+                   trials: int) -> list[tuple[int, int]]:
+    """The full sides, then ``trials`` random pairs meeting the size floors.
+
+    Each random pair draws its two sizes and then its two subsets, in that
+    order, so a seed always yields the same starts.
+    """
+    na, nb = g.left.size, g.right.size
+    min_ka, min_kb = thr.least(na), thr.least(nb)
+    starts = [((1 << na) - 1, (1 << nb) - 1)]
+    for _ in range(trials):
+        ka = rng.randint(min_ka, na)
+        kb = rng.randint(min_kb, nb)
+        starts.append((_ref_random_subset(rng, na, ka),
+                       _ref_random_subset(rng, nb, kb)))
+    return starts
+
+
+WALK_THRESHOLDS = [Fraction(p, q) for q in range(1, 10)
+                   for p in range(1, q + 1)]
+
+
+def _assert_walks_match(g, thr, starts):
+    tables = _WalkTables.of(g, thr)
+    for amask, bmask in starts:
+        e = count_edges_between(g, amask, bmask)
+        for want_low in (True, False):
+            assert (list(_greedy_walk(g, tables, amask, bmask, want_low))
+                    == list(_ref_greedy_walk(g, thr, amask, bmask, e,
+                                             want_low)))
+
+
+def test_greedy_walk_matches_previous_walk():
+    rng = random.Random(17)
+    for _ in range(300):
+        na, nb = rng.randint(1, 40), rng.randint(1, 40)
+        g = random_graph(rng, na, nb, rng.random())
+        value = rng.choice(WALK_THRESHOLDS)
+        thr = Threshold(value, is_sqrt=rng.random() < 0.3)
+        _assert_walks_match(g, thr, _ref_random_starts(g, thr, rng, 2))
+    # Byte fields up to 254 vertices a side, where a full row's hits, biased
+    # by one, reach 0xFF; eight-byte fields from 255 on.  Either every third
+    # row is full, or all rows but the first two, so that the upward walk
+    # reaches a complete pair whose every present row has 254 hits, one
+    # below the sentinel of a removed row.
+    for (na, nb), sparse in itertools.product(
+            [(254, 254), (255, 255), (256, 7), (7, 256), (301, 30)],
+            [lambda a: a % 3 != 0, lambda a: a < 2]):
+        rows = [sum(1 << b for b in range(nb) if rng.random() < 0.9)
+                if sparse(a) else (1 << nb) - 1 for a in range(na)]
+        g = BipartiteGraph.from_rows(VertexClass(0, na), VertexClass(1, nb),
+                                     rows)
+        assert _WalkTables.of(g, Threshold(1)).width == (
+            1 if max(na, nb) < 255 else 8)
+        for thr in (Threshold(Fraction(9, 10)),
+                    Threshold.sqrt_of(Fraction(4, 5))):
+            _assert_walks_match(g, thr, _ref_random_starts(g, thr, rng, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 12345])
+def test_random_starts_match_previous_starts(seed):
+    rng = random.Random(seed)
+    for na, nb, value in [(24, 32, Fraction(1, 3)), (48, 40, Fraction(1, 2)),
+                          (1, 5, Fraction(1)), (30, 30, Fraction(1, 9))]:
+        g = random_graph(rng, na, nb, 0.5)
+        thr = Threshold(value)
+        assert (list(_random_starts(g, thr, random.Random(seed), 64))
+                == _ref_random_starts(g, thr, random.Random(seed), 64))
+
+
+def test_bench_scale_verdicts_match_reference():
+    """Auto mode above the exhaustive limit, at the sides the benchmark
+    runs: near-complete graphs use every trial and end unknown, planted
+    empty blocks are refuted early."""
+    rng = random.Random(24)
+    params = CheckParams(seed=rng.randrange(1 << 16))
+    statuses = set()
+    for n, plant in [(24, False), (32, False), (48, False), (24, True),
+                     (40, True), (48, True)]:
+        if plant:
+            k = n // 3 + 1
+            rows = set(rng.sample(range(n), k))
+            cols = set(rng.sample(range(n), k))
+            g = _graph(n, n, [(a, b) for a in range(n) for b in range(n)
+                              if not (a in rows and b in cols)
+                              and rng.random() < 0.9])
+        else:
+            g = _graph(n, n, [(a, b) for a in range(n) for b in range(n)
+                              if rng.random() >= 0.05])
+        for kind, check in (("eps", check_eps_regular),
+                            ("delta", check_delta_regular)):
+            got = check(g, Fraction(1, 3), params)
+            assert got == ref_verdict(g, kind, Fraction(1, 3), params)
+            assert got.method == "Randomized"
+            statuses.add((plant, got.status))
+    assert statuses == {(False, UNKNOWN), (True, IRREGULAR)}
 
 def _graph(na, nb, edges):
     return BipartiteGraph(VertexClass(0, na), VertexClass(1, nb), edges)
