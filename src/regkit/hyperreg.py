@@ -88,9 +88,14 @@ def _triangle_masks(h: ThreeGraph, t: Triad) -> tuple[list[int], list[int]]:
     (a, b, c) a triangle, and of the second the bitmask of those whose
     embedded triple is a hyperedge of ``h``; both are 0 off the AB edges.
     FrameMismatch unless the embedding lies inside the classes of ``h``.
+    When the C embedding is a run c0, c0 + 1, ... (the identity for every
+    triad read from a file), a hyperedge mask is one shift and AND of the
+    3-graph row; otherwise its bits are tested one triangle at a time.
     """
     _check_embedding(h, t)
     ea, eb, ec = t.embedding
+    c0 = ec[0] if ec else 0
+    run = ec == tuple(range(c0, c0 + len(ec)))
     h_rows, n2 = h.graph.rows, h.classes[1].size
     ac_rows, bc_rows = t.ac.rows, t.bc.rows
     nb = t.ab.right.size
@@ -102,6 +107,9 @@ def _triangle_masks(h: ThreeGraph, t: Triad) -> tuple[list[int], list[int]]:
             i = a * nb + b
             tm[i] = rest = ac & bc_rows[b]
             h_row = h_rows[base + eb[b]]
+            if run:
+                hm[i] = rest & h_row >> c0
+                continue
             hmask = 0
             while rest:
                 low = rest & -rest

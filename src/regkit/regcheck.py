@@ -24,11 +24,16 @@ right subsets.  Only the left subsets of the floor size ka, the least
 admissible one, are visited: if a larger A' violates with B', its ka rows
 with the fewest hits into B' (the most, on the eps high side) violate on
 the same side and form a smaller mask, so the first violating mask in
-ascending order has ka bits.  The effort reported as ``left_masks`` is
-the number of masks covered, every mask of at least ka bits up to the
-witness (or all of them), counted exactly rather than visited.  Every
-density comparison, the randomized searches' included, is an exact
-integer cross-multiplication; no Fraction is built inside a search.
+ascending order has ka bits.  Of those, a mask is sorted only when its
+edge total e(A', B) leaves room for a violation: no hit exceeds ka, so
+the k0 smallest hits sum to at least e(A', B) - (|B| - k0) * ka and the
+k0 largest to at most min(e(A', B), k0 * ka).  When the ka lowest (or
+highest) row degrees already rule a violation out, no mask is walked.
+The effort reported as ``left_masks`` is the number of masks covered,
+every mask of at least ka bits up to the witness (or all of them),
+counted exactly rather than visited.  Every density comparison, the
+randomized searches' included, is an exact integer cross-multiplication;
+no Fraction is built inside a search.
 
 The randomized searches walk greedily from the full sides and then from
 random pairs meeting the size floors, removing one vertex per step.  A
@@ -38,7 +43,17 @@ there on.  A removed vertex's field holds a sentinel that the pick never
 takes, so a step is a max (or min) over the fields plus a fixed number of
 integer operations, whatever the sides' sizes.  The random starts come
 from a generator private to the search and are drawn only as the search
-reaches them, so a search that finds a witness early draws no more.
+reaches them, so a search that finds a witness early draws no more.  The
+effort reported as ``trials`` is the number of starts walked, 1 +
+``random_trials`` when no witness is found.
+
+Before a randomized search, the capped deficiency and surplus bounds of
+``_density_bounds`` (O(n log n), from the degrees) are evaluated once.
+When they keep every pair meeting the size floors away from a violation,
+no start can find a witness, so the check returns the verdict and effort
+the search would have ended with, without drawing a start.  The bounds
+only prune: the verdict is still UnknownNoWitnessFound, and they are not
+evaluated in exhaustive mode, where the scan decides.
 """
 from __future__ import annotations
 
@@ -47,7 +62,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -211,35 +226,54 @@ def _spread_row(row: int, width: int) -> int:
     return out
 
 
-def _left_masks(g: BipartiteGraph, ka: int):
-    """Yield (amask, sorted column hits) for every left mask with exactly
-    ``ka`` vertices, masks ascending as integers.
+def _members(mask: int, n: int) -> bytes:
+    """Byte v is 1 if bit v of ``mask`` is set, else 0; n bytes."""
+    return _spread_row(mask, 1).to_bytes(n, "little")
+
+
+def _left_masks(g: BipartiteGraph, ka: int, k0: int, low: int, high: int):
+    """Yield (amask, sorted column hits) for the left masks with exactly
+    ``ka`` vertices, masks ascending as integers, whose k0 smallest hits
+    may sum below ``low`` or whose k0 largest may sum above ``high``.
 
     The masks are walked with Gosper's hack (HAKMEM 175; Knuth, TAOCP 4A
     7.1.3): the next mask clears the lowest run of ones, bits t..u-1, sets
-    bit u and sets bits 0..u-t-2.  The hits of all columns are kept in one
-    integer, column b in field b, each row spread out to a field per
-    column.  With P[i] the sum of the first i spread rows, a step adds
-    spread[u] - (P[u] - P[t]) + P[u-t-1].  A column's hits are at most ka,
-    so a field is one byte wide when ka < 256 and eight bytes otherwise.
+    bit u and sets bits 0..u-t-2.  The walk carries the mask's edge total
+    E = e(A', B): with D[i] the sum of the first i row degrees, a step adds
+    deg[u] - (D[u] - D[t]) + D[u-t-1].  As no hit exceeds ka, the k0
+    smallest hits sum to at least E - (|B| - k0) * ka and the k0 largest
+    to at most min(E, k0 * ka), so a mask whose total rules both sums out
+    is skipped, and when the ka lowest degrees (the ka highest, for the
+    large sum) rule them out no mask is walked.  The hits of a visited
+    mask are its rows spread out to a field per column and summed in one
+    integer, column b in field b; a field is one byte wide when ka < 256
+    and eight bytes otherwise.
     """
     na, nb = g.left.size, g.right.size
+    degrees = [row.bit_count() for row in g.rows]
+    # Visit a mask iff E < below or E > above (E never exceeds ka * nb).
+    below = low + (nb - k0) * ka if low > 0 else 0
+    above = high if high < k0 * ka else ka * nb
+    ranked = sorted(degrees)
+    if sum(ranked[:ka]) >= below and sum(ranked[na - ka:]) <= above:
+        return
     width, fmt = (1, "B") if ka < 1 << 8 else (8, "Q")
     spread = [_spread_row(row, width) for row in g.rows]
-    prefix = [0]
-    for s in spread:
-        prefix.append(prefix[-1] + s)
-    amask, packed = (1 << ka) - 1, prefix[ka]
+    prefix = list(accumulate(degrees, initial=0))
+    amask, total = (1 << ka) - 1, prefix[ka]
     while True:
-        raw = packed.to_bytes(nb * width, sys.byteorder)
-        yield amask, sorted(raw if width == 1 else memoryview(raw).cast(fmt))
-        low = amask & -amask
-        ripple = amask + low
-        t = low.bit_length() - 1
+        if total < below or total > above:
+            packed = sum(compress(spread, _members(amask, na)))
+            raw = packed.to_bytes(nb * width, sys.byteorder)
+            yield amask, sorted(raw if width == 1
+                                else memoryview(raw).cast(fmt))
+        lowest = amask & -amask
+        ripple = amask + lowest
+        t = lowest.bit_length() - 1
         u = (ripple & -ripple).bit_length() - 1
         if u == na:
             return
-        packed += spread[u] - (prefix[u] - prefix[t]) + prefix[u - t - 1]
+        total += degrees[u] - (prefix[u] - prefix[t]) + prefix[u - t - 1]
         amask = ripple | ((1 << (u - t - 1)) - 1)
 
 
@@ -277,7 +311,8 @@ def _scan_delta(g: BipartiteGraph, thr: Threshold
     (ties to the lowest index) are taken.  Returns (witness or None,
     number of left masks covered): the masks m in [1, W] with at least ka
     vertices, W the witness mask or 2**|A| - 1, counted exactly although
-    only those with exactly ka vertices are visited; 0 when g has no edges.
+    only some of those with exactly ka vertices are visited (see
+    ``_left_masks``); 0 when g has no edges.
 
     Only the least admissible sizes are tested.  On the right, k0: the
     mean of the k smallest hits never falls as k grows, so if some k gives
@@ -292,11 +327,11 @@ def _scan_delta(g: BipartiteGraph, thr: Threshold
         # d = 0 and every induced density is >= 0 = d/2.
         return None, 0
     ka, k0 = thr.least(na), thr.least(nb)
-    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0
-    scale = 2 * na * nb
-    bound = e_full * ka * k0
-    for amask, hits in _left_masks(g, ka):
-        if scale * sum(hits[:k0]) < bound:
+    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0  <=>  e' < low
+    low = -(-e_full * ka * k0 // (2 * na * nb))
+    # No k0 hits exceed k0 * ka: there is no high side to test.
+    for amask, hits in _left_masks(g, ka, k0, low, k0 * ka):
+        if sum(hits[:k0]) < low:
             return (_scan_witness(g, amask, k0, False),
                     _masks_covered(ka, amask))
     return None, _masks_covered(ka, (1 << na) - 1)
@@ -322,15 +357,16 @@ def _scan_eps(g: BipartiteGraph, eps: Fraction
     thr = Threshold(eps)
     ka, k0 = thr.least(na), thr.least(nb)
     # With e' the edges to the k0 chosen columns, d - d' > eps and
-    # d' - d > eps, multiplied out by ka * k0 * na * nb * q:
+    # d' - d > eps, multiplied out by ka * k0 * na * nb * q, are
+    # e' < low and e' > high:
     nnq = na * nb * q
-    low = ka * k0 * (e_full * q - p * na * nb)
-    high = ka * k0 * (e_full * q + p * na * nb)
-    for amask, hits in _left_masks(g, ka):
-        if nnq * sum(hits[:k0]) < low:
+    low = -(-ka * k0 * (e_full * q - p * na * nb) // nnq)
+    high = ka * k0 * (e_full * q + p * na * nb) // nnq
+    for amask, hits in _left_masks(g, ka, k0, low, high):
+        if sum(hits[:k0]) < low:
             return (_scan_witness(g, amask, k0, False),
                     _masks_covered(ka, amask))
-        if nnq * sum(hits[nb - k0:]) > high:
+        if sum(hits[nb - k0:]) > high:
             return (_scan_witness(g, amask, k0, True),
                     _masks_covered(ka, amask))
     return None, _masks_covered(ka, (1 << na) - 1)
@@ -379,21 +415,69 @@ def verify_delta_witness(g: BipartiteGraph, delta: ThresholdLike,
     return 2 * e * na * nb < g.edge_count * ka * kb
 
 
+def _top_capped(values: Sequence[int], cap: int, k: int) -> int:
+    """The sum of the k largest of min(cap, v) over ``values``."""
+    return sum(sorted(min(cap, v) for v in values)[len(values) - k:])
+
+
+def _density_bounds(g: BipartiteGraph, thr: Threshold
+                    ) -> tuple[int, int, int]:
+    """(lo, hi, k) with lo/k <= d(X, Y) <= hi/k for every X, Y meeting the
+    size floors ka and kb of ``thr``; k = ka * kb.
+
+    The capped deficiency bound: a column b misses miss(b) = |A| - deg(b)
+    rows, so at most min(|X|, miss(b)) of X, and min(1, m/x) does not rise
+    as x grows; the mean of the largest |Y| values does not rise as |Y|
+    grows.  So X x Y misses at most a share S/k of its pairs, S the least
+    of the kb largest min(ka, miss(b)) summed, the same over rows, and all
+    missing edges; lo = k - S.  The surplus bound hi is the same count
+    over the edges present.
+    """
+    na, nb = g.left.size, g.right.size
+    ka, kb = thr.least(na), thr.least(nb)
+    e = g.edge_count
+    col_deg = [col.bit_count() for col in g.cols]
+    row_deg = [row.bit_count() for row in g.rows]
+    missing = min(_top_capped([na - d for d in col_deg], ka, kb),
+                  _top_capped([nb - d for d in row_deg], kb, ka),
+                  na * nb - e)
+    present = min(_top_capped(col_deg, ka, kb), _top_capped(row_deg, kb, ka),
+                  e)
+    return ka * kb - missing, present, ka * kb
+
+
 def check_eps_regular(g: BipartiteGraph, eps: Fraction,
                       params: CheckParams = CheckParams()) -> Verdict:
-    """Decide or search eps-regularity of the pair (left, right) of ``g``."""
+    """Decide or search eps-regularity of the pair (left, right) of ``g``.
+
+    Before a randomized search, the density bounds are evaluated once; when
+    they keep every admissible pair within eps of d, no start can find a
+    witness, and the verdict is the one the search would end with.
+    """
     eps = Fraction(eps)
-    mode = _pair_mode(g, Threshold(eps), params)
+    thr = Threshold(eps)
+    mode = _pair_mode(g, thr, params)
     if mode == "exhaustive":
         witness, covered = _scan_eps(g, eps)
         return Verdict.of_search(mode, witness, {"left_masks": covered})
-    witness, trials = _random_eps_search(g, eps, params)
+    lo, hi, k = _density_bounds(g, thr)
+    nn, e = g.left.size * g.right.size, g.edge_count
+    # max(d - lo/k, hi/k - d) <= eps, multiplied out by k * nn * q.
+    if max(e * k - lo * nn, hi * nn - e * k) * eps.denominator \
+            <= eps.numerator * k * nn:
+        witness, trials = None, 1 + params.random_trials
+    else:
+        witness, trials = _random_eps_search(g, eps, params)
     return Verdict.of_search(mode, witness, {"trials": trials})
 
 
 def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
                         params: CheckParams = CheckParams()) -> Verdict:
-    """Decide or search delta-regularity (one-sided) of ``g``."""
+    """Decide or search delta-regularity (one-sided) of ``g``.
+
+    As for eps, a randomized search is not run when the density bounds
+    keep every admissible pair at density d/2 or more.
+    """
     thr = _as_threshold(delta)
     mode = _pair_mode(g, thr, params)
     if mode == "exhaustive" or g.edge_count == 0:
@@ -401,9 +485,14 @@ def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
         witness, covered = _scan_delta(g, thr)
         return Verdict.of_search("exhaustive", witness,
                                  {"left_masks": covered})
-    witness = find_delta_witness_greedy(g, thr, params.seed,
-                                        restarts=params.random_trials)
-    return Verdict.of_search(mode, witness, {"trials": params.random_trials})
+    lo, _, k = _density_bounds(g, thr)
+    # lo/k >= d/2, multiplied out.
+    if 2 * lo * g.left.size * g.right.size >= g.edge_count * k:
+        witness, trials = None, 1 + params.random_trials
+    else:
+        witness, trials = _random_delta_search(g, thr, params.seed,
+                                               params.random_trials)
+    return Verdict.of_search(mode, witness, {"trials": trials})
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +519,6 @@ class _WalkTables(NamedTuple):
         return cls(width, [_spread_row(row, width) for row in g.rows],
                    [_spread_row(col, width) for col in g.cols],
                    thr.least(g.left.size), thr.least(g.right.size))
-
-
-def _members(mask: int, n: int) -> bytes:
-    """Byte v is 1 if bit v of ``mask`` is set, else 0; n bytes."""
-    return _spread_row(mask, 1).to_bytes(n, "little")
 
 
 def _fields(packed: int, n: int, width: int):
@@ -576,15 +660,26 @@ def find_delta_witness_greedy(g: BipartiteGraph, delta: ThresholdLike,
     thr = _as_threshold(delta)
     if g.edge_count == 0:
         return None
+    return _random_delta_search(g, thr, seed, restarts)[0]
+
+
+def _random_delta_search(g: BipartiteGraph, thr: Threshold, seed: int,
+                         restarts: int
+                         ) -> tuple[Optional[tuple[tuple[int, ...],
+                                                   tuple[int, ...]]], int]:
+    """``find_delta_witness_greedy`` on a graph with edges; returns the
+    witness or None and the number of starts walked."""
     rng = random.Random(seed)
     tables = _WalkTables.of(g, thr)
+    trials = 0
     for amask, bmask in _random_starts(g, thr, rng, restarts):
+        trials += 1
         found = _peel(g, tables, amask, bmask)
         if found is not None:
             witness = (_bits(found[0]), _bits(found[1]))
             if verify_delta_witness(g, thr, witness):
-                return witness
-    return None
+                return witness, trials
+    return None, trials
 
 
 def _random_eps_search(g: BipartiteGraph, eps: Fraction, params: CheckParams

@@ -1,10 +1,11 @@
 import io
 import json
 import sys
+from unittest import mock
 
 import pytest
 
-from regkit import cli, fileio
+from regkit import cli, fileio, regcheck
 import regkit.constructions as cn
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
 from regkit.partitions import (ThreePartiteFrame, VertexPartition,
@@ -56,6 +57,29 @@ def test_check_pair_irregular_exit1(fixtures, capsys):
     assert run(["check-pair", "--graph", fixtures["half"],
                 "--eps", "1/4", "--mode", "exhaustive"]) == 1
     assert "IrregularWithWitness" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, check", [("--delta", "delta-regular pair"),
+                                         ("--eps", "eps-regular pair")])
+def test_check_pair_unknown_above_the_exhaustive_limit(tmp_path, capsys,
+                                                       flag, check):
+    """A near-complete 40x40 pair (5% of edges missing) in auto mode: the
+    density bounds rule out every violation, so no randomized search runs,
+    and the output is still "unknown" with its caveat, byte for byte."""
+    g = BipartiteGraph(VertexClass(0, 40), VertexClass(1, 40),
+                       [(a, b) for a in range(40) for b in range(40)
+                        if (7 * a + 3 * b) % 20])
+    path = tmp_path / "near.bg"
+    fileio.save_graph(path, g)
+    with mock.patch.object(regcheck, "_random_eps_search") as eps, \
+            mock.patch.object(regcheck, "_random_delta_search") as delta:
+        assert run(["--json", "check-pair", "--graph", path, flag, "1/3"]) == 0
+    assert not eps.called and not delta.called
+    assert capsys.readouterr().out == (
+        '{\n "caveats": [\n  "no witness found; not a certification"\n ],\n'
+        ' "report": {\n  "check": "%s",\n  "method": "Randomized",\n'
+        '  "status": "UnknownNoWitnessFound",\n  "witness": null\n }\n}\n'
+        % check)
 
 
 def test_check_pair_requires_one_threshold(fixtures):

@@ -16,7 +16,7 @@ from regkit import fileio, hyperreg
 from regkit.errors import (BudgetExceeded, FrameMismatch,
                            ParameterOutOfContract)
 from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
-                           density)
+                           density, iter_bits)
 from regkit.hyperreg import PartitionTriad, _frame_of
 from regkit.partitions import (ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
@@ -159,6 +159,71 @@ def test_triad_density_product_form():
         hits = sum(1 for (x, y) in e_edges for c in c_sub
                    if (x, y, c) in h.triples)
         assert stats.density == Fraction(hits, len(e_edges) * len(c_sub))
+
+
+# ``hyperreg._triangle_masks`` as it was when it tested one bit of the
+# 3-graph row per triangle for every embedding, kept verbatim (renamed,
+# its signature wrapped, ``_check_embedding`` called through the module)
+# as the oracle for the shift-and-AND form of a run of C vertices.
+def _ref_triangle_masks(h: ThreeGraph, t: Triad
+                        ) -> tuple[list[int], list[int]]:
+    """The triangles of ``t`` and its hyperedge triangles, per AB pair.
+
+    Entry a * |B| + b of the first list is the bitmask of the c with
+    (a, b, c) a triangle, and of the second the bitmask of those whose
+    embedded triple is a hyperedge of ``h``; both are 0 off the AB edges.
+    FrameMismatch unless the embedding lies inside the classes of ``h``.
+    """
+    hyperreg._check_embedding(h, t)
+    ea, eb, ec = t.embedding
+    h_rows, n2 = h.graph.rows, h.classes[1].size
+    ac_rows, bc_rows = t.ac.rows, t.bc.rows
+    nb = t.ab.right.size
+    tm = [0] * (t.ab.left.size * nb)
+    hm = [0] * len(tm)
+    for a, row in enumerate(t.ab.rows):
+        ac, base = ac_rows[a], ea[a] * n2
+        for b in iter_bits(row):
+            i = a * nb + b
+            tm[i] = rest = ac & bc_rows[b]
+            h_row = h_rows[base + eb[b]]
+            hmask = 0
+            while rest:
+                low = rest & -rest
+                if h_row >> ec[low.bit_length() - 1] & 1:
+                    hmask |= low
+                rest ^= low
+            hm[i] = hmask
+    return tm, hm
+
+
+def test_triangle_masks_match_the_bit_loop():
+    """Identity, shifted-run and non-contiguous C embeddings (and A and B
+    embeddings off the identity) give the masks of the per-bit loop."""
+    rng = random.Random(34)
+    kinds = set()
+    for _ in range(300):
+        sizes = [rng.randint(1, 9) for _ in range(3)]
+        h = random_h(rng, sizes, rng.choice([0, .3, .7, 1]))
+        na, nb, nc = (rng.randint(1, s) for s in sizes)
+        ea = tuple(rng.sample(range(sizes[0]), na))
+        eb = tuple(rng.sample(range(sizes[1]), nb))
+        kind = rng.choice(["identity", "run", "any"])
+        if kind == "identity":
+            nc = sizes[2]
+            ec = tuple(range(nc))
+        elif kind == "run":
+            c0 = rng.randint(0, sizes[2] - nc)
+            ec = tuple(range(c0, c0 + nc))
+        else:
+            ec = tuple(rng.sample(range(sizes[2]), nc))
+        kinds.add((kind, ec == tuple(range(ec[0], ec[0] + nc))))
+        cls = VertexClass(0, na), VertexClass(1, nb), VertexClass(2, nc)
+        p = rng.choice([.2, .6, 1])
+        t = Triad(rg(rng, cls[0], cls[1], p), rg(rng, cls[0], cls[2], p),
+                  rg(rng, cls[1], cls[2], p), embedding=(ea, eb, ec))
+        assert hyperreg._triangle_masks(h, t) == _ref_triangle_masks(h, t)
+    assert {("identity", True), ("run", True), ("any", False)} <= kinds
 
 
 def _octahedron_oracle(h, t):

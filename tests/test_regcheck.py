@@ -1,13 +1,16 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from regkit import regcheck
 from regkit.errors import BudgetExceeded, ParameterOutOfContract
 from regkit.graphs import (BipartiteGraph, VertexClass, count_edges_between,
                            density, iter_bits, mask_to_set, subset_mask)
@@ -16,7 +19,8 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              NOT_CERTIFIED, PERFECT, UNKNOWN, CheckParams,
                              EditResult, Threshold, ThresholdLike, Verdict,
                              _WalkTables, _as_threshold, _greedy_walk,
-                             _iter_cluster_pairs, _masks_covered, _peel,
+                             _iter_cluster_pairs, _left_masks,
+                             _masks_covered, _peel,
                              _random_starts, _scan_delta,
                              _scan_eps, _scan_witness, _spread_row,
                              check_delta_partition_with_edits,
@@ -507,7 +511,15 @@ def ref_verdict(g, kind, param, params):
     else:
         witness = ref_find_delta_witness_greedy(
             g, param, params.seed, restarts=params.random_trials)
-        trials = params.random_trials
+        trials = params.random_trials + 1
+        if witness is not None:
+            # Both searches book the starts they walked.  The starts of a
+            # search with fewer restarts are a prefix of its starts, so the
+            # fewest restarts that find a witness walk that many starts.
+            trials = next(
+                r + 1 for r in range(params.random_trials + 1)
+                if ref_find_delta_witness_greedy(g, param, params.seed,
+                                                 restarts=r) is not None)
     status = UNKNOWN if witness is None else IRREGULAR
     return Verdict(status, "Randomized", witness, {"trials": trials})
 
@@ -940,6 +952,220 @@ def test_spread_rows_match_bit_by_bit_spread():
         for row in rows:
             assert _spread_row(row, width) == \
                 sum(1 << 8 * width * b for b in iter_bits(row))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exhaustive scans as they were when they sorted the hits of
+# every left mask of the floor size, kept verbatim (renamed only) as the
+# oracle for the scans that skip a mask whose edge total rules a violation
+# out.
+
+def _ref3_left_masks(g: BipartiteGraph, ka: int):
+    """Yield (amask, sorted column hits) for every left mask with exactly
+    ``ka`` vertices, masks ascending as integers.
+
+    The masks are walked with Gosper's hack (HAKMEM 175; Knuth, TAOCP 4A
+    7.1.3): the next mask clears the lowest run of ones, bits t..u-1, sets
+    bit u and sets bits 0..u-t-2.  The hits of all columns are kept in one
+    integer, column b in field b, each row spread out to a field per
+    column.  With P[i] the sum of the first i spread rows, a step adds
+    spread[u] - (P[u] - P[t]) + P[u-t-1].  A column's hits are at most ka,
+    so a field is one byte wide when ka < 256 and eight bytes otherwise.
+    """
+    na, nb = g.left.size, g.right.size
+    width, fmt = (1, "B") if ka < 1 << 8 else (8, "Q")
+    spread = [_spread_row(row, width) for row in g.rows]
+    prefix = [0]
+    for s in spread:
+        prefix.append(prefix[-1] + s)
+    amask, packed = (1 << ka) - 1, prefix[ka]
+    while True:
+        raw = packed.to_bytes(nb * width, sys.byteorder)
+        yield amask, sorted(raw if width == 1 else memoryview(raw).cast(fmt))
+        low = amask & -amask
+        ripple = amask + low
+        t = low.bit_length() - 1
+        u = (ripple & -ripple).bit_length() - 1
+        if u == na:
+            return
+        packed += spread[u] - (prefix[u] - prefix[t]) + prefix[u - t - 1]
+        amask = ripple | ((1 << (u - t - 1)) - 1)
+
+
+def _ref3_scan_delta(g: BipartiteGraph, thr: Threshold
+                ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
+                           int]:
+    """Exhaustive one-sided scan: first (A', B') with d' < d/2, if any.
+
+    Witness order is canonical: left masks ascending as integers, then
+    right-subset size ascending; within a size the minimizing columns
+    (ties to the lowest index) are taken.  Returns (witness or None,
+    number of left masks covered): the masks m in [1, W] with at least ka
+    vertices, W the witness mask or 2**|A| - 1, counted exactly although
+    only those with exactly ka vertices are visited; 0 when g has no edges.
+
+    Only the least admissible sizes are tested.  On the right, k0: the
+    mean of the k smallest hits never falls as k grows, so if some k gives
+    d' < d/2, k0 does too, and k0 is the first size in the canonical
+    order.  On the left, ka: if A' with more than ka vertices violates
+    with B', its ka rows with the fewest hits into B' violate too, and
+    they form a smaller mask, so the first violating mask has ka bits.
+    """
+    na, nb = g.left.size, g.right.size
+    e_full = g.edge_count
+    if e_full == 0:
+        # d = 0 and every induced density is >= 0 = d/2.
+        return None, 0
+    ka, k0 = thr.least(na), thr.least(nb)
+    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0
+    scale = 2 * na * nb
+    bound = e_full * ka * k0
+    for amask, hits in _ref3_left_masks(g, ka):
+        if scale * sum(hits[:k0]) < bound:
+            return (_scan_witness(g, amask, k0, False),
+                    _masks_covered(ka, amask))
+    return None, _masks_covered(ka, (1 << na) - 1)
+
+
+def _ref3_scan_eps(g: BipartiteGraph, eps: Fraction
+              ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
+                         int]:
+    """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps.
+
+    Same canonical order and count of masks covered as ``_scan_delta``;
+    within a size the low side (the k smallest columns) is tried before
+    the high side, which takes the last k pairs of the ascending (hits,
+    column) order, so its ties go to the highest index.  As there, only
+    the least admissible sizes are tested: the mean of the k smallest hits
+    never falls and that of the k largest never rises as k grows, and the
+    ka rows of a violating A' with the fewest (on the high side the most)
+    hits into B' violate on the same side.
+    """
+    na, nb = g.left.size, g.right.size
+    e_full = g.edge_count
+    p, q = eps.numerator, eps.denominator
+    thr = Threshold(eps)
+    ka, k0 = thr.least(na), thr.least(nb)
+    # With e' the edges to the k0 chosen columns, d - d' > eps and
+    # d' - d > eps, multiplied out by ka * k0 * na * nb * q:
+    nnq = na * nb * q
+    low = ka * k0 * (e_full * q - p * na * nb)
+    high = ka * k0 * (e_full * q + p * na * nb)
+    for amask, hits in _ref3_left_masks(g, ka):
+        if nnq * sum(hits[:k0]) < low:
+            return (_scan_witness(g, amask, k0, False),
+                    _masks_covered(ka, amask))
+        if nnq * sum(hits[nb - k0:]) > high:
+            return (_scan_witness(g, amask, k0, True),
+                    _masks_covered(ka, amask))
+    return None, _masks_covered(ka, (1 << na) - 1)
+
+
+PRUNE_DENSITIES = [0, .02, .05, .1, .9, .95, .98, 1]
+
+
+def _pruning_graph(rng, na, nb):
+    """A graph of a density drawn from PRUNE_DENSITIES; a third of the time
+    with an empty block planted on random rows and columns, a third with a
+    complete one."""
+    p = rng.choice(PRUNE_DENSITIES)
+    plant = rng.choice([None, False, True])
+    rows = set(rng.sample(range(na), rng.randint(1, na)))
+    cols = set(rng.sample(range(nb), rng.randint(1, nb)))
+
+    def edge(a, b):
+        if plant is not None and a in rows and b in cols:
+            return plant
+        return rng.random() < p
+
+    return _graph(na, nb, [(a, b) for a in range(na) for b in range(nb)
+                           if edge(a, b)])
+
+
+@pytest.mark.parametrize("mode, sides, count, seed", [
+    ("exhaustive", (1, 12), 160, 401),
+    ("randomized", (13, 30), 60, 402),
+    ("auto", (13, 30), 60, 403),
+])
+def test_pruned_checks_match_reference(mode, sides, count, seed):
+    """The scans that skip masks by their edge total, and the randomized
+    checks that return at once when the density bounds rule out every
+    pair, give the whole verdict of the reference searches: near-empty and
+    near-complete graphs, planted empty and complete blocks, rational and
+    square-root deltas.  Above the exhaustive limit the early exit is
+    taken on some checks and not on others."""
+    rng = random.Random(seed)
+    statuses = set()
+    with mock.patch.object(regcheck, "_random_eps_search",
+                           wraps=regcheck._random_eps_search) as eps_search, \
+            mock.patch.object(regcheck, "_random_delta_search",
+                              wraps=regcheck._random_delta_search
+                              ) as delta_search:
+        for _ in range(count):
+            g = _pruning_graph(rng, rng.randint(*sides), rng.randint(*sides))
+            params = CheckParams(mode=mode, random_trials=rng.randint(1, 4),
+                                 seed=rng.randrange(1 << 16))
+            eps, delta = rng.choice(EPS_PARAMS), rng.choice(DELTA_PARAMS)
+            got = check_eps_regular(g, eps, params)
+            assert got == ref_verdict(g, "eps", eps, params)
+            got_delta = check_delta_regular(g, delta, params)
+            assert got_delta == ref_verdict(g, "delta", delta, params)
+            statuses |= {got.status, got_delta.status}
+    searches = eps_search.call_count + delta_search.call_count
+    if mode == "exhaustive":
+        assert statuses == {CERTIFIED, IRREGULAR} and searches == 0
+    else:
+        assert {UNKNOWN, IRREGULAR} <= statuses
+        assert 0 < searches < 2 * count
+
+
+@st.composite
+def pruning_graphs(draw):
+    """``_pruning_graph`` with sides of 1-10 vertices."""
+    na, nb = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    return _pruning_graph(random.Random(draw(st.integers(0, 1 << 32))),
+                          na, nb)
+
+
+@given(g=pruning_graphs(), data=st.data())
+def test_skipped_masks_have_no_violation(g, data):
+    """Soundness of the degree bound on sides up to 10: whatever the cuts,
+    a mask that ``_left_masks`` skips has neither sum past them, so a scan
+    that visits no mask would have found nothing.  The masks it visits
+    come in ascending order, with the hits of the unpruned walk."""
+    na, nb = g.left.size, g.right.size
+    ka, k0 = data.draw(st.integers(1, na)), data.draw(st.integers(1, nb))
+    low = data.draw(st.integers(-1, ka * k0 + 1))
+    high = data.draw(st.integers(-1, ka * k0 + 1))
+    visited = dict(_left_masks(g, ka, k0, low, high))
+    assert list(visited) == sorted(visited)
+    for amask, hits in _ref3_left_masks(g, ka):
+        if amask in visited:
+            assert visited.pop(amask) == hits
+        else:
+            assert sum(hits[:k0]) >= low and sum(hits[nb - k0:]) <= high
+    assert not visited
+
+
+# One unit past both early exits' cross-multiplied tests, and irregular
+# at both parameters.
+@example(g=_graph(1, 2, [(0, 1)]), eps=Fraction(1, 3),
+         delta=Fraction(1, 2))
+@given(g=pruning_graphs(), eps=st.sampled_from(EPS_PARAMS),
+       delta=st.sampled_from(DELTA_PARAMS))
+def test_density_bounds_rule_out_only_regular_pairs(g, eps, delta):
+    """Soundness of the capped bound on sides up to 10: when a randomized
+    check returns without searching, the oracle scan certifies."""
+    params = CheckParams(mode="randomized", random_trials=1)
+    for name, check, scan, value in [
+            ("_random_eps_search", check_eps_regular, _ref3_scan_eps, eps),
+            ("_random_delta_search", check_delta_regular, _ref3_scan_delta,
+             _as_threshold(delta))]:
+        with mock.patch.object(regcheck, name,
+                               wraps=getattr(regcheck, name)) as search:
+            check(g, value, params)
+        if not search.called:
+            assert scan(g, value)[0] is None
 
 
 @st.composite
