@@ -37,6 +37,18 @@ def _fraction(text: str) -> Fraction:
         raise _UsageError(f"not a rational number: {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _params(args) -> CheckParams:
     return CheckParams(mode=args.mode, random_trials=args.trials or 64,
                        seed=args.seed)
@@ -221,8 +233,10 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "exhaustive", "randomized"],
                    default="auto" if defaults else sup,
                    help="search mode for checkers")
-    p.add_argument("--trials", type=int, default=0 if defaults else sup,
-                   help="randomized trials / suite trial count")
+    p.add_argument("--trials", type=_positive_int,
+                   default=0 if defaults else sup,
+                   help="randomized trials / suite trial count (at least "
+                   "1; default 64 trials, or the suite's own count)")
     p.add_argument("--json", action="store_true",
                    default=False if defaults else sup,
                    help="print a canonical JSON report")

@@ -23,19 +23,25 @@ lexicographically); saving a loaded canonical file is byte-identical.
 
 A bg or h3 section whose lines are all plain rows (digits joined by single
 spaces, as the writers emit them) with no repeated row is read in bulk into
-row masks, an h3 section into those of its axis-3 auxiliary graph.  The bulk
-reader converts each value by a lookup in a table of the canonical numerals
-below its column's size, built once per size; a miss (a value out of range,
-or a numeral such as ``007`` that the writers never emit) sends the section
-to the per-line reader.  So does a side above ``_TABLE_MAX_SIDE``.  Every
-such section, however well-formed, is read line by line with the same
-result, and every FormatError, message and line number, comes from that
-per-line reader.
+row masks, an h3 section into those of its axis-3 auxiliary graph.  A bg
+section of width W <= ``_LINE_TABLE_MAX_WIDTH`` (64), W being the least
+power of two that is at least 8 and at least both sides, takes one lookup
+per line in a table of the canonical lines ``"a b"`` with a, b < W, which
+scatters the line into a bit buffer.  Wider bg sections and every h3
+section are read by columns: each value is looked up in a table of the
+canonical numerals below its column's size, built once per size.  A miss (a
+value out of range, or a line such as ``0 07`` that the writers never emit)
+sends the section to the per-line reader.  So does a side above
+``_TABLE_MAX_SIDE``.  Every such section, however well-formed, is read line
+by line with the same result, and every FormatError, message and line
+number, comes from that per-line reader.
 """
 from __future__ import annotations
 
 import re
+from collections import deque
 from functools import cache
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .errors import DegenerateInput, FormatError
@@ -142,6 +148,63 @@ def _bulk_columns(lines: _Lines, m: int, sizes: tuple[int, ...]
         return None
 
 
+# Narrower bg sections are read by one lookup per line in ``_cells``; its
+# W*W keys take about 110 bytes each, 0.45 MB at W = 64 but about 110 MB
+# at W = 1024, so wider sections are read by columns.
+_LINE_TABLE_MAX_WIDTH = 64
+
+# A buffer of 0/1 bytes as the ASCII binary digits that ``int(_, 2)`` reads.
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@cache
+def _cells(w: int) -> dict[str, int]:
+    """The canonical line ``"a b"`` of each a, b < w -> a*w + b."""
+    numerals = [str(i) for i in range(w)]
+    prefixes = [p + " " for p in numerals]
+    return dict(zip([p + q for p in prefixes for q in numerals],
+                    range(w * w)))
+
+
+def _bulk_rows(lines: _Lines, m: int, nl: int, nr: int
+               ) -> Optional[list[int]]:
+    """The row masks of the next m lines if they are m distinct plain rows
+    in range, else None; ``lines.pos`` is unchanged.
+
+    Up to width W = ``_LINE_TABLE_MAX_WIDTH`` each line is looked up in
+    ``_cells(W)`` and its cell of an nl x W byte buffer is set.  The section
+    is declined on a miss (not a plain row, or a value >= W), an IndexError
+    (a row a >= nl), fewer set cells than lines (a repeated row or a short
+    file) or a row mask of 2^nr or more (a value b >= nr): exactly the
+    sections that the column read of wider ones declines, so neither reader
+    needs the other.  Reversed, the buffer holds the bits of row a, highest
+    first, from (nl - 1 - a) * W on, as ``int(_, 2)`` reads them.
+    """
+    w = 8
+    while w < nl or w < nr:
+        w <<= 1
+    if w > _LINE_TABLE_MAX_WIDTH:
+        cols = _bulk_columns(lines, m, (nl, nr))
+        if cols is None:
+            return None
+        rows = [0] * nl
+        bits = _bits(nr)
+        for a, b in zip(*cols):
+            rows[a] |= bits[b]
+        return rows if sum(map(int.bit_count, rows)) == m else None
+    buf = bytearray(nl * w)
+    cells = map(_cells(w).__getitem__, lines.raw[lines.pos:lines.pos + m])
+    try:
+        deque(map(buf.__setitem__, cells, repeat(1)), maxlen=0)
+    except (KeyError, IndexError):
+        return None
+    if buf.count(1) != m:
+        return None
+    digits = buf.translate(_BINARY_DIGITS)[::-1]
+    rows = [int(digits[k:k + w], 2) for k in range((nl - 1) * w, -1, -w)]
+    return rows if max(rows) >> nr == 0 else None
+
+
 def _header(lines: _Lines, tag: str, sizes: int, counts: int
             ) -> tuple[list[int], int]:
     """A ``tag`` line of ``sizes`` sizes (>= 1) and then ``counts`` counts
@@ -169,15 +232,10 @@ def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
     if (left.size, right.size) != (nl, nr):
         left = VertexClass(left.id, nl)
         right = VertexClass(right.id, nr)
-    cols = _bulk_columns(lines, m, (nl, nr))
-    if cols is not None:
-        rows = [0] * nl
-        bits = _bits(nr)
-        for a, b in zip(*cols):
-            rows[a] |= bits[b]
-        if sum(map(int.bit_count, rows)) == m:  # m distinct rows
-            lines.pos += m
-            return BipartiteGraph.from_rows(left, right, rows)
+    rows = _bulk_rows(lines, m, nl, nr)
+    if rows is not None:
+        lines.pos += m
+        return BipartiteGraph.from_rows(left, right, rows)
     edges = []
     seen = set()
     for _ in range(m):
@@ -244,7 +302,8 @@ def _read_vp(lines: _Lines) -> VertexPartition:
     for lab in labels:
         if not 0 <= lab < k:
             raise FormatError(f"label {lab} outside 0..{k - 1}", lln)
-    missing = set(range(k)) - set(labels)
+    # n labels cover at most n blocks, so the least missing one is <= n.
+    missing = set(range(min(k, n + 1))) - set(labels)
     if missing:
         raise FormatError(f"block {min(missing)} has no vertices", lln)
     return VertexPartition.from_labels(VertexClass(0, n), labels)

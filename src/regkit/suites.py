@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import constructions as cn
 from . import fileio, hyperreg, partitions
-from .errors import UnknownSuite
+from .errors import ParameterOutOfContract, UnknownSuite
 from .graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
                      density, edge_disjoint_union, induced_subgraph)
 from .partitions import (ThreePartiteFrame, VertexPartition,
@@ -57,7 +57,7 @@ def trial_seed(suite_id: str, seed: int, trial: int) -> int:
 class SuiteSpec:
     id: str
     seed: int = 0
-    trials: int = 0  # 0 means the suite's default
+    trials: int = 0  # 0 means the suite's default; below 0 raises
     scale: dict = field(default_factory=dict)
 
 
@@ -745,6 +745,10 @@ def run_suite(spec: SuiteSpec) -> Report:
     if spec.id not in _SUITES:
         raise UnknownSuite(f"unknown suite {spec.id!r}; known: "
                            + ", ".join(registered_suites()))
+    if spec.trials < 0:
+        raise ParameterOutOfContract(
+            f"suite {spec.id!r}: trials is {spec.trials}, below 0 (0 "
+            "means the suite's default)")
     body, default_trials = _SUITES[spec.id]
     trials = spec.trials or default_trials
     start = time.monotonic()

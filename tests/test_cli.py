@@ -5,8 +5,9 @@ from unittest import mock
 
 import pytest
 
-from regkit import cli, fileio, regcheck
+from regkit import cli, fileio, regcheck, suites
 import regkit.constructions as cn
+from regkit.errors import ParameterOutOfContract
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
 from regkit.partitions import (ThreePartiteFrame, VertexPartition,
                                complete_two_partition)
@@ -253,6 +254,27 @@ def test_verify_pass_and_unknown(capsys):
     assert run(["verify", "--suite", "claim-3.5", "--seed", "7",
                 "--trials", "25"]) == 0
     assert run(["verify", "--suite", "does-not-exist"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "claim-3.1", "--trials", "-2"],
+    ["--trials", "0", "verify", "--suite", "schedule"],
+    ["check-pair", "--graph", "complete", "--delta", "1/4", "--trials", "0"],
+    ["check-pair", "--graph", "complete", "--delta", "1/4", "--trials", "x"],
+], ids=["verify -2", "global 0", "check-pair 0", "check-pair x"])
+def test_trials_below_one_is_a_usage_error(fixtures, capsys, argv):
+    """No trial count runs no trial, nor the default: exit 2, no report."""
+    argv = [fixtures.get(a, a) for a in argv]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument --trials" in err
+
+
+def test_run_suite_refuses_negative_trials():
+    with pytest.raises(ParameterOutOfContract):
+        suites.run_suite(suites.SuiteSpec("claim-3.1", trials=-2))
+    assert suites.run_suite(suites.SuiteSpec("schedule", trials=0)).trials == 1
 
 
 def test_json_reports_are_deterministic(fixtures, capsys):

@@ -5,12 +5,12 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from regkit import fileio
 from regkit.errors import FormatError
-from regkit.fileio import _header, _ints, _Lines
+from regkit.fileio import _bits, _bulk_columns, _header, _ints, _Lines
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
 from regkit.partitions import (ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
@@ -85,10 +85,13 @@ def test_duplicate_edge_reports_line():
 
 def test_loaded_graph_keeps_its_masks_only():
     """A dense 64x64 graph costs its row and column masks, under 16 bytes
-    an edge; an edge set of tuples would take about 60."""
+    an edge; an edge set of tuples would take about 60.  The reader's
+    tables, built once per process, are built before the count starts
+    (see test_line_table_size)."""
     rng = random.Random(64)
     text = fileio.dumps_graph(_random_graph(
         rng, VertexClass(0, 64), VertexClass(1, 64), 0.9))
+    fileio.loads_graph(text)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -98,6 +101,21 @@ def test_loaded_graph_keeps_its_masks_only():
         tracemalloc.stop()
     assert g.edge_count > 3500
     assert kept < 16 * g.edge_count, kept / g.edge_count
+
+
+def test_line_table_size():
+    """The line table of the widest sections read by lookup, W = 64, takes
+    under 0.5 MB: about 110 bytes for each of its 4096 lines."""
+    fileio._cells.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = fileio._cells(fileio._LINE_TABLE_MAX_WIDTH)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 64 * 64 and table["63 1"] == 63 * 64 + 1
+    assert kept < 500_000, kept
 
 
 def test_out_of_range_reports_line():
@@ -179,6 +197,17 @@ def test_partition_label_errors():
         fileio.loads_partition("vp 3 2\n0 0 5\n")
     with pytest.raises(FormatError):
         fileio.loads_partition("vp 4 3\n0 0 1 1\n")  # block 2 empty
+
+
+def test_partition_block_count_far_above_the_labels():
+    """n labels cover at most n blocks, so the least missing block is found
+    among the first n + 1, however many the header names."""
+    with pytest.raises(FormatError) as err:
+        fileio.loads_partition(f"vp 2 {10 ** 18}\n0 1\n")
+    assert str(err.value) == "line 2: block 2 has no vertices"
+    with pytest.raises(FormatError) as err:
+        fileio.loads_partition("vp 3 5\n0 2 2\n")
+    assert str(err.value) == "line 2: block 1 has no vertices"
 
 
 # The writer before it read ``TwoPartition.graphs``, kept verbatim as the
@@ -315,6 +344,46 @@ def _ref_read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
     return BipartiteGraph(left, right, edges)
 
 
+# The reader of bg sections before narrow ones were read by one lookup per
+# line: plain sections by columns, the rest line by line.  Kept verbatim as
+# the second oracle of test_line_table_reader_matches_both_oracles.
+
+
+def _ref_bulk_read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
+                      expect_sides: Optional[tuple[int, int]] = None
+                      ) -> BipartiteGraph:
+    (nl, nr, m), ln = _header(lines, "bg", 2, 1)
+    if expect_sides is not None and (nl, nr) != expect_sides:
+        raise FormatError(
+            f"bg sides {nl}x{nr} do not match expected "
+            f"{expect_sides[0]}x{expect_sides[1]}", ln)
+    if (left.size, right.size) != (nl, nr):
+        left = VertexClass(left.id, nl)
+        right = VertexClass(right.id, nr)
+    cols = _bulk_columns(lines, m, (nl, nr))
+    if cols is not None:
+        rows = [0] * nl
+        bits = _bits(nr)
+        for a, b in zip(*cols):
+            rows[a] |= bits[b]
+        if sum(map(int.bit_count, rows)) == m:  # m distinct rows
+            lines.pos += m
+            return BipartiteGraph.from_rows(left, right, rows)
+    edges = []
+    seen = set()
+    for _ in range(m):
+        fields, eln = lines.next_fields()
+        a, b = _ints(fields, eln, 2, "edge")
+        if not (0 <= a < nl and 0 <= b < nr):
+            raise FormatError(f"edge ({a},{b}) out of range "
+                              f"{nl}x{nr}", eln)
+        if (a, b) in seen:
+            raise FormatError(f"duplicate edge ({a},{b})", eln)
+        seen.add((a, b))
+        edges.append((a, b))
+    return BipartiteGraph(left, right, edges)
+
+
 def _ref_loads_threegraph(text: str) -> ThreeGraph:
     lines = _Lines(text)
     (n1, n2, n3, m), ln = _header(lines, "h3", 3, 1)
@@ -340,10 +409,10 @@ DUMPS = {"bg": fileio.dumps_graph, "h3": fileio.dumps_threegraph,
          "tr": fileio.dumps_triad, "tp": fileio.dumps_twopartition}
 
 
-def _ref_loads(fmt: str, text: str):
+def _ref_loads(fmt: str, text: str, read_bg=_ref_read_bg):
     if fmt == "h3":
         return _ref_loads_threegraph(text)
-    with mock.patch.object(fileio, "_read_bg", _ref_read_bg):
+    with mock.patch.object(fileio, "_read_bg", read_bg):
         return LOADS[fmt](text)
 
 
@@ -510,3 +579,111 @@ def test_corrupted_row_gives_the_per_line_outcome(how, case, data):
     assert got == _outcome(lambda t: _ref_loads(fmt, t), bad)
     if CORRUPTIONS[how] is not None:
         assert (got[0] == "ok") == CORRUPTIONS[how], got
+
+
+def _width(sizes: tuple[int, ...]) -> int:
+    """The least power of two >= 8 and every size."""
+    w = 8
+    while w < max(sizes):
+        w <<= 1
+    return w
+
+
+def _tp_text(rng, sizes: list[int]) -> str:
+    """A 2-partition with clusters of the given sizes, labels shuffled, the
+    product of every cluster pair cut into two blocks (possibly empty),
+    each written as ``pair i j`` or transposed as ``pair j i``."""
+    labels = [i for i, n in enumerate(sizes) for _ in range(n)]
+    rng.shuffle(labels)
+    out = [f"vp {len(labels)} {len(sizes)}", " ".join(map(str, labels))]
+    for i, j in itertools.combinations(range(len(sizes)), 2):
+        owner = {(a, b): rng.randrange(2)
+                 for a in range(sizes[i]) for b in range(sizes[j])}
+        for block in range(2):
+            edges = sorted(e for e, o in owner.items() if o == block)
+            pair, sides = (i, j), (sizes[i], sizes[j])
+            if rng.random() < 0.5:
+                pair, sides = (j, i), (sizes[j], sizes[i])
+                edges = sorted((b, a) for a, b in edges)
+            out.append("pair %d %d" % pair)
+            out.append("bg %d %d %d" % (*sides, len(edges)))
+            out.extend(f"{a} {b}" for a, b in edges)
+    return "\n".join(out) + "\n"
+
+
+# Mutations of a drawn text besides CORRUPTIONS: a value in [size, W], found
+# below W by the table of width W but out of range, and a section count
+# one above (a short section) or below its rows.
+WIDE_MUTATIONS = sorted(CORRUPTIONS) + [
+    "none", "below width", "count up", "count down"]
+
+
+@st.composite
+def wide_texts(draw) -> tuple[str, str]:
+    """A bg, tr or tp text whose bg sections have sides 1-70, so widths on
+    both sides of the line table's cap are drawn; each section's rows
+    sorted, shuffled or reversed, then perhaps one mutation."""
+    fmt = draw(st.sampled_from(["bg", "tp", "tr"]))
+    # A seeded generator, not st.randoms: hypothesis would record each of
+    # the thousands of draws that a 70x70 section takes.
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    side = st.integers(1, 70)
+    p = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    if fmt == "bg":
+        text = fileio.dumps_graph(_random_graph(
+            rng, VertexClass(0, draw(side)), VertexClass(1, draw(side)), p))
+    elif fmt == "tr":
+        a, b, c = (VertexClass(i, draw(side)) for i in range(3))
+        text = fileio.dumps_triad(Triad(
+            _random_graph(rng, a, b, p), _random_graph(rng, a, c, p),
+            _random_graph(rng, b, c, p)))
+    else:
+        text = _tp_text(rng, [draw(side) for _ in range(draw(
+            st.integers(1, 3)))])
+    lines = text.splitlines()
+    rows = _row_lines(text)
+    order = draw(st.sampled_from(["sorted", "shuffled", "reversed"]))
+    for k, line in enumerate(lines):
+        if line.startswith("bg ") and order != "sorted":
+            section = lines[k + 1:k + 1 + int(line.split()[3])]
+            if order == "shuffled":
+                rng.shuffle(section)
+            else:
+                section.reverse()
+            lines[k + 1:k + 1 + len(section)] = section
+    how = draw(st.sampled_from(WIDE_MUTATIONS))
+    if how == "duplicate":
+        rows = {k: s for k, s in rows.items() if k - 1 in rows}
+    headers = [k for k, line in enumerate(lines) if line.startswith("bg ")]
+    if how in ("count up", "count down") and headers:
+        k = rng.choice(headers)
+        _, nl, nr, m = lines[k].split()
+        lines[k] = f"bg {nl} {nr} {int(m) + (1 if how == 'count up' else -1)}"
+    elif how not in ("none", "count up", "count down") and rows:
+        k = rng.choice(sorted(rows))
+        col = rng.randrange(2)
+        sizes = rows[k]
+        if how == "below width":
+            row = lines[k].split(" ")
+            row[col] = str(rng.randrange(sizes[col], _width(sizes) + 1))
+            lines[k] = " ".join(row)
+        else:
+            lines = _corrupt(lines, k, sizes, how, col)
+    return fmt, "\n".join(lines) + "\n"
+
+
+@example(case=("bg", "bg 3 5 1\n0 6\n"))  # a value in [nr, W)
+@example(case=("bg", "bg 3 5 1\n4 0\n"))  # a row in [nl, W)
+@example(case=("bg", "bg 3 5 2\n0 1\n0 1\n"))  # a repeated line
+@example(case=("bg", "bg 3 5 3\n0 1\n1 1\n"))  # a short section
+# a section whose one row is the next section's header
+@example(case=("tr", "tr 1 1 1\nbg 1 1 1\nbg 1 1 0\nbg 1 1 0\n"))
+@given(case=wide_texts())
+def test_line_table_reader_matches_both_oracles(case):
+    """The same object, or the same FormatError message and line, as the
+    per-line reader and as the column reader that came before."""
+    fmt, text = case
+    got = _outcome(LOADS[fmt], text)
+    assert got == _outcome(lambda t: _ref_loads(fmt, t), text)
+    assert got == _outcome(
+        lambda t: _ref_loads(fmt, t, _ref_bulk_read_bg), text)
