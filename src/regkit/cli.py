@@ -10,6 +10,7 @@ summary.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -243,7 +244,9 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="regkit",
         description="Exact regularity checks for graphs and 3-graphs",

@@ -192,21 +192,22 @@ def _subtriad_scan_verdict(h: ThreeGraph, t: Triad, mode: int,
             raise RuntimeError(f"scan_subtriads returned {witness}, which "
                                "does not re-verify")
         return Verdict.of_search(search, witness, {"subtriads": states})
-    witness = _random_subtriad_search(h, t, (ab, ac, bc), mode, value, params,
-                                      full)
-    return Verdict.of_search(search, witness, {"trials": params.random_trials})
+    witness, trials = _random_subtriad_search(h, t, (ab, ac, bc), mode, value,
+                                              params, full)
+    return Verdict.of_search(search, witness, {"trials": trials})
 
 
 def _random_subtriad_search(h: ThreeGraph, t: Triad, edges, mode: int,
                             value: Fraction, params: CheckParams,
                             full: TriadStats
-                            ) -> Optional[tuple[int, int, int]]:
-    """Sample random subsets of ``edges`` and vertex-induced subtriads."""
+                            ) -> tuple[Optional[tuple[int, int, int]], int]:
+    """Sample random subsets of ``edges`` and vertex-induced subtriads;
+    returns the first violating masks, or None, and the trials run."""
     rng = random.Random(params.seed)
     ab, ac, bc = edges
     na, nb, nc = t.sizes
-    for _ in range(params.random_trials):
-        if rng.random() < Fraction(1, 2):
+    for trial in range(1, params.random_trials + 1):
+        if rng.random() < 0.5:
             masks = tuple(rng.getrandbits(len(edges)) if edges else 0
                           for edges in (ab, ac, bc))
         else:
@@ -223,8 +224,8 @@ def _random_subtriad_search(h: ThreeGraph, t: Triad, edges, mode: int,
                     if bmask >> b & 1 and cmask >> c & 1),
             )
         if _violates(h, t, masks, mode, value, full):
-            return masks
-    return None
+            return masks, trial
+    return None, params.random_trials
 
 
 def check_fr_triad(h: ThreeGraph, t: Triad, eps: Fraction,
@@ -648,6 +649,24 @@ def subtriad_hypothesis_check(h: ThreeGraph, tp: TwoPartition,
     judgments, caveats = _judge_triads(h, tp, judge, "holding")
     holds = all(j.verdict_status != IRREGULAR for j in judgments)
     return SubtriadHypothesisReport(judgments, holds, tuple(caveats))
+
+
+def check_subtriad_hypothesis_holds(h: ThreeGraph, tp: TwoPartition,
+                                    delta: Fraction,
+                                    params: CheckParams = CheckParams()
+                                    ) -> bool:
+    """``subtriad_hypothesis_check(h, tp, delta, params).holds`` without
+    the report: the triads are judged in the same order, and the first
+    irregular one decides False.  Unknown verdicts count as holding.
+
+    Only the triads up to that one are checked, so an error that
+    ``check_subtriad_hypothesis`` raises on a later triad (BudgetExceeded
+    for an exhaustive scan of more than SUBTRIAD_EDGE_BUDGET edges, say)
+    is not raised here.
+    """
+    delta = Fraction(delta)
+    return all(check_subtriad_hypothesis(h, pt.triad, delta, params).status
+               != IRREGULAR for pt in iter_partition_triads(h, tp))
 
 
 @dataclass(frozen=True)

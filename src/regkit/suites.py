@@ -482,8 +482,8 @@ def _claim_4_8_instance(rng: random.Random):
             cand = ThreeGraph(classes, frozenset(
                 (a, b, c) for a in range(n) for b in range(n)
                 for c in range(n) if rng.random() < rng.choice([0.85, 0.95])))
-            rep = hyperreg.subtriad_hypothesis_check(cand, tp, delta, _exh())
-            if rep.holds:
+            if hyperreg.check_subtriad_hypothesis_holds(cand, tp, delta,
+                                                        _exh()):
                 h = cand
                 break
         if h is None:

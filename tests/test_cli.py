@@ -271,6 +271,24 @@ def test_trials_below_one_is_a_usage_error(fixtures, capsys, argv):
     assert "error: argument --trials" in err
 
 
+def test_main_builds_its_parser_once(capsys):
+    """Two calls of ``main`` share one parser, and parsing leaves it as it
+    was: help and usage errors read the same from a fresh parser and from
+    one that has parsed other command lines."""
+    argvs = [["--help"], ["verify", "--help"], ["verify"],
+             ["schedule", "--index", "x"], ["no-such-command"]]
+    cli._build_parser.cache_clear()
+    fresh = [(run(argv), capsys.readouterr()) for argv in argvs]
+    assert run(["schedule", "--index", "1"]) == 0
+    capsys.readouterr()
+    again = [(run(argv), capsys.readouterr()) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert again == fresh
+    assert [code for code, _ in fresh] == [0, 0, 2, 2, 2]
+    assert fresh[0][1].out.startswith("usage: regkit")
+    assert all(err.startswith("usage: regkit") for _, (_, err) in fresh[2:])
+
+
 def test_run_suite_refuses_negative_trials():
     with pytest.raises(ParameterOutOfContract):
         suites.run_suite(suites.SuiteSpec("claim-3.1", trials=-2))

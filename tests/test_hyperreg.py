@@ -714,13 +714,13 @@ def _pair_blocks(bg: BlockGraphs, i: int, j: int
 
 
 @st.composite
-def framed_two_partitions(draw):
-    """A frame of classes of 1-3 vertices and a valid 2-partition refining
-    it: clusters in shuffled order, the product of every cluster pair cut
-    into 1-3 blocks (possibly empty), each drawn as (i, j) or reversed as
-    (j, i), and the blocks in shuffled order.  Returns the frame, the
-    drawn blocks and their ``TwoPartition``."""
-    sizes = [draw(st.integers(1, 3)) for _ in range(3)]
+def framed_two_partitions(draw, max_side: int = 3):
+    """A frame of classes of 1-``max_side`` vertices and a valid 2-partition
+    refining it: clusters in shuffled order, the product of every cluster
+    pair cut into 1-3 blocks (possibly empty), each drawn as (i, j) or
+    reversed as (j, i), and the blocks in shuffled order.  Returns the
+    frame, the drawn blocks and their ``TwoPartition``."""
+    sizes = [draw(st.integers(1, max_side)) for _ in range(3)]
     frame = ThreePartiteFrame(tuple(VertexClass(i, n)
                                     for i, n in enumerate(sizes)))
     clusters = []
@@ -859,3 +859,112 @@ def test_every_subtriad_witness_reverifies(check, mode, case, value, search,
     assert (v.witness is not None) == (v.status == IRREGULAR)
     if v.witness is not None:
         assert hyperreg.verify_subtriad_witness(h, t, v.witness, mode, value)
+
+
+@given(case=small_triads(), value=st.sampled_from([Fraction(1, 8),
+                                                   Fraction(1, 2)]),
+       trials=st.integers(1, 16), seed=st.integers(0, 1 << 16))
+def test_randomized_subtriad_verdicts_book_the_trials_run(case, value,
+                                                          trials, seed):
+    """A randomized verdict books the trial that found its witness, or
+    every trial when none did: the same seed with that many trials finds
+    the same witness, and with one fewer finds none."""
+    h, t = case
+
+    def verdict(n):
+        return hyperreg.check_subtriad_hypothesis(
+            h, t, value, CheckParams(mode="randomized", random_trials=n,
+                                     seed=seed))
+
+    v = verdict(trials)
+    run = v.effort["trials"]
+    if v.status == UNKNOWN:
+        assert run == trials
+        return
+    assert 1 <= run <= trials
+    assert verdict(run) == v
+    if run > 1:
+        assert verdict(run - 1).status == UNKNOWN
+
+
+def test_an_early_witness_books_the_trials_run():
+    """On the frame triad with half its triangles in h, the search at
+    seed 0 finds a witness at its second draw and books 2 of 64 trials."""
+    h, tp = frame_instance((a, b, c) for a in range(2) for b in range(2)
+                           for c in range(2) if (a + b + c) % 2)
+    t = next(hyperreg.iter_partition_triads(h, tp)).triad
+    v = hyperreg.check_subtriad_hypothesis(h, t, Fraction(1, 16), RND)
+    assert v.status == IRREGULAR
+    assert v.effort == {"trials": 2}
+
+
+def _two_way_split(sizes):
+    """The 2-partition that cuts every class of ``sizes`` into its first
+    two vertices and the rest, with complete members."""
+    cls = tuple(VertexClass(i, n) for i, n in enumerate(sizes))
+    frame = ThreePartiteFrame(cls)
+    labels = [2 * i + (v >= 2) for i, n in enumerate(sizes) for v in range(n)]
+    return cls, complete_two_partition(
+        VertexPartition.from_labels(frame.combined_class(), labels))
+
+
+@given(case=framed_two_partitions(max_side=2), data=st.data(),
+       delta=st.sampled_from([Fraction(1, 16), Fraction(1, 4),
+                              Fraction(1, 2)]),
+       search=st.sampled_from(["exhaustive", "randomized"]),
+       seed=st.integers(0, 1 << 16))
+def test_hypothesis_holds_matches_the_full_report(case, data, delta, search,
+                                                 seed):
+    """The early exit answers what the full report's ``holds`` says, in
+    both search modes."""
+    frame, _, tp = case
+    h = ThreeGraph(frame.classes, frozenset(data.draw(st.sets(st.tuples(
+        *(st.integers(0, c.size - 1) for c in frame.classes))))))
+    params = CheckParams(mode=search, random_trials=4, seed=seed)
+    want = hyperreg.subtriad_hypothesis_check(h, tp, delta, params).holds
+    assert hyperreg.check_subtriad_hypothesis_holds(h, tp, delta,
+                                                    params) is want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hypothesis_holds_stops_at_the_first_irregular_triad(seed,
+                                                            monkeypatch):
+    """On the eight triads of a two-way split, the check judges the triads
+    up to the first irregular one in the full report, or all of them."""
+    rng = random.Random(seed)
+    _, tp = _two_way_split((4, 4, 4))
+    h = random_h(rng, (4, 4, 4), rng.choice([.85, .95, 1]))
+    judgments = hyperreg.subtriad_hypothesis_check(h, tp, Fraction(1, 16),
+                                                   EXH).judgments
+    statuses = [j.verdict_status for j in judgments]
+    want = statuses.index(IRREGULAR) + 1 if IRREGULAR in statuses \
+        else len(statuses)
+    calls = []
+    check = hyperreg.check_subtriad_hypothesis
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(hyperreg, "check_subtriad_hypothesis", counted)
+    holds = hyperreg.check_subtriad_hypothesis_holds(h, tp, Fraction(1, 16),
+                                                     EXH)
+    assert holds == (IRREGULAR not in statuses)
+    assert len(calls) == want
+
+
+def test_hypothesis_holds_raises_only_for_the_triads_it_reaches():
+    """Classes of 5 split 2 + 3: the first triad (12 edges) is irregular,
+    and the last (27 edges) is past the exhaustive budget."""
+    cls, tp = _two_way_split((5, 5, 5))
+    h = ThreeGraph(cls, frozenset((a, b, c) for a in range(2)
+                                  for b in range(2) for c in range(2)
+                                  if (a + b + c) % 2))
+    delta = Fraction(1, 16)
+    with pytest.raises(BudgetExceeded):
+        hyperreg.subtriad_hypothesis_check(h, tp, delta, EXH)
+    assert hyperreg.check_subtriad_hypothesis_holds(h, tp, delta,
+                                                    EXH) is False
+    complete = ThreeGraph.complete(cls)
+    with pytest.raises(BudgetExceeded):
+        hyperreg.check_subtriad_hypothesis_holds(complete, tp, delta, EXH)

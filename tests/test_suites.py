@@ -1,10 +1,15 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from regkit import suites
+from regkit import hyperreg, suites
 from regkit.errors import UnknownSuite
+from regkit.graphs import ThreeGraph, VertexClass
+from regkit.partitions import (ThreePartiteFrame, VertexPartition,
+                               complete_two_partition)
 
 
 def test_registered_suites_complete():
@@ -92,3 +97,64 @@ def test_fraction_serialization():
     assert suites.frac_str(Fraction(2)) == "2/1"
     assert suites._canon({"x": Fraction(1, 3), "y": (1, 2)}) \
         == {"x": "1/3", "y": [1, 2]}
+
+
+# ``suites._claim_4_8_instance`` as it was while every candidate got the full
+# ``subtriad_hypothesis_check`` report, kept verbatim as the oracle for the
+# early-exit check; only ``_exh()`` is now ``suites._exh()``.
+
+
+def _claim_4_8_instance(rng: random.Random):
+    """A tiny instance whose subtriad hypothesis certifies exhaustively."""
+    layout = rng.choice(["single", "split"])
+    if layout == "single":
+        # Sides of 2 keep every partition triad inside the exhaustive
+        # subtriad budget.
+        n = 2
+        classes = tuple(VertexClass(i, n) for i in range(3))
+        frame = ThreePartiteFrame(classes)
+        z = frame.frame_partition()
+        t_count = 3
+    else:
+        n = 4
+        classes = tuple(VertexClass(i, n) for i in range(3))
+        frame = ThreePartiteFrame(classes)
+        labels = []
+        for i in range(3):
+            labels.extend([2 * i, 2 * i, 2 * i + 1, 2 * i + 1])
+        z = VertexPartition.from_labels(frame.combined_class(), labels)
+        t_count = 6
+    tp = complete_two_partition(z)
+    delta = rng.choice([Fraction(1, 16), Fraction(1, 64)])
+    eps2 = delta ** 2 / 88
+    style = rng.choice(["complete", "empty", "random", "random"])
+    if style == "complete":
+        h = ThreeGraph.complete(classes)
+    elif style == "empty":
+        h = ThreeGraph(classes, frozenset())
+    else:
+        h = None
+        for _ in range(30):
+            cand = ThreeGraph(classes, frozenset(
+                (a, b, c) for a in range(n) for b in range(n)
+                for c in range(n) if rng.random() < rng.choice([0.85, 0.95])))
+            rep = hyperreg.subtriad_hypothesis_check(cand, tp, delta,
+                                                     suites._exh())
+            if rep.holds:
+                h = cand
+                break
+        if h is None:
+            h = ThreeGraph.complete(classes)
+    return h, tp, delta, 1, t_count, eps2
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_claim_4_8_instances_match_the_full_report_oracle(seed):
+    """Every default trial of claim-4.8 draws the same instance as the
+    oracle and leaves its generator in the same state."""
+    for trial in range(25):
+        trial_seed = suites.trial_seed("claim-4.8", seed, trial)
+        got_rng, want_rng = random.Random(trial_seed), random.Random(trial_seed)
+        assert suites._claim_4_8_instance(got_rng) == \
+            _claim_4_8_instance(want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
