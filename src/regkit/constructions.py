@@ -137,9 +137,12 @@ def _as_big(x: BigLike) -> BigCount:
 
 
 def func_e(i: int) -> BigCount:
-    """e(i) = 2^(i+10)."""
+    """e(i) = 2^(i+10), a plain integer below the materialization budget
+    and a node from there on."""
     if i < 0:
         raise ParameterOutOfContract("e(i) needs i >= 0")
+    if i + 10 >= _MAT_BITS:
+        return BigCount.pow2(BigCount.of(i + 10))
     return BigCount.of(1 << (i + 10))
 
 
@@ -178,12 +181,15 @@ def func_w(i: int) -> BigCount:
     """w(1) = 1, w(i+1) = t(w(i)) / e(i).
 
     w(1) and w(2) are exact; from w(3) on the index of t is astronomical
-    and a flagged lower bound is returned.
+    and a flagged lower bound is returned.  t of such an index is the
+    saturated t(cap), so the remaining steps only change the divisor.
     """
     if i < 1:
         raise ParameterOutOfContract("w(i) needs i >= 1")
     w = BigCount.of(1)
     for j in range(1, i):
+        if not w.exact:
+            return func_t(w).div_pow2(i - 1 + 10)
         w = func_t(w).div_pow2(j + 10)
     return w
 
@@ -208,22 +214,18 @@ def func_wow(x: int) -> BigCount:
     """x-fold iterated tower of 1: wow(x) = twr(twr(...twr(1)...)).
 
     wow(0..3) are exact (1, 2, 4, 65536); beyond that the tower height
-    itself is astronomical and a flagged lower bound is returned.
+    itself is astronomical and a flagged lower bound is returned, the
+    saturated twr(cap), which every further step maps to itself.
     """
     if x < 0:
         raise ParameterOutOfContract("wow(x) needs x >= 0")
     v = BigCount.of(1)
-    for step in range(x):
+    for _ in range(x):
         h = v.as_int(64)
         if h is None or h > _DEPTH_CAP:
-            h = _DEPTH_CAP
-            v = func_twr(h)
-            v = BigCount(v.leaf, v.base, v.shift, False)
-        else:
-            inexact = not v.exact
-            v = func_twr(h)
-            if inexact:
-                v = BigCount(v.leaf, v.base, v.shift, False)
+            v = func_twr(_DEPTH_CAP)
+            return BigCount(v.leaf, v.base, v.shift, False)
+        v = func_twr(h)
     return v
 
 

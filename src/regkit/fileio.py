@@ -16,7 +16,8 @@ Formats (``#`` starts a comment, blank lines ignored):
 
 Every size in a header (the class, side and ground sizes) is at least 1
 and every count (edges, triples, blocks) at least 0; a header that breaks
-this is a FormatError naming its line.
+this is a FormatError naming its line.  So is a header whose sizes are too
+large to build the object from (a MemoryError or OverflowError on the way).
 
 Loading then saving yields the canonical form (edges sorted
 lexicographically); saving a loaded canonical file is byte-identical.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from contextlib import contextmanager
 from functools import cache
 from itertools import repeat
 from typing import Optional, Sequence
@@ -221,6 +223,15 @@ def _header(lines: _Lines, tag: str, sizes: int, counts: int
     return values, ln
 
 
+@contextmanager
+def _built_from_header(tag: str, line: int):
+    """Sizes too large to build from are a FormatError naming the header."""
+    try:
+        yield
+    except (MemoryError, OverflowError):
+        raise FormatError(f"{tag} header: sizes too large", line) from None
+
+
 def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
              expect_sides: Optional[tuple[int, int]] = None
              ) -> BipartiteGraph:
@@ -248,7 +259,8 @@ def _read_bg(lines: _Lines, left: VertexClass, right: VertexClass,
             raise FormatError(f"duplicate edge ({a},{b})", eln)
         seen.add((a, b))
         edges.append((a, b))
-    return BipartiteGraph(left, right, edges)
+    with _built_from_header("bg", ln):
+        return BipartiteGraph(left, right, edges)
 
 
 def loads_graph(text: str) -> BipartiteGraph:
@@ -283,7 +295,8 @@ def loads_threegraph(text: str) -> ThreeGraph:
             if (v1, v2, v3) in triples:
                 raise FormatError(f"duplicate triple ({v1},{v2},{v3})", tln)
             triples.add((v1, v2, v3))
-        h = ThreeGraph(classes, triples)
+        with _built_from_header("h3", ln):
+            h = ThreeGraph(classes, triples)
     _expect_end(lines)
     return h
 

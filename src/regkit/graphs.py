@@ -52,10 +52,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
-
-
 # The block swap of a W x W square costs about as much as the loop does on
 # 4 edges per row of W (timed from 8x8 to 1024x1024), so a sparser matrix,
 # and any of fewer than 32 cells, takes the loop.  Beyond W = 1024 the

@@ -3,11 +3,15 @@ frame, and the exact and approximate refinement algebra.
 
 All set arithmetic is exact.  The approximate containment ``S c_beta T``
 means ``|S \\ T| < beta * |S|`` (strict, as defined), with the degenerate
-reading that ``S c_0 T`` iff ``S`` is an ordinary subset of ``T``; this makes
-``beta = 0`` coincide with exact refinement.
+reading that ``S c_0 T`` iff ``S`` is an ordinary subset of ``T``; so
+approximate refinement at ``beta = 0`` is exact refinement.  It is decided
+for ``0 <= beta <= 1/2`` only, where a set is beta-inside at most one block
+of a partition: the block holding more than half of it, read off as the
+most common label over the set (on a tie no block qualifies).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -93,9 +97,6 @@ class ThreePartiteFrame:
                 return i
             off += c.size
         raise IndexError(f"combined index {v} out of range")
-
-    def to_local(self, i: int, v: int) -> int:
-        return v - self.offset(i)
 
     def to_combined(self, i: int, v: int) -> int:
         return v + self.offset(i)
@@ -197,62 +198,33 @@ def complete_two_partition(z: VertexPartition) -> TwoPartition:
 # Refinement algebra
 
 
-def _require_same_ground(q: VertexPartition, p: VertexPartition) -> None:
+def _refinement_hosts(q: VertexPartition, p: VertexPartition,
+                      beta: Fraction) -> Optional[list[Optional[int]]]:
+    """Per block of q, the index of the p-block it is beta-inside, or None;
+    the list is None as a whole unless q beta-refines p."""
     if q.ground != p.ground:
-        raise GroundMismatch(
-            f"grounds differ: {q.ground} vs {p.ground}")
-
-
-def refines(q: VertexPartition, p: VertexPartition) -> bool:
-    """True iff every block of q is contained in some block of p."""
-    _require_same_ground(q, p)
-    owner = p.labels()
-    for block in q.blocks:
-        it = iter(block)
-        lab = owner[next(it)]
-        if any(owner[v] != lab for v in it):
-            return False
-    return True
-
-
-def approx_subset(s: frozenset, t: frozenset, beta: Fraction) -> bool:
-    """Approximate containment: |s \\ t| < beta*|s| (s subset of t if beta=0)."""
-    beta = Fraction(beta)
-    if beta < 0:
-        raise ParameterOutOfContract("beta must be >= 0")
-    if not s:
-        raise DegenerateInput("approximate containment of an empty set")
-    astray = len(s - t)
-    if astray == 0:
-        return True
-    return astray < beta * len(s)
-
-
-def approx_member(s: frozenset, p: VertexPartition,
-                  beta: Fraction) -> Optional[int]:
-    """Index of the unique block with s c_beta block, or None.
-
-    Requires beta <= 1/2, which guarantees uniqueness of the witness.
-    """
+        raise GroundMismatch(f"grounds differ: {q.ground} vs {p.ground}")
     beta = Fraction(beta)
     if beta > HALF:
-        raise ParameterOutOfContract("beta must be <= 1/2 for uniqueness")
-    for i, block in enumerate(p.blocks):
-        if approx_subset(s, block, beta):
-            return i
-    return None
+        raise ParameterOutOfContract("beta must be <= 1/2")
+    if beta < 0:
+        raise ParameterOutOfContract("beta must be >= 0")
+    num, den = beta.numerator, beta.denominator
+    owner = p.labels()
+    hosts = []
+    for s in q.blocks:
+        label, held = Counter(map(owner.__getitem__, s)).most_common(1)[0]
+        astray = len(s) - held
+        inside = astray == 0 or astray * den < num * len(s)
+        hosts.append(label if inside else None)
+    stray = sum(len(s) for s, host in zip(q.blocks, hosts) if host is None)
+    return hosts if stray * den <= num * q.ground.size else None
 
 
 def approx_refines(q: VertexPartition, p: VertexPartition,
                    beta: Fraction) -> bool:
     """Mass of q-blocks not beta-inside any p-block is at most beta*n."""
-    _require_same_ground(q, p)
-    beta = Fraction(beta)
-    if beta > HALF:
-        raise ParameterOutOfContract("beta must be <= 1/2")
-    stray = sum(len(block) for block in q.blocks
-                if approx_member(block, p, beta) is None)
-    return stray <= beta * q.ground.size
+    return _refinement_hosts(q, p, beta) is not None
 
 
 def is_equitable(p: VertexPartition) -> bool:
@@ -271,14 +243,15 @@ def refinement_union_extract(q: VertexPartition, p: VertexPartition,
     argument shows the bound holds for it).
     """
     delta = Fraction(delta)
-    if not approx_refines(q, p, delta):
+    hosts = _refinement_hosts(q, p, delta)
+    if hosts is None:
         raise PreconditionFailed("q is not an approximate refinement of p")
+    unions: list[set[int]] = [set() for _ in p.blocks]
+    for qb, host in zip(q.blocks, hosts):
+        if host is not None:
+            unions[host] |= qb
     best = None
-    for pb in p.blocks:
-        union: set[int] = set()
-        for qb in q.blocks:
-            if approx_subset(qb, pb, delta):
-                union |= qb
+    for pb, union in zip(p.blocks, unions):
         sym = len(pb ^ union)
         key = Fraction(sym, len(pb))
         if best is None or key < best[0]:

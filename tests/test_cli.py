@@ -112,6 +112,15 @@ def test_negative_edge_count_exit2(fixtures, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [f"bg 3 {2 ** 62} 0", f"bg {10 ** 20} 3 0"])
+def test_huge_header_sizes_exit2_names_line(fixtures, capsys, header):
+    bad = fixtures["tmp"] / "huge.bg"
+    bad.write_text(header + "\n")
+    assert run(["check-pair", "--graph", bad, "--delta", "1/4"]) == 2
+    assert (capsys.readouterr().err
+            == "error: line 1: bg header: sizes too large\n")
+
+
 def test_corrupted_triad_exit2_names_line(fixtures, capsys):
     lines = fixtures["tr"].read_text().splitlines()
     assert lines[9] == "1 0"  # the AC section's third edge
@@ -233,6 +242,14 @@ def test_schedule_json(fixtures, capsys):
     assert run(["--json", "schedule", "--index", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["values"]["t"]["value"] == "2^250"
+
+
+def test_schedule_at_index_10_to_the_18(capsys):
+    assert run(["--json", "schedule", "--index", 10 ** 18]) == 0
+    values = json.loads(capsys.readouterr().out)["report"]["values"]
+    assert values["e"] == {"exact": True,
+                           "value": "2^(1000000000000000010+0)"}
+    assert not any(values[name]["exact"] for name in ("t", "w", "twr", "wow"))
 
 
 class _ClosedPipe(io.TextIOBase):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,89 @@ def test_fstar_dominates_f():
 def test_w_dominates_wow_where_exact():
     for i in (2, 3):
         assert cn.func_w(i).cmp(cn.func_wow(i)) >= 0
+
+
+# The schedule functions before they returned early once saturated, kept
+# verbatim but for their names as the oracle for their values.
+
+
+def _ref_func_e(i: int) -> cn.BigCount:
+    """e(i) = 2^(i+10)."""
+    if i < 0:
+        raise ParameterOutOfContract("e(i) needs i >= 0")
+    return cn.BigCount.of(1 << (i + 10))
+
+
+def _ref_func_w(i: int) -> cn.BigCount:
+    """w(1) = 1, w(i+1) = t(w(i)) / e(i).
+
+    w(1) and w(2) are exact; from w(3) on the index of t is astronomical
+    and a flagged lower bound is returned.
+    """
+    if i < 1:
+        raise ParameterOutOfContract("w(i) needs i >= 1")
+    w = cn.BigCount.of(1)
+    for j in range(1, i):
+        w = cn.func_t(w).div_pow2(j + 10)
+    return w
+
+
+def _ref_func_wow(x: int) -> cn.BigCount:
+    """x-fold iterated tower of 1: wow(x) = twr(twr(...twr(1)...)).
+
+    wow(0..3) are exact (1, 2, 4, 65536); beyond that the tower height
+    itself is astronomical and a flagged lower bound is returned.
+    """
+    if x < 0:
+        raise ParameterOutOfContract("wow(x) needs x >= 0")
+    v = cn.BigCount.of(1)
+    for step in range(x):
+        h = v.as_int(64)
+        if h is None or h > cn._DEPTH_CAP:
+            h = cn._DEPTH_CAP
+            v = cn.func_twr(h)
+            v = cn.BigCount(v.leaf, v.base, v.shift, False)
+        else:
+            inexact = not v.exact
+            v = cn.func_twr(h)
+            if inexact:
+                v = cn.BigCount(v.leaf, v.base, v.shift, False)
+    return v
+
+
+@pytest.mark.parametrize("func, ref", [
+    (cn.func_e, _ref_func_e), (cn.func_w, _ref_func_w),
+    (cn.func_wow, _ref_func_wow)], ids=["e", "w", "wow"])
+def test_schedule_values_match_the_stepwise_oracle(func, ref):
+    def outcome(f, i):
+        try:
+            v = f(i)
+        except ParameterOutOfContract as err:
+            return str(err)
+        return repr(v), v.exact
+
+    for i in [*range(-1, 80), 200, 1000, 5000]:
+        assert outcome(func, i) == outcome(ref, i)
+
+
+def test_schedule_answers_at_once_at_index_10_to_the_18():
+    i = 10 ** 18
+    start = time.perf_counter()
+    e, w, wow = cn.func_e(i), cn.func_w(i), cn.func_wow(i)
+    assert time.perf_counter() - start < 1
+    assert repr(e) == f"2^({i + 10}+0)" and e.exact
+    assert w == cn.func_w(3).div_pow2(i - 3) and not w.exact
+    assert repr(wow) == repr(cn.func_wow(4)) and not wow.exact
+
+
+def test_e_compares_across_the_materialization_budget():
+    b = cn._MAT_BITS - 10  # the first e(i) held as a node
+    assert cn.func_e(b - 1).leaf is not None and cn.func_e(b).leaf is None
+    assert repr(cn.func_e(b - 1)) == f"2^{b - 1 + 10}"
+    for i, j in [(b - 1, b), (b, b + 1), (b + 1, 5_000_000)]:
+        assert cn.func_e(i).cmp(cn.func_e(j)) == -1
+        assert cn.func_e(j).cmp(cn.func_e(i)) == 1
+        assert cn.func_e(j).cmp(cn.func_e(j)) == 0
 
 
 def test_six_cycle_paste_density():

@@ -210,6 +210,36 @@ def test_partition_block_count_far_above_the_labels():
     assert str(err.value) == "line 2: block 1 has no vertices"
 
 
+# Sizes that no 64-bit host can build an object from, and that fail at
+# once: a row mask of 2^62 bits, a list longer than an index can count.
+BIG, HUGE = 2 ** 62, 10 ** 20
+
+
+@pytest.mark.parametrize("load, text, expected", [
+    (fileio.loads_graph, f"bg 3 {BIG} 0\n",
+     "line 1: bg header: sizes too large"),
+    (fileio.loads_graph, f"bg {HUGE} 3 0\n",
+     "line 1: bg header: sizes too large"),
+    (fileio.loads_threegraph, f"h3 2 2 {BIG} 0\n",
+     "line 1: h3 header: sizes too large"),
+    (fileio.loads_threegraph, f"h3 {HUGE} 2 2 0\n",
+     "line 1: h3 header: sizes too large"),
+    (fileio.loads_triad, f"tr 3 {BIG} 3\nbg 3 {BIG} 0\n",
+     "line 2: bg header: sizes too large"),
+    (fileio.loads_triad, f"tr {HUGE} 3 3\nbg {HUGE} 3 0\n",
+     "line 2: bg header: sizes too large"),
+    (fileio.loads_partition, f"vp {HUGE} 1\n0\n",
+     f"line 2: label line: expected {HUGE} fields, got 1"),
+    (fileio.loads_twopartition, f"vp 2 2\n0 1\npair 0 1\nbg 1 {BIG} 0\n",
+     f"line 4: bg sides 1x{BIG} do not match expected 1x1"),
+], ids=["bg-big", "bg-huge", "h3-big", "h3-huge", "tr-big", "tr-huge", "vp",
+        "tp"])
+def test_header_sizes_too_large_to_build(load, text, expected):
+    with pytest.raises(FormatError) as err:
+        load(text)
+    assert str(err.value) == expected
+
+
 # The writer before it read ``TwoPartition.graphs``, kept verbatim as the
 # oracle for the property test below; it reads the drawn blocks.
 

@@ -627,7 +627,8 @@ def two_partition(drawn: DrawnTwoPartition) -> TwoPartition:
 # one-pass edge family ``TwoPartition.graphs`` replaced, kept verbatim as the
 # oracle for the property test below; it reads the drawn blocks.  Only
 # ``tp.blocks_for_pair(i, j)``, a deleted method, is now the function
-# ``blocks_for_pair(tp, i, j)``.
+# ``blocks_for_pair(tp, i, j)``, and ``frame.to_local(cls, v)``, a deleted
+# method, is now ``v - frame.offset(cls)``.
 
 
 def blocks_for_pair(tp, i: int, j: int) -> list[EdgeBlock]:
@@ -689,7 +690,7 @@ def iter_partition_triads(h: ThreeGraph, tp: TwoPartition
         for ib in by_class[1]:
             for ic in by_class[2]:
                 emb = tuple(
-                    tuple(frame.to_local(cls, v) for v in bg.clusters[i])
+                    tuple(v - frame.offset(cls) for v in bg.clusters[i])
                     for cls, i in ((0, ia), (1, ib), (2, ic)))
                 ab_blocks = _pair_blocks(bg, ia, ib)
                 ac_blocks = _pair_blocks(bg, ia, ic)

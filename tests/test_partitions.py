@@ -1,18 +1,20 @@
 import random
 import re
 from fractions import Fraction
+from typing import Optional
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regkit.errors import (DegenerateInput, FrameMismatch, GroundMismatch,
-                           NotDisjoint, PreconditionFailed)
+                           NotDisjoint, ParameterOutOfContract,
+                           PreconditionFailed)
 from regkit.graphs import BipartiteGraph, VertexClass
-from regkit.partitions import (ThreePartiteFrame, TwoPartition, VertexPartition, approx_member,
-                               approx_refines, approx_subset,
+from regkit.partitions import (HALF, ThreePartiteFrame, TwoPartition,
+                               VertexPartition, approx_refines,
                                complete_two_partition, is_equitable,
-                               refinement_union_extract, refines,
+                               refinement_union_extract,
                                restrict_two_partition,
                                restrict_vertex_partition, sub_partitions)
 from test_hyperreg import (DrawnTwoPartition, EdgeBlock,
@@ -40,30 +42,41 @@ def test_labels_round_trip():
 
 
 def test_refines_and_common_refinement():
+    # Approximate refinement at beta = 0 is exact refinement.
     p = vp([0, 0, 0, 1, 1, 1])
     q = vp([0, 0, 1, 2, 2, 3])
-    assert refines(q, p) and not refines(p, q)
+    assert approx_refines(q, p, 0) and not approx_refines(p, q, 0)
 
 
 def test_refines_requires_same_ground():
     with pytest.raises(GroundMismatch):
-        refines(vp([0, 0, 1, 1],
-                   VertexClass(0, 4)), vp([0, 0, 0, 1, 1, 1]))
+        approx_refines(vp([0, 0, 1, 1], VertexClass(0, 4)),
+                       vp([0, 0, 0, 1, 1, 1]), 0)
 
 
-def test_approx_subset_degenerate_strictness():
-    s = frozenset({0, 1})
-    assert approx_subset(s, frozenset({0, 1, 2}), Fraction(0))
-    assert not approx_subset(s, frozenset({0, 2}), Fraction(1, 2))
-    assert approx_subset(s, frozenset({0, 2}), Fraction(3, 4))
+def test_approx_refines_is_strict():
+    # q's second block has 1 of its 5 vertices outside p's second block: it
+    # is beta-inside for 1 < 5 beta only, and q then beta-refines p.
+    p = vp([0, 0, 0, 0, 1, 1, 1, 1], VertexClass(0, 8))
+    q = vp([0, 0, 0, 1, 1, 1, 1, 1], VertexClass(0, 8))
+    assert approx_refines(q, p, Fraction(1, 4))
+    assert not approx_refines(q, p, Fraction(1, 5))
+    assert not approx_refines(q, p, 0)
 
 
-def test_approx_member_and_refines():
+def test_approx_refines_hosts_by_plurality():
     p = vp([0, 0, 0, 1, 1, 1])
-    assert approx_member(frozenset({0, 1, 3}), p, Fraction(1, 2)) == 0
-    assert approx_member(frozenset({0, 3}), p, Fraction(1, 2)) is None
-    q = vp([0, 0, 1, 1, 2, 2])
-    assert approx_refines(q, p, Fraction(1, 2))
+    half = Fraction(1, 2)
+    # {0, 1, 3} is half-inside block 0, where 2 of its 3 vertices lie.
+    q = vp([0, 0, 1, 0, 2, 2])
+    assert approx_refines(q, p, half)
+    assert refinement_union_extract(q, p, half) == (
+        frozenset({0, 1, 2}), frozenset({0, 1, 2, 3}))
+    # {0, 3} is split evenly, so it is half-inside no block.
+    q = vp([0, 1, 1, 0, 2, 2])
+    assert approx_refines(q, p, half)
+    assert refinement_union_extract(q, p, half) == (
+        frozenset({0, 1, 2}), frozenset({1, 2}))
 
 
 def test_is_equitable():
@@ -122,6 +135,146 @@ def test_refinement_union_rejects_no_blocks_also_under_python_O(capsys):
     assert run_under_python_O(_BLOCKLESS_PROBE) == "partition with no blocks\n"
 
 
+# The refinement algebra that the plurality-label rule replaced: set
+# differences against every block, kept verbatim but for the ``_ref_``
+# names as the oracle for the property test below.
+
+
+def _ref_require_same_ground(q: VertexPartition, p: VertexPartition) -> None:
+    if q.ground != p.ground:
+        raise GroundMismatch(
+            f"grounds differ: {q.ground} vs {p.ground}")
+
+
+def _ref_refines(q: VertexPartition, p: VertexPartition) -> bool:
+    """True iff every block of q is contained in some block of p."""
+    _ref_require_same_ground(q, p)
+    owner = p.labels()
+    for block in q.blocks:
+        it = iter(block)
+        lab = owner[next(it)]
+        if any(owner[v] != lab for v in it):
+            return False
+    return True
+
+
+def _ref_approx_subset(s: frozenset, t: frozenset, beta: Fraction) -> bool:
+    """Approximate containment: |s \\ t| < beta*|s| (s subset of t if beta=0)."""
+    beta = Fraction(beta)
+    if beta < 0:
+        raise ParameterOutOfContract("beta must be >= 0")
+    if not s:
+        raise DegenerateInput("approximate containment of an empty set")
+    astray = len(s - t)
+    if astray == 0:
+        return True
+    return astray < beta * len(s)
+
+
+def _ref_approx_member(s: frozenset, p: VertexPartition,
+                       beta: Fraction) -> Optional[int]:
+    """Index of the unique block with s c_beta block, or None.
+
+    Requires beta <= 1/2, which guarantees uniqueness of the witness.
+    """
+    beta = Fraction(beta)
+    if beta > HALF:
+        raise ParameterOutOfContract("beta must be <= 1/2 for uniqueness")
+    for i, block in enumerate(p.blocks):
+        if _ref_approx_subset(s, block, beta):
+            return i
+    return None
+
+
+def _ref_approx_refines(q: VertexPartition, p: VertexPartition,
+                        beta: Fraction) -> bool:
+    """Mass of q-blocks not beta-inside any p-block is at most beta*n."""
+    _ref_require_same_ground(q, p)
+    beta = Fraction(beta)
+    if beta > HALF:
+        raise ParameterOutOfContract("beta must be <= 1/2")
+    stray = sum(len(block) for block in q.blocks
+                if _ref_approx_member(block, p, beta) is None)
+    return stray <= beta * q.ground.size
+
+
+def _ref_refinement_union_extract(q: VertexPartition, p: VertexPartition,
+                                  delta: Fraction
+                                  ) -> tuple[frozenset[int], frozenset[int]]:
+    """A block P of p and the union Q of q-blocks delta-inside it, with
+    |P symdiff Q| <= 3*delta*|P|.
+
+    Constructive form of the refinement-union bound: among all blocks the one
+    minimizing the relative symmetric difference is returned (an averaging
+    argument shows the bound holds for it).
+    """
+    delta = Fraction(delta)
+    if not _ref_approx_refines(q, p, delta):
+        raise PreconditionFailed("q is not an approximate refinement of p")
+    best = None
+    for pb in p.blocks:
+        union: set[int] = set()
+        for qb in q.blocks:
+            if _ref_approx_subset(qb, pb, delta):
+                union |= qb
+        sym = len(pb ^ union)
+        key = Fraction(sym, len(pb))
+        if best is None or key < best[0]:
+            best = (key, pb, frozenset(union))
+    if best is None:
+        raise DegenerateInput("partition with no blocks")
+    _, pb, union = best
+    if Fraction(len(pb ^ union)) > 3 * delta * len(pb):
+        # Cannot happen when the precondition holds; guard against misuse.
+        raise PreconditionFailed("no block meets the symmetric-difference bound")
+    return pb, union
+
+
+@st.composite
+def refinement_cases(draw):
+    """(q, p, beta): q cuts p's blocks into pieces and moves a few vertices
+    anywhere; beta is mostly in [0, 1/2], sometimes outside; q's ground now
+    and then differs from p's in its id or its size."""
+    n = draw(st.integers(1, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    p_labels = [rng.randrange(4) for _ in range(n)]
+    q_labels = [3 * lab + rng.randrange(3) for lab in p_labels]
+    for v in rng.sample(range(n), rng.randint(0, n)):
+        q_labels[v] = rng.randrange(15)
+    q_ground = VertexClass(0, n)
+    ground = draw(st.sampled_from(["same"] * 9 + ["id", "size"] + ["same"] * 9))
+    if ground == "id":
+        q_ground = VertexClass(1, n)
+    elif ground == "size":
+        q_ground = VertexClass(0, n + 1)
+        q_labels.append(0)
+    beta = draw(st.one_of(
+        st.fractions(0, HALF, max_denominator=12),
+        st.sampled_from([0, Fraction(-1, 3), Fraction(3, 5),
+                         HALF + Fraction(1, 100)])))
+    return (VertexPartition.from_labels(q_ground, q_labels),
+            VertexPartition.from_labels(VertexClass(0, n), p_labels), beta)
+
+
+def _outcome(f, *args):
+    """What f returns, or the type and message of what it raises."""
+    try:
+        return "returned", f(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=500)
+@given(refinement_cases())
+def test_refinement_algebra_matches_the_set_difference_oracle(case):
+    q, p, beta = case
+    assert (_outcome(approx_refines, q, p, beta)
+            == _outcome(_ref_approx_refines, q, p, beta))
+    assert (_outcome(refinement_union_extract, q, p, beta)
+            == _outcome(_ref_refinement_union_extract, q, p, beta))
+    assert _outcome(approx_refines, q, p, 0) == _outcome(_ref_refines, q, p)
+
+
 def test_restrict_vertex_partition_reindexes():
     p = vp([0, 0, 1, 1, 2, 2])
     r = restrict_vertex_partition(p, [1, 2, 5])
@@ -135,7 +288,6 @@ def test_frame_offsets():
     assert frame.total == 9
     assert frame.offset(2) == 5
     assert frame.class_of(4) == 1
-    assert frame.to_local(1, 3) == 1
     assert frame.to_combined(2, 1) == 6
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from regkit import regcheck
 from regkit.errors import BudgetExceeded, ParameterOutOfContract
 from regkit.graphs import (BipartiteGraph, VertexClass, count_edges_between,
-                           density, iter_bits, mask_to_set, subset_mask)
+                           density, iter_bits, subset_mask)
 from regkit.partitions import VertexPartition
 from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              NOT_CERTIFIED, PERFECT, UNKNOWN, CheckParams,
@@ -28,6 +28,7 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              check_perfect_delta_partition, degree_profile,
                              find_delta_witness_greedy, verify_delta_witness,
                              verify_eps_witness)
+from test_graphs import mask_to_set
 
 EXH = CheckParams(mode="exhaustive")
 
