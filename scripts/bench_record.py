@@ -9,7 +9,10 @@ repository root and writes ``BENCH_<PR>.json`` there.  Per workload, the
 file holds the run's environment line, ``correct``, ``attempted``,
 ``failed``, the end-to-end metrics from the workload's last JSON line and
 the answer digests of its descriptor line.  Comparing two such files shows
-a speed-up only together with unchanged answers.
+a speed-up only together with unchanged answers.  The file also names the
+tree it measured: ``"tree": {"head": <commit>, "dirty": <bool>}``, where
+dirty means that tracked files differ from that commit, or null outside a
+git checkout.
 
 If any workload fails, or one of those in ``BENCHMARK.json`` is missing
 from the output, it prints why, exits 1 and writes nothing.
@@ -20,6 +23,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMAND = ["perfbench/run.py", "--workload", "all", "--seed", "0"]
@@ -63,6 +67,21 @@ def parse(stdout: str, workloads: list[str]) -> dict:
     return {name: out[name] for name in workloads}
 
 
+def tree(root: Path) -> Optional[dict]:
+    """The commit checked out at ``root`` and whether tracked files differ
+    from it; None when ``root`` is not in a git checkout with a commit."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, check=True).stdout
+
+    try:
+        head = git("rev-parse", "HEAD")
+        status = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return {"head": head.strip(), "dirty": bool(status.strip())}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: bench_record.py PR", file=sys.stderr)
@@ -79,7 +98,7 @@ def main(argv: list[str]) -> int:
         print(f"error: {exc}; nothing written", file=sys.stderr)
         return 1
     path = ROOT / f"BENCH_{argv[0]}.json"
-    record = {"command": " ".join(["python3", *COMMAND]),
+    record = {"command": " ".join(["python3", *COMMAND]), "tree": tree(ROOT),
               "workloads": results}
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")

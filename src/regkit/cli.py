@@ -51,8 +51,8 @@ def _positive_int(text: str) -> int:
 
 
 def _params(args) -> CheckParams:
-    return CheckParams(mode=args.mode, random_trials=args.trials or 64,
-                       seed=args.seed)
+    trials = args.trials or CheckParams.random_trials
+    return CheckParams(mode=args.mode, random_trials=trials, seed=args.seed)
 
 
 def _witness_dict(witness):
@@ -237,7 +237,8 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int,
                    default=0 if defaults else sup,
                    help="randomized trials / suite trial count (at least "
-                   "1; default 64 trials, or the suite's own count)")
+                   f"1; default {CheckParams.random_trials} trials, or the "
+                   "suite's own count)")
     p.add_argument("--json", action="store_true",
                    default=False if defaults else sup,
                    help="print a canonical JSON report")

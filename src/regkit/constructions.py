@@ -86,7 +86,9 @@ class BigCount:
     def cmp(self, other: "BigCount") -> int:
         """-1, 0 or 1.  Exact for the schedule's power-of-two domain.
 
-        When both sides exceed the materialization budget the exponents
+        Two leaves compare as integers; a leaf L > 0 of n bits against a
+        node 2^E compares n - 1 with E, as 2^(n-1) <= L < 2^n.  When both
+        sides are nodes beyond the materialization budget the exponents
         are compared recursively; distinct huge operands are powers of
         two whose gap dwarfs any shift, so base order decides.
         """
@@ -94,6 +96,17 @@ class BigCount:
         b = other.as_int()
         if a is not None and b is not None:
             return (a > b) - (a < b)
+        if self.leaf is not None and other.leaf is not None:
+            return (self.leaf > other.leaf) - (self.leaf < other.leaf)
+        if other.leaf is not None:
+            return -other.cmp(self)
+        if self.leaf is not None:
+            # E - (n - 1) = base - m, with n the bits of the leaf.
+            m = self.leaf.bit_length() - 1 - other.shift
+            if self.leaf == 0 or m < 0:
+                return -1
+            c = other.base.cmp(BigCount.of(m))
+            return -c if c else int(not self.is_power_of_two())
         if a is not None:
             return -1
         if b is not None:

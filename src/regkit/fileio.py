@@ -389,8 +389,15 @@ def dumps_twopartition(tp: TwoPartition) -> str:
 
 
 def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text; bytes that are not UTF-8 are a FormatError on the
+    line where they start, one past the line breaks before them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start].decode("utf-8") + "?"  # "?": the bad bytes
+        raise FormatError("not UTF-8 text", len(head.splitlines())) from None
 
 
 def _write_text(path, text: str) -> None:

@@ -7,6 +7,13 @@ Two notions are checked on a bipartite pair (A, B):
 * delta-regularity (one-sided): every (A', B') with |A'| >= delta|A|,
   |B'| >= delta|B| satisfies d(A', B') >= d(A, B) / 2.
 
+Both are a size floor (``Threshold``) and a band on the induced density
+(``_Band``): with den = q|A||B|, a pair of e' edges on k vertex pairs
+violates iff e'/k < lo/den or e'/k > hi/den.  The delta band has q = 2,
+lo = e(A, B) and no high side; the eps band, eps = p/q, has lo, hi =
+e(A, B) q -+ p|A||B|.  The scan, the witness check, the density-bound
+test, the walks and ``degree_profile`` all ask the band.
+
 Both are co-NP-hard in general, so verdicts follow a strict discipline:
 CertifiedRegular only comes out of the exhaustive mode, irregular verdicts
 always carry a witness that re-verifies exactly, and the randomized mode
@@ -32,8 +39,8 @@ highest) row degrees already rule a violation out, no mask is walked.
 The effort reported as ``left_masks`` is the number of masks covered,
 every mask of at least ka bits up to the witness (or all of them),
 counted exactly rather than visited.  Every density comparison, the
-randomized searches' included, is an exact integer cross-multiplication;
-no Fraction is built inside a search.
+randomized searches' included, is exact integer arithmetic; no Fraction
+is built inside a search.
 
 The randomized searches walk greedily from the full sides and then from
 random pairs meeting the size floors, removing one vertex per step.  A
@@ -67,8 +74,8 @@ from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, DegenerateInput, ParameterOutOfContract
-from .graphs import (BipartiteGraph, count_edges_between, density,
-                     induced_subgraph, iter_bits, subset_mask)
+from .graphs import (BipartiteGraph, count_edges_between, induced_subgraph,
+                     iter_bits, subset_mask)
 from .partitions import VertexPartition
 
 CERTIFIED = "CertifiedRegular"
@@ -193,6 +200,41 @@ class Verdict:
         return cls(status, mode.capitalize(), witness, effort)
 
 
+class _Band(NamedTuple):
+    """The induced densities a notion accepts, lo/den to hi/den (see the
+    module docstring); no high side when hi is None."""
+
+    lo: int
+    hi: Optional[int]
+    den: int
+
+    @classmethod
+    def delta(cls, g: BipartiteGraph) -> "_Band":
+        return cls(g.edge_count, None, 2 * g.left.size * g.right.size)
+
+    @classmethod
+    def eps(cls, g: BipartiteGraph, eps: Fraction) -> "_Band":
+        nn, q = g.left.size * g.right.size, eps.denominator
+        return cls(g.edge_count * q - eps.numerator * nn,
+                   g.edge_count * q + eps.numerator * nn, q * nn)
+
+    def violates(self, e: int, k: int) -> bool:
+        """Whether e' = e edges on k vertex pairs leave the band."""
+        s = e * self.den
+        return s < self.lo * k or self.hi is not None and s > self.hi * k
+
+    def excludes(self, lo: int, hi: int, k: int) -> bool:
+        """True when no density in [lo/k, hi/k] violates: the band is an
+        interval, so when neither end does."""
+        return not self.violates(lo, k) and not self.violates(hi, k)
+
+    def limits(self, k: int) -> tuple[int, int]:
+        """``violates`` solved for an integer e': it violates iff e' < low
+        or e' > high.  Without a high side high is k, which no e' exceeds."""
+        low = -(-self.lo * k // self.den)
+        return low, k if self.hi is None else self.hi * k // self.den
+
+
 def _column_order(g: BipartiteGraph, amask: int) -> list[tuple[int, int]]:
     """(hits, column) pairs sorted ascending; ties to the lowest index."""
     return sorted((( (g.cols[b] & amask).bit_count(), b)
@@ -301,118 +343,66 @@ def _scan_witness(g: BipartiteGraph, amask: int, k: int, high: bool
     return _bits(amask), tuple(sorted(b for _, b in chosen))
 
 
-def _scan_delta(g: BipartiteGraph, thr: Threshold
-                ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                           int]:
-    """Exhaustive one-sided scan: first (A', B') with d' < d/2, if any.
+def _scan(g: BipartiteGraph, thr: Threshold, band: _Band
+          ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """Exhaustive scan: the first (A', B') whose density ``band`` rejects.
 
     Witness order is canonical: left masks ascending as integers, then
-    right-subset size ascending; within a size the minimizing columns
-    (ties to the lowest index) are taken.  Returns (witness or None,
-    number of left masks covered): the masks m in [1, W] with at least ka
-    vertices, W the witness mask or 2**|A| - 1, counted exactly although
-    only some of those with exactly ka vertices are visited (see
-    ``_left_masks``); 0 when g has no edges.
+    right-subset size ascending; within a size the low side (the k smallest
+    columns, ties to the lowest index) before the high side (the last k
+    pairs of the ascending (hits, column) order, ties to the highest).
+    Returns (witness or None, left masks covered): the masks m in [1, W]
+    with at least ka vertices, W the witness mask or 2**|A| - 1, counted
+    exactly although only some with ka vertices are visited.
 
-    Only the least admissible sizes are tested.  On the right, k0: the
-    mean of the k smallest hits never falls as k grows, so if some k gives
-    d' < d/2, k0 does too, and k0 is the first size in the canonical
-    order.  On the left, ka: if A' with more than ka vertices violates
-    with B', its ka rows with the fewest hits into B' violate too, and
-    they form a smaller mask, so the first violating mask has ka bits.
+    Only the least admissible sizes are tested.  On the right, k0: the mean
+    of the k smallest hits never falls and that of the k largest never
+    rises as k grows.  On the left, ka: the ka rows of a violating A' with
+    the fewest (on the high side the most) hits into B' violate on the
+    same side and form a smaller mask.  No k0 hits exceed k = ka * k0, so
+    a high limit of k, the one-sided band's, is not tested.
     """
     na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
-    if e_full == 0:
-        # d = 0 and every induced density is >= 0 = d/2.
-        return None, 0
     ka, k0 = thr.least(na), thr.least(nb)
-    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0  <=>  e' < low
-    low = -(-e_full * ka * k0 // (2 * na * nb))
-    # No k0 hits exceed k0 * ka: there is no high side to test.
-    for amask, hits in _left_masks(g, ka, k0, low, k0 * ka):
-        if sum(hits[:k0]) < low:
-            return (_scan_witness(g, amask, k0, False),
-                    _masks_covered(ka, amask))
-    return None, _masks_covered(ka, (1 << na) - 1)
-
-
-def _scan_eps(g: BipartiteGraph, eps: Fraction
-              ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                         int]:
-    """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps.
-
-    Same canonical order and count of masks covered as ``_scan_delta``;
-    within a size the low side (the k smallest columns) is tried before
-    the high side, which takes the last k pairs of the ascending (hits,
-    column) order, so its ties go to the highest index.  As there, only
-    the least admissible sizes are tested: the mean of the k smallest hits
-    never falls and that of the k largest never rises as k grows, and the
-    ka rows of a violating A' with the fewest (on the high side the most)
-    hits into B' violate on the same side.
-    """
-    na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
-    p, q = eps.numerator, eps.denominator
-    thr = Threshold(eps)
-    ka, k0 = thr.least(na), thr.least(nb)
-    # With e' the edges to the k0 chosen columns, d - d' > eps and
-    # d' - d > eps, multiplied out by ka * k0 * na * nb * q, are
-    # e' < low and e' > high:
-    nnq = na * nb * q
-    low = -(-ka * k0 * (e_full * q - p * na * nb) // nnq)
-    high = ka * k0 * (e_full * q + p * na * nb) // nnq
+    k = ka * k0
+    low, high = band.limits(k)
     for amask, hits in _left_masks(g, ka, k0, low, high):
         if sum(hits[:k0]) < low:
             return (_scan_witness(g, amask, k0, False),
                     _masks_covered(ka, amask))
-        if sum(hits[nb - k0:]) > high:
+        if high < k and sum(hits[nb - k0:]) > high:
             return (_scan_witness(g, amask, k0, True),
                     _masks_covered(ka, amask))
     return None, _masks_covered(ka, (1 << na) - 1)
 
 
-def _pair_mode(g: BipartiteGraph, thr: Threshold,
-               params: CheckParams) -> str:
-    if not thr.is_positive() or not thr.le_one():
-        raise ParameterOutOfContract("parameter must satisfy 0 < value <= 1")
-    return params.pick_mode(max(g.left.size, g.right.size),
-                            params.max_exhaustive_side, "largest side")
+def _witness_violates(g: BipartiteGraph,
+                      witness: tuple[Sequence[int], Sequence[int]],
+                      thr: ThresholdLike, band: _Band) -> bool:
+    """Exact recheck that ``witness`` meets the size floors of ``thr``, read
+    only when both sides are nonempty, and has a density ``band`` rejects."""
+    a_sub, b_sub = witness
+    amask = subset_mask(a_sub, g.left.size, "left")
+    bmask = subset_mask(b_sub, g.right.size, "right")
+    ka, kb = amask.bit_count(), bmask.bit_count()
+    if ka == 0 or kb == 0:
+        return False
+    thr = _as_threshold(thr)
+    if not thr.floor_ok(ka, g.left.size) or not thr.floor_ok(kb, g.right.size):
+        return False
+    return band.violates(count_edges_between(g, amask, bmask), ka * kb)
 
 
 def verify_eps_witness(g: BipartiteGraph, eps: Fraction,
                        witness: tuple[Sequence[int], Sequence[int]]) -> bool:
     """Exact recheck that a claimed eps-witness violates the definition."""
-    a_sub, b_sub = witness
-    amask = subset_mask(a_sub, g.left.size, "left")
-    bmask = subset_mask(b_sub, g.right.size, "right")
-    ka, kb = amask.bit_count(), bmask.bit_count()
-    na, nb = g.left.size, g.right.size
-    if ka == 0 or kb == 0:
-        return False
-    thr = Threshold(eps)
-    if not thr.floor_ok(ka, na) or not thr.floor_ok(kb, nb):
-        return False
-    e = count_edges_between(g, amask, bmask)
-    dev = abs(e * na * nb - g.edge_count * ka * kb)
-    return dev * eps.denominator > eps.numerator * ka * kb * na * nb
+    return _witness_violates(g, witness, eps, _Band.eps(g, eps))
 
 
 def verify_delta_witness(g: BipartiteGraph, delta: ThresholdLike,
                          witness: tuple[Sequence[int], Sequence[int]]) -> bool:
     """Exact recheck that a claimed delta-witness violates the definition."""
-    thr = _as_threshold(delta)
-    a_sub, b_sub = witness
-    amask = subset_mask(a_sub, g.left.size, "left")
-    bmask = subset_mask(b_sub, g.right.size, "right")
-    ka, kb = amask.bit_count(), bmask.bit_count()
-    na, nb = g.left.size, g.right.size
-    if ka == 0 or kb == 0:
-        return False
-    if not thr.floor_ok(ka, na) or not thr.floor_ok(kb, nb):
-        return False
-    e = count_edges_between(g, amask, bmask)
-    return 2 * e * na * nb < g.edge_count * ka * kb
+    return _witness_violates(g, witness, _as_threshold(delta), _Band.delta(g))
 
 
 def _top_capped(values: Sequence[int], cap: int, k: int) -> int:
@@ -446,6 +436,29 @@ def _density_bounds(g: BipartiteGraph, thr: Threshold
     return ka * kb - missing, present, ka * kb
 
 
+def _check_pair(g: BipartiteGraph, thr: Threshold, band: _Band,
+                params: CheckParams, search) -> Verdict:
+    """The verdict on ``g`` for the size floors of ``thr`` and ``band``:
+    an exhaustive scan, or else the density bounds and, when they leave
+    room for a violation, ``search()``, which returns (witness or None,
+    starts walked)."""
+    if not thr.is_positive() or not thr.le_one():
+        raise ParameterOutOfContract("parameter must satisfy 0 < value <= 1")
+    mode = params.pick_mode(max(g.left.size, g.right.size),
+                            params.max_exhaustive_side, "largest side")
+    if band.lo == 0 and band.hi is None:
+        # d = 0: every induced density is >= 0 = d/2; no search, any mode.
+        return Verdict.of_search("exhaustive", None, {"left_masks": 0})
+    if mode == "exhaustive":
+        witness, covered = _scan(g, thr, band)
+        return Verdict.of_search(mode, witness, {"left_masks": covered})
+    if band.excludes(*_density_bounds(g, thr)):
+        witness, trials = None, 1 + params.random_trials
+    else:
+        witness, trials = search()
+    return Verdict.of_search(mode, witness, {"trials": trials})
+
+
 def check_eps_regular(g: BipartiteGraph, eps: Fraction,
                       params: CheckParams = CheckParams()) -> Verdict:
     """Decide or search eps-regularity of the pair (left, right) of ``g``.
@@ -455,20 +468,8 @@ def check_eps_regular(g: BipartiteGraph, eps: Fraction,
     witness, and the verdict is the one the search would end with.
     """
     eps = Fraction(eps)
-    thr = Threshold(eps)
-    mode = _pair_mode(g, thr, params)
-    if mode == "exhaustive":
-        witness, covered = _scan_eps(g, eps)
-        return Verdict.of_search(mode, witness, {"left_masks": covered})
-    lo, hi, k = _density_bounds(g, thr)
-    nn, e = g.left.size * g.right.size, g.edge_count
-    # max(d - lo/k, hi/k - d) <= eps, multiplied out by k * nn * q.
-    if max(e * k - lo * nn, hi * nn - e * k) * eps.denominator \
-            <= eps.numerator * k * nn:
-        witness, trials = None, 1 + params.random_trials
-    else:
-        witness, trials = _random_eps_search(g, eps, params)
-    return Verdict.of_search(mode, witness, {"trials": trials})
+    return _check_pair(g, Threshold(eps), _Band.eps(g, eps), params,
+                       lambda: _random_eps_search(g, eps, params))
 
 
 def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
@@ -479,20 +480,9 @@ def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
     keep every admissible pair at density d/2 or more.
     """
     thr = _as_threshold(delta)
-    mode = _pair_mode(g, thr, params)
-    if mode == "exhaustive" or g.edge_count == 0:
-        # Density 0 needs no search: the scan certifies at once, any mode.
-        witness, covered = _scan_delta(g, thr)
-        return Verdict.of_search("exhaustive", witness,
-                                 {"left_masks": covered})
-    lo, _, k = _density_bounds(g, thr)
-    # lo/k >= d/2, multiplied out.
-    if 2 * lo * g.left.size * g.right.size >= g.edge_count * k:
-        witness, trials = None, 1 + params.random_trials
-    else:
-        witness, trials = _random_delta_search(g, thr, params.seed,
-                                               params.random_trials)
-    return Verdict.of_search(mode, witness, {"trials": trials})
+    return _check_pair(g, thr, _Band.delta(g), params,
+                       lambda: _random_delta_search(g, thr, params.seed,
+                                                    params.random_trials))
 
 
 # ---------------------------------------------------------------------------
@@ -602,25 +592,23 @@ def _greedy_walk(g: BipartiteGraph, tables: _WalkTables, amask: int,
         e = best_e2
 
 
-def _peel(g: BipartiteGraph, tables: _WalkTables, amask: int, bmask: int
-          ) -> Optional[tuple[int, int]]:
+def _peel(g: BipartiteGraph, tables: _WalkTables, band: _Band, amask: int,
+          bmask: int) -> Optional[tuple[int, int]]:
     """Greedy peeling from a starting pair; returns a violating pair or None.
 
-    Walks down (see ``_greedy_walk``) and stops at the first pair with
-    d' < d/2, or when the walk ends or its next removal does not lower the
-    induced density.
+    Walks down (see ``_greedy_walk``) and stops at the first pair whose
+    density ``band`` rejects, or when the walk ends or its next removal
+    does not lower the induced density.
     """
-    na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
     prev = None
     for am, bm, e2 in _greedy_walk(g, tables, amask, bmask, True):
-        ka, kb = am.bit_count(), bm.bit_count()
-        if prev is not None and e2 * prev[1] >= prev[0] * ka * kb:
+        k = am.bit_count() * bm.bit_count()
+        if prev is not None and e2 * prev[1] >= prev[0] * k:
             # No removal lowers the density any further.
             return None
-        if 2 * e2 * na * nb < e_full * ka * kb:
+        if band.violates(e2, k):
             return am, bm
-        prev = (e2, ka * kb)
+        prev = (e2, k)
     return None
 
 
@@ -670,11 +658,10 @@ def _random_delta_search(g: BipartiteGraph, thr: Threshold, seed: int,
     """``find_delta_witness_greedy`` on a graph with edges; returns the
     witness or None and the number of starts walked."""
     rng = random.Random(seed)
-    tables = _WalkTables.of(g, thr)
-    trials = 0
-    for amask, bmask in _random_starts(g, thr, rng, restarts):
-        trials += 1
-        found = _peel(g, tables, amask, bmask)
+    tables, band = _WalkTables.of(g, thr), _Band.delta(g)
+    starts = _random_starts(g, thr, rng, restarts)
+    for trials, (amask, bmask) in enumerate(starts, 1):
+        found = _peel(g, tables, band, amask, bmask)
         if found is not None:
             witness = (_bits(found[0]), _bits(found[1]))
             if verify_delta_witness(g, thr, witness):
@@ -691,20 +678,13 @@ def _random_eps_search(g: BipartiteGraph, eps: Fraction, params: CheckParams
     returns the first pair on the way whose witness re-verifies.
     """
     thr = Threshold(eps)
-    na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
-    p, q = eps.numerator, eps.denominator
-    nn = na * nb
     rng = random.Random(params.seed)
-    tables = _WalkTables.of(g, thr)
-    trials = 0
-    for amask, bmask in _random_starts(g, thr, rng, params.random_trials):
-        trials += 1
+    tables, band = _WalkTables.of(g, thr), _Band.eps(g, eps)
+    starts = _random_starts(g, thr, rng, params.random_trials)
+    for trials, (amask, bmask) in enumerate(starts, 1):
         for want_low in (True, False):
             for am, bm, e2 in _greedy_walk(g, tables, amask, bmask, want_low):
-                kk = am.bit_count() * bm.bit_count()
-                # |d' - d| > eps, multiplied out as verify_eps_witness does.
-                if abs(e2 * nn - e_full * kk) * q > p * kk * nn:
+                if band.violates(e2, am.bit_count() * bm.bit_count()):
                     witness = (_bits(am), _bits(bm))
                     if verify_eps_witness(g, eps, witness):
                         return witness, trials
@@ -832,9 +812,7 @@ def degree_profile(g: BipartiteGraph, y_sub: Iterable[int], eps: Fraction
     ky = ymask.bit_count()
     if ky == 0:
         raise DegenerateInput("degree profile over an empty subset")
-    d = density(g)
-    lo = (d - eps) * ky
-    hi = (d + eps) * ky
+    band = _Band.eps(g, eps)
     exceptional = tuple(x for x in range(g.left.size)
-                        if not lo <= (g.rows[x] & ymask).bit_count() <= hi)
+                        if band.violates((g.rows[x] & ymask).bit_count(), ky))
     return len(exceptional), exceptional

@@ -7,6 +7,7 @@ import contextlib
 import functools
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,3 +80,27 @@ def test_parse_refuses_a_failed_or_missing_workload(stdout):
     head = stdout[:stdout.rindex("environment ")]
     with pytest.raises(ValueError, match=f"^no result for {WORKLOADS[-1]}$"):
         bench_record.parse(head, WORKLOADS)
+
+
+def test_tree_names_the_commit_and_whether_it_is_dirty(tmp_path):
+    """A fresh repository: no tree before the first commit, then the
+    commit, clean; dirty once a tracked file changes, and not for an
+    untracked file alone."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@example",
+             "-c", "commit.gpgsign=false", *args], cwd=tmp_path,
+            capture_output=True, text=True, check=True).stdout.strip()
+
+    assert bench_record.tree(tmp_path) is None
+    git("init", "-q")
+    assert bench_record.tree(tmp_path) is None
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "HEAD")
+    assert bench_record.tree(tmp_path) == {"head": head, "dirty": False}
+    (tmp_path / "new.txt").write_text("untracked\n")
+    assert bench_record.tree(tmp_path) == {"head": head, "dirty": False}
+    (tmp_path / "a.txt").write_text("two\n")
+    assert bench_record.tree(tmp_path) == {"head": head, "dirty": True}

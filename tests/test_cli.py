@@ -105,6 +105,14 @@ def test_malformed_file_exit2(fixtures):
     assert run(["check-pair", "--graph", bad, "--delta", "1/4"]) == 2
 
 
+def test_non_utf8_file_exit2_names_line(fixtures, capsys):
+    bad = fixtures["tmp"] / "latin1.bg"
+    bad.write_bytes(b"bg 2 2 1\n0 \xff\n")
+    assert run(["check-pair", "--graph", bad, "--delta", "1/4"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: line 2: not UTF-8 text\n" and out.out == ""
+
+
 def test_negative_edge_count_exit2(fixtures, capsys):
     bad = fixtures["tmp"] / "negative.bg"
     bad.write_text("bg 2 2 -1\n")
@@ -286,6 +294,21 @@ def test_trials_below_one_is_a_usage_error(fixtures, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "error: argument --trials" in err
+
+
+def test_trials_default_is_the_check_params_default(capsys, monkeypatch):
+    """Without --trials a check runs ``CheckParams``' number of trials,
+    read when the parameters are made, and the help text names it."""
+    args = cli._build_parser().parse_args(
+        ["check-pair", "--graph", "g.bg", "--delta", "1/4"])
+    assert cli._params(args) == regcheck.CheckParams()
+    monkeypatch.setattr(regcheck.CheckParams, "random_trials", 5)
+    assert cli._params(args).random_trials == 5
+    monkeypatch.undo()
+    assert run(["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert (f"default {regcheck.CheckParams().random_trials} trials, or the "
+            "suite's own count" in help_text)
 
 
 def test_main_builds_its_parser_once(capsys):

@@ -147,6 +147,31 @@ def test_e_compares_across_the_materialization_budget():
         assert cn.func_e(j).cmp(cn.func_e(j)) == 0
 
 
+def test_leaves_past_the_budget_compare_exactly():
+    """``mul_pow2`` on the last e(i) held as a leaf gives a leaf beyond the
+    materialization budget.  It compares with itself, with other leaves as
+    an integer, and with nodes, shifted ones and a huge one included, by
+    its bit length."""
+    e = cn._MAT_BITS + 4
+    big = cn.func_e(cn._MAT_BITS - 11).mul_pow2(5)  # 2^e
+    assert big.leaf == 1 << e and big.as_int() is None
+    assert big.cmp(big) == 0 and big == big
+    above, below = cn.BigCount.of(big.leaf + 1), cn.BigCount.of(big.leaf - 1)
+    for leaf, want in [(above, -1), (below, 1), (cn.BigCount.of(3), 1)]:
+        assert big.cmp(leaf) == want and leaf.cmp(big) == -want
+    for node, want in [
+            (cn.BigCount.pow2(cn.BigCount.of(e - 1)), 1),
+            (cn.BigCount.pow2(cn.BigCount.of(e)), 0),
+            (cn.BigCount.pow2(cn.BigCount.of(e - 7), shift=7), 0),
+            (cn.BigCount.pow2(cn.BigCount.of(e + 1)), -1),
+            (cn.BigCount.pow2(cn.BigCount.of(1 << 300)), -1)]:
+        assert node.as_int() is None
+        assert big.cmp(node) == want and node.cmp(big) == -want
+    node = cn.BigCount.pow2(cn.BigCount.of(e))
+    assert above.cmp(node) == 1 and below.cmp(node) == -1
+    assert cn.BigCount.of(0).cmp(node) == -1
+
+
 def test_six_cycle_paste_density():
     n = 2
     parts = [ThreeGraph.complete(f) for f in cn.part_frames(n)]

@@ -343,6 +343,30 @@ def test_path_round_trip(tmp_path):
     assert fileio.load_graph(path) == g
 
 
+@pytest.mark.parametrize("load", [
+    fileio.load_graph, fileio.load_threegraph, fileio.load_partition,
+    fileio.load_triad, fileio.load_twopartition])
+@pytest.mark.parametrize("data, line", [
+    (b"bg 2 2 1\n0 \xff\n", 2),
+    (b"\xff", 1),
+    (b"# a\r\n\n\xc3\xa9 \xc3", 3),  # a multibyte character cut short
+    (b"h3 1 1 1 0\n\n\xe2\x82\n", 3),
+], ids=["in a line", "first byte", "cut short", "after a blank line"])
+def test_non_utf8_bytes_are_a_format_error_naming_the_line(tmp_path, load,
+                                                           data, line):
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"^line {line}: not UTF-8 text$"):
+        load(path)
+
+
+def test_utf8_text_beyond_ascii_loads(tmp_path):
+    path = tmp_path / "g.bg"
+    path.write_bytes("# caf\u00e9\nbg 1 1 1\n0 0\n".encode())
+    assert fileio.load_graph(path) == BipartiteGraph.complete(
+        VertexClass(0, 1), VertexClass(1, 1))
+
+
 # The per-line readers of bg sections and of h3 files as they were before
 # plain sections were read in bulk, kept verbatim as the oracle for the
 # property tests below.
