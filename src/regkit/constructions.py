@@ -83,38 +83,41 @@ class BigCount:
             return self.leaf > 0 and self.leaf & (self.leaf - 1) == 0
         return True
 
+    def _log2(self) -> Optional[int]:
+        """E with self = 2^E, for a power-of-two leaf and for a node whose
+        base materializes; None otherwise."""
+        if self.leaf is None:
+            e = self.base.as_int()
+            return None if e is None else e + self.shift
+        return self.leaf.bit_length() - 1 if self.is_power_of_two() else None
+
     def cmp(self, other: "BigCount") -> int:
         """-1, 0 or 1.  Exact for the schedule's power-of-two domain.
 
-        Two leaves compare as integers; a leaf L > 0 of n bits against a
-        node 2^E compares n - 1 with E, as 2^(n-1) <= L < 2^n.  When both
-        sides are nodes beyond the materialization budget the exponents
-        are compared recursively; distinct huge operands are powers of
-        two whose gap dwarfs any shift, so base order decides.
+        Leaves and nodes that materialize compare as integers.  An integer
+        L > 0 of n bits against a node 2^E that does not materialize
+        compares n - 1 with E, as 2^(n-1) <= L < 2^n; so do two such nodes
+        whose exponents are integers.  Otherwise the exponents are compared
+        recursively: distinct huge operands are powers of two whose gap
+        dwarfs any shift, so base order decides.
         """
-        a = self.as_int()
-        b = other.as_int()
+        a = self.leaf if self.leaf is not None else self.as_int()
+        b = other.leaf if other.leaf is not None else other.as_int()
         if a is not None and b is not None:
             return (a > b) - (a < b)
-        if self.leaf is not None and other.leaf is not None:
-            return (self.leaf > other.leaf) - (self.leaf < other.leaf)
-        if other.leaf is not None:
-            return -other.cmp(self)
-        if self.leaf is not None:
-            # E - (n - 1) = base - m, with n the bits of the leaf.
-            m = self.leaf.bit_length() - 1 - other.shift
-            if self.leaf == 0 or m < 0:
-                return -1
-            c = other.base.cmp(BigCount.of(m))
-            return -c if c else int(not self.is_power_of_two())
-        if a is not None:
-            return -1
         if b is not None:
-            return 1
+            return -other.cmp(self)
+        e = other._log2()
+        if a is not None:
+            if a == 0 or e is None:
+                return -1
+            n = a.bit_length() - 1
+            return (n > e) - (n < e) or int(a & (a - 1) != 0)
+        d = self._log2()
+        if d is not None and e is not None:
+            return (d > e) - (d < e)
         c = self.base.cmp(other.base)
-        if c != 0:
-            return c
-        return (self.shift > other.shift) - (self.shift < other.shift)
+        return c or (self.shift > other.shift) - (self.shift < other.shift)
 
     def __ge__(self, other: "BigCount") -> bool:
         return self.cmp(other) >= 0
@@ -128,10 +131,13 @@ class BigCount:
         return self.cmp(other) == 0
 
     def __hash__(self) -> int:
-        v = self.as_int()
-        if v is not None:
-            return hash(v)
-        return hash((hash(self.base), self.shift))
+        """Equal values hash alike: a power of two 2^E with E a known int
+        hashes E, leaf or node; any other leaf hashes its int, and any
+        other node its base's hash and its shift."""
+        e = self._log2()
+        if e is not None:
+            return hash(("2^", e))
+        return hash((self.leaf, hash(self.base), self.shift))
 
     def __repr__(self) -> str:
         tag = "" if self.exact else ">="

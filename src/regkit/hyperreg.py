@@ -7,7 +7,8 @@ search mode, budget and verdicts from ``regcheck``, where every verdict is
 made: CertifiedRegular only from an exhaustive scan, irregular verdicts
 always carry a re-verified witness, and randomized searches otherwise
 answer Unknown.  Partition-level checks read a 2-partition's edge family
-from ``TwoPartition.graphs``.
+from ``TwoPartition.graphs`` and its blocks across classes, oriented, from
+``ThreePartiteFrame.place``.
 """
 from __future__ import annotations
 
@@ -364,28 +365,20 @@ def iter_partition_triads(h: ThreeGraph, tp: TwoPartition
     triad is regular by convention; they are skipped.  FrameMismatch
     unless the clusters refine the frame of ``h``.
     """
-    layout = _frame_of(h).cluster_layout(tp.z)
+    layout, placed = _frame_of(h).place(tp)
     by_class = [[i for i, (cls, _) in enumerate(layout) if cls == c]
                 for c in range(3)]
+    # The blocks of a pair come in ``tp.graphs`` order, which is key order.
     pairs: dict[tuple[int, int], list[tuple[int, BipartiteGraph]]] = {}
-    for (i, j, k), g in sorted(tp.graphs.items()):
-        pairs.setdefault((i, j), []).append((k, g))
-
-    def oriented(i: int, j: int) -> list[tuple[int, BipartiteGraph]]:
-        """The blocks of pair {i, j} as graphs from cluster i to cluster j;
-        a pair is transposed on its first use only."""
-        if i > j and (i, j) not in pairs:
-            pairs[(i, j)] = [(k, g.transpose())
-                             for k, g in pairs.get((j, i), ())]
-        return pairs.get((i, j), [])
-
+    for (_, _, k), ci, cj, g in placed:
+        pairs.setdefault((ci, cj), []).append((k, g))
     for ia in by_class[0]:
         for ib in by_class[1]:
             for ic in by_class[2]:
                 emb = (layout[ia][1], layout[ib][1], layout[ic][1])
-                for bi, gab in oriented(ia, ib):
-                    for bj, gac in oriented(ia, ic):
-                        for bk, gbc in oriented(ib, ic):
+                for bi, gab in pairs.get((ia, ib), ()):
+                    for bj, gac in pairs.get((ia, ic), ()):
+                        for bk, gbc in pairs.get((ib, ic), ()):
                             yield PartitionTriad(
                                 (ia, ib, ic), (bi, bj, bk),
                                 Triad(gab, gac, gbc, embedding=emb))
@@ -742,36 +735,29 @@ def _reduction_identities(h: ThreeGraph, tp: TwoPartition
     """For each axis-3 family member E between clusters (A, B) and each
     cluster C of the third class: t(E, A x C, B x C) = |E| * |C| and the
     auxiliary-graph density of (E, C) equals d_H of that triad."""
-    layout = _frame_of(h).cluster_layout(tp.z)
+    layout, placed = _frame_of(h).place(tp)
     checks = []
     c_clusters = [i for i, (cls, _) in enumerate(layout) if cls == 2]
-    for key, g in sorted(tp.graphs.items()):
-        i, j, _ = key
-        if (layout[i][0], layout[j][0]) == (1, 0):
-            i, j, g = j, i, g.transpose()
+    for key, i, j, g in sorted(placed, key=lambda block: block[0]):
         (cls_a, a_vs), (cls_b, b_vs) = layout[i], layout[j]
         if (cls_a, cls_b) != (0, 1) or g.edge_count == 0:
             continue
         for ci in c_clusters:
-            t_ok, d_ok = _reduction_identity(h, g.sorted_edges(), a_vs, b_vs,
-                                             layout[ci][1])
+            t_ok, d_ok = _reduction_identity(h, g, a_vs, b_vs, layout[ci][1])
             checks.append(IdentityCheck(key, ci, t_ok, d_ok))
     return tuple(checks)
 
 
-def _reduction_identity(h: ThreeGraph, e_edges: Iterable[tuple[int, int]],
+def _reduction_identity(h: ThreeGraph, e: BipartiteGraph,
                         a_vs: Sequence[int], b_vs: Sequence[int],
                         c_vs: Sequence[int]) -> tuple[bool, bool]:
-    """For E (edges on local indices into the class-1 vertices ``a_vs`` and
-    the class-2 vertices ``b_vs`` of ``h``) and C (class-3 vertices
+    """For E (a graph on local indices into the class-1 vertices ``a_vs``
+    and the class-2 vertices ``b_vs`` of ``h``) and C (class-3 vertices
     ``c_vs``): whether t(E, A x C, B x C) = |E| * |C|, and whether the
     axis-3 auxiliary-graph density of (E, C) equals d_H of that triad."""
-    a_cls = VertexClass(0, len(a_vs))
-    b_cls = VertexClass(1, len(b_vs))
     c_cls = VertexClass(2, len(c_vs))
-    e = BipartiteGraph(a_cls, b_cls, e_edges)
-    triad = Triad(e, BipartiteGraph.complete(a_cls, c_cls),
-                  BipartiteGraph.complete(b_cls, c_cls),
+    triad = Triad(e, BipartiteGraph.complete(e.left, c_cls),
+                  BipartiteGraph.complete(e.right, c_cls),
                   embedding=(a_vs, b_vs, c_vs))
     stats = triad_density(h, triad)
     pairs = e.edge_count * len(c_vs)

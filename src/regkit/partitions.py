@@ -12,7 +12,7 @@ most common label over the set (on a tie no block qualifies).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
@@ -122,6 +122,29 @@ class ThreePartiteFrame:
             layout.append((cls, tuple(v - off for v in vs)))
         return layout
 
+    def place(self, tp: TwoPartition) -> tuple[tuple, tuple]:
+        """``cluster_layout(tp.z)`` and every graph of ``tp.graphs`` between
+        clusters of two different classes, as ``(key, ci, cj, g)`` in
+        ``tp.graphs`` order: ``g`` runs from cluster ci, the one in the
+        lower class, to cluster cj.  This is the one place that orients a
+        block across classes.
+
+        Worked out once per frame (its classes) and kept on ``tp``, so
+        both parts are tuples; a FrameMismatch is raised on every call and
+        never kept.
+        """
+        placement = tp._placements.get(self.classes)
+        if placement is None:
+            layout = tuple(self.cluster_layout(tp.z))
+            blocks = []
+            for (i, j, k), g in tp.graphs.items():
+                if layout[i][0] < layout[j][0]:
+                    blocks.append(((i, j, k), i, j, g))
+                elif layout[i][0] > layout[j][0]:
+                    blocks.append(((i, j, k), j, i, g.transpose()))
+            placement = tp._placements[self.classes] = (layout, tuple(blocks))
+        return placement
+
     def frame_partition(self) -> VertexPartition:
         blocks = []
         off = 0
@@ -141,10 +164,14 @@ class TwoPartition:
     ``VertexClass(j, |Z_j|)``, on indices into the clusters' sorted vertex
     lists.  The blocks of a pair are edge-disjoint and cover its product;
     anything else raises DegenerateInput naming the pair.
+    ``ThreePartiteFrame.place`` keeps the 2-partition's placement on each
+    frame here, as ``graphs`` is kept.
     """
 
     z: VertexPartition
     blocks: tuple[tuple[int, int, BipartiteGraph], ...]
+    _placements: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sides = [VertexClass(i, len(b)) for i, b in enumerate(self.z.blocks)]
@@ -328,7 +355,7 @@ def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
     ground ``VertexClass(-1, |V_j| * |V_k|)``.  E_i has one block per
     nonempty graph of ``tp.graphs`` between classes j and k, in that order.
     """
-    layout = frame.cluster_layout(tp.z)
+    layout, placed = frame.place(tp)
     zs = [VertexPartition(frame.classes[i],
                           tuple(frozenset(vs) for cls, vs in layout
                                 if cls == i))
@@ -338,14 +365,11 @@ def sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
     for j, k in ((1, 2), (0, 2), (0, 1)):
         nk = frame.classes[k].size
         blocks = []
-        for (ci, cj, _), g in tp.graphs.items():
+        for _, ci, cj, g in placed:
             (cls_i, vs_i), (cls_j, vs_j) = layout[ci], layout[cj]
-            if {cls_i, cls_j} != {j, k} or not g.edge_count:
-                continue
-            if cls_i != j:
-                (vs_i, vs_j), g = (vs_j, vs_i), g.transpose()
-            blocks.append(frozenset(vs_i[a] * nk + vs_j[b]
-                                    for a, b in g.sorted_edges()))
+            if (cls_i, cls_j) == (j, k) and g.edge_count:
+                blocks.append(frozenset(vs_i[a] * nk + vs_j[b]
+                                        for a, b in g.sorted_edges()))
         es.append(VertexPartition(
             VertexClass(-1, frame.classes[j].size * nk), tuple(blocks)))
     return (tuple(zs), tuple(es))

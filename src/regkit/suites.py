@@ -371,7 +371,8 @@ def _suite_eq_red_d(rng: random.Random, scale: dict):
         e_edges = [(0, 0)]
     c_sub = sorted(rng.sample(range(nc), rng.randint(1, nc)))
     t_ok, d_ok = hyperreg._reduction_identity(
-        h, e_edges, tuple(range(na)), tuple(range(nb)), tuple(c_sub))
+        h, BipartiteGraph(classes[0], classes[1], e_edges), tuple(range(na)),
+        tuple(range(nb)), tuple(c_sub))
     rec = {
         "sizes": [na, nb, nc],
         "E": len(e_edges),

@@ -2,6 +2,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regkit.constructions as cn
 from regkit.errors import (ClassSizeMismatch, ParameterOutOfContract,
@@ -171,6 +173,70 @@ def test_leaves_past_the_budget_compare_exactly():
     assert above.cmp(node) == 1 and below.cmp(node) == -1
     assert cn.BigCount.of(0).cmp(node) == -1
 
+
+
+@pytest.mark.parametrize("x, y", [
+    (cn.func_e(cn._MAT_BITS).mul_pow2(5), cn.func_e(cn._MAT_BITS + 5)),
+    (cn.func_e(cn._MAT_BITS - 11).mul_pow2(5),
+     cn.BigCount.pow2(cn.BigCount.of(cn._MAT_BITS + 4)))],
+    ids=["two nodes past the budget", "a leaf and a node past the budget"])
+def test_equal_values_past_the_budget_compare_and_hash_alike(x, y):
+    """2^(4194314+5) against 2^(4194319+0), and the leaf 2^4194308
+    against the node 2^(4194308+0)."""
+    assert x.as_int() is None and y.as_int() is None
+    assert x.cmp(y) == 0 and y.cmp(x) == 0 and x == y
+    assert hash(x) == hash(y) and len({x, y}) == 1
+    assert x.mul_pow2(1).cmp(y) == 1 and y.cmp(x.mul_pow2(1)) == -1
+    assert x.div_pow2(1).cmp(y) == -1 and y.cmp(x.div_pow2(1)) == 1
+
+
+def _pow2_forms(e: int) -> list:
+    """2^e built in different ways: nodes on an int, shifted either way,
+    a node on a node and, while 2^e fits in memory, leaves."""
+    of, pow2 = cn.BigCount.of, cn.BigCount.pow2
+    forms = [pow2(of(e)), pow2(of(e - 7), shift=7),
+             pow2(of(e + 3)).div_pow2(3), pow2(of(e - 5)).mul_pow2(5),
+             pow2(pow2(of(4)), shift=e - 16)]
+    if e <= cn._MAT_BITS + 64:
+        forms += [of(1 << e), of(1 << (e - 9)).mul_pow2(9)]
+    return forms
+
+
+def _tower_forms(t: int, s: int) -> list:
+    """2^(2^t + s) for 2^t past the budget: its exponent is no int here."""
+    of, pow2 = cn.BigCount.of, cn.BigCount.pow2
+    return [pow2(pow2(of(t)), shift=s), pow2(pow2(of(t - 3), shift=3), s),
+            pow2(pow2(of(t + 2)).div_pow2(2)).mul_pow2(s)]
+
+
+_EXPONENTS = st.one_of(st.integers(16, 300),
+                       st.integers(cn._MAT_BITS - 70, cn._MAT_BITS + 70),
+                       st.sampled_from([1 << 40, (1 << 300) + 1]))
+
+
+@st.composite
+def _big_values(draw):
+    """A BigCount with the key of its value: (0, e) for 2^e and
+    (1, t, s) for 2^(2^t + s), ordered as the values are."""
+    if draw(st.booleans()):
+        e = draw(_EXPONENTS)
+        return (0, e), draw(st.sampled_from(_pow2_forms(e)))
+    t = draw(st.integers(cn._MAT_BITS + 1, cn._MAT_BITS + 3))
+    s = draw(st.integers(-2, 2))
+    return (1, t, s), draw(st.sampled_from(_tower_forms(t, s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_big_values(), _big_values())
+def test_bigcount_order_equality_and_hash_agree(a, b):
+    """Values built in different ways compare by value, and equal ones
+    hash alike."""
+    (ka, x), (kb, y) = a, b
+    want = (ka > kb) - (ka < kb)
+    assert x.cmp(y) == want and y.cmp(x) == -want
+    assert (x == y) == (want == 0)
+    if x == y:
+        assert hash(x) == hash(y) and len({x, y}) == 1
 
 def test_six_cycle_paste_density():
     n = 2

@@ -6,20 +6,22 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regkit import fileio, hyperreg
+from regkit import fileio, hyperreg, suites
 from regkit.errors import (BudgetExceeded, FrameMismatch,
                            ParameterOutOfContract)
 from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
-                           density, iter_bits)
-from regkit.hyperreg import PartitionTriad, _frame_of
+                           density, iter_bits, subset_mask)
+from regkit.hyperreg import (IdentityCheck, PartitionTriad, _frame_of,
+                             triad_density)
 from regkit.partitions import (ThreePartiteFrame, TwoPartition,
-                               VertexPartition, complete_two_partition)
+                               VertexPartition, complete_two_partition,
+                               sub_partitions)
 from regkit.regcheck import CERTIFIED, IRREGULAR, UNKNOWN, CheckParams
 
 EXH = CheckParams(mode="exhaustive")
@@ -816,6 +818,264 @@ def test_reduction_identities_orient_each_member(labels):
         ((0, 1, 0), 2)]
     assert report.identities[0].densities_equal
     assert report.passed
+
+
+# ``sub_partitions``, ``iter_partition_triads`` and ``_reduction_identities``
+# with its helper ``_reduction_identity``, as they were when each put the
+# 2-partition on the frame and oriented its blocks itself, before
+# ``ThreePartiteFrame.place``; kept verbatim but for the ``_ref_`` names as
+# the oracles of the tests below.  ``tests/test_partitions.py`` keeps an
+# older ``sub_partitions`` oracle that reads the drawn blocks.
+
+
+def _ref_sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame
+                        ) -> tuple[tuple[VertexPartition, VertexPartition,
+                                    VertexPartition],
+                              tuple[VertexPartition, VertexPartition,
+                                    VertexPartition]]:
+    """Project a 2-partition onto a 3-partite frame.
+
+    Returns (Z_1, Z_2, Z_3) as partitions of the individual classes (local
+    indices) and (E_1, E_2, E_3), where E_i partitions V_j x V_k,
+    {i, j, k} = {1, 2, 3} and j < k, read as the left side of the axis-i
+    auxiliary graph: the pair (v_j, v_k) is vertex v_j * |V_k| + v_k of the
+    ground ``VertexClass(-1, |V_j| * |V_k|)``.  E_i has one block per
+    nonempty graph of ``tp.graphs`` between classes j and k, in that order.
+    """
+    layout = frame.cluster_layout(tp.z)
+    zs = [VertexPartition(frame.classes[i],
+                          tuple(frozenset(vs) for cls, vs in layout
+                                if cls == i))
+          for i in range(3)]
+
+    es = []
+    for j, k in ((1, 2), (0, 2), (0, 1)):
+        nk = frame.classes[k].size
+        blocks = []
+        for (ci, cj, _), g in tp.graphs.items():
+            (cls_i, vs_i), (cls_j, vs_j) = layout[ci], layout[cj]
+            if {cls_i, cls_j} != {j, k} or not g.edge_count:
+                continue
+            if cls_i != j:
+                (vs_i, vs_j), g = (vs_j, vs_i), g.transpose()
+            blocks.append(frozenset(vs_i[a] * nk + vs_j[b]
+                                    for a, b in g.sorted_edges()))
+        es.append(VertexPartition(
+            VertexClass(-1, frame.classes[j].size * nk), tuple(blocks)))
+    return (tuple(zs), tuple(es))
+
+
+def _ref_iter_partition_triads(h: ThreeGraph, tp: TwoPartition
+                               ) -> Iterator[PartitionTriad]:
+    """All triads with one cluster per class of ``h``.
+
+    Cluster triples not meeting every class carry no hyperedges (the
+    3-graph is 3-partite), so every subtriad there has density 0 and the
+    triad is regular by convention; they are skipped.  FrameMismatch
+    unless the clusters refine the frame of ``h``.
+    """
+    layout = _frame_of(h).cluster_layout(tp.z)
+    by_class = [[i for i, (cls, _) in enumerate(layout) if cls == c]
+                for c in range(3)]
+    pairs: dict[tuple[int, int], list[tuple[int, BipartiteGraph]]] = {}
+    for (i, j, k), g in sorted(tp.graphs.items()):
+        pairs.setdefault((i, j), []).append((k, g))
+
+    def oriented(i: int, j: int) -> list[tuple[int, BipartiteGraph]]:
+        """The blocks of pair {i, j} as graphs from cluster i to cluster j;
+        a pair is transposed on its first use only."""
+        if i > j and (i, j) not in pairs:
+            pairs[(i, j)] = [(k, g.transpose())
+                             for k, g in pairs.get((j, i), ())]
+        return pairs.get((i, j), [])
+
+    for ia in by_class[0]:
+        for ib in by_class[1]:
+            for ic in by_class[2]:
+                emb = (layout[ia][1], layout[ib][1], layout[ic][1])
+                for bi, gab in oriented(ia, ib):
+                    for bj, gac in oriented(ia, ic):
+                        for bk, gbc in oriented(ib, ic):
+                            yield PartitionTriad(
+                                (ia, ib, ic), (bi, bj, bk),
+                                Triad(gab, gac, gbc, embedding=emb))
+
+
+def _ref_reduction_identities(h: ThreeGraph, tp: TwoPartition
+                              ) -> tuple[IdentityCheck, ...]:
+    """For each axis-3 family member E between clusters (A, B) and each
+    cluster C of the third class: t(E, A x C, B x C) = |E| * |C| and the
+    auxiliary-graph density of (E, C) equals d_H of that triad."""
+    layout = _frame_of(h).cluster_layout(tp.z)
+    checks = []
+    c_clusters = [i for i, (cls, _) in enumerate(layout) if cls == 2]
+    for key, g in sorted(tp.graphs.items()):
+        i, j, _ = key
+        if (layout[i][0], layout[j][0]) == (1, 0):
+            i, j, g = j, i, g.transpose()
+        (cls_a, a_vs), (cls_b, b_vs) = layout[i], layout[j]
+        if (cls_a, cls_b) != (0, 1) or g.edge_count == 0:
+            continue
+        for ci in c_clusters:
+            t_ok, d_ok = _ref_reduction_identity(h, g.sorted_edges(), a_vs,
+                                                 b_vs, layout[ci][1])
+            checks.append(IdentityCheck(key, ci, t_ok, d_ok))
+    return tuple(checks)
+
+
+def _ref_reduction_identity(h: ThreeGraph,
+                            e_edges: Iterable[tuple[int, int]],
+                            a_vs: Sequence[int], b_vs: Sequence[int],
+                            c_vs: Sequence[int]) -> tuple[bool, bool]:
+    """For E (edges on local indices into the class-1 vertices ``a_vs`` and
+    the class-2 vertices ``b_vs`` of ``h``) and C (class-3 vertices
+    ``c_vs``): whether t(E, A x C, B x C) = |E| * |C|, and whether the
+    axis-3 auxiliary-graph density of (E, C) equals d_H of that triad."""
+    a_cls = VertexClass(0, len(a_vs))
+    b_cls = VertexClass(1, len(b_vs))
+    c_cls = VertexClass(2, len(c_vs))
+    e = BipartiteGraph(a_cls, b_cls, e_edges)
+    triad = Triad(e, BipartiteGraph.complete(a_cls, c_cls),
+                  BipartiteGraph.complete(b_cls, c_cls),
+                  embedding=(a_vs, b_vs, c_vs))
+    stats = triad_density(h, triad)
+    pairs = e.edge_count * len(c_vs)
+    n2, cmask = h.classes[1].size, subset_mask(c_vs, h.classes[2].size)
+    hits = sum((h.graph.rows[a_vs[a] * n2 + b_vs[b]] & cmask).bit_count()
+               for a, b in e.sorted_edges())
+    return (stats.triangle_count == pairs,
+            Fraction(hits, pairs) == stats.density)
+
+
+def _placed_answers(h: ThreeGraph, tp: TwoPartition):
+    """What the three readers of the placement answer on the frame of h."""
+    return (sub_partitions(tp, _frame_of(h)),
+            [_triad_key(pt) for pt in hyperreg.iter_partition_triads(h, tp)],
+            hyperreg._reduction_identities(h, tp))
+
+
+def _oracle_answers(h: ThreeGraph, tp: TwoPartition):
+    return (_ref_sub_partitions(tp, _frame_of(h)),
+            [_triad_key(pt) for pt in _ref_iter_partition_triads(h, tp)],
+            _ref_reduction_identities(h, tp))
+
+
+@given(framed_two_partitions(), st.data())
+def test_placement_readers_match_the_oracles(case, data):
+    """Each reader answers as it did when it oriented the blocks itself:
+    the blocks of each E_i in ``tp.graphs`` order, the triads and the
+    identities in key order; on the first call and on the calls that read
+    the kept placement."""
+    frame, _, tp = case
+    h = ThreeGraph(frame.classes, frozenset(data.draw(st.sets(st.tuples(
+        *(st.integers(0, c.size - 1) for c in frame.classes))))))
+    want = _oracle_answers(h, tp)
+    assert _placed_answers(h, tp) == want
+    assert _placed_answers(h, tp) == want
+
+
+@given(framed_two_partitions())
+def test_place_orients_each_cross_class_block_from_the_lower_class(case):
+    frame, _, tp = case
+    layout, placed = frame.place(tp)
+    assert list(layout) == frame.cluster_layout(tp.z)
+    cls = [c for c, _ in layout]
+    assert [key for key, _, _, _ in placed] == [
+        key for key in tp.graphs if cls[key[0]] != cls[key[1]]]
+    for key, ci, cj, g in placed:
+        assert cls[ci] < cls[cj] and {ci, cj} == set(key[:2])
+        assert (g.left.size, g.right.size) == (len(layout[ci][1]),
+                                               len(layout[cj][1]))
+        assert (g if ci == key[0] else g.transpose()) == tp.graphs[key]
+    assert frame.place(tp) is frame.place(tp)
+    assert ThreePartiteFrame(frame.classes).place(tp) is frame.place(tp)
+
+
+@pytest.mark.parametrize("first", [(1, 2, 3), (2, 2, 2)])
+def test_one_two_partition_on_two_frames(first):
+    """Singleton clusters refine the frames (1, 2, 3) and (2, 2, 2).  The
+    placement is kept per frame, so each frame gives its own oracle answer
+    whichever is read first.  The clusters are labelled against the class
+    order, so every block across classes is read transposed."""
+    z = VertexPartition.from_labels(VertexClass(0, 6), [5, 4, 3, 2, 1, 0])
+    tp = complete_two_partition(z)
+    for sizes in (first, ({(1, 2, 3), (2, 2, 2)} - {first}).pop()):
+        h = random_h(random.Random(sizes[0]), sizes, .6)
+        want = _oracle_answers(h, tp)
+        assert _placed_answers(h, tp) == want
+        assert _placed_answers(h, tp) == want
+        report = hyperreg.reduction_check(h, tp, Fraction(1, 16), 1, 6,
+                                          Fraction(1, 16) ** 2 / 88, EXH)
+        assert report.identities == want[2] and report.identities
+
+
+def test_a_frame_the_clusters_do_not_refine_raises_on_every_call():
+    """Clusters {0, 1}, {2, 3} and {4, 5} refine the frame (2, 2, 2) but
+    straddle classes of (1, 2, 3); a frame of another size fits no
+    clustering.  Placing on a good frame first keeps nothing for the
+    others."""
+    good, straddled, short = (
+        ThreePartiteFrame(tuple(VertexClass(i, n) for i, n in enumerate(s)))
+        for s in ((2, 2, 2), (1, 2, 3), (2, 2, 1)))
+    tp = complete_two_partition(
+        VertexPartition.from_labels(VertexClass(0, 6), [0, 0, 1, 1, 2, 2]))
+    h = ThreeGraph.complete(straddled.classes)
+    delta = Fraction(1, 16)
+    for _ in range(2):
+        good.place(tp)
+        for call in (lambda: straddled.place(tp),
+                     lambda: sub_partitions(tp, straddled),
+                     lambda: list(hyperreg.iter_partition_triads(h, tp)),
+                     lambda: hyperreg._reduction_identities(h, tp),
+                     lambda: hyperreg.reduction_check(
+                         h, tp, delta, 1, 3, delta ** 2 / 88, EXH)):
+            with pytest.raises(FrameMismatch, match="does not refine"):
+                call()
+        with pytest.raises(FrameMismatch, match="ground differs"):
+            short.place(tp)
+
+
+def _count_layouts(monkeypatch) -> list:
+    """The partitions that ``cluster_layout`` lays out, one per call."""
+    calls = []
+    layout = ThreePartiteFrame.cluster_layout
+    monkeypatch.setattr(ThreePartiteFrame, "cluster_layout",
+                        lambda frame, z: calls.append(z) or layout(frame, z))
+    return calls
+
+
+def test_reduction_check_lays_the_frame_out_once(monkeypatch):
+    calls = _count_layouts(monkeypatch)
+    cls = tuple(VertexClass(i, 2) for i in range(3))
+    tp = complete_two_partition(VertexPartition.from_labels(
+        VertexClass(0, 6), [1, 1, 0, 0, 2, 2]))
+    delta = Fraction(1, 16)
+    report = hyperreg.reduction_check(ThreeGraph.complete(cls), tp, delta,
+                                      1, 3, delta ** 2 / 88, EXH)
+    assert report.passed and report.identities
+    assert calls == [tp.z]
+
+
+def test_a_claim_4_8_instance_lays_the_frame_out_once(monkeypatch):
+    """The candidates of one instance share one 2-partition, and so does
+    the reduction check that follows, as in the suite; complete and empty
+    instances try no candidate and lay the frame out in the check."""
+    calls = _count_layouts(monkeypatch)
+    tried = []
+    holds = hyperreg.check_subtriad_hypothesis_holds
+    monkeypatch.setattr(hyperreg, "check_subtriad_hypothesis_holds",
+                        lambda *args: tried.append(1) or holds(*args))
+    walks = []
+    for trial in range(25):
+        rng = random.Random(suites.trial_seed("claim-4.8", 0, trial))
+        calls.clear()
+        tried.clear()
+        h, tp, delta, ell, t, eps2 = suites._claim_4_8_instance(rng)
+        assert len(calls) == min(len(tried), 1)
+        walks.append(len(tried))
+        hyperreg.reduction_check(h, tp, delta, ell, t, eps2, EXH)
+        assert len(calls) == 1
+    assert max(walks) > 1
 
 
 def _subset(draw, items: list) -> list:
