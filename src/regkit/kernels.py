@@ -3,12 +3,15 @@
 Three entry points: ``triangle_count``, ``octahedron_fast_scaled`` and
 ``scan_subtriads``.  All arithmetic is on Python ints, so no input is too
 wide.  A dense triangle count is one popcount per A vertex, of a product
-of packed masks.  The subtriad scan skips blocks that provably hold no
-violation and counts them as examined, so its witnesses and state counts
-are those of the plain walk over every state.  The octahedron sum is
-bit-sliced: per pair of rows it keeps three nested masks S, U and V
-(shared triangles, those with at least one hyperedge, those with two), so
-each dot product is five popcounts weighted by constants fixed per call.
+of packed masks.  The subtriad scan decides each block of subtriads
+exactly from packed counts: one popcount for heaviness, then a bitset of
+the block's subset sums (t, e) against the cells that violate.  It walks
+only the first block that holds a violation and counts every other
+block as examined, so its witnesses and state counts are those of the
+plain walk over every state.  The octahedron sum is bit-sliced: per pair
+of rows it keeps three nested masks S, U and V (shared triangles, those
+with at least one hyperedge, those with two), so each dot product is five
+popcounts weighted by constants fixed per call.
 Masks are Python ints (bit z of ``hm[x*n+y]`` says whether (x, y, z) is a
 hyperedge-carrying triangle, bit a of ``bc_h[k]`` whether a and BC edge k
 span one, etc.).
@@ -16,7 +19,6 @@ span one, etc.).
 from __future__ import annotations
 
 from functools import cache
-from operator import and_, gt
 from typing import Optional, Sequence
 
 BACKEND = "python"
@@ -167,6 +169,70 @@ def octahedron_fast_scaled(n: int, tau: int, ecount: int,
     return total
 
 
+# Popcount of each byte value, for ``bytes.translate``.
+_BYTE_POPCOUNT = bytes(v.bit_count() for v in range(256))
+
+
+def _half_tables(packs: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The ORs of the subsets of the first ceil(m/2) and of the last
+    floor(m/2) of the m ``packs``, indexed by subset mask, so the OR of
+    subset x of all m is ``low[x % len(low)] | high[x // len(low)]``."""
+    half = (len(packs) + 1) >> 1
+    low = [0]
+    for p in packs[:half]:
+        low += [x | p for x in low]
+    high = [0]
+    for p in packs[half:]:
+        high += [x | p for x in high]
+    return low, high
+
+
+def _fold(counts: bytes, step: int) -> list[int]:
+    """Sum each run of ``step`` byte counts: the popcounts of
+    ``step``-byte fields from those of their bytes."""
+    return list(map(sum, zip(*(counts[i::step] for i in range(step)))))
+
+
+def _band(mode: int, num: int, den: int, t_full: int,
+          e_full: int) -> tuple[int, int, int, int]:
+    """(t_min, lo, q, hi): counts (t, e) violate mode ``mode`` at num/den
+    iff t >= t_min and (t, e) lies outside lo*t <= q*e <= hi*t (see
+    ``scan_subtriads``)."""
+    need = num * t_full
+    t_min = -(-need // den)  # t*den >= need  <=>  t >= t_min
+    if mode == 0:
+        return t_min, 2 * e_full, 3 * t_full, 3 * t_full
+    return (t_min, e_full * den - need, t_full * den,
+            e_full * den + need)
+
+
+def _reachable(cnt: Sequence[int], hcnt: Sequence[int], w: int) -> int:
+    """The subset sums of the points (cnt[k], hcnt[k]): bit t*w + e is set
+    iff some subset has sum (t, e).  Exact while every sum has e < w."""
+    reach = 1
+    for c, h in zip(cnt, hcnt):
+        if c:
+            reach |= reach << c * w + h
+    return reach
+
+
+def _violating_cells(t_min: int, t_full: int, lo: int, q: int,
+                     hi: int) -> int:
+    """Bit t*(t_full + 1) + e for each cell 0 <= e <= t, t_min <= t <=
+    t_full, outside the band lo*t <= q*e <= hi*t (q > 0).  Per t the band
+    is the one range of e from ceil(lo*t/q) to floor(hi*t/q)."""
+    w = t_full + 1
+    viol = 0
+    for t in range(t_min, w):
+        e_lo = max(0, -(-lo * t // q))
+        e_hi = min(t, hi * t // q)
+        row = (2 << t) - 1
+        if e_lo <= e_hi:
+            row ^= (2 << e_hi) - (1 << e_lo)
+        viol |= row << t * w
+    return viol
+
+
 def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
                    ac_edges: Sequence[tuple[int, int]],
                    bc_edges: Sequence[tuple[int, int]],
@@ -179,7 +245,7 @@ def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
     bitmask of A-vertices a with (a, b, c) a hyperedge triangle of the full
     triad, for BC edge ``bc_edges[k]`` = (b, c).  Marking hyperedges off
     the triangles too would change no answer: every use masks the entry
-    with ``col_ab_full[b] & col_ac_full[c]`` or a subset of it.
+    with the triangles of the subtriad.
     With the full triad carrying ``t_full`` triangles and ``e_full``
     hyperedge triangles, a subtriad with counts (t, e) violates, for
     ``den`` > 0:
@@ -198,113 +264,118 @@ def scan_subtriads(ab_edges: Sequence[tuple[int, int]],
     Gray order of the BC mask, so each (AB, AC) pair is a block of
     2^len(bc_edges) consecutive states.  Within a block, BC edge k adds a
     fixed c_k triangles and h_k hyperedge triangles to every subset that
-    holds it, so t and e are sums over the chosen edges, and the band, a
-    cone, holds every such sum if it holds every (c_k, h_k).  Blocks are
-    skipped without a walk where no violation can lie:
+    holds it, so t and e are sums over the chosen edges.
 
-    * a block, when all c_k together stay below the heaviness bound, or
-      when every (c_k, h_k) lies in the band;
-    * a whole AB row, when all of its AC edges together stay below the
-      bound, or when the band holds every (c_k, h_k) its blocks can reach.
-      Those are the points with h/c between 0 (only triangles off the
-      3-graph) and 1 (only hyperedge triangles), so the band holds them
-      iff it holds (1, 0) wherever the row has a triangle off the 3-graph
-      and (1, 1) wherever it has a hyperedge triangle.
+    The A-sets of the BC edges are packed into one int, one field of
+    f = 8*ceil(n_a/8) bits per BC edge.  An AB edge (a, b) sets bit a of
+    the field of each BC edge at b, an AC edge (a, c) of each at c, so the
+    AND of the ORs of an AB subset and an AC subset holds the A-set of BC
+    edge k of their block in field k.  The ORs come from two half-tables
+    per side.  Each block is decided exactly, without a walk:
 
-    The plain walk would pass every state of a skipped block without
-    returning, so those states are counted as examined: witness and state
-    count are those of the walk over every block.
+    * it holds no violation when its packed A-sets have fewer than t_min
+      bits in all (the block's largest t is below the heaviness bound);
+    * a whole AB row holds none when its blocks together miss t_min, or
+      when the band holds every (c_k, h_k) they can reach: the band is a
+      cone, so it then holds every sum.  Those points have h/c between 0
+      (only triangles off the 3-graph) and 1 (only hyperedge triangles),
+      so the band holds them all iff it holds (1, 0) wherever the row has
+      a triangle off the 3-graph and (1, 1) wherever it has a hyperedge
+      triangle;
+    * otherwise c_k and h_k are the popcounts of field k, and the bitset
+      R = 1, R |= R << (c_k*w + h_k) for each k, with w = t_full + 1, is
+      the exact set of subset sums: bit t*w + e is set iff some BC subset
+      has counts (t, e), as e <= t <= t_full < w leaves no carry between
+      cells.  VIOL, built once per call, is the exact set of cells with
+      t >= t_min outside the band, so the block holds a violation iff
+      R & VIOL != 0.
+
+    Only the first block that holds one is walked, in Gray order, to its
+    first violating state.  The plain walk passes every state of each
+    block before it without returning, so those states are counted as
+    examined: witness and state count are those of the walk over every
+    block.
 
     Returns ((ab_mask, ac_mask, bc_mask, t, e) or None, states_examined).
     The scan is exhaustive iff the first component is None.
     """
     m1, m2, m3 = len(ab_edges), len(ac_edges), len(bc_edges)
-
-    col_ab_full = [0] * n_b
-    for a, b in ab_edges:
-        col_ab_full[b] |= 1 << a
-    col_ac_full = [0] * n_c
-    for a, c in ac_edges:
-        col_ac_full[c] |= 1 << a
-    t_full = 0
-    e_full = 0
-    for (b, c), h in zip(bc_edges, bc_h):
-        am = col_ab_full[b] & col_ac_full[c]
-        t_full += am.bit_count()
-        e_full += (am & h).bit_count()
+    every = 1 << (m1 + m2 + m3)
+    if not (ab_edges and ac_edges and bc_edges):
+        return None, every
+    n_a = max(max(ab_edges)[0], max(ac_edges)[0]) + 1
+    step = (n_a + 7) >> 3
+    f = step << 3
+    # at_b[b] (at_c[c]): bit k*f for each BC edge k at b (at c).
+    at_b = [0] * n_b
+    at_c = [0] * n_c
+    hyper = 0
+    for k, ((b, c), h) in enumerate(zip(bc_edges, bc_h)):
+        at_b[b] |= 1 << k * f
+        at_c[c] |= 1 << k * f
+        hyper |= (h & (1 << f) - 1) << k * f
+    ab_low, ab_high = _half_tables([at_b[b] << a for a, b in ab_edges])
+    ac_low, ac_high = _half_tables([at_c[c] << a for a, c in ac_edges])
+    ac_all = ac_low[-1] | ac_high[-1]
+    full = (ab_low[-1] | ab_high[-1]) & ac_all
+    t_full = full.bit_count()
     if t_full == 0:
         # Every subtriad has t = e = 0, which violates neither predicate.
-        return None, 1 << (m1 + m2 + m3)
+        return None, every
+    e_full = (full & hyper).bit_count()
 
-    need = num * t_full
-    t_min = -(-need // den)  # t*den >= need  <=>  t >= t_min
-    if mode == 0:
-        q = hi = 3 * t_full
-        lo = 2 * e_full
-    else:
-        q = t_full * den
-        lo = e_full * den - need
-        hi = e_full * den + need
-    bc_b = [b for b, _ in bc_edges]
-    bc_c = [c for _, c in bc_edges]
-    bc_nh = [~h for h in bc_h]
+    t_min, lo, q, hi = _band(mode, num, den, t_full, e_full)
+    off = ~hyper
     zero_in_band = lo <= 0
     one_in_band = q <= hi
-    ac_all = [col_ac_full[c] for c in bc_c]
-    block = 1 << m3
-    states = 0
-    for abm in range(1 << m1):
-        col_ab = [0] * n_b
-        rest = abm
-        while rest:
-            low = rest & -rest
-            a, b = ab_edges[low.bit_length() - 1]
-            rest ^= low
-            col_ab[b] |= 1 << a
-        ab_k = [col_ab[b] for b in bc_b]
-        # row[k]: the A-vertices that BC edge k can reach in this row.
-        row = list(map(and_, ab_k, ac_all))
-        if (sum(map(int.bit_count, row)) < t_min
-                or ((zero_in_band or not any(map(and_, row, bc_nh)))
-                    and (one_in_band or not any(map(and_, row, bc_h))))):
-            states += block << m2
-            continue
-        for acm in range(1 << m2):
-            col_ac = [0] * n_c
-            rest = acm
-            while rest:
-                low = rest & -rest
-                a, c = ac_edges[low.bit_length() - 1]
-                rest ^= low
-                col_ac[c] |= 1 << a
-            ams = list(map(and_, ab_k, [col_ac[c] for c in bc_c]))
-            cnt = list(map(int.bit_count, ams))
-            if sum(cnt) < t_min:
-                states += block
+    w = t_full + 1
+    nbytes = m3 * step
+    viol = None
+    abm = -1
+    for ab_h in ab_high:
+        for ab_l in ab_low:
+            abm += 1
+            pab = ab_h | ab_l
+            row = pab & ac_all
+            if (row.bit_count() < t_min
+                    or ((zero_in_band or not row & off)
+                        and (one_in_band or not row & hyper))):
                 continue
-            hcnt = list(map(int.bit_count, map(and_, ams, bc_h)))
-            # Walk only if some (c_k, h_k) has lo*c_k > q*h_k or
-            # q*h_k > hi*c_k.
-            qh = list(map(q.__mul__, hcnt))
-            if not (any(map(gt, map(lo.__mul__, cnt), qh))
-                    or any(map(gt, qh, map(hi.__mul__, cnt)))):
-                states += block
-                continue
-            # Gray walk over BC subsets, maintaining (t, e) incrementally;
-            # the empty subset violates neither predicate.
-            t = e = 0
-            bcm = 0
-            for g in range(1, block):
-                k = (g & -g).bit_length() - 1
-                bit = 1 << k
-                bcm ^= bit
-                if bcm & bit:
-                    t += cnt[k]
-                    e += hcnt[k]
-                else:
-                    t -= cnt[k]
-                    e -= hcnt[k]
-                if t >= t_min and not lo * t <= q * e <= hi * t:
-                    return (abm, acm, bcm, t, e), states + g + 1
-            states += block
-    return None, states
+            lows = [pab & x for x in ac_low]
+            acm = -1
+            for ac_h in ac_high:
+                ac_h &= pab
+                for ac_l in lows:
+                    acm += 1
+                    sub = ac_h | ac_l
+                    if sub.bit_count() < t_min:
+                        continue
+                    cnt = sub.to_bytes(nbytes, "little").translate(
+                        _BYTE_POPCOUNT)
+                    hcnt = (sub & hyper).to_bytes(nbytes, "little").translate(
+                        _BYTE_POPCOUNT)
+                    if step > 1:
+                        cnt, hcnt = _fold(cnt, step), _fold(hcnt, step)
+                    if viol is None:
+                        viol = _violating_cells(t_min, t_full, lo, q, hi)
+                    if not _reachable(cnt, hcnt, w) & viol:
+                        continue
+                    # Gray walk over BC subsets, maintaining (t, e)
+                    # incrementally; the empty subset violates neither
+                    # predicate.
+                    t = e = 0
+                    bcm = 0
+                    for g in range(1, 1 << m3):
+                        k = (g & -g).bit_length() - 1
+                        bit = 1 << k
+                        bcm ^= bit
+                        if bcm & bit:
+                            t += cnt[k]
+                            e += hcnt[k]
+                        else:
+                            t -= cnt[k]
+                            e -= hcnt[k]
+                        if t >= t_min and not lo * t <= q * e <= hi * t:
+                            return ((abm, acm, bcm, t, e),
+                                    ((abm << m2 | acm) << m3) + g + 1)
+    return None, every

@@ -1,12 +1,13 @@
 """The kernels against independent oracles: a brute-force triangle count
 and the previous edge-loop count, the plain subtriad walk that visits every
-state, and the previous octahedron kernel with the literal six-index
-sum."""
+state and the previous subtriad kernel, brute-force subset sums and the
+subtriad predicates cell by cell, and the previous octahedron kernel with
+the literal six-index sum."""
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
-from operator import and_, mul, or_
+from itertools import compress, product
+from operator import and_, gt, mul, or_
 from typing import Optional, Sequence
 
 from hypothesis import given
@@ -218,6 +219,306 @@ def test_scan_subtriads_planted_witness():
         assert kernels.scan_subtriads(ab, ac, bc, n, n,
                                       [hma[b * n + c] for b, c in bc],
                                       mode, 1, 4) == want
+
+
+# ``kernels.scan_subtriads`` as it was before blocks were decided from
+# packed counts and subset sums, kept verbatim but for its name as the
+# oracle for the tests below.
+
+
+def _ref2_scan_subtriads(ab_edges: Sequence[tuple[int, int]],
+                         ac_edges: Sequence[tuple[int, int]],
+                         bc_edges: Sequence[tuple[int, int]],
+                         n_b: int, n_c: int, bc_h: Sequence[int],
+                         mode: int, num: int, den: int
+                         ) -> tuple[Optional[tuple[int, int, int, int,
+                                                   int]], int]:
+    """Enumerate every subtriad and report the first predicate violation.
+
+    Subtriads are all subsets of the three edge lists.  ``bc_h[k]`` is the
+    bitmask of A-vertices a with (a, b, c) a hyperedge triangle of the full
+    triad, for BC edge ``bc_edges[k]`` = (b, c).  Marking hyperedges off
+    the triangles too would change no answer: every use masks the entry
+    with ``col_ab_full[b] & col_ac_full[c]`` or a subset of it.
+    With the full triad carrying ``t_full`` triangles and ``e_full``
+    hyperedge triangles, a subtriad with counts (t, e) violates, for
+    ``den`` > 0:
+
+    * mode 0: t*den >= num*t_full and 3*e*t_full < 2*e_full*t
+      (triangle-heavy subtriad loses more than a third of the density);
+    * mode 1: t*den >= num*t_full and |e*t_full - e_full*t|*den > num*t_full*t
+      (triangle-heavy subtriad deviates by more than num/den in density).
+
+    Both second conditions say that (t, e) lies outside the band
+    lo*t <= q*e <= hi*t: mode 0 has q = hi = 3*t_full and lo = 2*e_full
+    (q*e <= hi*t always holds, as e <= t), mode 1 has q = t_full*den and
+    lo, hi = e_full*den -+ num*t_full.
+
+    Subtriads are visited in AB mask order, then AC mask order, then the
+    Gray order of the BC mask, so each (AB, AC) pair is a block of
+    2^len(bc_edges) consecutive states.  Within a block, BC edge k adds a
+    fixed c_k triangles and h_k hyperedge triangles to every subset that
+    holds it, so t and e are sums over the chosen edges, and the band, a
+    cone, holds every such sum if it holds every (c_k, h_k).  Blocks are
+    skipped without a walk where no violation can lie:
+
+    * a block, when all c_k together stay below the heaviness bound, or
+      when every (c_k, h_k) lies in the band;
+    * a whole AB row, when all of its AC edges together stay below the
+      bound, or when the band holds every (c_k, h_k) its blocks can reach.
+      Those are the points with h/c between 0 (only triangles off the
+      3-graph) and 1 (only hyperedge triangles), so the band holds them
+      iff it holds (1, 0) wherever the row has a triangle off the 3-graph
+      and (1, 1) wherever it has a hyperedge triangle.
+
+    The plain walk would pass every state of a skipped block without
+    returning, so those states are counted as examined: witness and state
+    count are those of the walk over every block.
+
+    Returns ((ab_mask, ac_mask, bc_mask, t, e) or None, states_examined).
+    The scan is exhaustive iff the first component is None.
+    """
+    m1, m2, m3 = len(ab_edges), len(ac_edges), len(bc_edges)
+
+    col_ab_full = [0] * n_b
+    for a, b in ab_edges:
+        col_ab_full[b] |= 1 << a
+    col_ac_full = [0] * n_c
+    for a, c in ac_edges:
+        col_ac_full[c] |= 1 << a
+    t_full = 0
+    e_full = 0
+    for (b, c), h in zip(bc_edges, bc_h):
+        am = col_ab_full[b] & col_ac_full[c]
+        t_full += am.bit_count()
+        e_full += (am & h).bit_count()
+    if t_full == 0:
+        # Every subtriad has t = e = 0, which violates neither predicate.
+        return None, 1 << (m1 + m2 + m3)
+
+    need = num * t_full
+    t_min = -(-need // den)  # t*den >= need  <=>  t >= t_min
+    if mode == 0:
+        q = hi = 3 * t_full
+        lo = 2 * e_full
+    else:
+        q = t_full * den
+        lo = e_full * den - need
+        hi = e_full * den + need
+    bc_b = [b for b, _ in bc_edges]
+    bc_c = [c for _, c in bc_edges]
+    bc_nh = [~h for h in bc_h]
+    zero_in_band = lo <= 0
+    one_in_band = q <= hi
+    ac_all = [col_ac_full[c] for c in bc_c]
+    block = 1 << m3
+    states = 0
+    for abm in range(1 << m1):
+        col_ab = [0] * n_b
+        rest = abm
+        while rest:
+            low = rest & -rest
+            a, b = ab_edges[low.bit_length() - 1]
+            rest ^= low
+            col_ab[b] |= 1 << a
+        ab_k = [col_ab[b] for b in bc_b]
+        # row[k]: the A-vertices that BC edge k can reach in this row.
+        row = list(map(and_, ab_k, ac_all))
+        if (sum(map(int.bit_count, row)) < t_min
+                or ((zero_in_band or not any(map(and_, row, bc_nh)))
+                    and (one_in_band or not any(map(and_, row, bc_h))))):
+            states += block << m2
+            continue
+        for acm in range(1 << m2):
+            col_ac = [0] * n_c
+            rest = acm
+            while rest:
+                low = rest & -rest
+                a, c = ac_edges[low.bit_length() - 1]
+                rest ^= low
+                col_ac[c] |= 1 << a
+            ams = list(map(and_, ab_k, [col_ac[c] for c in bc_c]))
+            cnt = list(map(int.bit_count, ams))
+            if sum(cnt) < t_min:
+                states += block
+                continue
+            hcnt = list(map(int.bit_count, map(and_, ams, bc_h)))
+            # Walk only if some (c_k, h_k) has lo*c_k > q*h_k or
+            # q*h_k > hi*c_k.
+            qh = list(map(q.__mul__, hcnt))
+            if not (any(map(gt, map(lo.__mul__, cnt), qh))
+                    or any(map(gt, qh, map(hi.__mul__, cnt)))):
+                states += block
+                continue
+            # Gray walk over BC subsets, maintaining (t, e) incrementally;
+            # the empty subset violates neither predicate.
+            t = e = 0
+            bcm = 0
+            for g in range(1, block):
+                k = (g & -g).bit_length() - 1
+                bit = 1 << k
+                bcm ^= bit
+                if bcm & bit:
+                    t += cnt[k]
+                    e += hcnt[k]
+                else:
+                    t -= cnt[k]
+                    e -= hcnt[k]
+                if t >= t_min and not lo * t <= q * e <= hi * t:
+                    return (abm, acm, bcm, t, e), states + g + 1
+            states += block
+    return None, states
+
+
+# Fractions num/den for the scan: num = 0 makes every subtriad heavy, and
+# num = den only those that keep every triangle.
+SCAN_PARAMS = ((0, 1), (1, 100), (1, 4), (1, 3), (1, 2), (2, 3), (1, 1),
+               (5, 5))
+# Every A-vertex below 20, and stray bits at and above any n_a.
+ALL_A = (1 << 24) - 1
+
+
+def _assert_scans_agree(ab, ac, bc, n_b, n_c, bc_h, mode, num, den):
+    """The scan against the previous kernel and the plain walk, whole
+    results; returns the result."""
+    got = kernels.scan_subtriads(ab, ac, bc, n_b, n_c, bc_h, mode, num, den)
+    assert got == _ref2_scan_subtriads(ab, ac, bc, n_b, n_c, bc_h, mode,
+                                       num, den)
+    hma = [0] * (n_b * n_c)
+    for (b, c), h in zip(bc, bc_h):
+        hma[b * n_c + c] = h
+    assert got == _reference_scan_subtriads(ab, ac, bc, 20, n_b, n_c, hma,
+                                            mode, num, den)
+    return got
+
+
+@st.composite
+def _scan_inputs(draw):
+    """A triad with A-labels below 20, so that a field of the packed scan
+    takes one to three bytes, sides B and C of up to 5 and at most 12
+    edges, among three A-labels and two labels of B and of C so that they
+    close triangles.  The hyperedge masks hold random triangles, or every
+    triangle but those on the first, a middle or the last AB edge that
+    carries one, which plants a witness early, midway or late in the
+    scan; and stray bits 20-23."""
+    n_b = draw(st.integers(1, 5))
+    n_c = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+
+    def labels(n, most):
+        return rng.sample(range(n), min(n, rng.randint(1, most)))
+
+    def edges(left, right):
+        pairs = [(u, v) for u in left for v in right]
+        return rng.sample(pairs, min(len(pairs), rng.randint(1, 4)))
+
+    a_set, b_set, c_set = labels(20, 3), labels(n_b, 2), labels(n_c, 2)
+    ab, ac, bc = edges(a_set, b_set), edges(a_set, c_set), edges(b_set, c_set)
+    a_of = {b: sum(1 << a for a, c in ac if (b, c) in bc) for b in b_set}
+    closing = [(a, b) for a, b in ab if a_of[b] >> a & 1]
+    plant = draw(st.sampled_from((None, 0, 1, 2)))
+    if plant is None or not closing:
+        bc_h = [sum(1 << a for a in a_set if rng.random() < .5) for _ in bc]
+    else:
+        a_off, b_off = closing[(len(closing) - 1) * plant // 2]
+        bc_h = [ALL_A ^ 1 << a_off if b == b_off else ALL_A for b, _ in bc]
+    bc_h = [h | rng.randrange(16) << 20 for h in bc_h]
+    mode = draw(st.sampled_from((0, 1)))
+    num, den = draw(st.sampled_from(SCAN_PARAMS))
+    return ab, ac, bc, n_b, n_c, bc_h, mode, num, den
+
+
+@given(_scan_inputs())
+def test_scan_subtriads_matches_previous_kernel_property(args):
+    _assert_scans_agree(*args)
+
+
+def test_scan_subtriads_planted_witness_blocks():
+    """A-labels 9 and 17 take two-byte fields.  The triangles on AB edge j
+    alone miss the 3-graph, so in mode 0 the first block that holds a
+    violation is the first with AB mask 1 << j: every earlier block keeps
+    only hyperedge triangles."""
+    ab = [(a, b) for a in (9, 17) for b in range(2)]
+    ac = [(a, c) for a in (9, 17) for c in range(2)]
+    bc = [(0, 0), (0, 1), (1, 1)]
+    for j in range(len(ab)):
+        a_off, b_off = ab[j]
+        bc_h = [ALL_A ^ 1 << a_off if b == b_off else ALL_A for b, _ in bc]
+        found, _ = _assert_scans_agree(ab, ac, bc, 2, 2, bc_h, 0, 1, 100)
+        assert found[0] == 1 << j
+        _assert_scans_agree(ab, ac, bc, 2, 2, bc_h, 1, 1, 100)
+
+
+def test_scan_subtriads_witness_in_last_block():
+    """Every AB and AC edge carries two or more of the 10 triangles, and
+    the one hyperedge triangle (0, 2, 0) is the only triangle on BC edge
+    (2, 0).  At 9/10 only subtriads that lose at most one triangle are
+    heavy, so only the last block, with every AB and AC edge, is; there,
+    dropping BC edge (2, 0) leaves 9 triangles and no hyperedge."""
+    ab = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    ac = [(a, c) for a in range(2) for c in range(2)]
+    bc = [(b, c) for b in range(3) for c in range(2)]
+    bc_h = [1 if bc_edge == (2, 0) else 0 for bc_edge in bc]
+    found, _ = _assert_scans_agree(ab, ac, bc, 3, 2, bc_h, 0, 9, 10)
+    assert found[:2] == (31, 15)
+    assert found[3:] == (9, 0)
+
+
+def test_scan_subtriads_certifies_a_twenty_edge_triad():
+    """A 3x3x3 triad of 20 edges, the size the ``schacht`` suite scans,
+    that the deviation scan at 1/2 certifies."""
+    ab = [(0, 0), (0, 1), (0, 2), (1, 1), (2, 0), (2, 1), (2, 2)]
+    ac = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)]
+    bc = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+    bc_h = [4, 0, 0, 4, 4, 0]
+    got = kernels.scan_subtriads(ab, ac, bc, 3, 3, bc_h, 1, 1, 2)
+    assert got == (None, 1 << 20)
+    assert got == _ref2_scan_subtriads(ab, ac, bc, 3, 3, bc_h, 1, 1, 2)
+
+
+def test_reachable_is_the_set_of_subset_sums():
+    rng = random.Random(24)
+    for _ in range(300):
+        m = rng.randint(0, 7)
+        cnt = [rng.randint(0, 5) for _ in range(m)]
+        hcnt = [rng.randint(0, c) for c in cnt]
+        w = sum(cnt) + 1
+        sums = {(sum(compress(cnt, pick)), sum(compress(hcnt, pick)))
+                for pick in product((0, 1), repeat=m)}
+        assert kernels._reachable(cnt, hcnt, w) == sum(
+            1 << t * w + e for t, e in sums)
+
+
+def test_violating_cells_match_the_predicates():
+    """Bit t*w + e of VIOL, for every cell of the (t_full + 1)^2 grid,
+    against the two predicates as ``scan_subtriads`` states them; cells
+    with e > t, which no subtriad reaches, stay clear."""
+    seen = set()
+    for t_full in range(1, 9):
+        w = t_full + 1
+        for e_full in range(w):
+            for mode in (0, 1):
+                for num, den in SCAN_PARAMS + ((7, 8),):
+                    t_min, lo, q, hi = kernels._band(mode, num, den, t_full,
+                                                     e_full)
+                    viol = kernels._violating_cells(t_min, t_full, lo, q, hi)
+                    assert viol >> w * w == 0
+                    for t in range(w):
+                        for e in range(w):
+                            if mode == 0:
+                                low = 3 * e * t_full < 2 * e_full * t
+                            else:
+                                low = (abs(e * t_full - e_full * t) * den
+                                       > num * t_full * t)
+                            want = (e <= t and t * den >= num * t_full
+                                    and low)
+                            assert viol >> t * w + e & 1 == want
+                    seen.update({("lo <= 0", mode, lo <= 0),
+                                 ("q <= hi", mode, q <= hi),
+                                 ("t_min", t_min == 0, t_min == t_full)})
+    assert {("lo <= 0", 0, True), ("lo <= 0", 1, True),
+            ("q <= hi", 0, True), ("q <= hi", 1, True),
+            ("t_min", True, False), ("t_min", False, True)} <= seen
 
 
 def _brute_triangle_count(n, ab_rows, ac_rows, bc_rows):
