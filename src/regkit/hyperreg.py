@@ -489,10 +489,17 @@ def _scaled_f(h: ThreeGraph, t: Triad) -> tuple[int, int, int,
 
 
 def octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
-    """The full six-index octahedron sum, computed literally in O(n^6).
+    """The full six-index octahedron sum, term by term, O(n^6) at worst.
 
-    Serves as the independent oracle for the fast version; do not reuse
-    its loop structure there.
+    A term is zero unless all eight of its corners (x_i, y_j, z_k) are
+    triangles, so only terms with a zero factor are skipped: for each x0,
+    y0 and y1 the loop takes the z that both x0 pairs share in ``tm``,
+    skips y1 when there are none, and then lets z0 and z1 run only over
+    those that both x1 pairs share too.  Every term it keeps is the
+    product of its eight ``vals`` entries, and every ordered pair stays on
+    each axis: no symmetry fold, no sum over z before the product and
+    nothing from ``kernels``.  So it stays an oracle independent of the
+    fast version; do not reuse its loop structure there.
     """
     n, tau, ecount, hm, tm = _scaled_f(h, t)
     if tau == 0:
@@ -506,17 +513,25 @@ def octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
                 vals[xy][z] = hi if hm[xy] >> z & 1 else lo
     total = 0
     for x0 in range(n):
-        for x1 in range(n):
-            for y0 in range(n):
-                for y1 in range(n):
-                    v00 = vals[x0 * n + y0]
-                    v01 = vals[x0 * n + y1]
+        for y0 in range(n):
+            v00, t00 = vals[x0 * n + y0], tm[x0 * n + y0]
+            for y1 in range(n):
+                shared = t00 & tm[x0 * n + y1]
+                if not shared:
+                    continue
+                v01 = vals[x0 * n + y1]
+                for x1 in range(n):
+                    live = shared & tm[x1 * n + y0] & tm[x1 * n + y1]
+                    if not live:
+                        continue
                     v10 = vals[x1 * n + y0]
                     v11 = vals[x1 * n + y1]
-                    for z0 in range(n):
-                        for z1 in range(n):
-                            total += (v00[z0] * v00[z1] * v01[z0] * v01[z1]
-                                      * v10[z0] * v10[z1] * v11[z0] * v11[z1])
+                    zs = [z for z in range(n) if live >> z & 1]
+                    for z0 in zs:
+                        f0 = v00[z0] * v01[z0] * v10[z0] * v11[z0]
+                        for z1 in zs:
+                            total += (f0 * v00[z1] * v01[z1]
+                                      * v10[z1] * v11[z1])
     return Fraction(total, tau ** 8)
 
 

@@ -270,7 +270,14 @@ def refinement_union_extract(q: VertexPartition, p: VertexPartition,
     argument shows the bound holds for it).
     """
     delta = Fraction(delta)
-    hosts = _refinement_hosts(q, p, delta)
+    return _union_extract(q, p, delta, _refinement_hosts(q, p, delta))
+
+
+def _union_extract(q: VertexPartition, p: VertexPartition, delta: Fraction,
+                   hosts: Optional[list[Optional[int]]]
+                   ) -> tuple[frozenset[int], frozenset[int]]:
+    """``refinement_union_extract`` given ``_refinement_hosts(q, p, delta)``,
+    for a caller that has already computed the hosts."""
     if hosts is None:
         raise PreconditionFailed("q is not an approximate refinement of p")
     unions: list[set[int]] = [set() for _ in p.blocks]

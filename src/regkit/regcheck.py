@@ -69,7 +69,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -322,16 +322,22 @@ def _left_masks(g: BipartiteGraph, ka: int, k0: int, low: int, high: int):
 def _masks_covered(ka: int, top: int) -> int:
     """Number of masks m in [1, top] with popcount(m) >= ka >= 1.
 
-    Walking the set bits i of ``top`` from the highest, with ``ones`` set
+    For top = 2**n - 1 (a scan that certifies) that is 2**n less the
+    C(n, j) masks with j < ka bits, the zero mask among them.  Otherwise,
+    walking the set bits i of ``top`` from the highest, with ``ones`` set
     bits above i: the 2**i masks that agree with ``top`` above bit i and
     have a 0 there count, less the C(i, j) of them with j < ka - ones bits
     below it.  ``top`` itself is counted last.
     """
+    if not top & (top + 1):
+        n = top.bit_length()
+        return (1 << n) - sum(map(comb, repeat(n), range(ka)))
     count, ones = 0, 0
-    for i in reversed(range(top.bit_length())):
-        if top >> i & 1:
-            count += (1 << i) - sum(comb(i, j) for j in range(ka - ones))
-            ones += 1
+    while top:
+        i = top.bit_length() - 1
+        count += (1 << i) - sum(map(comb, repeat(i), range(ka - ones)))
+        ones += 1
+        top ^= 1 << i
     return count + (ones >= ka)
 
 

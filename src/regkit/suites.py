@@ -25,7 +25,7 @@ from .graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
                      density, edge_disjoint_union, induced_subgraph)
 from .partitions import (ThreePartiteFrame, VertexPartition,
                          approx_refines, complete_two_partition,
-                         refinement_union_extract, restrict_two_partition)
+                         restrict_two_partition)
 from .regcheck import (CERTIFIED, NOT_CERTIFIED, CheckParams, Threshold,
                        check_delta_partition_with_edits,
                        check_delta_regular, check_eps_regular,
@@ -211,11 +211,13 @@ def _suite_claim_3_2(rng: random.Random, scale: dict):
         n = k * rng.randint(4, 8)
         p = _random_equitable(rng, n, k)
         q = _noisy_refinement(rng, p, rng.randint(1, 3), rng.randint(0, 2))
-        if approx_refines(q, p, delta):
+        hosts = partitions._refinement_hosts(q, p, delta)
+        if hosts is not None:  # q approx-refines p
             break
     else:
         q = p  # p refines itself; always admissible
-    pb, union = refinement_union_extract(q, p, delta)
+        hosts = partitions._refinement_hosts(q, p, delta)
+    pb, union = partitions._union_extract(q, p, delta, hosts)
     sym = len(pb ^ union)
     ok = Fraction(sym) <= 3 * delta * len(pb)
     rec = {

@@ -9,11 +9,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regkit import fileio, hyperreg, suites
-from regkit.errors import (BudgetExceeded, FrameMismatch,
+from regkit.errors import (BudgetExceeded, ClassSizeMismatch, FrameMismatch,
                            ParameterOutOfContract)
 from regkit.graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
                            density, iter_bits, subset_mask)
@@ -291,6 +291,130 @@ def test_octahedron_boundaries():
     assert hyperreg.octahedron_sum_fast(h, t) == 0
     h0 = ThreeGraph(cls, frozenset())
     assert hyperreg.octahedron_sum_fast(h0, t) == 0
+
+
+# ``hyperreg.octahedron_sum_naive`` as it was when it multiplied out every
+# one of the n^6 terms, zero or not, kept verbatim (renamed, ``_scaled_f``
+# called through the module) as the oracle for the loop that skips the
+# terms with a factor off the triangles.
+def _ref_octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
+    """The full six-index octahedron sum, computed literally in O(n^6).
+
+    Serves as the independent oracle for the fast version; do not reuse
+    its loop structure there.
+    """
+    n, tau, ecount, hm, tm = hyperreg._scaled_f(h, t)
+    if tau == 0:
+        return Fraction(0)
+    hi = tau - ecount
+    lo = -ecount
+    vals = [[0] * n for _ in range(n * n)]
+    for xy in range(n * n):
+        for z in range(n):
+            if tm[xy] >> z & 1:
+                vals[xy][z] = hi if hm[xy] >> z & 1 else lo
+    total = 0
+    for x0 in range(n):
+        for x1 in range(n):
+            for y0 in range(n):
+                for y1 in range(n):
+                    v00 = vals[x0 * n + y0]
+                    v01 = vals[x0 * n + y1]
+                    v10 = vals[x1 * n + y0]
+                    v11 = vals[x1 * n + y1]
+                    for z0 in range(n):
+                        for z1 in range(n):
+                            total += (v00[z0] * v00[z1] * v01[z0] * v01[z1]
+                                      * v10[z0] * v10[z1] * v11[z0] * v11[z1])
+    return Fraction(total, tau ** 8)
+
+
+def _octahedron_case(n: int, dens: tuple[float, float, float], fill: str,
+                     c_kind: str, extra: int, seed: int
+                     ) -> tuple[ThreeGraph, Triad]:
+    """A triad with three sides of n vertices and the given densities, in
+    a 3-graph that is empty, complete or random.  Its C side is the
+    3-graph's class (``c_kind`` "identity") or sits in one ``extra``
+    vertices larger, as a run starting past 0 or as a set that is not a
+    run."""
+    rng = random.Random(seed)
+    nc = n if c_kind == "identity" else n + extra
+    cls = (VertexClass(0, n), VertexClass(1, n), VertexClass(2, nc))
+    if c_kind == "identity":
+        ec = tuple(range(n))
+    elif c_kind == "run":
+        c0 = rng.randint(1, extra)
+        ec = tuple(range(c0, c0 + n))
+    else:
+        ec = tuple(rng.sample(range(nc), n))
+        if ec == tuple(range(ec[0], ec[0] + n)):
+            ec = ec[::-1]
+    if fill == "empty":
+        h = ThreeGraph(cls, frozenset())
+    elif fill == "complete":
+        h = ThreeGraph.complete(cls)
+    else:
+        h = random_h(rng, (n, n, nc), .5)
+    side = tuple(VertexClass(i, n) for i in range(3))
+    t = Triad(rg(rng, side[0], side[1], dens[0]),
+              rg(rng, side[0], side[2], dens[1]),
+              rg(rng, side[1], side[2], dens[2]),
+              embedding=(tuple(range(n)), tuple(range(n)), ec))
+    return h, t
+
+
+_DENSITY = st.sampled_from([0.0, 0.5, 0.75, 0.9, 1.0]) | st.floats(0, 1)
+
+
+@example(n=3, dens=(0.0, 1.0, 1.0), fill="complete", c_kind="identity",
+         extra=1, seed=0)
+@example(n=6, dens=(1.0, 1.0, 1.0), fill="random", c_kind="identity",
+         extra=1, seed=0)
+@example(n=1, dens=(1.0, 1.0, 1.0), fill="complete", c_kind="identity",
+         extra=1, seed=0)
+@example(n=4, dens=(0.8, 0.8, 0.8), fill="random", c_kind="run",
+         extra=3, seed=1)
+@example(n=4, dens=(0.8, 0.8, 0.8), fill="random", c_kind="any",
+         extra=3, seed=1)
+@settings(max_examples=300)
+@given(n=st.integers(1, 6), dens=st.tuples(_DENSITY, _DENSITY, _DENSITY),
+       fill=st.sampled_from(["empty", "complete", "random"]),
+       c_kind=st.sampled_from(["identity", "run", "any"]),
+       extra=st.integers(1, 3), seed=st.integers(0, 1 << 16))
+def test_octahedron_naive_matches_the_term_by_term_sum(n, dens, fill, c_kind,
+                                                       extra, seed):
+    """Skipping the terms with a factor off the triangles leaves the sum
+    of every term: side densities from 0 (tau = 0) to 1, an empty,
+    complete or random 3-graph, and a C side embedded as the identity, a
+    run past 0 or a set that is not a run."""
+    assume(n > 1 or c_kind != "any")  # one vertex is always a run
+    h, t = _octahedron_case(n, dens, fill, c_kind, extra, seed)
+    ec = t.embedding[2]
+    assert (c_kind == "run") == (ec[0] > 0 and
+                                 ec == tuple(range(ec[0], ec[0] + n)))
+    assert (c_kind == "any") == (ec != tuple(range(ec[0], ec[0] + n)))
+    assert (hyperreg.octahedron_sum_naive(h, t)
+            == _ref_octahedron_sum_naive(h, t))
+
+
+def test_octahedron_naive_rejects_what_the_literal_sum_rejects():
+    """Unequal sides are a ClassSizeMismatch and an embedding off the
+    3-graph a FrameMismatch, as in the term-by-term sum."""
+    cls = tuple(VertexClass(i, 3) for i in range(3))
+    h = ThreeGraph.complete(cls)
+    small = VertexClass(2, 2)
+    unequal = Triad(BipartiteGraph.complete(cls[0], cls[1]),
+                    BipartiteGraph.complete(cls[0], small),
+                    BipartiteGraph.complete(cls[1], small))
+    off = Triad(BipartiteGraph.complete(cls[0], cls[1]),
+                BipartiteGraph.complete(cls[0], cls[2]),
+                BipartiteGraph.complete(cls[1], cls[2]),
+                embedding=((0, 1, 2), (0, 1, 2), (1, 2, 3)))
+    for t, error in ((unequal, ClassSizeMismatch), (off, FrameMismatch)):
+        for oracle in (hyperreg.octahedron_sum_naive,
+                       _ref_octahedron_sum_naive):
+            with pytest.raises(error):
+                oracle(h, t)
 
 
 def _subtriad_oracle_deviation(h, t, eps):

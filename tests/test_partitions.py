@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regkit import partitions, suites
 from regkit.errors import (DegenerateInput, FrameMismatch, GroundMismatch,
                            NotDisjoint, ParameterOutOfContract,
                            PreconditionFailed)
@@ -110,6 +111,53 @@ def test_refinement_union_requires_precondition():
     q = vp([0, 0, 1, 1, 2, 2])
     with pytest.raises(PreconditionFailed):
         refinement_union_extract(q, p, Fraction(1, 8))
+
+
+def test_union_extract_keeps_the_guard_for_hosts_passed_in():
+    """Hosts that the precondition could never give (every q-block astray,
+    yet a list) reach the symmetric-difference guard, which raises."""
+    p = vp([0, 0, 0, 1, 1, 1])
+    q = vp([0, 0, 1, 1, 2, 2])
+    with pytest.raises(PreconditionFailed,
+                       match="no block meets the symmetric-difference bound"):
+        partitions._union_extract(q, p, Fraction(1, 8), [None] * q.order)
+    with pytest.raises(PreconditionFailed,
+                       match="q is not an approximate refinement of p"):
+        partitions._union_extract(q, p, Fraction(1, 8), None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_claim_3_2_computes_the_hosts_once_per_candidate(monkeypatch, seed):
+    """The suite finds the hosts of each candidate q once, the accepted one
+    included, and keeps the record of extracting them afresh."""
+    calls = {"hosts": 0, "candidates": 0}
+    hosts, noisy = partitions._refinement_hosts, suites._noisy_refinement
+
+    def counted_hosts(*args):
+        calls["hosts"] += 1
+        return hosts(*args)
+
+    def counted_noisy(*args):
+        calls["candidates"] += 1
+        return noisy(*args)
+
+    monkeypatch.setattr(partitions, "_refinement_hosts", counted_hosts)
+    monkeypatch.setattr(suites, "_noisy_refinement", counted_noisy)
+    rec, ok, _ = suites._suite_claim_3_2(random.Random(seed), {})
+    assert ok
+    assert calls["hosts"] == calls["candidates"] + (calls["candidates"] == 60)
+    rng = random.Random(seed)
+    delta = rng.choice([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        p = suites._random_equitable(rng, k * rng.randint(4, 8), k)
+        q = noisy(rng, p, rng.randint(1, 3), rng.randint(0, 2))
+        if approx_refines(q, p, delta):
+            break
+    else:
+        q = p
+    pb, union = refinement_union_extract(q, p, delta)
+    assert (rec["symdiff"], rec["block"]) == (len(pb ^ union), len(pb))
 
 
 # A partition with no blocks, made past the constructor that rejects it; on
