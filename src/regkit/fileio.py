@@ -36,6 +36,14 @@ sends the section to the per-line reader.  So does a side above
 ``_TABLE_MAX_SIDE``.  Every such section, however well-formed, is read line
 by line with the same result, and every FormatError, message and line
 number, comes from that per-line reader.
+
+The writers emit from row masks, the reverse of the line-table reader: per
+byte position k of a row there is a table, built on first use, of the
+text of the lines that each byte value stands for (bits 8k..8k+7), with
+a mark where the row's prefix (``"a "``, or ``"v1 v2 "`` in h3) goes.
+Rows wider than ``_LINE_TABLE_MAX_WIDTH`` are written bit by bit.  Blocks
+of a 2-partition are written in the order (i, j, first edge), which is
+that of their sorted edge lists, because the blocks of a pair are disjoint.
 """
 from __future__ import annotations
 
@@ -44,10 +52,10 @@ from collections import deque
 from contextlib import contextmanager
 from functools import cache
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateInput, FormatError
-from .graphs import BipartiteGraph, ThreeGraph, VertexClass
+from .graphs import BipartiteGraph, ThreeGraph, VertexClass, iter_bits
 from .partitions import TwoPartition, VertexPartition
 
 
@@ -270,10 +278,41 @@ def loads_graph(text: str) -> BipartiteGraph:
     return g
 
 
+# Stands for a row's prefix in the tails of its lines.
+_PREFIX = "\0"
+
+
+@cache
+def _line_tails(k: int) -> tuple[str, ...]:
+    """Per value v of byte k of a row: its lines, one per set bit i in
+    ascending order, each ``_PREFIX`` + the numeral of 8k + i + newline."""
+    return tuple("".join(f"{_PREFIX}{8 * k + i}\n" for i in range(8)
+                         if v >> i & 1) for v in range(256))
+
+
+def _row_lines(rows: Sequence[int], width: int,
+               prefix: Callable[[int], str]) -> list[str]:
+    """The lines ``prefix(p) + str(b)`` of every set bit b of ``rows[p]``,
+    by row and then by bit, one string per nonempty row.
+
+    Rows up to ``_LINE_TABLE_MAX_WIDTH`` bits wide are read a byte at a
+    time through ``_line_tails``, whose tables take about 19 kB each, so
+    at most 150 kB; wider rows are read bit by bit.
+    """
+    if width > _LINE_TABLE_MAX_WIDTH:
+        return ["".join(f"{prefix(p)}{b}\n" for b in iter_bits(row))
+                for p, row in enumerate(rows) if row]
+    nbytes = (width + 7) >> 3
+    tails = [_line_tails(k) for k in range(nbytes)]
+    low, get = tails[0], tuple.__getitem__
+    return [(low[row] if row < 256 else
+             "".join(map(get, tails, row.to_bytes(nbytes, "little"))))
+            .replace(_PREFIX, prefix(p)) for p, row in enumerate(rows) if row]
+
+
 def dumps_graph(g: BipartiteGraph) -> str:
-    out = [f"bg {g.left.size} {g.right.size} {g.edge_count}"]
-    out.extend(f"{a} {b}" for a, b in g.sorted_edges())
-    return "\n".join(out) + "\n"
+    return "".join([f"bg {g.left.size} {g.right.size} {g.edge_count}\n"]
+                   + _row_lines(g.rows, g.right.size, "{} ".format))
 
 
 def loads_threegraph(text: str) -> ThreeGraph:
@@ -281,9 +320,16 @@ def loads_threegraph(text: str) -> ThreeGraph:
     (n1, n2, n3, m), ln = _header(lines, "h3", 3, 1)
     classes = (VertexClass(0, n1), VertexClass(1, n2), VertexClass(2, n3))
     cols = _bulk_columns(lines, m, (n1, n2, n3))
-    h = None if cols is None else ThreeGraph(classes, zip(*cols))
-    if h is not None and h.edge_count == m:  # m distinct rows
+    rows = None
+    if cols is not None:
+        rows = [0] * (n1 * n2)
+        bits = _bits(n3)
+        for v1, v2, v3 in zip(*cols):
+            rows[v1 * n2 + v2] |= bits[v3]
+    # The m lines are m distinct rows when the masks hold m bits.
+    if rows is not None and sum(map(int.bit_count, rows)) == m:
         lines.pos += m
+        h = ThreeGraph.from_rows(classes, rows)
     else:
         triples = set()
         for _ in range(m):
@@ -303,9 +349,8 @@ def loads_threegraph(text: str) -> ThreeGraph:
 
 def dumps_threegraph(h: ThreeGraph) -> str:
     n1, n2, n3 = (c.size for c in h.classes)
-    out = [f"h3 {n1} {n2} {n3} {h.edge_count}"]
-    out.extend(f"{a} {b} {c}" for a, b, c in h.sorted_triples())
-    return "\n".join(out) + "\n"
+    return "".join([f"h3 {n1} {n2} {n3} {h.edge_count}\n"] + _row_lines(
+        h.graph.rows, n3, lambda p: "{} {} ".format(*divmod(p, n2))))
 
 
 def _read_vp(lines: _Lines) -> VertexPartition:
@@ -377,15 +422,20 @@ def loads_twopartition(text: str) -> TwoPartition:
                           len(lines.raw)) from None
 
 
+def _first_edge(g: BipartiteGraph) -> tuple[int, ...]:
+    """The least edge of ``g``, or () when it has none."""
+    for a, row in enumerate(g.rows):
+        if row:
+            return a, (row & -row).bit_length() - 1
+    return ()
+
+
 def dumps_twopartition(tp: TwoPartition) -> str:
-    out = [dumps_partition(tp.z).rstrip("\n")]
-    for i, j, edges in sorted((i, j, g.sorted_edges())
-                              for (i, j, _), g in tp.graphs.items()):
-        out.append(f"pair {i} {j}")
-        out.append(f"bg {len(tp.z.blocks[i])} {len(tp.z.blocks[j])} "
-                   f"{len(edges)}")
-        out.extend(f"{a} {b}" for a, b in edges)
-    return "\n".join(out) + "\n"
+    blocks = sorted(tp.graphs.items(),
+                    key=lambda kg: kg[0][:2] + _first_edge(kg[1]))
+    return "".join([dumps_partition(tp.z)]
+                   + [f"pair {i} {j}\n" + dumps_graph(g)
+                      for (i, j, _), g in blocks])
 
 
 def _read_text(path) -> str:

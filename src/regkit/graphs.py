@@ -7,7 +7,10 @@ builds one from its rows, and its edge set is derived from them on access.
 The column masks are the rows transposed as one bit matrix, by masked
 block swaps on a single int when the matrix is dense enough to pay (see
 ``_block_swap``), one bit at a time otherwise.  A 3-graph is its axis-3
-auxiliary graph.  All densities are exact rationals.
+auxiliary graph, and ``ThreeGraph.from_rows`` builds one from those rows,
+as every 3-graph is built: from a triple set by setting its bits, and
+complete as full rows.  Induced subgraphs are cut from the rows too, with
+no edge list between.  All densities are exact rationals.
 """
 from __future__ import annotations
 
@@ -140,9 +143,10 @@ class BipartiteGraph:
             raise ValueError(f"{len(rows)} rows for a left side of size "
                              f"{left.size}")
         limit = 1 << right.size
-        for a, row in enumerate(rows):
-            if not 0 <= row < limit:
-                raise ValueError(f"row {a} is {row}, not in [0, {limit})")
+        if rows and not (0 <= min(rows) and max(rows) < limit):
+            for a, row in enumerate(rows):
+                if not 0 <= row < limit:
+                    raise ValueError(f"row {a} is {row}, not in [0, {limit})")
         edge_count = sum(map(int.bit_count, rows))
         w = 8
         while w < left.size or w < right.size:
@@ -218,15 +222,30 @@ class ThreeGraph:
     def __init__(self, classes: tuple[VertexClass, VertexClass, VertexClass],
                  triples: Iterable[tuple[int, int, int]]):
         n1, n2, n3 = (c.size for c in classes)
-        if n1 == 0 or n2 == 0 or n3 == 0:
-            raise DegenerateInput("3-graph with an empty class")
         rows = [0] * (n1 * n2)
-        for (v1, v2, v3) in triples:
+        # An empty class is refused by _store before any triple is read.
+        for (v1, v2, v3) in triples if n1 and n2 and n3 else ():
             if not (0 <= v1 < n1 and 0 <= v2 < n2 and 0 <= v3 < n3):
                 _check_index(v1, n1, "class-1")
                 _check_index(v2, n2, "class-2")
                 _check_index(v3, n3, "class-3")
             rows[v1 * n2 + v2] |= 1 << v3
+        self._store(classes, rows)
+
+    @classmethod
+    def from_rows(cls, classes: tuple[VertexClass, VertexClass, VertexClass],
+                  rows: Sequence[int]) -> "ThreeGraph":
+        """The 3-graph whose pair (v1, v2) has the class-3 mask
+        ``rows[v1*|V2| + v2]``; one row per pair, each in [0, 2^|V3|)."""
+        h = cls.__new__(cls)
+        h._store(classes, rows)
+        return h
+
+    def _store(self, classes: tuple[VertexClass, VertexClass, VertexClass],
+               rows: Sequence[int]) -> None:
+        n1, n2, n3 = (c.size for c in classes)
+        if n1 == 0 or n2 == 0 or n3 == 0:
+            raise DegenerateInput("3-graph with an empty class")
         object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "graph", BipartiteGraph.from_rows(
             VertexClass(-1, n1 * n2), classes[2], rows))
@@ -252,8 +271,7 @@ class ThreeGraph:
     def complete(classes: tuple[VertexClass, VertexClass, VertexClass]
                  ) -> "ThreeGraph":
         n1, n2, n3 = (c.size for c in classes)
-        return ThreeGraph(classes, frozenset(
-            (a, b, c) for a in range(n1) for b in range(n2) for c in range(n3)))
+        return ThreeGraph.from_rows(classes, [(1 << n3) - 1] * (n1 * n2))
 
 
 class Triad:
@@ -348,18 +366,33 @@ def count_edges_between(g: BipartiteGraph, amask: int, bmask: int) -> int:
 def induced_subgraph(g: BipartiteGraph, a_sub: Sequence[int],
                      b_sub: Sequence[int],
                      left_id: int = -1, right_id: int = -1) -> BipartiteGraph:
-    """Subgraph induced on ordered subsets, reindexed to 0..k-1 per side."""
+    """Subgraph induced on ordered subsets, reindexed to 0..k-1 per side:
+    row i is row ``a_sub[i]`` with bit ``b_sub[j]`` moved to bit j."""
     a_sub = list(a_sub)
     b_sub = list(b_sub)
     if not a_sub or not b_sub:
         raise DegenerateInput("induced subgraph over an empty subset")
-    a_pos = {v: i for i, v in enumerate(a_sub)}
-    b_pos = {v: i for i, v in enumerate(b_sub)}
-    if len(a_pos) != len(a_sub) or len(b_pos) != len(b_sub):
+    if len(set(a_sub)) != len(a_sub) or len(set(b_sub)) != len(b_sub):
         raise DegenerateInput("induced subgraph with repeated vertices")
-    bmask = subset_mask(b_sub, g.right.size, "right")
-    edges = [(a_pos[a], b_pos[b]) for a in a_sub
-             for b in iter_bits(g.rows[a] & bmask)]
-    return BipartiteGraph(VertexClass(left_id, len(a_sub)),
-                          VertexClass(right_id, len(b_sub)), edges)
-
+    for sub, n, what in ((a_sub, g.left.size, "left"),
+                         (b_sub, g.right.size, "right")):
+        if min(sub) < 0 or max(sub) >= n:
+            subset_mask(sub, n, what)  # names the first index out of range
+    if b_sub == list(range(len(b_sub))):  # a run 0..k-1 keeps its bits
+        low = (1 << len(b_sub)) - 1
+        rows = [g.rows[a] & low for a in a_sub]
+    else:
+        bmask = sum(map((1).__lshift__, b_sub))
+        moved = [0] * g.right.size  # the bit each kept column moves to
+        for j, b in enumerate(b_sub):
+            moved[b] = 1 << j
+        rows = []
+        for a in a_sub:
+            row, out = g.rows[a] & bmask, 0
+            while row:
+                low = row & -row
+                out |= moved[low.bit_length() - 1]
+                row ^= low
+            rows.append(out)
+    return BipartiteGraph.from_rows(VertexClass(left_id, len(a_sub)),
+                                    VertexClass(right_id, len(b_sub)), rows)

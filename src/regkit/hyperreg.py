@@ -49,10 +49,22 @@ def auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
         raise ParameterOutOfContract("axis must be 1, 2 or 3")
     if axis == 3:
         return h.graph
+    n1, n2, n3 = (c.size for c in h.classes)
+    # Bit v3 of row (v1, v2) moves to row (v_j, v3) as bit v_i: axis 1
+    # keeps v2 and sets v1, axis 2 keeps v1 and sets v2.
+    rows = [0] * ((n2 if axis == 1 else n1) * n3)
+    for p, row in enumerate(h.graph.rows):
+        if row:
+            v1, v2 = divmod(p, n2)
+            keep, bit = (v2, 1 << v1) if axis == 1 else (v1, 1 << v2)
+            base = keep * n3
+            while row:
+                low = row & -row
+                rows[base + low.bit_length() - 1] |= bit
+                row ^= low
     order = _AXIS_ORDER[axis]
-    return ThreeGraph(tuple(h.classes[x] for x in order),
-                      (tuple(v[x] for x in order)
-                       for v in h.sorted_triples())).graph
+    return ThreeGraph.from_rows(tuple(h.classes[x] for x in order),
+                                rows).graph
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ splitmix64 step over ``(seed xor crc32(suite_id) << 32) + trial``, so a
 fixed (suite, seed, trials, scale) always reproduces the same instances
 and byte-identical canonical reports.  Wall time is tracked on the
 report object but deliberately excluded from the canonical JSON.
+
+Random graphs are drawn straight into row masks: ``_rg`` and
+``_random_threegraph`` set one bit per ``rng.random()`` draw that passes,
+pair by pair (triple by triple) in lexicographic order, with the draws,
+in their order, of the edge lists and triple sets they replaced, so the
+instances are unchanged.  A report's records keep their values (exact
+rationals among them) until ``Report.to_json`` canonicalizes the whole
+report, once (see ``_canon``).
 """
 from __future__ import annotations
 
@@ -88,7 +96,6 @@ class Report:
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -111,13 +118,41 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _random_rows(rng: random.Random, count: int, width: int,
+                 p: Callable[[], float]) -> list[int]:
+    """``count`` masks of ``width`` bits: a bit is set when
+    ``rng.random() < p()``, with ``p()`` called after that draw, row by
+    row and bit by bit upward."""
+    random = rng.random
+    bits = [1 << b for b in range(width)]
+    rows = []
+    for _ in range(count):
+        row = 0
+        for bit in bits:
+            if random() < p():
+                row |= bit
+        rows.append(row)
+    return rows
+
+
 def _rg(rng: random.Random, left: VertexClass, right: VertexClass,
         p: float) -> BipartiteGraph:
+    """Complete when p >= 1, with no draw; else edge (a, b) is drawn in
+    lexicographic order, kept when ``rng.random() < p``."""
     if p >= 1.0:
         return BipartiteGraph.complete(left, right)
-    return BipartiteGraph(left, right,
-                          [(a, b) for a in range(left.size)
-                           for b in range(right.size) if rng.random() < p])
+    return BipartiteGraph.from_rows(
+        left, right, _random_rows(rng, left.size, right.size, lambda: p))
+
+
+def _random_threegraph(rng: random.Random,
+                       classes: tuple[VertexClass, VertexClass, VertexClass],
+                       p: Callable[[], float]) -> ThreeGraph:
+    """Triple (a, b, c) is drawn in lexicographic order, a hyperedge when
+    ``rng.random() < p()``."""
+    n1, n2, n3 = (c.size for c in classes)
+    return ThreeGraph.from_rows(classes,
+                                _random_rows(rng, n1 * n2, n3, p))
 
 
 def _exh() -> CheckParams:
@@ -329,20 +364,20 @@ def _suite_claim_3_4(rng: random.Random, scale: dict):
     if style == "complete":
         h = ThreeGraph.complete(classes)
     else:
-        h = ThreeGraph(classes, frozenset(
-            (a, b, c) for a in range(2 * n) for b in range(2 * n)
-            for c in range(2 * n) if rng.random() < 0.5))
+        h = _random_threegraph(rng, classes, lambda: 0.5)
     base = hyperreg.check_delta_regular_3partition(h, tp, delta, _exh())
     sub = [frame.to_combined(i, v) for i in range(3) for v in range(n)]
-    keep = set(sub)
-    sub_triples = frozenset(
-        (a, b, c) for (a, b, c) in h.triples
-        if a < n and b < n and c < n)
-    if h.edge_count == 0 or not sub_triples:
+    # The triples inside the low half of every class: the rows of the
+    # pairs (a, b) with a, b < n, cut to their low n bits.
+    low = (1 << n) - 1
+    sub_rows = [h.graph.rows[2 * n * a + b] & low
+                for a in range(n) for b in range(n)]
+    sub_count = sum(map(int.bit_count, sub_rows))
+    if not sub_count:
         return {"skipped": "no edges"}, True, []
-    alpha = Fraction(len(sub_triples), h.edge_count)
-    h_sub = ThreeGraph(tuple(VertexClass(i, n) for i in range(3)),
-                       sub_triples)
+    alpha = Fraction(sub_count, h.edge_count)
+    h_sub = ThreeGraph.from_rows(tuple(VertexClass(i, n) for i in range(3)),
+                                 sub_rows)
     tp_sub = restrict_two_partition(tp, sub)
     restricted = hyperreg.check_delta_regular_3partition(
         h_sub, tp_sub, min(Fraction(1), delta / alpha), _exh())
@@ -364,20 +399,18 @@ def _suite_eq_red_d(rng: random.Random, scale: dict):
     nb = rng.randint(2, scale.get("max_side", 6))
     nc = rng.randint(2, scale.get("max_side", 6))
     classes = (VertexClass(0, na), VertexClass(1, nb), VertexClass(2, nc))
-    h = ThreeGraph(classes, frozenset(
-        (a, b, c) for a in range(na) for b in range(nb) for c in range(nc)
-        if rng.random() < rng.choice([0.2, 0.5, 0.8])))
-    e_edges = [(a, b) for a in range(na) for b in range(nb)
-               if rng.random() < 0.6]
-    if not e_edges:
-        e_edges = [(0, 0)]
+    h = _random_threegraph(rng, classes,
+                           lambda: rng.choice((0.2, 0.5, 0.8)))
+    e = _rg(rng, classes[0], classes[1], 0.6)
+    if not e.edge_count:
+        e = BipartiteGraph.from_rows(classes[0], classes[1],
+                                     [1] + [0] * (na - 1))
     c_sub = sorted(rng.sample(range(nc), rng.randint(1, nc)))
     t_ok, d_ok = hyperreg._reduction_identity(
-        h, BipartiteGraph(classes[0], classes[1], e_edges), tuple(range(na)),
-        tuple(range(nb)), tuple(c_sub))
+        h, e, tuple(range(na)), tuple(range(nb)), tuple(c_sub))
     rec = {
         "sizes": [na, nb, nc],
-        "E": len(e_edges),
+        "E": e.edge_count,
         "C": len(c_sub),
         "digest": _digest(fileio.dumps_threegraph(h)),
         "t_identity": t_ok,
@@ -389,9 +422,8 @@ def _suite_eq_red_d(rng: random.Random, scale: dict):
 def _random_equal_triad(rng: random.Random, n: int
                         ) -> tuple[ThreeGraph, Triad]:
     classes = tuple(VertexClass(i, n) for i in range(3))
-    h = ThreeGraph(classes, frozenset(
-        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        if rng.random() < rng.choice([0.2, 0.5, 0.8])))
+    h = _random_threegraph(rng, classes,
+                           lambda: rng.choice((0.2, 0.5, 0.8)))
     p = rng.choice([0.5, 0.8, 1.0])
     t = Triad(_rg(rng, classes[0], classes[1], p),
               _rg(rng, classes[0], classes[2], p),
@@ -432,9 +464,7 @@ def _suite_def_4_3_nonneg(rng: random.Random, scale: dict):
     """Octahedron sum is nonnegative, also off the equal-density domain."""
     n = rng.choice([2, 3, 4, 5, 6, 8])
     classes = tuple(VertexClass(i, n) for i in range(3))
-    h = ThreeGraph(classes, frozenset(
-        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        if rng.random() < rng.random()))
+    h = _random_threegraph(rng, classes, rng.random)
     t = Triad(_rg(rng, classes[0], classes[1], rng.random()),
               _rg(rng, classes[0], classes[2], rng.random()),
               _rg(rng, classes[1], classes[2], rng.random()))
@@ -482,9 +512,8 @@ def _claim_4_8_instance(rng: random.Random):
     else:
         h = None
         for _ in range(30):
-            cand = ThreeGraph(classes, frozenset(
-                (a, b, c) for a in range(n) for b in range(n)
-                for c in range(n) if rng.random() < rng.choice([0.85, 0.95])))
+            cand = _random_threegraph(rng, classes,
+                                      lambda: rng.choice((0.85, 0.95)))
             if hyperreg.check_subtriad_hypothesis_holds(cand, tp, delta,
                                                         _exh()):
                 h = cand
@@ -526,9 +555,8 @@ def _suite_schacht(rng: random.Random, scale: dict):
     eps = rng.choice([Fraction(1, 2), Fraction(1, 3)])
     n = rng.choice([2, 2, 3])
     classes = tuple(VertexClass(i, n) for i in range(3))
-    h = ThreeGraph(classes, frozenset(
-        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        if rng.random() < rng.choice([0.0, 0.5, 1.0])))
+    h = _random_threegraph(rng, classes,
+                           lambda: rng.choice((0.0, 0.5, 1.0)))
     p = rng.choice([0.6, 1.0])
     for _ in range(20):
         t = Triad(_rg(rng, classes[0], classes[1], p),
@@ -764,7 +792,7 @@ def run_suite(spec: SuiteSpec) -> Report:
         rec = dict(rec)
         rec["trial"] = t
         rec["outcome"] = "pass" if ok else "fail"
-        records.append(_canon(rec))
+        records.append(rec)
         passed = passed and ok
         for cv in trial_caveats:
             caveats.append(f"trial {t}: {cv}")

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from typing import Optional
 from unittest import mock
@@ -14,7 +17,7 @@ from regkit.fileio import _bits, _bulk_columns, _header, _ints, _Lines
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
 from regkit.partitions import (ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
-from test_hyperreg import (DrawnTwoPartition, EdgeBlock,
+from test_hyperreg import (ROOT, DrawnTwoPartition, EdgeBlock,
                            framed_two_partitions, two_partition)
 
 
@@ -116,6 +119,29 @@ def test_line_table_size():
         tracemalloc.stop()
     assert len(table) == 64 * 64 and table["63 1"] == 63 * 64 + 1
     assert kept < 500_000, kept
+
+
+def test_writer_tables_are_small_and_built_on_first_use():
+    """Importing fileio builds no table; the writer's per-byte tables for
+    the widest rows written through them, 64 bits, take under 200 kB."""
+    probe = ("from regkit import fileio; print(fileio._line_tails.cache_info()"
+             ".currsize, fileio._cells.cache_info().currsize)")
+    run = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, env=dict(
+                             os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert run.stdout.split() == ["0", "0"]
+    fileio._line_tails.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = [fileio._line_tails(k)
+                  for k in range(fileio._LINE_TABLE_MAX_WIDTH // 8)]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    mark = fileio._PREFIX
+    assert tables[1][0b101] == f"{mark}8\n{mark}10\n"  # bits 8 and 10
+    assert kept < 200_000, kept
 
 
 def test_out_of_range_reports_line():
@@ -741,3 +767,88 @@ def test_line_table_reader_matches_both_oracles(case):
     assert got == _outcome(lambda t: _ref_loads(fmt, t), text)
     assert got == _outcome(
         lambda t: _ref_loads(fmt, t, _ref_bulk_read_bg), text)
+
+
+# The writers as they were when they wrote from sorted edge and triple
+# lists, kept verbatim but for their names as the oracles for the writers
+# that emit from rows.
+
+
+def _ref_dumps_graph(g: BipartiteGraph) -> str:
+    out = [f"bg {g.left.size} {g.right.size} {g.edge_count}"]
+    out.extend(f"{a} {b}" for a, b in g.sorted_edges())
+    return "\n".join(out) + "\n"
+
+
+def _ref_dumps_threegraph(h: ThreeGraph) -> str:
+    n1, n2, n3 = (c.size for c in h.classes)
+    out = [f"h3 {n1} {n2} {n3} {h.edge_count}"]
+    out.extend(f"{a} {b} {c}" for a, b, c in h.sorted_triples())
+    return "\n".join(out) + "\n"
+
+
+def _ref_dumps_edge_list_twopartition(tp: TwoPartition) -> str:
+    out = [fileio.dumps_partition(tp.z).rstrip("\n")]
+    for i, j, edges in sorted((i, j, g.sorted_edges())
+                              for (i, j, _), g in tp.graphs.items()):
+        out.append(f"pair {i} {j}")
+        out.append(f"bg {len(tp.z.blocks[i])} {len(tp.z.blocks[j])} "
+                   f"{len(edges)}")
+        out.extend(f"{a} {b}" for a, b in edges)
+    return "\n".join(out) + "\n"
+
+
+# Row widths on both sides of 8 and 16 bits (one and two bytes a row) and
+# of the line tables' cap of 64 (beyond it rows are written bit by bit).
+_WRITER_SIDES = st.one_of(st.integers(1, 20), st.integers(60, 70))
+
+
+def _random_rows(rng, count: int, width: int) -> list[int]:
+    p = rng.choice([0., .05, .5, .95, 1.])
+    return [sum(1 << b for b in range(width) if rng.random() < p)
+            for _ in range(count)]
+
+
+@given(st.integers(1, 20), _WRITER_SIDES, st.integers(0, 2 ** 32))
+def test_graph_writer_matches_the_edge_list_writer(nl, nr, seed):
+    rng = random.Random(seed)
+    g = BipartiteGraph.from_rows(VertexClass(0, nl), VertexClass(1, nr),
+                                 _random_rows(rng, nl, nr))
+    assert fileio.dumps_graph(g) == _ref_dumps_graph(g)
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), _WRITER_SIDES),
+       st.integers(0, 2 ** 32))
+def test_threegraph_writer_matches_the_triple_list_writer(sizes, seed):
+    rng = random.Random(seed)
+    n1, n2, n3 = sizes
+    classes = tuple(VertexClass(i, n) for i, n in enumerate(sizes))
+    h = ThreeGraph.from_rows(classes, _random_rows(rng, n1 * n2, n3))
+    assert fileio.dumps_threegraph(h) == _ref_dumps_threegraph(h)
+
+
+@given(st.one_of(_two_partitions(),
+                 framed_two_partitions().map(lambda case: case[2])))
+def test_twopartition_writer_matches_the_edge_list_writer(tp):
+    """1-3 blocks on a cluster pair, empty ones too: blocks tie on their
+    pair and are ordered by their edges, as sorted edge lists order them."""
+    assert fileio.dumps_twopartition(tp) == \
+        _ref_dumps_edge_list_twopartition(tp)
+
+
+def test_twopartition_writer_orders_the_blocks_of_a_pair_by_their_edges():
+    """Two blocks of pair (0, 1), stored with the later edges first, and an
+    empty block: written empty first, then by least edge."""
+    z = VertexPartition.from_labels(VertexClass(0, 4), [0, 0, 1, 1])
+    left, right = VertexClass(0, 2), VertexClass(1, 2)
+    late = BipartiteGraph(left, right, [(1, 0), (1, 1)])
+    early = BipartiteGraph(left, right, [(0, 1), (0, 0)])
+    tp = TwoPartition(z, ((0, 1, late), (0, 1, early),
+                          (0, 1, BipartiteGraph.empty(left, right))))
+    assert fileio.dumps_twopartition(tp) == (
+        "vp 4 2\n0 0 1 1\n"
+        "pair 0 1\nbg 2 2 0\n"
+        "pair 0 1\nbg 2 2 2\n0 0\n0 1\n"
+        "pair 0 1\nbg 2 2 2\n1 0\n1 1\n")
+    assert fileio.dumps_twopartition(tp) == \
+        _ref_dumps_edge_list_twopartition(tp)

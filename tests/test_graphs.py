@@ -118,6 +118,81 @@ def test_induced_subgraph_reindexes():
     assert sub.edges == frozenset({(0, 0), (1, 1), (1, 0)})
 
 
+@pytest.mark.parametrize("a_sub, b_sub, text", [
+    ([-1], [0, 1], "left index -1 out of range [0, 3)"),
+    ([3], [0, 1], "left index 3 out of range [0, 3)"),
+    ([0, 1], [0, 3], "right index 3 out of range [0, 3)"),
+    ([0, 1], [-1], "right index -1 out of range [0, 3)"),
+])
+def test_induced_subgraph_range_checks_both_sides(a_sub, b_sub, text):
+    """A left index out of range is refused as a right one is: -1 does not
+    stand for the last row, and 3 names itself."""
+    g = BipartiteGraph.complete(VertexClass(0, 3), VertexClass(1, 3))
+    with pytest.raises(IndexError) as err:
+        induced_subgraph(g, a_sub, b_sub)
+    assert str(err.value) == text
+
+
+# ``induced_subgraph`` as it was when it built an edge list, kept verbatim
+# as the oracle for the row-built subgraph.
+
+
+def _ref_induced_subgraph(g: BipartiteGraph, a_sub, b_sub,
+                          left_id: int = -1,
+                          right_id: int = -1) -> BipartiteGraph:
+    """Subgraph induced on ordered subsets, reindexed to 0..k-1 per side."""
+    a_sub = list(a_sub)
+    b_sub = list(b_sub)
+    if not a_sub or not b_sub:
+        raise DegenerateInput("induced subgraph over an empty subset")
+    a_pos = {v: i for i, v in enumerate(a_sub)}
+    b_pos = {v: i for i, v in enumerate(b_sub)}
+    if len(a_pos) != len(a_sub) or len(b_pos) != len(b_sub):
+        raise DegenerateInput("induced subgraph with repeated vertices")
+    bmask = subset_mask(b_sub, g.right.size, "right")
+    edges = [(a_pos[a], b_pos[b]) for a in a_sub
+             for b in iter_bits(g.rows[a] & bmask)]
+    return BipartiteGraph(VertexClass(left_id, len(a_sub)),
+                          VertexClass(right_id, len(b_sub)), edges)
+
+
+@st.composite
+def _ordered_subsets(draw, n: int) -> list[int]:
+    """A subset of 0..n-1: a run 0..k-1, sorted, or in any order."""
+    k = draw(st.integers(1, n))
+    how = draw(st.sampled_from(["run", "sorted", "shuffled"]))
+    if how == "run":
+        return list(range(k))
+    sub = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                        unique=True))
+    return sorted(sub) if how == "sorted" else sub
+
+
+@given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2 ** 32),
+       st.data())
+def test_induced_subgraph_matches_the_edge_list_oracle(na, nb, seed, data):
+    """Rows, columns, classes and errors equal those of the subgraph built
+    from an edge list, for runs, sorted and shuffled subsets."""
+    rng = random.Random(seed)
+    p = rng.choice([0., .3, .7, 1.])
+    g = BipartiteGraph(VertexClass(0, na), VertexClass(1, nb),
+                       [(a, b) for a in range(na) for b in range(nb)
+                        if rng.random() < p])
+    a_sub = data.draw(_ordered_subsets(na))
+    b_sub = data.draw(_ordered_subsets(nb))
+    ids = data.draw(st.tuples(st.integers(-2, 3), st.integers(-2, 3)))
+    got = induced_subgraph(g, a_sub, b_sub, *ids)
+    want = _ref_induced_subgraph(g, a_sub, b_sub, *ids)
+    assert (got.left, got.right, got.rows, got.cols, got.edge_count) == \
+        (want.left, want.right, want.rows, want.cols, want.edge_count)
+    repeated = a_sub + a_sub[:1]
+    for make in (induced_subgraph, _ref_induced_subgraph):
+        with pytest.raises(DegenerateInput, match="repeated"):
+            make(g, repeated, b_sub)
+        with pytest.raises(IndexError, match="right index"):
+            make(g, a_sub, b_sub + [nb])
+
+
 def test_edge_disjoint_union():
     g1 = BipartiteGraph(A, B, [(0, 0)])
     g2 = BipartiteGraph(A, B, [(1, 1)])
@@ -133,6 +208,7 @@ def test_edge_disjoint_union():
     ([0, -1, 0, 0], ValueError, "row 1 is -1, not in [0, 8)"),
     ([0, 0, 0b1000, 0], ValueError, "row 2 is 8, not in [0, 8)"),
     ([1 << 9, 0, 0, 0], ValueError, "row 0 is 512, not in [0, 8)"),
+    ([0, 1 << 9, -1, 0], ValueError, "row 1 is 512, not in [0, 8)"),
 ])
 def test_from_rows_refuses_bad_rows(rows, error, text):
     with pytest.raises(error) as err:
@@ -466,6 +542,7 @@ def test_three_graph_matches_the_triple_set_graph(case, data):
     assert _three_state(h) == _three_state(ref)
     assert _three_state(ThreeGraph.complete(classes)) == \
         _three_state(_TripleSetThreeGraph.complete(classes))
+    assert ThreeGraph.from_rows(classes, h.graph.rows) == h
     assert h.graph.left == VertexClass(-1, n1 * n2)
     assert h.graph.right == classes[2]
 
@@ -493,6 +570,31 @@ def test_three_graph_matches_the_triple_set_graph(case, data):
     with pytest.raises(IndexError) as want:
         _TripleSetThreeGraph(classes, triples | {bad})
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("sizes, rows, error, text", [
+    ((2, 0, 3), [], DegenerateInput, "3-graph with an empty class"),
+    ((2, 2, 0), [0] * 4, DegenerateInput, "3-graph with an empty class"),
+    ((2, 2, 3), [0] * 3, ValueError, "3 rows for a left side of size 4"),
+    ((2, 2, 3), [0] * 5, ValueError, "5 rows for a left side of size 4"),
+    ((2, 2, 3), [0, 7, 8, 0], ValueError, "row 2 is 8, not in [0, 8)"),
+    ((2, 2, 3), [-1, 0, 0, 0], ValueError, "row 0 is -1, not in [0, 8)"),
+])
+def test_three_graph_from_rows_refuses_bad_rows(sizes, rows, error, text):
+    """One row per pair (v1, v2) of classes 1 and 2, each a mask of class
+    3; the rows are those of the axis-3 auxiliary graph, which names the
+    pairs its left side."""
+    classes = tuple(VertexClass(i, n) for i, n in enumerate(sizes))
+    with pytest.raises(error) as err:
+        ThreeGraph.from_rows(classes, rows)
+    assert str(err.value) == text
+
+
+def test_three_graph_from_rows_reads_pair_rows():
+    classes = (VertexClass(0, 2), VertexClass(1, 3), VertexClass(2, 2))
+    h = ThreeGraph.from_rows(classes, [0, 0b10, 0, 0, 0, 0b11])
+    assert h == ThreeGraph(classes, {(0, 1, 1), (1, 2, 0), (1, 2, 1)})
+    assert h.graph.left == VertexClass(-1, 6) and h.graph.right == classes[2]
 
 
 @pytest.mark.parametrize("empty", [0, 1, 2])

@@ -106,6 +106,40 @@ def test_aux_graph_matches_the_per_triple_builder():
             hyperreg.auxiliary_graph(h, axis)
 
 
+# ``hyperreg.auxiliary_graph`` as it was when it rebuilt the 3-graph from
+# its re-sorted, reordered triples, kept verbatim but for its name as the
+# oracle for the row-built graphs of axes 1 and 2.
+
+_AXIS_ORDER = {1: (1, 2, 0), 2: (0, 2, 1)}
+
+
+def _ref_triples_auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
+    """The axis-``i`` auxiliary graph, pairs (v_j, v_k) against class i: the
+    axis-3 graph of ``h`` with its classes reordered to (j, k, i)."""
+    if axis not in (1, 2, 3):
+        raise ParameterOutOfContract("axis must be 1, 2 or 3")
+    if axis == 3:
+        return h.graph
+    order = _AXIS_ORDER[axis]
+    return ThreeGraph(tuple(h.classes[x] for x in order),
+                      (tuple(v[x] for x in order)
+                       for v in h.sorted_triples())).graph
+
+
+@given(st.tuples(*[st.integers(1, 10)] * 3), st.integers(0, 2 ** 32),
+       st.integers(1, 2))
+def test_aux_graph_matches_the_resorted_triples_oracle(sizes, seed, axis):
+    """Rows, columns and classes of axes 1 and 2 equal those of the graph
+    built from the re-sorted triples, on classes up to 10 wide, so rows of
+    both axes cross 8 bits."""
+    rng = random.Random(seed)
+    h = random_h(rng, sizes, rng.choice([0, .05, .5, 1]))
+    got = hyperreg.auxiliary_graph(h, axis)
+    want = _ref_triples_auxiliary_graph(h, axis)
+    assert (got.left, got.right, got.rows, got.cols, got.edge_count) == \
+        (want.left, want.right, want.rows, want.cols, want.edge_count)
+
+
 @pytest.mark.parametrize("fill", ["empty", "complete"])
 def test_every_triad_path_rejects_an_embedding_off_the_3graph(fill):
     """An embedding past a class, or negative, is a FrameMismatch on every

@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from regkit import hyperreg, suites
+from regkit import cli, hyperreg, suites
 from regkit.errors import UnknownSuite
-from regkit.graphs import ThreeGraph, VertexClass
+from regkit.graphs import BipartiteGraph, ThreeGraph, VertexClass
 from regkit.partitions import (ThreePartiteFrame, VertexPartition,
                                complete_two_partition)
 
@@ -158,3 +162,123 @@ def test_claim_4_8_instances_match_the_full_report_oracle(seed):
         assert suites._claim_4_8_instance(got_rng) == \
             _claim_4_8_instance(want_rng)
         assert got_rng.getstate() == want_rng.getstate()
+
+
+# ``suites._rg`` and the triple-set 3-graph generators of the suites as they
+# were when they built edge lists and triple sets, kept verbatim as oracles
+# (each generator's expression in a function named after its suite, the
+# class sizes as arguments).
+
+
+def _ref_rg(rng: random.Random, left: VertexClass, right: VertexClass,
+            p: float) -> BipartiteGraph:
+    if p >= 1.0:
+        return BipartiteGraph.complete(left, right)
+    return BipartiteGraph(left, right,
+                          [(a, b) for a in range(left.size)
+                           for b in range(right.size) if rng.random() < p])
+
+
+def _ref_claim_3_4(rng, classes, n):
+    return ThreeGraph(classes, frozenset(
+        (a, b, c) for a in range(2 * n) for b in range(2 * n)
+        for c in range(2 * n) if rng.random() < 0.5))
+
+
+def _ref_eq_red_d(rng, classes, na, nb, nc):
+    return ThreeGraph(classes, frozenset(
+        (a, b, c) for a in range(na) for b in range(nb) for c in range(nc)
+        if rng.random() < rng.choice([0.2, 0.5, 0.8])))
+
+
+def _ref_random_equal_triad(rng, classes, n):
+    return ThreeGraph(classes, frozenset(
+        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+        if rng.random() < rng.choice([0.2, 0.5, 0.8])))
+
+
+def _ref_def_4_3_nonneg(rng, classes, n):
+    return ThreeGraph(classes, frozenset(
+        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+        if rng.random() < rng.random()))
+
+
+def _ref_claim_4_8(rng, classes, n):
+    return ThreeGraph(classes, frozenset(
+        (a, b, c) for a in range(n) for b in range(n)
+        for c in range(n) if rng.random() < rng.choice([0.85, 0.95])))
+
+
+def _ref_schacht(rng, classes, n):
+    return ThreeGraph(classes, frozenset(
+        (a, b, c) for a in range(n) for b in range(n) for c in range(n)
+        if rng.random() < rng.choice([0.0, 0.5, 1.0])))
+
+
+# Per suite: its oracle, and the threshold it now passes to
+# ``suites._random_threegraph``, as a function of the generator.
+GENERATORS = {
+    "claim-3.4": (_ref_claim_3_4, lambda rng: lambda: 0.5),
+    "eq-red-d": (_ref_eq_red_d,
+                 lambda rng: lambda: rng.choice((0.2, 0.5, 0.8))),
+    "oct-equiv": (_ref_random_equal_triad,
+                  lambda rng: lambda: rng.choice((0.2, 0.5, 0.8))),
+    "def-4.3-nonneg": (_ref_def_4_3_nonneg, lambda rng: rng.random),
+    "claim-4.8": (_ref_claim_4_8,
+                  lambda rng: lambda: rng.choice((0.85, 0.95))),
+    "schacht": (_ref_schacht,
+                lambda rng: lambda: rng.choice((0.0, 0.5, 1.0))),
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(GENERATORS))
+@given(n=st.integers(1, 5), sizes=st.tuples(*[st.integers(1, 6)] * 3),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_threegraph_generators_match_the_triple_set_oracles(suite_id, n,
+                                                           sizes, seed):
+    """The same 3-graph, and the generator left in the same state, as the
+    triple-set expression each suite used."""
+    ref, threshold = GENERATORS[suite_id]
+    if suite_id == "eq-red-d":
+        classes, args = tuple(
+            VertexClass(i, s) for i, s in enumerate(sizes)), sizes
+    else:
+        side = 2 * n if suite_id == "claim-3.4" else n
+        classes, args = tuple(VertexClass(i, side) for i in range(3)), (n,)
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = suites._random_threegraph(got_rng, classes, threshold(got_rng))
+    want = ref(want_rng, classes, *args)
+    assert (got.classes, got.graph.rows, got.graph.cols) == \
+        (want.classes, want.graph.rows, want.graph.cols)
+    assert got == want
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@given(sizes=st.tuples(st.integers(1, 12), st.integers(1, 20)),
+       p=st.sampled_from([0.0, 0.3, 0.5, 0.6, 0.7, 0.95, 1.0, 1.5]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_rg_matches_the_edge_list_oracle(sizes, p, seed):
+    left, right = VertexClass(0, sizes[0]), VertexClass(1, sizes[1])
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = suites._rg(got_rng, left, right, p)
+    want = _ref_rg(want_rng, left, right, p)
+    assert (got.left, got.right, got.rows, got.cols) == \
+        (want.left, want.right, want.rows, want.cols)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_every_suite_at_seeds_0_to_8_is_pinned():
+    """One sha256 over every suite's ``--json verify`` output and exit code,
+    seeds 0-8, suites in ``registered_suites()`` order: a change to any
+    report byte or exit code at those seeds fails here."""
+    digest = hashlib.sha256()
+    for seed in range(9):
+        for suite_id in suites.registered_suites():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["--json", "verify", "--suite", suite_id,
+                                 "--seed", str(seed)])
+            digest.update(out.getvalue().encode())
+            digest.update(str(code).encode())
+    assert digest.hexdigest() == ("d005bedd7af9449a8eaa855cbe0af128"
+                                  "2583870b3f9635fbcc051781d89caa8b")
