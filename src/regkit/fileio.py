@@ -37,13 +37,11 @@ sends the section to the per-line reader.  So does a side above
 by line with the same result, and every FormatError, message and line
 number, comes from that per-line reader.
 
-The writers emit from row masks, the reverse of the line-table reader: per
-byte position k of a row there is a table, built on first use, of the
-text of the lines that each byte value stands for (bits 8k..8k+7), with
-a mark where the row's prefix (``"a "``, or ``"v1 v2 "`` in h3) goes.
-Rows wider than ``_LINE_TABLE_MAX_WIDTH`` are written bit by bit.  Blocks
-of a 2-partition are written in the order (i, j, first edge), which is
-that of their sorted edge lists, because the blocks of a pair are disjoint.
+The writers emit from row masks, one line per set bit, row by row and
+then bit by bit upward, which is the sorted order of the edges (triples).
+Blocks of a 2-partition are written in the order (i, j, first edge), which
+is that of their sorted edge lists, because the blocks of a pair are
+disjoint.
 """
 from __future__ import annotations
 
@@ -55,7 +53,7 @@ from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateInput, FormatError
-from .graphs import BipartiteGraph, ThreeGraph, VertexClass, iter_bits
+from .graphs import BipartiteGraph, ThreeGraph, VertexClass
 from .partitions import TwoPartition, VertexPartition
 
 
@@ -278,41 +276,24 @@ def loads_graph(text: str) -> BipartiteGraph:
     return g
 
 
-# Stands for a row's prefix in the tails of its lines.
-_PREFIX = "\0"
-
-
-@cache
-def _line_tails(k: int) -> tuple[str, ...]:
-    """Per value v of byte k of a row: its lines, one per set bit i in
-    ascending order, each ``_PREFIX`` + the numeral of 8k + i + newline."""
-    return tuple("".join(f"{_PREFIX}{8 * k + i}\n" for i in range(8)
-                         if v >> i & 1) for v in range(256))
-
-
-def _row_lines(rows: Sequence[int], width: int,
+def _row_lines(rows: Sequence[int],
                prefix: Callable[[int], str]) -> list[str]:
     """The lines ``prefix(p) + str(b)`` of every set bit b of ``rows[p]``,
-    by row and then by bit, one string per nonempty row.
-
-    Rows up to ``_LINE_TABLE_MAX_WIDTH`` bits wide are read a byte at a
-    time through ``_line_tails``, whose tables take about 19 kB each, so
-    at most 150 kB; wider rows are read bit by bit.
-    """
-    if width > _LINE_TABLE_MAX_WIDTH:
-        return ["".join(f"{prefix(p)}{b}\n" for b in iter_bits(row))
-                for p, row in enumerate(rows) if row]
-    nbytes = (width + 7) >> 3
-    tails = [_line_tails(k) for k in range(nbytes)]
-    low, get = tails[0], tuple.__getitem__
-    return [(low[row] if row < 256 else
-             "".join(map(get, tails, row.to_bytes(nbytes, "little"))))
-            .replace(_PREFIX, prefix(p)) for p, row in enumerate(rows) if row]
+    by row and then by bit upward."""
+    out = []
+    for p, row in enumerate(rows):
+        if row:
+            pre = prefix(p)
+            while row:
+                low = row & -row
+                out.append(f"{pre}{low.bit_length() - 1}\n")
+                row ^= low
+    return out
 
 
 def dumps_graph(g: BipartiteGraph) -> str:
     return "".join([f"bg {g.left.size} {g.right.size} {g.edge_count}\n"]
-                   + _row_lines(g.rows, g.right.size, "{} ".format))
+                   + _row_lines(g.rows, "{} ".format))
 
 
 def loads_threegraph(text: str) -> ThreeGraph:
@@ -350,7 +331,7 @@ def loads_threegraph(text: str) -> ThreeGraph:
 def dumps_threegraph(h: ThreeGraph) -> str:
     n1, n2, n3 = (c.size for c in h.classes)
     return "".join([f"h3 {n1} {n2} {n3} {h.edge_count}\n"] + _row_lines(
-        h.graph.rows, n3, lambda p: "{} {} ".format(*divmod(p, n2))))
+        h.graph.rows, lambda p: "{} {} ".format(*divmod(p, n2))))
 
 
 def _read_vp(lines: _Lines) -> VertexPartition:

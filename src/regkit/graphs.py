@@ -143,7 +143,7 @@ class BipartiteGraph:
             raise ValueError(f"{len(rows)} rows for a left side of size "
                              f"{left.size}")
         limit = 1 << right.size
-        if rows and not (0 <= min(rows) and max(rows) < limit):
+        if not (0 <= min(rows) and max(rows) < limit):
             for a, row in enumerate(rows):
                 if not 0 <= row < limit:
                     raise ValueError(f"row {a} is {row}, not in [0, {limit})")
@@ -378,21 +378,17 @@ def induced_subgraph(g: BipartiteGraph, a_sub: Sequence[int],
                          (b_sub, g.right.size, "right")):
         if min(sub) < 0 or max(sub) >= n:
             subset_mask(sub, n, what)  # names the first index out of range
-    if b_sub == list(range(len(b_sub))):  # a run 0..k-1 keeps its bits
-        low = (1 << len(b_sub)) - 1
-        rows = [g.rows[a] & low for a in a_sub]
-    else:
-        bmask = sum(map((1).__lshift__, b_sub))
-        moved = [0] * g.right.size  # the bit each kept column moves to
-        for j, b in enumerate(b_sub):
-            moved[b] = 1 << j
-        rows = []
-        for a in a_sub:
-            row, out = g.rows[a] & bmask, 0
-            while row:
-                low = row & -row
-                out |= moved[low.bit_length() - 1]
-                row ^= low
-            rows.append(out)
+    bmask = sum(map((1).__lshift__, b_sub))
+    moved = [0] * g.right.size  # the bit each kept column moves to
+    for j, b in enumerate(b_sub):
+        moved[b] = 1 << j
+    rows = []
+    for a in a_sub:
+        row, out = g.rows[a] & bmask, 0
+        while row:
+            low = row & -row
+            out |= moved[low.bit_length() - 1]
+            row ^= low
+        rows.append(out)
     return BipartiteGraph.from_rows(VertexClass(left_id, len(a_sub)),
                                     VertexClass(right_id, len(b_sub)), rows)

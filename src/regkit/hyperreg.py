@@ -39,9 +39,6 @@ MODE_DEVIATION = 1
 # Auxiliary graphs
 
 
-_AXIS_ORDER = {1: (1, 2, 0), 2: (0, 2, 1)}
-
-
 def auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
     """The axis-``i`` auxiliary graph, pairs (v_j, v_k) against class i: the
     axis-3 graph of ``h`` with its classes reordered to (j, k, i)."""
@@ -52,7 +49,8 @@ def auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
     n1, n2, n3 = (c.size for c in h.classes)
     # Bit v3 of row (v1, v2) moves to row (v_j, v3) as bit v_i: axis 1
     # keeps v2 and sets v1, axis 2 keeps v1 and sets v2.
-    rows = [0] * ((n2 if axis == 1 else n1) * n3)
+    nj = n2 if axis == 1 else n1
+    rows = [0] * (nj * n3)
     for p, row in enumerate(h.graph.rows):
         if row:
             v1, v2 = divmod(p, n2)
@@ -62,9 +60,8 @@ def auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
                 low = row & -row
                 rows[base + low.bit_length() - 1] |= bit
                 row ^= low
-    order = _AXIS_ORDER[axis]
-    return ThreeGraph.from_rows(tuple(h.classes[x] for x in order),
-                                rows).graph
+    return BipartiteGraph.from_rows(VertexClass(-1, nj * n3),
+                                    h.classes[axis - 1], rows)
 
 
 # ---------------------------------------------------------------------------

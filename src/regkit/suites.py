@@ -11,9 +11,8 @@ Random graphs are drawn straight into row masks: ``_rg`` and
 ``_random_threegraph`` set one bit per ``rng.random()`` draw that passes,
 pair by pair (triple by triple) in lexicographic order, with the draws,
 in their order, of the edge lists and triple sets they replaced, so the
-instances are unchanged.  A report's records keep their values (exact
-rationals among them) until ``Report.to_json`` canonicalizes the whole
-report, once (see ``_canon``).
+instances are unchanged.  ``run_suite`` canonicalizes each record once
+(see ``_canon``), so ``Report.to_json`` dumps the report as it stands.
 """
 from __future__ import annotations
 
@@ -92,7 +91,8 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return canonical_json(self.canonical_dict())
+        # The records are canonical already (run_suite applies _canon).
+        return _dumps(self.canonical_dict())
 
 
 def frac_str(x: Fraction) -> str:
@@ -109,9 +109,12 @@ def _canon(obj):
     return obj
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_canon(obj), sort_keys=True, separators=(",", ": "),
-                      indent=1)
+    return _dumps(_canon(obj))
 
 
 def _digest(text: str) -> str:
@@ -792,7 +795,7 @@ def run_suite(spec: SuiteSpec) -> Report:
         rec = dict(rec)
         rec["trial"] = t
         rec["outcome"] = "pass" if ok else "fail"
-        records.append(rec)
+        records.append(_canon(rec))
         passed = passed and ok
         for cv in trial_caveats:
             caveats.append(f"trial {t}: {cv}")

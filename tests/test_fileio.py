@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from typing import Optional
 from unittest import mock
@@ -17,7 +14,7 @@ from regkit.fileio import _bits, _bulk_columns, _header, _ints, _Lines
 from regkit.graphs import BipartiteGraph, ThreeGraph, Triad, VertexClass
 from regkit.partitions import (ThreePartiteFrame, TwoPartition,
                                VertexPartition, complete_two_partition)
-from test_hyperreg import (ROOT, DrawnTwoPartition, EdgeBlock,
+from test_hyperreg import (DrawnTwoPartition, EdgeBlock,
                            framed_two_partitions, two_partition)
 
 
@@ -119,29 +116,6 @@ def test_line_table_size():
         tracemalloc.stop()
     assert len(table) == 64 * 64 and table["63 1"] == 63 * 64 + 1
     assert kept < 500_000, kept
-
-
-def test_writer_tables_are_small_and_built_on_first_use():
-    """Importing fileio builds no table; the writer's per-byte tables for
-    the widest rows written through them, 64 bits, take under 200 kB."""
-    probe = ("from regkit import fileio; print(fileio._line_tails.cache_info()"
-             ".currsize, fileio._cells.cache_info().currsize)")
-    run = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True, env=dict(
-                             os.environ, PYTHONPATH=str(ROOT / "src")))
-    assert run.stdout.split() == ["0", "0"]
-    fileio._line_tails.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tables = [fileio._line_tails(k)
-                  for k in range(fileio._LINE_TABLE_MAX_WIDTH // 8)]
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    mark = fileio._PREFIX
-    assert tables[1][0b101] == f"{mark}8\n{mark}10\n"  # bits 8 and 10
-    assert kept < 200_000, kept
 
 
 def test_out_of_range_reports_line():
@@ -799,7 +773,7 @@ def _ref_dumps_edge_list_twopartition(tp: TwoPartition) -> str:
 
 
 # Row widths on both sides of 8 and 16 bits (one and two bytes a row) and
-# of the line tables' cap of 64 (beyond it rows are written bit by bit).
+# of 64 (the reader's line-table cap).
 _WRITER_SIDES = st.one_of(st.integers(1, 20), st.integers(60, 70))
 
 

@@ -93,6 +93,10 @@ def test_canonical_json_shape():
     # rationals appear as p/q strings
     assert any("/" in str(r.get("density", "")) for r in doc["records"])
     assert report.wall_time >= 0
+    # The records are canonical as the report holds them, so canonical_dict
+    # is, and to_json writes it as canonical_json would.
+    assert report.canonical_dict() == suites._canon(report.canonical_dict())
+    assert text == suites.canonical_json(report.canonical_dict())
 
 
 def test_fraction_serialization():
