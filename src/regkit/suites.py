@@ -65,6 +65,7 @@ class SuiteSpec:
     id: str
     seed: int = 0
     trials: int = 0  # 0 means the suite's default; below 0 raises
+    # Overrides of one draw: "sizes" (oct-equiv) and "style" (lemma-a3).
     scale: dict = field(default_factory=dict)
 
 
@@ -169,8 +170,8 @@ def _exh() -> CheckParams:
 def _suite_claim_3_1(rng: random.Random, scale: dict):
     """Union of edge-disjoint certified pairs stays certified."""
     delta = Fraction(1, 4)
-    na = rng.randint(6, scale.get("max_side", 10))
-    nb = rng.randint(6, scale.get("max_side", 10))
+    na = rng.randint(6, 10)
+    nb = rng.randint(6, 10)
     left, right = VertexClass(0, na), VertexClass(1, nb)
     members: list[BipartiteGraph] = []
 
@@ -273,7 +274,7 @@ def _suite_claim_3_5(rng: random.Random, scale: dict):
     """Q approx-refining an equitable P at 1/2 has |Q| >= |P| / 4."""
     half = Fraction(1, 2)
     for _ in range(80):
-        k = rng.randint(2, scale.get("max_order", 16))
+        k = rng.randint(2, 16)
         n = k * rng.randint(2, 5)
         p = _random_equitable(rng, n, k)
         style = rng.choice(["refine", "coarsen", "noise"])
@@ -398,9 +399,9 @@ def _suite_claim_3_4(rng: random.Random, scale: dict):
 
 def _suite_eq_red_d(rng: random.Random, scale: dict):
     """t(E, AxC, BxC) = |E| |C| and aux-graph density equals triad density."""
-    na = rng.randint(2, scale.get("max_side", 6))
-    nb = rng.randint(2, scale.get("max_side", 6))
-    nc = rng.randint(2, scale.get("max_side", 6))
+    na = rng.randint(2, 6)
+    nb = rng.randint(2, 6)
+    nc = rng.randint(2, 6)
     classes = (VertexClass(0, na), VertexClass(1, nb), VertexClass(2, nc))
     h = _random_threegraph(rng, classes,
                            lambda: rng.choice((0.2, 0.5, 0.8)))
@@ -554,7 +555,7 @@ def _suite_schacht(rng: random.Random, scale: dict):
     a cap.  A counterexample robust to the whole ladder would refute the
     implication.
     """
-    c_max = scale.get("C_max", 8)
+    c_max = 8
     eps = rng.choice([Fraction(1, 2), Fraction(1, 3)])
     n = rng.choice([2, 2, 3])
     classes = tuple(VertexClass(i, n) for i in range(3))
@@ -607,8 +608,8 @@ def _certify_ladder(g: BipartiteGraph) -> Fraction:
 def _suite_lemma_a1(rng: random.Random, scale: dict):
     """Slicing: alpha-large subsets of a certified eps-regular pair are
     2*eps/alpha-regular with density within eps."""
-    na = rng.randint(6, scale.get("max_side", 10))
-    nb = rng.randint(6, scale.get("max_side", 10))
+    na = rng.randint(6, 10)
+    nb = rng.randint(6, 10)
     g = _rg(rng, VertexClass(0, na), VertexClass(1, nb),
             rng.choice([0.3, 0.5, 0.7]))
     eps = _certify_ladder(g)
@@ -636,8 +637,8 @@ def _suite_lemma_a1(rng: random.Random, scale: dict):
 def _suite_claim_a2(rng: random.Random, scale: dict):
     """Degree profile: at most 2 eps |X| exceptional vertices against any
     eps-large Y', for certified eps-regular pairs."""
-    na = rng.randint(6, scale.get("max_side", 10))
-    nb = rng.randint(6, scale.get("max_side", 10))
+    na = rng.randint(6, 10)
+    nb = rng.randint(6, 10)
     g = _rg(rng, VertexClass(0, na), VertexClass(1, nb),
             rng.choice([0.3, 0.5, 0.7]))
     eps = _certify_ladder(g)
@@ -661,7 +662,7 @@ def _suite_lemma_a3(rng: random.Random, scale: dict):
     style = scale.get("style") or rng.choice(["complete-sides", "random"])
     na = rng.randint(3, 6)
     nb = rng.randint(3, 6)
-    nc = rng.randint(3, scale.get("max_side", 12))
+    nc = rng.randint(3, 12)
     a, b, c = VertexClass(0, na), VertexClass(1, nb), VertexClass(2, nc)
     ab = _rg(rng, a, b, rng.choice([0.3, 0.5, 0.8]))
     if style == "complete-sides":

@@ -240,40 +240,6 @@ def test_header_sizes_too_large_to_build(load, text, expected):
     assert str(err.value) == expected
 
 
-# The writer before it read ``TwoPartition.graphs``, kept verbatim as the
-# oracle for the property test below; it reads the drawn blocks.
-
-
-def _ref_dumps_twopartition(tp: DrawnTwoPartition) -> str:
-    clusters = [sorted(blk) for blk in tp.z.blocks]
-    pos = [{v: i for i, v in enumerate(c)} for c in clusters]
-    out = [fileio.dumps_partition(tp.z).rstrip("\n")]
-    sections = []
-    for eb in tp.e:
-        i, j = eb.pair
-        if i > j:
-            i, j = j, i
-            edges = sorted((pos[i][v], pos[j][u]) for u, v in eb.edges)
-        else:
-            edges = sorted((pos[i][u], pos[j][v]) for u, v in eb.edges)
-        sections.append((i, j, edges))
-    for i, j, edges in sorted(sections):
-        out.append(f"pair {i} {j}")
-        out.append(f"bg {len(clusters[i])} {len(clusters[j])} {len(edges)}")
-        out.extend(f"{a} {b}" for a, b in edges)
-    return "\n".join(out) + "\n"
-
-
-@given(framed_two_partitions())
-def test_twopartition_writer_matches_the_per_block_writer(case):
-    """Shuffled clusters, blocks stored either way round, 1-3 blocks per
-    pair: the same bytes as the writer that oriented each block itself."""
-    _, drawn, tp = case
-    text = fileio.dumps_twopartition(tp)
-    assert text == _ref_dumps_twopartition(drawn)
-    assert fileio.dumps_twopartition(fileio.loads_twopartition(text)) == text
-
-
 def test_twopartition_missing_edge_names_pair():
     frame = ThreePartiteFrame(tuple(VertexClass(i, 2) for i in range(3)))
     tp = complete_two_partition(frame.frame_partition())
@@ -805,9 +771,11 @@ def test_threegraph_writer_matches_the_triple_list_writer(sizes, seed):
                  framed_two_partitions().map(lambda case: case[2])))
 def test_twopartition_writer_matches_the_edge_list_writer(tp):
     """1-3 blocks on a cluster pair, empty ones too: blocks tie on their
-    pair and are ordered by their edges, as sorted edge lists order them."""
-    assert fileio.dumps_twopartition(tp) == \
-        _ref_dumps_edge_list_twopartition(tp)
+    pair and are ordered by their edges, as sorted edge lists order them;
+    the text reads back to the same bytes."""
+    text = fileio.dumps_twopartition(tp)
+    assert text == _ref_dumps_edge_list_twopartition(tp)
+    assert fileio.dumps_twopartition(fileio.loads_twopartition(text)) == text
 
 
 def test_twopartition_writer_orders_the_blocks_of_a_pair_by_their_edges():

@@ -4,7 +4,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -783,97 +782,6 @@ def two_partition(drawn: DrawnTwoPartition) -> TwoPartition:
     return TwoPartition(drawn.z, tuple(blocks))
 
 
-# The layout code that ``ThreePartiteFrame.cluster_layout`` and the
-# one-pass edge family ``TwoPartition.graphs`` replaced, kept verbatim as the
-# oracle for the property test below; it reads the drawn blocks.  Only
-# ``tp.blocks_for_pair(i, j)``, a deleted method, is now the function
-# ``blocks_for_pair(tp, i, j)``, and ``frame.to_local(cls, v)``, a deleted
-# method, is now ``v - frame.offset(cls)``.
-
-
-def blocks_for_pair(tp, i: int, j: int) -> list[EdgeBlock]:
-    """Blocks between clusters i and j, edges oriented (i, j)."""
-    out = []
-    for eb in tp.e:
-        if eb.pair == (i, j):
-            out.append(eb)
-        elif eb.pair == (j, i):
-            out.append(EdgeBlock((i, j),
-                                 frozenset((v, u) for u, v in eb.edges)))
-    return out
-
-
-@dataclass(frozen=True)
-class BlockGraphs:
-    """Per-cluster-pair bipartite graphs of a 2-partition, reindexed locally.
-
-    ``clusters[i]`` is the sorted vertex list of cluster i (combined
-    indices); ``graphs`` maps (i, j, block_index) to a BipartiteGraph on
-    local indices 0..|cluster|-1.
-    """
-
-    clusters: tuple[tuple[int, ...], ...]
-    graphs: dict[tuple[int, int, int], BipartiteGraph]
-
-
-def block_graphs(tp: TwoPartition) -> BlockGraphs:
-    clusters = tuple(tuple(sorted(b)) for b in tp.z.blocks)
-    pos = [({v: i for i, v in enumerate(c)}) for c in clusters]
-    graphs: dict[tuple[int, int, int], BipartiteGraph] = {}
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            for idx, eb in enumerate(blocks_for_pair(tp, i, j)):
-                left = VertexClass(i, len(clusters[i]))
-                right = VertexClass(j, len(clusters[j]))
-                edges = [(pos[i][u], pos[j][v]) for u, v in eb.edges]
-                graphs[(i, j, idx)] = BipartiteGraph(left, right, edges)
-    return BlockGraphs(clusters, graphs)
-
-
-def iter_partition_triads(h: ThreeGraph, tp: TwoPartition
-                          ) -> Iterator[PartitionTriad]:
-    """All triads with one cluster per class of ``h``.
-
-    Cluster triples not meeting every class carry no hyperedges (the
-    3-graph is 3-partite), so every subtriad there has density 0 and the
-    triad is regular by convention; they are skipped.
-    """
-    frame = _frame_of(h)
-    if tp.z.ground.size != frame.total:
-        raise FrameMismatch("2-partition ground differs from the frame")
-    cls_of = [frame.class_of(next(iter(b))) for b in tp.z.blocks]
-    by_class: dict[int, list[int]] = {0: [], 1: [], 2: []}
-    for idx, c in enumerate(cls_of):
-        by_class[c].append(idx)
-    bg = block_graphs(tp)
-    for ia in by_class[0]:
-        for ib in by_class[1]:
-            for ic in by_class[2]:
-                emb = tuple(
-                    tuple(v - frame.offset(cls) for v in bg.clusters[i])
-                    for cls, i in ((0, ia), (1, ib), (2, ic)))
-                ab_blocks = _pair_blocks(bg, ia, ib)
-                ac_blocks = _pair_blocks(bg, ia, ic)
-                bc_blocks = _pair_blocks(bg, ib, ic)
-                for bi, gab in ab_blocks:
-                    for bj, gac in ac_blocks:
-                        for bk, gbc in bc_blocks:
-                            yield PartitionTriad(
-                                (ia, ib, ic), (bi, bj, bk),
-                                Triad(gab, gac, gbc, embedding=emb))
-
-
-def _pair_blocks(bg: BlockGraphs, i: int, j: int
-                 ) -> list[tuple[int, BipartiteGraph]]:
-    lo, hi = min(i, j), max(i, j)
-    out = []
-    for (a, b, idx), g in sorted(bg.graphs.items()):
-        if (a, b) != (lo, hi):
-            continue
-        out.append((idx, g if i == lo else g.transpose()))
-    return out
-
-
 @st.composite
 def framed_two_partitions(draw, max_side: int = 3):
     """A frame of classes of 1-``max_side`` vertices and a valid 2-partition
@@ -921,22 +829,24 @@ def _triad_key(pt: PartitionTriad):
 
 @given(framed_two_partitions())
 def test_partition_layout_matches_the_per_pair_layout(case):
-    frame, drawn, tp = case
-    h = ThreeGraph(frame.classes, frozenset())
-    want = block_graphs(drawn).graphs
-    got = tp.graphs
-    assert sorted(got) == sorted(want)
-    seen: dict[tuple[int, int], int] = {}
-    order = []  # one key per block, in drawn order
+    """``tp.graphs`` holds one graph per drawn block, in drawn order, keyed
+    (i, j, k) for the k-th block of clusters i < j and oriented from
+    cluster i, on the sorted clusters' local indices."""
+    _, drawn, tp = case
+    clusters = [sorted(b) for b in drawn.z.blocks]
+    want = {}
     for eb in drawn.e:
         i, j = sorted(eb.pair)
-        k = seen.get((i, j), 0)
-        seen[(i, j)] = k + 1
-        order.append((i, j, k))
-    assert list(got) == order
-    assert all(_graph_key(got[key]) == _graph_key(want[key]) for key in want)
-    assert ([_triad_key(pt) for pt in hyperreg.iter_partition_triads(h, tp)]
-            == [_triad_key(pt) for pt in iter_partition_triads(h, drawn)])
+        edges = (eb.edges if eb.pair == (i, j)
+                 else {(v, u) for u, v in eb.edges})
+        k = sum(other[:2] == (i, j) for other in want)
+        want[(i, j, k)] = (
+            VertexClass(i, len(clusters[i])), VertexClass(j, len(clusters[j])),
+            frozenset((clusters[i].index(u), clusters[j].index(v))
+                      for u, v in edges))
+    got = tp.graphs
+    assert list(got) == list(want)
+    assert all(_graph_key(got[key]) == want[key] for key in want)
 
 
 @given(framed_two_partitions(), st.data())
@@ -982,8 +892,7 @@ def test_reduction_identities_orient_each_member(labels):
 # with its helper ``_reduction_identity``, as they were when each put the
 # 2-partition on the frame and oriented its blocks itself, before
 # ``ThreePartiteFrame.place``; kept verbatim but for the ``_ref_`` names as
-# the oracles of the tests below.  ``tests/test_partitions.py`` keeps an
-# older ``sub_partitions`` oracle that reads the drawn blocks.
+# the oracles of the tests below.
 
 
 def _ref_sub_partitions(tp: TwoPartition, frame: ThreePartiteFrame

@@ -6,7 +6,8 @@ or a long-lived host that re-imports the package (drops it from
 every module dict, function and class per import.  And regkit runs on the
 standard library alone, although the test extra installs numpy.  Every
 public function, class and method is reached from the package or the
-benchmark, apart from a pinned few.
+benchmark, apart from a pinned few, and every helper of the tests from
+the tests.
 """
 import ast
 import gc
@@ -16,6 +17,7 @@ import pathlib
 import subprocess
 import sys
 import types
+from collections import Counter
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -127,3 +129,29 @@ def test_every_public_name_is_reached():
     names = {name for path in package
              for name in _public_definitions(trees[path])}
     assert names - used == set(UNREFERENCED)
+
+
+def _names_read(node):
+    """The names and attributes ``node`` reads, and its parameter names, so
+    that a fixture counts as read by the tests that ask for it."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.arg):
+            yield sub.arg
+
+
+def test_every_test_helper_is_read():
+    """Each module-level function and class of the tests that is not a
+    test is read outside its own definition, in some test file, so the
+    helpers of a retired oracle go with it.  An import is not a read."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "tests").glob("*.py"))]
+    reads = Counter(name for tree in trees for name in _names_read(tree))
+    unread = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("test_")
+              and reads[node.name] == Counter(_names_read(node))[node.name]]
+    assert unread == []

@@ -452,12 +452,11 @@ def test_restrict_two_partition():
     assert r == complete_two_partition(restrict_vertex_partition(tp.z, sub))
 
 
-# ``restrict_two_partition`` and ``sub_partitions`` as they were when blocks
-# were stored on combined indices, kept verbatim (but for the projection's
-# last step, marked below) as oracles for the property tests below; they
-# read the drawn blocks.  The restriction returns drawn
-# blocks, which the test builds into a ``TwoPartition``; that replaces its
-# last call, to the deleted ``require_valid()``.
+# ``restrict_two_partition`` as it was when blocks were stored on combined
+# indices, kept verbatim as the oracle for the property test below; it
+# reads the drawn blocks.  It returns drawn blocks, which the test builds
+# into a ``TwoPartition``; that replaces its last call, to the deleted
+# ``require_valid()``.
 
 
 def _ref_restrict_two_partition(tp: DrawnTwoPartition,
@@ -486,40 +485,6 @@ def _ref_restrict_two_partition(tp: DrawnTwoPartition,
     return DrawnTwoPartition(zr, tuple(blocks))
 
 
-def _ref_sub_partitions(tp: DrawnTwoPartition, frame: ThreePartiteFrame):
-    layout = frame.cluster_layout(tp.z)
-    zs = [VertexPartition(frame.classes[i],
-                          tuple(frozenset(vs) for cls, vs in layout
-                                if cls == i))
-          for i in range(3)]
-
-    pair_for_axis = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-    es = []
-    for axis in range(3):
-        j, k = pair_for_axis[axis]
-        offj, offk = frame.offset(j), frame.offset(k)
-        graphs = []
-        for eb in tp.e:
-            ci, cj = layout[eb.pair[0]][0], layout[eb.pair[1]][0]
-            if {ci, cj} != {j, k}:
-                continue
-            if ci == j:
-                edges = [(u - offj, v - offk) for u, v in eb.edges]
-            else:
-                edges = [(v - offj, u - offk) for u, v in eb.edges]
-            if edges:
-                graphs.append(edges)
-        # The last step maps each block's pairs to product indices
-        # v_j * |V_k| + v_k; it built an ``EdgePartition`` of bipartite
-        # graphs on V_j x V_k, a class that is gone.
-        nk = frame.classes[k].size
-        es.append(VertexPartition(
-            VertexClass(-1, frame.classes[j].size * nk),
-            tuple(frozenset(a * nk + b for a, b in edges)
-                  for edges in graphs)))
-    return (tuple(zs), tuple(es))
-
-
 @given(framed_two_partitions(), st.data())
 def test_restriction_matches_the_combined_index_restriction(case, data):
     """Any non-empty subset, including ones that empty a cluster or a
@@ -529,8 +494,3 @@ def test_restriction_matches_the_combined_index_restriction(case, data):
     want = two_partition(_ref_restrict_two_partition(drawn, sub))
     assert restrict_two_partition(tp, sub) == want
 
-
-@given(framed_two_partitions())
-def test_sub_partitions_match_the_combined_index_projection(case):
-    frame, drawn, tp = case
-    assert sub_partitions(tp, frame) == _ref_sub_partitions(drawn, frame)

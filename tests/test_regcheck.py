@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 from unittest import mock
@@ -264,26 +263,36 @@ def test_degree_profile_counts():
 
 
 # ---------------------------------------------------------------------------
-# Reference: the bipartite searches as they were before every density
-# comparison became an integer cross-multiplication, kept verbatim (renamed
-# only) as the oracle for verdicts, witnesses and effort.
+# Specification of the exhaustive scans, the oracle every faster scan is
+# held to (witness, verdict and left_masks effort).  It walks every left
+# mask A' of at least the floor size, ascending as integers, and for each
+# every right size k of at least the floor, ascending; for each (A', k) it
+# tests the k columns with the fewest hits into A' (ties to the lowest
+# index), then, for eps, the k with the most (the last k pairs of the
+# ascending (hits, column) order, so ties to the highest).  Those columns
+# give the least and the largest e(A', B') over all B' of size k, so the
+# first pair that fails is the first witness in canonical order.  The
+# effort is the number of left masks walked up to and including the
+# witness's, or all of them; the delta scan of an edgeless graph walks
+# none.  Every density test is an exact integer cross-multiplication.
 
-def _ref_column_order(g: BipartiteGraph, amask: int) -> list[tuple[int, int]]:
+def _spec_column_order(g: BipartiteGraph, amask: int
+                       ) -> list[tuple[int, int]]:
     """(hits, column) pairs sorted ascending; ties to the lowest index."""
     return sorted((( (g.cols[b] & amask).bit_count(), b)
                    for b in range(g.right.size)))
 
 
-def _ref_witness(amask: int, cols: Sequence[tuple[int, int]], k: int
-             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _spec_witness(amask: int, cols: Sequence[tuple[int, int]], k: int
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     a_part = tuple(sorted(mask_to_set(amask)))
     b_part = tuple(sorted(b for _, b in cols[:k]))
     return (a_part, b_part)
 
 
-def _ref_scan_delta(g: BipartiteGraph, thr: Threshold
-                ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                           int]:
+def _spec_scan_delta(g: BipartiteGraph, thr: Threshold
+                     ) -> tuple[Optional[tuple[tuple[int, ...],
+                                               tuple[int, ...]]], int]:
     """Exhaustive one-sided scan: first (A', B') with d' < d/2, if any.
 
     Witness order is canonical: left masks ascending as integers, then
@@ -302,7 +311,7 @@ def _ref_scan_delta(g: BipartiteGraph, thr: Threshold
         if not thr.floor_ok(ka, na):
             continue
         examined += 1
-        cols = _ref_column_order(g, amask)
+        cols = _spec_column_order(g, amask)
         prefix = 0
         for k in range(1, nb + 1):
             prefix += cols[k - 1][0]
@@ -310,13 +319,13 @@ def _ref_scan_delta(g: BipartiteGraph, thr: Threshold
                 continue
             # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k
             if 2 * prefix * na * nb < e_full * ka * k:
-                return _ref_witness(amask, cols, k), examined
+                return _spec_witness(amask, cols, k), examined
     return None, examined
 
 
-def _ref_scan_eps(g: BipartiteGraph, eps: Fraction
-              ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                         int]:
+def _spec_scan_eps(g: BipartiteGraph, eps: Fraction
+                   ) -> tuple[Optional[tuple[tuple[int, ...],
+                                             tuple[int, ...]]], int]:
     """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps."""
     na, nb = g.left.size, g.right.size
     e_full = g.edge_count
@@ -327,7 +336,7 @@ def _ref_scan_eps(g: BipartiteGraph, eps: Fraction
         if ka * q < p * na:
             continue
         examined += 1
-        cols = _ref_column_order(g, amask)
+        cols = _spec_column_order(g, amask)
         lo = 0
         hi = 0
         for k in range(1, nb + 1):
@@ -338,7 +347,7 @@ def _ref_scan_eps(g: BipartiteGraph, eps: Fraction
             scale = ka * k * na * nb
             # Low side: d - d' > eps.
             if (e_full * ka * k - lo * na * nb) * q > p * scale:
-                return _ref_witness(amask, cols, k), examined
+                return _spec_witness(amask, cols, k), examined
             # High side: d' - d > eps, reached by the k largest columns.
             if (hi * na * nb - e_full * ka * k) * q > p * scale:
                 a_part = tuple(sorted(mask_to_set(amask)))
@@ -346,6 +355,22 @@ def _ref_scan_eps(g: BipartiteGraph, eps: Fraction
                 return (a_part, b_part), examined
     return None, examined
 
+
+def spec_verdict(g, kind, param):
+    """The exhaustive check_eps_regular / check_delta_regular verdict on
+    the specification scans."""
+    if kind == "eps":
+        witness, examined = _spec_scan_eps(g, param)
+    else:
+        witness, examined = _spec_scan_delta(g, _as_threshold(param))
+    status = CERTIFIED if witness is None else IRREGULAR
+    return Verdict(status, "Exhaustive", witness, {"left_masks": examined})
+
+
+# ---------------------------------------------------------------------------
+# Reference: the randomized searches as they were before every density
+# comparison became an integer cross-multiplication, kept verbatim (renamed
+# only) as the oracle for verdicts, witnesses and effort.
 
 def _ref_peel(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
           want_low: bool) -> Optional[tuple[int, int]]:
@@ -491,7 +516,8 @@ def _ref_eps_push(g: BipartiteGraph, thr: Threshold, amask: int, bmask: int,
 
 
 def ref_verdict(g, kind, param, params):
-    """check_eps_regular / check_delta_regular on the reference searches."""
+    """check_eps_regular / check_delta_regular on the specification scans
+    and the reference searches."""
     mode = params.mode
     if mode == "auto":
         lim = params.max_exhaustive_side
@@ -500,13 +526,7 @@ def ref_verdict(g, kind, param, params):
     if kind == "delta" and g.edge_count == 0:
         return Verdict(CERTIFIED, "Exhaustive", None, {"left_masks": 0})
     if mode == "exhaustive":
-        if kind == "eps":
-            witness, examined = _ref_scan_eps(g, param)
-        else:
-            witness, examined = _ref_scan_delta(g, _as_threshold(param))
-        status = CERTIFIED if witness is None else IRREGULAR
-        return Verdict(status, "Exhaustive", witness,
-                       {"left_masks": examined})
+        return spec_verdict(g, kind, param)
     if kind == "eps":
         witness, trials = _ref_random_eps_search(g, param, params)
     else:
@@ -783,110 +803,11 @@ def test_exhaustive_witness_order_pinned(scan, g, param, expected):
         thr = _as_threshold(param)
         assert _scan(g, thr, _Band.delta(g)) == expected
         assert _ref4_scan_delta(g, thr) == expected
-        assert _ref_scan_delta(g, thr) == expected
+        assert _spec_scan_delta(g, thr) == expected
     else:
         assert _scan(g, Threshold(param), _Band.eps(g, param)) == expected
         assert _ref4_scan_eps(g, param) == expected
-        assert _ref_scan_eps(g, param) == expected
-
-
-# ---------------------------------------------------------------------------
-# Reference: the exhaustive scans as they were when they visited every left
-# mask of at least the floor size, kept verbatim (renamed only) as the
-# oracle for the scans that visit only the masks of the floor size.
-
-def _ref2_left_masks(g: BipartiteGraph, min_ka: int):
-    """Yield (amask, ka, sorted column hits) for every left mask with at
-    least ``min_ka`` vertices, masks ascending as integers.
-
-    The hits of all columns are kept in one integer, column b in byte b,
-    and updated once per mask: going from amask - 1 to amask sets bit t
-    and clears bits 0..t-1.  A byte holds every count, since a column's
-    hits are at most ka and every mask below 2**255 has ka < 256.
-    """
-    na, nb = g.left.size, g.right.size
-    spread = [sum(1 << 8 * b for b in iter_bits(row)) for row in g.rows]
-    step = [s - sum(spread[:t]) for t, s in enumerate(spread)]
-    packed = 0
-    for amask in range(1, 1 << na):
-        packed += step[(amask & -amask).bit_length() - 1]
-        ka = amask.bit_count()
-        if ka >= min_ka:
-            yield amask, ka, sorted(packed.to_bytes(nb, "little"))
-
-
-def _ref2_scan_delta(g: BipartiteGraph, thr: Threshold
-                ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                           int]:
-    """Exhaustive one-sided scan: first (A', B') with d' < d/2, if any.
-
-    Witness order is canonical: left masks ascending as integers, then
-    right-subset size ascending; within a size the minimizing columns
-    (ties to the lowest index) are taken.  Returns (witness or None,
-    number of left masks examined).
-
-    Only the least admissible size k0 is tested: the mean of the k
-    smallest hits never falls as k grows, so if some k gives d' < d/2,
-    k0 does too, and k0 is the first size in the canonical order.
-    """
-    na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
-    examined = 0
-    if e_full == 0:
-        # d = 0 and every induced density is >= 0 = d/2.
-        return None, examined
-    k0 = thr.least(nb)
-    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0
-    scale = 2 * na * nb
-    bound = [e_full * ka * k0 for ka in range(na + 1)]
-    for amask, ka, hits in _ref2_left_masks(g, thr.least(na)):
-        examined += 1
-        if scale * sum(hits[:k0]) < bound[ka]:
-            return _scan_witness(g, amask, k0, False), examined
-    return None, examined
-
-
-def _ref2_scan_eps(g: BipartiteGraph, eps: Fraction
-              ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                         int]:
-    """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps.
-
-    Same canonical order as ``_scan_delta``; within a size the low side
-    (the k smallest columns) is tried before the high side, which takes
-    the last k pairs of the ascending (hits, column) order, so its ties go
-    to the highest index.  As there, only the least admissible size k0 is
-    tested: the mean of the k smallest hits never falls and that of the k
-    largest never rises as k grows.
-    """
-    na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
-    p, q = eps.numerator, eps.denominator
-    thr = Threshold(eps)
-    k0 = thr.least(nb)
-    examined = 0
-    # With e' the edges to the k0 chosen columns, d - d' > eps and
-    # d' - d > eps, multiplied out by ka * k0 * na * nb * q:
-    nnq = na * nb * q
-    low = [ka * k0 * (e_full * q - p * na * nb) for ka in range(na + 1)]
-    high = [ka * k0 * (e_full * q + p * na * nb) for ka in range(na + 1)]
-    for amask, ka, hits in _ref2_left_masks(g, thr.least(na)):
-        examined += 1
-        if nnq * sum(hits[:k0]) < low[ka]:
-            return _scan_witness(g, amask, k0, False), examined
-        if nnq * sum(hits[nb - k0:]) > high[ka]:
-            return _scan_witness(g, amask, k0, True), examined
-    return None, examined
-
-
-def ref2_verdict(g, kind, param):
-    """The exhaustive check_eps_regular / check_delta_regular verdict on
-    the reference scans."""
-    if kind == "eps":
-        witness, examined = _ref2_scan_eps(g, param)
-    else:
-        witness, examined = _ref2_scan_delta(g, _as_threshold(param))
-    status = CERTIFIED if witness is None else IRREGULAR
-    return Verdict(status, "Exhaustive", witness, {"left_masks": examined})
+        assert _spec_scan_eps(g, param) == expected
 
 
 @st.composite
@@ -912,12 +833,13 @@ def scan_graphs(draw):
 @given(g=scan_graphs(), eps=st.sampled_from(EPS_PARAMS),
        delta=st.sampled_from(DELTA_PARAMS))
 def test_floor_size_scans_match_full_scans(g, eps, delta):
-    """Visiting only the masks of the floor size gives the verdict, the
-    witness and the left_masks effort of visiting every larger mask too."""
+    """Visiting only some masks of the floor size, and only the floor size
+    on the right, gives the verdict, the witness and the left_masks effort
+    of the specification, which walks every larger mask and size too."""
     params = CheckParams(mode="exhaustive")
-    assert check_eps_regular(g, eps, params) == ref2_verdict(g, "eps", eps)
+    assert check_eps_regular(g, eps, params) == spec_verdict(g, "eps", eps)
     assert check_delta_regular(g, delta, params) == \
-        ref2_verdict(g, "delta", delta)
+        spec_verdict(g, "delta", delta)
 
 
 def test_masks_covered_matches_brute_force():
@@ -957,113 +879,6 @@ def test_spread_rows_match_bit_by_bit_spread():
         for row in rows:
             assert _spread_row(row, width) == \
                 sum(1 << 8 * width * b for b in iter_bits(row))
-
-
-# ---------------------------------------------------------------------------
-# Reference: the exhaustive scans as they were when they sorted the hits of
-# every left mask of the floor size, kept verbatim (renamed only) as the
-# oracle for the scans that skip a mask whose edge total rules a violation
-# out.
-
-def _ref3_left_masks(g: BipartiteGraph, ka: int):
-    """Yield (amask, sorted column hits) for every left mask with exactly
-    ``ka`` vertices, masks ascending as integers.
-
-    The masks are walked with Gosper's hack (HAKMEM 175; Knuth, TAOCP 4A
-    7.1.3): the next mask clears the lowest run of ones, bits t..u-1, sets
-    bit u and sets bits 0..u-t-2.  The hits of all columns are kept in one
-    integer, column b in field b, each row spread out to a field per
-    column.  With P[i] the sum of the first i spread rows, a step adds
-    spread[u] - (P[u] - P[t]) + P[u-t-1].  A column's hits are at most ka,
-    so a field is one byte wide when ka < 256 and eight bytes otherwise.
-    """
-    na, nb = g.left.size, g.right.size
-    width, fmt = (1, "B") if ka < 1 << 8 else (8, "Q")
-    spread = [_spread_row(row, width) for row in g.rows]
-    prefix = [0]
-    for s in spread:
-        prefix.append(prefix[-1] + s)
-    amask, packed = (1 << ka) - 1, prefix[ka]
-    while True:
-        raw = packed.to_bytes(nb * width, sys.byteorder)
-        yield amask, sorted(raw if width == 1 else memoryview(raw).cast(fmt))
-        low = amask & -amask
-        ripple = amask + low
-        t = low.bit_length() - 1
-        u = (ripple & -ripple).bit_length() - 1
-        if u == na:
-            return
-        packed += spread[u] - (prefix[u] - prefix[t]) + prefix[u - t - 1]
-        amask = ripple | ((1 << (u - t - 1)) - 1)
-
-
-def _ref3_scan_delta(g: BipartiteGraph, thr: Threshold
-                ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                           int]:
-    """Exhaustive one-sided scan: first (A', B') with d' < d/2, if any.
-
-    Witness order is canonical: left masks ascending as integers, then
-    right-subset size ascending; within a size the minimizing columns
-    (ties to the lowest index) are taken.  Returns (witness or None,
-    number of left masks covered): the masks m in [1, W] with at least ka
-    vertices, W the witness mask or 2**|A| - 1, counted exactly although
-    only those with exactly ka vertices are visited; 0 when g has no edges.
-
-    Only the least admissible sizes are tested.  On the right, k0: the
-    mean of the k smallest hits never falls as k grows, so if some k gives
-    d' < d/2, k0 does too, and k0 is the first size in the canonical
-    order.  On the left, ka: if A' with more than ka vertices violates
-    with B', its ka rows with the fewest hits into B' violate too, and
-    they form a smaller mask, so the first violating mask has ka bits.
-    """
-    na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
-    if e_full == 0:
-        # d = 0 and every induced density is >= 0 = d/2.
-        return None, 0
-    ka, k0 = thr.least(na), thr.least(nb)
-    # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0
-    scale = 2 * na * nb
-    bound = e_full * ka * k0
-    for amask, hits in _ref3_left_masks(g, ka):
-        if scale * sum(hits[:k0]) < bound:
-            return (_scan_witness(g, amask, k0, False),
-                    _masks_covered(ka, amask))
-    return None, _masks_covered(ka, (1 << na) - 1)
-
-
-def _ref3_scan_eps(g: BipartiteGraph, eps: Fraction
-              ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]],
-                         int]:
-    """Exhaustive two-sided scan: first (A', B') with |d' - d| > eps.
-
-    Same canonical order and count of masks covered as ``_scan_delta``;
-    within a size the low side (the k smallest columns) is tried before
-    the high side, which takes the last k pairs of the ascending (hits,
-    column) order, so its ties go to the highest index.  As there, only
-    the least admissible sizes are tested: the mean of the k smallest hits
-    never falls and that of the k largest never rises as k grows, and the
-    ka rows of a violating A' with the fewest (on the high side the most)
-    hits into B' violate on the same side.
-    """
-    na, nb = g.left.size, g.right.size
-    e_full = g.edge_count
-    p, q = eps.numerator, eps.denominator
-    thr = Threshold(eps)
-    ka, k0 = thr.least(na), thr.least(nb)
-    # With e' the edges to the k0 chosen columns, d - d' > eps and
-    # d' - d > eps, multiplied out by ka * k0 * na * nb * q:
-    nnq = na * nb * q
-    low = ka * k0 * (e_full * q - p * na * nb)
-    high = ka * k0 * (e_full * q + p * na * nb)
-    for amask, hits in _ref3_left_masks(g, ka):
-        if nnq * sum(hits[:k0]) < low:
-            return (_scan_witness(g, amask, k0, False),
-                    _masks_covered(ka, amask))
-        if nnq * sum(hits[nb - k0:]) > high:
-            return (_scan_witness(g, amask, k0, True),
-                    _masks_covered(ka, amask))
-    return None, _masks_covered(ka, (1 << na) - 1)
 
 
 PRUNE_DENSITIES = [0, .02, .05, .1, .9, .95, .98, 1]
@@ -1137,14 +952,18 @@ def test_skipped_masks_have_no_violation(g, data):
     """Soundness of the degree bound on sides up to 10: whatever the cuts,
     a mask that ``_left_masks`` skips has neither sum past them, so a scan
     that visits no mask would have found nothing.  The masks it visits
-    come in ascending order, with the hits of the unpruned walk."""
+    come in ascending order, with the hits of the specification's column
+    order."""
     na, nb = g.left.size, g.right.size
     ka, k0 = data.draw(st.integers(1, na)), data.draw(st.integers(1, nb))
     low = data.draw(st.integers(-1, ka * k0 + 1))
     high = data.draw(st.integers(-1, ka * k0 + 1))
     visited = dict(_left_masks(g, ka, k0, low, high))
     assert list(visited) == sorted(visited)
-    for amask, hits in _ref3_left_masks(g, ka):
+    for amask in range(1, 1 << na):
+        if amask.bit_count() != ka:
+            continue
+        hits = [h for h, _ in _spec_column_order(g, amask)]
         if amask in visited:
             assert visited.pop(amask) == hits
         else:
@@ -1163,8 +982,8 @@ def test_density_bounds_rule_out_only_regular_pairs(g, eps, delta):
     check returns without searching, the oracle scan certifies."""
     params = CheckParams(mode="randomized", random_trials=1)
     for name, check, scan, value in [
-            ("_random_eps_search", check_eps_regular, _ref3_scan_eps, eps),
-            ("_random_delta_search", check_delta_regular, _ref3_scan_delta,
+            ("_random_eps_search", check_eps_regular, _spec_scan_eps, eps),
+            ("_random_delta_search", check_delta_regular, _spec_scan_delta,
              _as_threshold(delta))]:
         with mock.patch.object(regcheck, name,
                                wraps=getattr(regcheck, name)) as search:
