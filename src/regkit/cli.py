@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import constructions as cn
-from . import fileio, hyperreg, suites
+from . import fileio, hyperreg, regcheck, suites
 from .errors import FormatError, RegkitError
 from .regcheck import (IRREGULAR, NOT_CERTIFIED, UNKNOWN, CheckParams,
                        check_delta_partition_with_edits, check_delta_regular,
@@ -51,7 +51,7 @@ def _positive_int(text: str) -> int:
 
 
 def _params(args) -> CheckParams:
-    trials = args.trials or CheckParams.random_trials
+    trials = args.trials or regcheck.RANDOM_TRIALS
     return CheckParams(mode=args.mode, random_trials=trials, seed=args.seed)
 
 
@@ -237,7 +237,7 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int,
                    default=0 if defaults else sup,
                    help="randomized trials / suite trial count (at least "
-                   f"1; default {CheckParams.random_trials} trials, or the "
+                   f"1; default {regcheck.RANDOM_TRIALS} trials, or the "
                    "suite's own count)")
     p.add_argument("--json", action="store_true",
                    default=False if defaults else sup,

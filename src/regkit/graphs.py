@@ -14,7 +14,6 @@ no edge list between.  All densities are exact rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -22,16 +21,27 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import ClassMismatch, DegenerateInput, NotDisjoint
 
 
-@dataclass(frozen=True)
 class VertexClass:
     """An index space of ``size`` vertices with a small integer label."""
 
-    id: int
-    size: int
+    __slots__ = ("id", "size")
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise DegenerateInput(f"vertex class {self.id} has negative size")
+    def __init__(self, id: int, size: int):
+        if size < 0:
+            raise DegenerateInput(f"vertex class {id} has negative size")
+        self.id = id
+        self.size = size
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and self.size == other.size
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.size))
+
+    def __repr__(self) -> str:
+        return f"VertexClass(id={self.id!r}, size={self.size!r})"
 
 
 def _check_index(v: int, n: int, what: str) -> None:
@@ -210,14 +220,12 @@ class BipartiteGraph:
                 f"{self.edge_count} edges)")
 
 
-@dataclass(frozen=True, init=False)
 class ThreeGraph:
     """A 3-partite 3-uniform hypergraph on three vertex classes, stored as
     its axis-3 auxiliary graph: ``graph.rows[v1*|V2| + v2]`` is the mask of
     the v3 with (v1, v2, v3) a hyperedge; ``triples`` is derived from it."""
 
-    classes: tuple[VertexClass, VertexClass, VertexClass]
-    graph: BipartiteGraph
+    __slots__ = ("classes", "graph")
 
     def __init__(self, classes: tuple[VertexClass, VertexClass, VertexClass],
                  triples: Iterable[tuple[int, int, int]]):
@@ -246,9 +254,9 @@ class ThreeGraph:
         n1, n2, n3 = (c.size for c in classes)
         if n1 == 0 or n2 == 0 or n3 == 0:
             raise DegenerateInput("3-graph with an empty class")
-        object.__setattr__(self, "classes", tuple(classes))
-        object.__setattr__(self, "graph", BipartiteGraph.from_rows(
-            VertexClass(-1, n1 * n2), classes[2], rows))
+        self.classes = tuple(classes)
+        self.graph = BipartiteGraph.from_rows(VertexClass(-1, n1 * n2),
+                                              classes[2], rows)
 
     @property
     def triples(self) -> frozenset[tuple[int, int, int]]:
@@ -272,6 +280,17 @@ class ThreeGraph:
                  ) -> "ThreeGraph":
         n1, n2, n3 = (c.size for c in classes)
         return ThreeGraph.from_rows(classes, [(1 << n3) - 1] * (n1 * n2))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.classes == other.classes and self.graph == other.graph
+
+    def __hash__(self) -> int:
+        return hash((self.classes, self.graph))
+
+    def __repr__(self) -> str:
+        return f"ThreeGraph(classes={self.classes!r}, graph={self.graph!r})"
 
 
 class Triad:

@@ -13,9 +13,9 @@ from ``TwoPartition.graphs`` and its blocks across classes, oriented, from
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from . import kernels
 from .errors import ClassSizeMismatch, FrameMismatch, ParameterOutOfContract
@@ -68,8 +68,7 @@ def auxiliary_graph(h: ThreeGraph, axis: int) -> BipartiteGraph:
 # Triads and their densities
 
 
-@dataclass(frozen=True)
-class TriadStats:
+class TriadStats(NamedTuple):
     """Triangle count, hyperedge-triangle count, and the exact density."""
 
     triad: Triad
@@ -275,8 +274,7 @@ def _unknown_caveats(labelled: Iterable[tuple[str, str]], counted_as: str
             for label, status in labelled if status == UNKNOWN]
 
 
-@dataclass(frozen=True)
-class ThreePartitionReport:
+class ThreePartitionReport(NamedTuple):
     goodness: PartitionVerdict
     axes: tuple[EditResult, EditResult, EditResult]  # axes 1, 2, 3
     passed: bool
@@ -309,8 +307,7 @@ def check_delta_regular_3partition(h: ThreeGraph, tp: TwoPartition, delta,
                                 tuple(caveats))
 
 
-@dataclass(frozen=True)
-class EquipartitionReport:
+class EquipartitionReport(NamedTuple):
     """Order, equitability, density windows and regularity of the family."""
 
     order_ok: bool
@@ -354,8 +351,7 @@ def check_equipartition_params(tp: TwoPartition, ell: int, t: int,
 # Triad enumeration over a 2-partition
 
 
-@dataclass(frozen=True)
-class PartitionTriad:
+class PartitionTriad(NamedTuple):
     """One triad of a 2-partition: a cluster triple (one per frame class)
     and one edge-family member per cluster pair, reindexed locally with an
     embedding back into the 3-graph's classes."""
@@ -393,16 +389,14 @@ def iter_partition_triads(h: ThreeGraph, tp: TwoPartition
                                 Triad(gab, gac, gbc, embedding=emb))
 
 
-@dataclass(frozen=True)
-class TriadJudgment:
+class TriadJudgment(NamedTuple):
     clusters: tuple[int, int, int]
     block_ids: tuple[int, int, int]
     triangle_count: int
     verdict_status: str
 
 
-@dataclass(frozen=True)
-class MassReport:
+class MassReport(NamedTuple):
     """Partition-level judgment: triangle mass on failing triads vs bound."""
 
     equip: EquipartitionReport
@@ -503,12 +497,15 @@ def octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
     A term is zero unless all eight of its corners (x_i, y_j, z_k) are
     triangles, so only terms with a zero factor are skipped: for each x0,
     y0 and y1 the loop takes the z that both x0 pairs share in ``tm``,
-    skips y1 when there are none, and then lets z0 and z1 run only over
-    those that both x1 pairs share too.  Every term it keeps is the
-    product of its eight ``vals`` entries, and every ordered pair stays on
-    each axis: no symmetry fold, no sum over z before the product and
-    nothing from ``kernels``.  So it stays an oracle independent of the
-    fast version; do not reuse its loop structure there.
+    skips y1 when there are none, and then keeps the z, the live ones,
+    that both x1 pairs share too.  Each live z gets its four corners'
+    product g(z) = v00[z] * v01[z] * v10[z] * v11[z] once, and every
+    ordered pair (z0, z1) of live z adds g(z0) * g(z1).  So every term it
+    keeps is still the product of its eight ``vals`` entries, and every
+    ordered pair stays on each axis: no symmetry fold, no sum over z
+    before the product and nothing from ``kernels``.  So it stays an
+    oracle independent of the fast version; do not reuse its loop
+    structure there.
     """
     n, tau, ecount, hm, tm = _scaled_f(h, t)
     if tau == 0:
@@ -535,12 +532,11 @@ def octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
                         continue
                     v10 = vals[x1 * n + y0]
                     v11 = vals[x1 * n + y1]
-                    zs = [z for z in range(n) if live >> z & 1]
-                    for z0 in zs:
-                        f0 = v00[z0] * v01[z0] * v10[z0] * v11[z0]
-                        for z1 in zs:
-                            total += (f0 * v00[z1] * v01[z1]
-                                      * v10[z1] * v11[z1])
+                    gs = [v00[z] * v01[z] * v10[z] * v11[z]
+                          for z in range(n) if live >> z & 1]
+                    for g0 in gs:
+                        for g1 in gs:
+                            total += g0 * g1
     return Fraction(total, tau ** 8)
 
 
@@ -554,8 +550,7 @@ def octahedron_sum_fast(h: ThreeGraph, t: Triad) -> Fraction:
     return Fraction(scaled, tau ** 8)
 
 
-@dataclass(frozen=True)
-class QuasirandomReport:
+class QuasirandomReport(NamedTuple):
     octahedron_sum: Fraction
     bound: Fraction
     verdict: bool
@@ -622,8 +617,7 @@ def schacht_predicate(t: Triad, h: ThreeGraph, eps: Fraction, C: int,
     return True
 
 
-@dataclass(frozen=True)
-class CountingBand:
+class CountingBand(NamedTuple):
     triangle_count: int
     lower: Fraction
     upper: Fraction
@@ -646,8 +640,7 @@ def triangle_count_bound(t: Triad, eps: Fraction) -> CountingBand:
 # The reduction pipeline
 
 
-@dataclass(frozen=True)
-class SubtriadHypothesisReport:
+class SubtriadHypothesisReport(NamedTuple):
     judgments: tuple[TriadJudgment, ...]
     holds: bool
     caveats: tuple[str, ...]
@@ -686,8 +679,7 @@ def check_subtriad_hypothesis_holds(h: ThreeGraph, tp: TwoPartition,
                != IRREGULAR for pt in iter_partition_triads(h, tp))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Exact identities for triads of the form (E, A x C, B x C)."""
 
     block_key: tuple[int, int, int]
@@ -696,8 +688,7 @@ class IdentityCheck:
     densities_equal: bool
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     equip: EquipartitionReport
     hypothesis: SubtriadHypothesisReport
     eps2_bound_ok: bool

@@ -12,13 +12,12 @@ most common label over the set (on a tie no block qualifies).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (DegenerateInput, FrameMismatch, GroundMismatch,
                      NotDisjoint, ParameterOutOfContract, PreconditionFailed)
@@ -27,25 +26,38 @@ from .graphs import BipartiteGraph, VertexClass, induced_subgraph
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class VertexPartition:
     """A partition of 0..ground.size-1 into disjoint nonempty blocks."""
 
-    ground: VertexClass
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ("ground", "blocks")
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    def __init__(self, ground: VertexClass,
+                 blocks: tuple[frozenset[int], ...]):
+        if not blocks:
             raise DegenerateInput("partition with no blocks")
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise DegenerateInput("empty partition block")
             if block & seen:
                 raise NotDisjoint("partition blocks overlap")
             seen |= block
-        if seen != set(range(self.ground.size)):
+        if seen != set(range(ground.size)):
             raise DegenerateInput("partition blocks do not cover the ground")
+        self.ground = ground
+        self.blocks = blocks
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ground == other.ground and self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.blocks))
+
+    def __repr__(self) -> str:
+        return (f"VertexPartition(ground={self.ground!r}, "
+                f"blocks={self.blocks!r})")
 
     @property
     def order(self) -> int:
@@ -71,8 +83,7 @@ class VertexPartition:
                                              if b))
 
 
-@dataclass(frozen=True)
-class ThreePartiteFrame:
+class ThreePartiteFrame(NamedTuple):
     """Three disjoint vertex classes sharing one combined index space.
 
     Class ``i`` occupies combined indices ``offset(i) .. offset(i)+n_i``.
@@ -154,7 +165,6 @@ class ThreePartiteFrame:
         return VertexPartition(self.combined_class(), tuple(blocks))
 
 
-@dataclass(frozen=True)
 class TwoPartition:
     """A vertex partition ``z`` (the clusters) plus an edge family that cuts
     the complete bipartite graph of every cluster pair into blocks.
@@ -165,18 +175,15 @@ class TwoPartition:
     lists.  The blocks of a pair are edge-disjoint and cover its product;
     anything else raises DegenerateInput naming the pair.
     ``ThreePartiteFrame.place`` keeps the 2-partition's placement on each
-    frame here, as ``graphs`` is kept.
+    frame here, as ``graphs`` is kept.  Neither enters equality, hash or
+    repr.
     """
 
-    z: VertexPartition
-    blocks: tuple[tuple[int, int, BipartiteGraph], ...]
-    _placements: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        sides = [VertexClass(i, len(b)) for i, b in enumerate(self.z.blocks)]
+    def __init__(self, z: VertexPartition,
+                 blocks: tuple[tuple[int, int, BipartiteGraph], ...]):
+        sides = [VertexClass(i, len(b)) for i, b in enumerate(z.blocks)]
         by_pair: dict[tuple[int, int], list[BipartiteGraph]] = {}
-        for i, j, g in self.blocks:
+        for i, j, g in blocks:
             if not 0 <= i < j < len(sides):
                 raise DegenerateInput(
                     f"edge block tagged with bad pair ({i},{j})")
@@ -199,6 +206,20 @@ class TwoPartition:
                     f"pair ({i},{j}): {missing} product edge(s) missing")
         if problems:
             raise DegenerateInput("; ".join(problems))
+        self.z = z
+        self.blocks = blocks
+        self._placements: dict = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.z == other.z and self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.z, self.blocks))
+
+    def __repr__(self) -> str:
+        return f"TwoPartition(z={self.z!r}, blocks={self.blocks!r})"
 
     @cached_property
     def graphs(self) -> Mapping[tuple[int, int, int], BipartiteGraph]:

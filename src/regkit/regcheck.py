@@ -67,7 +67,6 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from math import comb
@@ -149,22 +148,45 @@ def _as_threshold(value: ThresholdLike) -> Threshold:
     return Threshold(Fraction(value))
 
 
-@dataclass(frozen=True)
+# The number of random starts a randomized search takes by default.
+RANDOM_TRIALS = 64
+
+
 class CheckParams:
-    """Search-budget knobs shared by every checker."""
+    """Search-budget knobs shared by every checker; ``mode`` is
+    "exhaustive", "randomized" or "auto"."""
 
-    mode: str = "auto"  # "exhaustive" | "randomized" | "auto"
-    max_exhaustive_side: int = 12
-    random_trials: int = 64
-    seed: int = 0
+    __slots__ = ("mode", "max_exhaustive_side", "random_trials", "seed")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "randomized", "auto"):
-            raise ParameterOutOfContract(f"unknown mode {self.mode!r}")
-        if self.random_trials < 1:
+    def __init__(self, mode: str = "auto", max_exhaustive_side: int = 12,
+                 random_trials: int = RANDOM_TRIALS, seed: int = 0):
+        if mode not in ("exhaustive", "randomized", "auto"):
+            raise ParameterOutOfContract(f"unknown mode {mode!r}")
+        if random_trials < 1:
             raise ParameterOutOfContract("random_trials must be >= 1")
-        if self.max_exhaustive_side < 1:
+        if max_exhaustive_side < 1:
             raise ParameterOutOfContract("max_exhaustive_side must be >= 1")
+        self.mode = mode
+        self.max_exhaustive_side = max_exhaustive_side
+        self.random_trials = random_trials
+        self.seed = seed
+
+    def _key(self) -> tuple:
+        return (self.mode, self.max_exhaustive_side, self.random_trials,
+                self.seed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"CheckParams(mode={self.mode!r}, max_exhaustive_side="
+                f"{self.max_exhaustive_side!r}, random_trials="
+                f"{self.random_trials!r}, seed={self.seed!r})")
 
     def pick_mode(self, size: int, limit: int, what: str) -> str:
         """The search for an instance of ``size``: auto is exhaustive up to
@@ -178,14 +200,31 @@ class CheckParams:
         return mode
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of one regularity check on a bipartite pair."""
+    """Outcome of one regularity check on a bipartite pair; ``effort`` is
+    a fresh dict unless one is given.  Unhashable, as ``effort`` is a dict."""
 
-    status: str
-    method: str
-    witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    effort: dict = field(default_factory=dict)
+    __slots__ = ("status", "method", "witness", "effort")
+
+    def __init__(self, status: str, method: str,
+                 witness: Optional[tuple[tuple[int, ...],
+                                         tuple[int, ...]]] = None,
+                 effort: Optional[dict] = None):
+        self.status = status
+        self.method = method
+        self.witness = witness
+        self.effort = {} if effort is None else effort
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status == other.status and self.method == other.method
+                and self.witness == other.witness
+                and self.effort == other.effort)
+
+    def __repr__(self) -> str:
+        return (f"Verdict(status={self.status!r}, method={self.method!r}, "
+                f"witness={self.witness!r}, effort={self.effort!r})")
 
     @classmethod
     def of_search(cls, mode: str, witness, effort: dict) -> "Verdict":
@@ -701,8 +740,7 @@ def _random_eps_search(g: BipartiteGraph, eps: Fraction, params: CheckParams
 # Partition-level checks
 
 
-@dataclass(frozen=True)
-class PartitionVerdict:
+class PartitionVerdict(NamedTuple):
     """Aggregate of a family of verdicts, keyed by cluster pair or member."""
 
     status: str
@@ -748,8 +786,7 @@ def check_perfect_delta_partition(g: BipartiteGraph,
         for key, a_sub, b_sub in _iter_cluster_pairs(g, left_p, right_p)})
 
 
-@dataclass(frozen=True)
-class EditResult:
+class EditResult(NamedTuple):
     """Outcome of the edit-budgeted partition check."""
 
     status: str  # PERFECT | AFTER_EDITS | NOT_CERTIFIED

@@ -21,9 +21,9 @@ import json
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import constructions as cn
 from . import fileio, hyperreg, partitions
@@ -60,24 +60,45 @@ def trial_seed(suite_id: str, seed: int, trial: int) -> int:
     return _splitmix64((base + trial) & _MASK64)
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     id: str
     seed: int = 0
     trials: int = 0  # 0 means the suite's default; below 0 raises
     # Overrides of one draw: "sizes" (oct-equiv) and "style" (lemma-a3).
-    scale: dict = field(default_factory=dict)
+    scale: Mapping = MappingProxyType({})
 
 
-@dataclass
 class Report:
-    suite: str
-    seed: int
-    trials: int
-    records: list
-    passed: bool
-    caveats: list
-    wall_time: float = 0.0
+    """A suite's outcome.  ``wall_time`` is set after the run; it enters
+    equality but not the canonical JSON.  Unhashable, as it changes."""
+
+    __slots__ = ("suite", "seed", "trials", "records", "passed", "caveats",
+                 "wall_time")
+
+    def __init__(self, suite: str, seed: int, trials: int, records: list,
+                 passed: bool, caveats: list, wall_time: float = 0.0):
+        self.suite = suite
+        self.seed = seed
+        self.trials = trials
+        self.records = records
+        self.passed = passed
+        self.caveats = caveats
+        self.wall_time = wall_time
+
+    def _key(self) -> tuple:
+        return (self.suite, self.seed, self.trials, self.records, self.passed,
+                self.caveats, self.wall_time)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (f"Report(suite={self.suite!r}, seed={self.seed!r}, "
+                f"trials={self.trials!r}, records={self.records!r}, "
+                f"passed={self.passed!r}, caveats={self.caveats!r}, "
+                f"wall_time={self.wall_time!r})")
 
     def canonical_dict(self) -> dict:
         # Wall time is intentionally left out: reports must be
@@ -167,7 +188,7 @@ def _exh() -> CheckParams:
 # Suite bodies.  Each returns (record_dict, ok, caveats).
 
 
-def _suite_claim_3_1(rng: random.Random, scale: dict):
+def _suite_claim_3_1(rng: random.Random, scale: Mapping):
     """Union of edge-disjoint certified pairs stays certified."""
     delta = Fraction(1, 4)
     na = rng.randint(6, 10)
@@ -242,7 +263,7 @@ def _noisy_refinement(rng: random.Random, p: VertexPartition,
     return VertexPartition.from_labels(p.ground, labels)
 
 
-def _suite_claim_3_2(rng: random.Random, scale: dict):
+def _suite_claim_3_2(rng: random.Random, scale: Mapping):
     """refinement_union_extract meets |P symdiff Q| <= 3 delta |P|."""
     delta = rng.choice([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
     for _ in range(60):
@@ -270,7 +291,7 @@ def _suite_claim_3_2(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_claim_3_5(rng: random.Random, scale: dict):
+def _suite_claim_3_5(rng: random.Random, scale: Mapping):
     """Q approx-refining an equitable P at 1/2 has |Q| >= |P| / 4."""
     half = Fraction(1, 2)
     for _ in range(80):
@@ -305,7 +326,7 @@ def _suite_claim_3_5(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_claim_3_3(rng: random.Random, scale: dict):
+def _suite_claim_3_3(rng: random.Random, scale: Mapping):
     """A good 2-partition plus a coarsening of its axis-3 family yields
     some member on which Z1 u Z2 is a 3*delta-regular partition."""
     delta = rng.choice([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)])
@@ -351,7 +372,7 @@ def _suite_claim_3_3(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_claim_3_4(rng: random.Random, scale: dict):
+def _suite_claim_3_4(rng: random.Random, scale: Mapping):
     """Restricting a certified regular 3-partition to an alpha-fraction of
     the edges passes the delta/alpha check."""
     delta = Fraction(1, 2)
@@ -397,7 +418,7 @@ def _suite_claim_3_4(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_eq_red_d(rng: random.Random, scale: dict):
+def _suite_eq_red_d(rng: random.Random, scale: Mapping):
     """t(E, AxC, BxC) = |E| |C| and aux-graph density equals triad density."""
     na = rng.randint(2, 6)
     nb = rng.randint(2, 6)
@@ -445,7 +466,7 @@ def _scaled_sum_f(h: ThreeGraph, t: Triad) -> int:
     return total
 
 
-def _suite_oct_equiv(rng: random.Random, scale: dict):
+def _suite_oct_equiv(rng: random.Random, scale: Mapping):
     """Naive and fast octahedron sums agree exactly; sum >= 0; sum f = 0."""
     n = rng.choice(scale.get("sizes", [2, 3, 3, 4, 4, 5, 5, 6]))
     h, t = _random_equal_triad(rng, n)
@@ -464,7 +485,7 @@ def _suite_oct_equiv(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_def_4_3_nonneg(rng: random.Random, scale: dict):
+def _suite_def_4_3_nonneg(rng: random.Random, scale: Mapping):
     """Octahedron sum is nonnegative, also off the equal-density domain."""
     n = rng.choice([2, 3, 4, 5, 6, 8])
     classes = tuple(VertexClass(i, n) for i in range(3))
@@ -527,7 +548,7 @@ def _claim_4_8_instance(rng: random.Random):
     return h, tp, delta, 1, t_count, eps2
 
 
-def _suite_claim_4_8(rng: random.Random, scale: dict):
+def _suite_claim_4_8(rng: random.Random, scale: Mapping):
     """Hypothesis-verified instances pass the full reduction check."""
     h, tp, delta, ell, t_count, eps2 = _claim_4_8_instance(rng)
     report = hyperreg.reduction_check(h, tp, delta, ell, t_count, eps2,
@@ -546,7 +567,7 @@ def _suite_claim_4_8(rng: random.Random, scale: dict):
     return rec, ok, list(report.caveats)
 
 
-def _suite_schacht(rng: random.Random, scale: dict):
+def _suite_schacht(rng: random.Random, scale: Mapping):
     """Quasirandomness-to-regularity implication, existential in C.
 
     The constant C is only asserted to exist, so the checkable content at
@@ -605,7 +626,7 @@ def _certify_ladder(g: BipartiteGraph) -> Fraction:
     return Fraction(1)
 
 
-def _suite_lemma_a1(rng: random.Random, scale: dict):
+def _suite_lemma_a1(rng: random.Random, scale: Mapping):
     """Slicing: alpha-large subsets of a certified eps-regular pair are
     2*eps/alpha-regular with density within eps."""
     na = rng.randint(6, 10)
@@ -634,7 +655,7 @@ def _suite_lemma_a1(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_claim_a2(rng: random.Random, scale: dict):
+def _suite_claim_a2(rng: random.Random, scale: Mapping):
     """Degree profile: at most 2 eps |X| exceptional vertices against any
     eps-large Y', for certified eps-regular pairs."""
     na = rng.randint(6, 10)
@@ -656,7 +677,7 @@ def _suite_claim_a2(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_lemma_a3(rng: random.Random, scale: dict):
+def _suite_lemma_a3(rng: random.Random, scale: Mapping):
     """Triangle counting band, exact when the two C-sides are complete,
     within 7 eps otherwise (eps the certified level of both C-sides)."""
     style = scale.get("style") or rng.choice(["complete-sides", "random"])
@@ -690,7 +711,7 @@ def _suite_lemma_a3(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_paste_density(rng: random.Random, scale: dict):
+def _suite_paste_density(rng: random.Random, scale: Mapping):
     """Six-cycle pasting: additive edge counts and exact densities."""
     style = rng.choice(["complete", "half", "random"])
     # Exactly half of n^3 triples needs n^3 even.
@@ -729,7 +750,7 @@ def _suite_paste_density(rng: random.Random, scale: dict):
     return rec, ok, []
 
 
-def _suite_schedule(rng: random.Random, scale: dict):
+def _suite_schedule(rng: random.Random, scale: Mapping):
     """Schedule arithmetic: pinned values and symbolic inequalities."""
     checks = {
         "e(3)=8192": cn.func_e(3).as_int() == 8192,

@@ -298,11 +298,12 @@ def test_trials_below_one_is_a_usage_error(fixtures, capsys, argv):
 
 def test_trials_default_is_the_check_params_default(capsys, monkeypatch):
     """Without --trials a check runs ``CheckParams``' number of trials,
-    read when the parameters are made, and the help text names it."""
+    ``regcheck.RANDOM_TRIALS``, read when the parameters are made, and the
+    help text names it."""
     args = cli._build_parser().parse_args(
         ["check-pair", "--graph", "g.bg", "--delta", "1/4"])
     assert cli._params(args) == regcheck.CheckParams()
-    monkeypatch.setattr(regcheck.CheckParams, "random_trials", 5)
+    monkeypatch.setattr(regcheck, "RANDOM_TRIALS", 5)
     assert cli._params(args).random_trials == 5
     monkeypatch.undo()
     assert run(["--help"]) == 0

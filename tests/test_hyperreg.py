@@ -329,7 +329,9 @@ def test_octahedron_boundaries():
 # ``hyperreg.octahedron_sum_naive`` as it was when it multiplied out every
 # one of the n^6 terms, zero or not, kept verbatim (renamed, ``_scaled_f``
 # called through the module) as the oracle for the loop that skips the
-# terms with a factor off the triangles.
+# terms with a factor off the triangles.  It stays beside that loop's own
+# successor because it reaches n = 6, which ``_octahedron_oracle`` does
+# not.
 def _ref_octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
     """The full six-index octahedron sum, computed literally in O(n^6).
 
@@ -359,6 +361,57 @@ def _ref_octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
                         for z1 in range(n):
                             total += (v00[z0] * v00[z1] * v01[z0] * v01[z1]
                                       * v10[z0] * v10[z1] * v11[z0] * v11[z1])
+    return Fraction(total, tau ** 8)
+
+
+# ``hyperreg.octahedron_sum_naive`` as it was when it multiplied out the
+# eight factors of each kept term, kept verbatim (renamed, ``_scaled_f``
+# called through the module) as the oracle for the loop that forms each
+# z's four-corner product once.
+def _ref2_octahedron_sum_naive(h: ThreeGraph, t: Triad) -> Fraction:
+    """The full six-index octahedron sum, term by term, O(n^6) at worst.
+
+    A term is zero unless all eight of its corners (x_i, y_j, z_k) are
+    triangles, so only terms with a zero factor are skipped: for each x0,
+    y0 and y1 the loop takes the z that both x0 pairs share in ``tm``,
+    skips y1 when there are none, and then lets z0 and z1 run only over
+    those that both x1 pairs share too.  Every term it keeps is the
+    product of its eight ``vals`` entries, and every ordered pair stays on
+    each axis: no symmetry fold, no sum over z before the product and
+    nothing from ``kernels``.  So it stays an oracle independent of the
+    fast version; do not reuse its loop structure there.
+    """
+    n, tau, ecount, hm, tm = hyperreg._scaled_f(h, t)
+    if tau == 0:
+        return Fraction(0)
+    hi = tau - ecount
+    lo = -ecount
+    vals = [[0] * n for _ in range(n * n)]
+    for xy in range(n * n):
+        for z in range(n):
+            if tm[xy] >> z & 1:
+                vals[xy][z] = hi if hm[xy] >> z & 1 else lo
+    total = 0
+    for x0 in range(n):
+        for y0 in range(n):
+            v00, t00 = vals[x0 * n + y0], tm[x0 * n + y0]
+            for y1 in range(n):
+                shared = t00 & tm[x0 * n + y1]
+                if not shared:
+                    continue
+                v01 = vals[x0 * n + y1]
+                for x1 in range(n):
+                    live = shared & tm[x1 * n + y0] & tm[x1 * n + y1]
+                    if not live:
+                        continue
+                    v10 = vals[x1 * n + y0]
+                    v11 = vals[x1 * n + y1]
+                    zs = [z for z in range(n) if live >> z & 1]
+                    for z0 in zs:
+                        f0 = v00[z0] * v01[z0] * v10[z0] * v11[z0]
+                        for z1 in zs:
+                            total += (f0 * v00[z1] * v01[z1]
+                                      * v10[z1] * v11[z1])
     return Fraction(total, tau ** 8)
 
 
@@ -416,18 +469,20 @@ _DENSITY = st.sampled_from([0.0, 0.5, 0.75, 0.9, 1.0]) | st.floats(0, 1)
        extra=st.integers(1, 3), seed=st.integers(0, 1 << 16))
 def test_octahedron_naive_matches_the_term_by_term_sum(n, dens, fill, c_kind,
                                                        extra, seed):
-    """Skipping the terms with a factor off the triangles leaves the sum
-    of every term: side densities from 0 (tau = 0) to 1, an empty,
-    complete or random 3-graph, and a C side embedded as the identity, a
-    run past 0 or a set that is not a run."""
+    """Skipping the terms with a factor off the triangles, and forming
+    each z's four-corner product once, leaves the sum of every term and
+    the sum of the loop before it: side densities from 0 (tau = 0) to 1,
+    an empty, complete or random 3-graph, and a C side embedded as the
+    identity, a run past 0 or a set that is not a run."""
     assume(n > 1 or c_kind != "any")  # one vertex is always a run
     h, t = _octahedron_case(n, dens, fill, c_kind, extra, seed)
     ec = t.embedding[2]
     assert (c_kind == "run") == (ec[0] > 0 and
                                  ec == tuple(range(ec[0], ec[0] + n)))
     assert (c_kind == "any") == (ec != tuple(range(ec[0], ec[0] + n)))
-    assert (hyperreg.octahedron_sum_naive(h, t)
-            == _ref_octahedron_sum_naive(h, t))
+    naive = hyperreg.octahedron_sum_naive(h, t)
+    assert naive == _ref_octahedron_sum_naive(h, t)
+    assert naive == _ref2_octahedron_sum_naive(h, t)
 
 
 def test_octahedron_naive_rejects_what_the_literal_sum_rejects():
@@ -445,7 +500,8 @@ def test_octahedron_naive_rejects_what_the_literal_sum_rejects():
                 embedding=((0, 1, 2), (0, 1, 2), (1, 2, 3)))
     for t, error in ((unequal, ClassSizeMismatch), (off, FrameMismatch)):
         for oracle in (hyperreg.octahedron_sum_naive,
-                       _ref_octahedron_sum_naive):
+                       _ref_octahedron_sum_naive,
+                       _ref2_octahedron_sum_naive):
             with pytest.raises(error):
                 oracle(h, t)
 

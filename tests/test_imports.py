@@ -73,6 +73,29 @@ def test_regkit_needs_only_the_standard_library():
     assert run.stdout == "[0] ['regkit']\n"
 
 
+# Run isolated (-I) in a fresh interpreter: import every regkit module and
+# report whether ``dataclasses`` came along.  Each frozen dataclass costs
+# about a millisecond of generated code at import, most of regkit's own
+# import time, so regkit's value types are NamedTuples and plain classes.
+_DATACLASS_PROBE = """
+import importlib, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import regkit
+names = sorted(m.name for m in pkgutil.iter_modules(regkit.__path__))
+for name in names:
+    importlib.import_module("regkit." + name)
+print(len(names), "dataclasses" in sys.modules)
+"""
+
+
+def test_importing_regkit_loads_no_dataclasses():
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", _DATACLASS_PROBE, str(ROOT / "src")],
+        check=True, capture_output=True, text=True)
+    modules = len(list((ROOT / "src" / "regkit").glob("[!_]*.py")))
+    assert run.stdout == f"{modules} False\n"
+
+
 # Public names that no code of regkit or the benchmark uses outside their
 # own definition, each kept for a reason.
 UNREFERENCED = {
