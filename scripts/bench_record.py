@@ -12,7 +12,11 @@ the answer digests of its descriptor line.  Comparing two such files shows
 a speed-up only together with unchanged answers.  The file also names the
 tree it measured: ``"tree": {"head": <commit>, "dirty": <bool>}``, where
 dirty means that tracked files differ from that commit, or null outside a
-git checkout.
+git checkout.  Beside it, ``"bytecode": {"dont_write": <bool>, "cached":
+<bool>}`` says whether ``PYTHONDONTWRITEBYTECODE`` was set and whether
+``src/regkit/__pycache__`` held a ``.pyc`` for this interpreter before the
+run: importing regkit without a cache compiles it, which ``setup_s`` counts,
+so only runs in the same bytecode state compare.
 
 If any workload fails, or one of those in ``BENCHMARK.json`` is missing
 from the output, it prints why, exits 1 and writes nothing.
@@ -20,6 +24,7 @@ from the output, it prints why, exits 1 and writes nothing.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,12 +87,23 @@ def tree(root: Path) -> Optional[dict]:
     return {"head": head.strip(), "dirty": bool(status.strip())}
 
 
+def bytecode(root: Path) -> dict:
+    """Whether ``PYTHONDONTWRITEBYTECODE`` is set, and whether
+    ``src/regkit/__pycache__`` under ``root`` holds a ``.pyc`` compiled by
+    this interpreter."""
+    tag = sys.implementation.cache_tag
+    cache = root / "src" / "regkit" / "__pycache__"
+    return {"dont_write": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "cached": any(cache.glob(f"*.{tag}.pyc"))}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: bench_record.py PR", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    state = bytecode(ROOT)
     run = subprocess.run([sys.executable, *COMMAND], cwd=ROOT,
                          stdout=subprocess.PIPE, text=True)
     try:
@@ -99,7 +115,7 @@ def main(argv: list[str]) -> int:
         return 1
     path = ROOT / f"BENCH_{argv[0]}.json"
     record = {"command": " ".join(["python3", *COMMAND]), "tree": tree(ROOT),
-              "workloads": results}
+              "bytecode": state, "workloads": results}
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0

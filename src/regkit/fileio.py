@@ -46,10 +46,8 @@ disjoint.
 from __future__ import annotations
 
 import re
-from collections import deque
 from contextlib import contextmanager
 from functools import cache
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from .errors import DegenerateInput, FormatError
@@ -201,9 +199,10 @@ def _bulk_rows(lines: _Lines, m: int, nl: int, nr: int
             rows[a] |= bits[b]
         return rows if sum(map(int.bit_count, rows)) == m else None
     buf = bytearray(nl * w)
-    cells = map(_cells(w).__getitem__, lines.raw[lines.pos:lines.pos + m])
+    cells = _cells(w)
     try:
-        deque(map(buf.__setitem__, cells, repeat(1)), maxlen=0)
+        for line in lines.raw[lines.pos:lines.pos + m]:
+            buf[cells[line]] = 1
     except (KeyError, IndexError):
         return None
     if buf.count(1) != m:

@@ -11,13 +11,18 @@ block as examined, so its witnesses and state counts are those of the
 plain walk over every state.  The octahedron sum is bit-sliced: per pair
 of rows it keeps three nested masks S, U and V (shared triangles, those
 with at least one hyperedge, those with two), so each dot product is five
-popcounts weighted by constants fixed per call.
+popcounts weighted by constants fixed per call.  On dense triads of 12 to
+64 vertices per class it takes every column pair of a row pair at once,
+one field of a wide int each, and tallies the five counts of each pair as
+one key, so each distinct key is weighed once per call.
 Masks are Python ints (bit z of ``hm[x*n+y]`` says whether (x, y, z) is a
 hyperedge-carrying triangle, bit a of ``bc_h[k]`` whether a and BC edge k
 span one, etc.).
 """
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from functools import cache
 from typing import Optional, Sequence
 
@@ -122,15 +127,54 @@ def octahedron_fast_scaled(n: int, tau: int, ecount: int,
     hi**k when k of its four triangles are hyperedges, so the 9 popcounts
     group into 5: the z of S0 & S1 with k >= j, for j = 0..4.  The count
     for j = 0 weighs lo**4, and the count for j >= 1 weighs lo**(4-j) *
-    hi**(j-1) * tau, the step from weight j - 1 to weight j.  A pair with
-    S0 & S1 == 0 adds nothing.  Runs in O(n^4) popcounts of n-bit masks;
-    the returned integer is a sum of squares, hence >= 0.
+    hi**(j-1) * tau, the step from weight j - 1 to weight j.  Both paths
+    rely on hm being a submask of tm entry by entry (V within U within S),
+    as ``hyperreg._scaled_f`` builds them.
+
+    Where n is from ``_BLOCKED_MIN_N`` to ``_BLOCKED_MAX_N`` and at least
+    ``_BLOCKED_MIN_DENSITY`` of the n**3 cells are triangles, the counts
+    of all y-pairs of an x-pair come at once from wide ints
+    (``_octahedron_blocked``); other inputs take the row-pair loop
+    (``_octahedron_loop``).  Both run in O(n^4) popcounts of n-bit masks
+    and return the same integer, a sum of squares, hence >= 0.
     """
+    if (_BLOCKED_MIN_N <= n <= _BLOCKED_MAX_N
+            and tau >= _BLOCKED_MIN_DENSITY * n ** 3):
+        return _octahedron_blocked(n, tau, ecount, hm, tm)
+    return _octahedron_loop(n, tau, ecount, hm, tm)
+
+
+# The blocked octahedron path counts every cell, while the loop skips the
+# rows and the row pairs that share no triangle, so the loop wins on small
+# or sparse triads.  On random triads (pure Python 3.11, 2-CPU host) the
+# two tie at a triangle density tau / n**3 of about 0.4 for n from 12 to
+# 40 (0.3 at n = 32).  At density 0.75 the blocked path is 1.5x faster at
+# n = 12 and 1.8x at n = 20 to 24; it is 2.3x faster on complete triads at
+# n = 12, and 3x at density 0.6 and n = 64.  Below n = 12 the tie moves to
+# higher densities (about 0.5 at n = 10, 0.8 at n = 8), so that one
+# density bound no longer serves; the suites' triads, at n <= 8, all take
+# the loop.  A field of the blocked path holds an n-bit mask and a key of
+# 5 * n.bit_length() + 1 bits, so 4 bytes serve n <= 32, and 8 bytes, the
+# widest native cast, n <= 64.
+_BLOCKED_MIN_N = 12
+_BLOCKED_MAX_N = 64
+_BLOCKED_MIN_DENSITY = 0.4
+
+
+def _octahedron_weights(tau: int, ecount: int) -> tuple[int, ...]:
+    """The weights w0..w4 of the five counts (see
+    ``octahedron_fast_scaled``)."""
     lo = -ecount
     hi = tau + lo
-    w0 = lo ** 4
-    w1, w2, w3, w4 = (lo ** (4 - j) * hi ** (j - 1) * tau
-                      for j in (1, 2, 3, 4))
+    return (lo ** 4, *(lo ** (4 - j) * hi ** (j - 1) * tau
+                       for j in (1, 2, 3, 4)))
+
+
+def _octahedron_loop(n: int, tau: int, ecount: int,
+                     hm: Sequence[int], tm: Sequence[int]) -> int:
+    """``octahedron_fast_scaled`` one pair of rows at a time.  A pair with
+    S0 & S1 == 0 adds nothing, so only rows with S != 0 are kept."""
+    w0, w1, w2, w3, w4 = _octahedron_weights(tau, ecount)
     # On the diagonal y0 == y1, k is 0 on S - U, 2 on U - V and 4 on V.
     wu, wv = w1 + w2, w3 + w4
     total = 0
@@ -166,6 +210,94 @@ def octahedron_fast_scaled(n: int, tau: int, ecount: int,
                         off += d * d
             block = diag + 2 * off
             total += block if x0 == x1 else 2 * block
+    return total
+
+
+def _octahedron_blocked(n: int, tau: int, ecount: int,
+                        hm: Sequence[int], tm: Sequence[int]) -> int:
+    """``octahedron_fast_scaled`` for n <= 64, all y-pairs of an x-pair at
+    once.
+
+    A cell is a pair y0 <= y1, in the order (0, 0), (0, 1), ..., (n-1,
+    n-1), and each cell has a field of f bytes in a wide int.  Per x, the
+    row broadcast holds the mask of row (x, y0) in the field of cell
+    (y0, y1), and the column broadcast that of row (x, y1); there is one
+    of each for ``tm`` and for ``hm``.  ANDs and ORs of the broadcasts of
+    x0 and x1 then give the five masks of every cell with the loop's
+    formulas; on a diagonal cell they reduce to S, U, U, V, V, the loop's
+    diagonal counts.  Each mask is popcounted a byte at a time with
+    ``bytes.translate``, and multiplying by 0x0101...01 sums a field's
+    byte counts into its top byte, where no carry reaches.  The five
+    counts of a cell, each at most n, are packed into one key of
+    n.bit_length() bits each, with one more bit on a diagonal cell.
+    ``Counter`` tallies the keys of the cells, read as native ints, per
+    class of x-pair, so each distinct key is weighed once per call: a
+    cell weighs 2 off the diagonal and 1 on it, an x-pair 2 when x0 < x1
+    and 1 when x0 == x1.
+    """
+    f = 4 if n <= 32 else 8
+    k = n.bit_length()
+    cells = n * (n + 1) >> 1
+    size = cells * f
+    order = sys.byteorder
+
+    def broadcasts(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+        rows = [b"".join([m.to_bytes(f, "little")
+                          for m in masks[x * n:(x + 1) * n]])
+                for x in range(n)]
+        return ([int.from_bytes(b"".join([r[y * f:(y + 1) * f] * (n - y)
+                                          for y in range(n)]), "little")
+                 for r in rows],
+                [int.from_bytes(b"".join([r[y * f:] for y in range(n)]),
+                                "little")
+                 for r in rows])
+
+    t_row, t_col = broadcasts(tm)
+    h_row, h_col = broadcasts(hm)
+    flag = (1 << 5 * k).to_bytes(f, "little")
+    diagonal = int.from_bytes(b"".join([flag + bytes(f * (n - 1 - y))
+                                        for y in range(n)]), "little")
+    count = (1 << k) - 1
+    spread = int.from_bytes(b"\1" * f, "little")
+    in_fields = int.from_bytes(count.to_bytes(f, "little") * cells, "little")
+    # Count j moves from the top byte of its field to bit j*k.
+    places = [(8 * f - 8 - j * k, in_fields << j * k) for j in range(5)]
+    code = "I" if f == 4 else "Q"
+    tallies = (Counter(), Counter())  # x0 == x1, x0 < x1
+    for x0 in range(n):
+        tr0, tc0, hr0, hc0 = t_row[x0], t_col[x0], h_row[x0], h_col[x0]
+        for x1 in range(x0, n):
+            sr = tr0 & t_row[x1]
+            sc = tc0 & t_col[x1]
+            m = sr & sc
+            if not m:
+                continue
+            hr1 = h_row[x1]
+            hc1 = h_col[x1]
+            ur = sr & (hr0 | hr1)
+            uc = sc & (hc0 | hc1)
+            vr = hr0 & hr1
+            vc = hc0 & hc1
+            uu = ur & uc
+            vv = vr | vc
+            key = diagonal
+            for mask, (shift, place) in zip(
+                    (m, m & (ur | uc), m & (uu | vv), uu & vv, vr & vc),
+                    places):
+                key |= int.from_bytes(mask.to_bytes(size, order).translate(
+                    _BYTE_POPCOUNT), order) * spread >> shift & place
+            tallies[x0 < x1].update(
+                memoryview(key.to_bytes(size, order)).cast(code))
+    w0, w1, w2, w3, w4 = _octahedron_weights(tau, ecount)
+    k2, k3, k4, k5 = 2 * k, 3 * k, 4 * k, 5 * k
+    total = 0
+    for x_weight, tally in zip((1, 2), tallies):
+        for key, cells_with_key in tally.items():
+            d = (w0 * (key & count) + w1 * (key >> k & count)
+                 + w2 * (key >> k2 & count) + w3 * (key >> k3 & count)
+                 + w4 * (key >> k4 & count))
+            y_weight = 1 if key >> k5 else 2
+            total += x_weight * y_weight * cells_with_key * d * d
     return total
 
 

@@ -16,7 +16,6 @@ instances are unchanged.  ``run_suite`` canonicalizes each record once
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -140,6 +139,9 @@ def canonical_json(obj) -> str:
 
 
 def _digest(text: str) -> str:
+    # Imported on use: at module level ``hashlib`` (with OpenSSL) was the
+    # largest single cost of importing regkit, paid by every command.
+    import hashlib
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

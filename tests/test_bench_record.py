@@ -104,3 +104,23 @@ def test_tree_names_the_commit_and_whether_it_is_dirty(tmp_path):
     assert bench_record.tree(tmp_path) == {"head": head, "dirty": False}
     (tmp_path / "a.txt").write_text("two\n")
     assert bench_record.tree(tmp_path) == {"head": head, "dirty": True}
+
+
+def test_bytecode_says_whether_the_run_writes_and_finds_a_cache(
+        tmp_path, monkeypatch):
+    """Cached only with a ``.pyc`` of this interpreter in regkit's
+    ``__pycache__``; ``dont_write`` follows ``PYTHONDONTWRITEBYTECODE``."""
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert bench_record.bytecode(tmp_path) == {"dont_write": False,
+                                               "cached": False}
+    cache = tmp_path / "src" / "regkit" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "kernels.cpython-00.pyc").write_bytes(b"")
+    (tmp_path / "src" / "regkit" / "kernels.py").write_text("")
+    assert not bench_record.bytecode(tmp_path)["cached"]
+    tag = sys.implementation.cache_tag
+    (cache / f"kernels.{tag}.pyc").write_bytes(b"")
+    assert bench_record.bytecode(tmp_path)["cached"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_record.bytecode(tmp_path) == {"dont_write": True,
+                                               "cached": True}

@@ -74,26 +74,40 @@ def test_regkit_needs_only_the_standard_library():
 
 
 # Run isolated (-I) in a fresh interpreter: import every regkit module and
-# report whether ``dataclasses`` came along.  Each frozen dataclass costs
-# about a millisecond of generated code at import, most of regkit's own
-# import time, so regkit's value types are NamedTuples and plain classes.
-_DATACLASS_PROBE = """
+# report whether each named module came along.
+_IMPORT_PROBE = """
 import importlib, pkgutil, sys
 sys.path.insert(0, sys.argv[1])
 import regkit
 names = sorted(m.name for m in pkgutil.iter_modules(regkit.__path__))
 for name in names:
     importlib.import_module("regkit." + name)
-print(len(names), "dataclasses" in sys.modules)
+print(len(names), *(name in sys.modules for name in sys.argv[2:]))
 """
 
 
-def test_importing_regkit_loads_no_dataclasses():
+def _import_probe(*watched: str) -> str:
     run = subprocess.run(
-        [sys.executable, "-I", "-c", _DATACLASS_PROBE, str(ROOT / "src")],
-        check=True, capture_output=True, text=True)
-    modules = len(list((ROOT / "src" / "regkit").glob("[!_]*.py")))
-    assert run.stdout == f"{modules} False\n"
+        [sys.executable, "-I", "-c", _IMPORT_PROBE, str(ROOT / "src"),
+         *watched], check=True, capture_output=True, text=True)
+    return run.stdout
+
+
+_MODULES = len(list((ROOT / "src" / "regkit").glob("[!_]*.py")))
+
+
+def test_importing_regkit_loads_no_dataclasses():
+    # Each frozen dataclass costs about a millisecond of generated code at
+    # import, most of regkit's own import time, so regkit's value types
+    # are NamedTuples and plain classes.
+    assert _import_probe("dataclasses") == f"{_MODULES} False\n"
+
+
+def test_importing_regkit_loads_no_hashlib():
+    # ``hashlib`` brings OpenSSL's ``_hashlib``, once the largest single
+    # cost of importing regkit; only ``suites._digest`` hashes, and it
+    # imports ``hashlib`` when it runs.
+    assert _import_probe("hashlib", "_hashlib") == f"{_MODULES} False False\n"
 
 
 # Public names that no code of regkit or the benchmark uses outside their

@@ -2,7 +2,9 @@
 and the previous edge-loop count, the plain subtriad walk that visits every
 state and the previous subtriad kernel, brute-force subset sums and the
 subtriad predicates cell by cell, and the previous octahedron kernel with
-the literal six-index sum."""
+the literal six-index sum.  The octahedron sum has two paths, the blocked
+one and the row-pair loop it was before; both are called directly, and
+each against the previous kernel and the naive sum."""
 import random
 from fractions import Fraction
 from functools import reduce
@@ -10,6 +12,7 @@ from itertools import compress, product
 from operator import and_, gt, mul, or_
 from typing import Optional, Sequence
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -685,6 +688,15 @@ def _random_octahedron_masks(rng, n, p_tri, p_hyper):
     return hm, tm
 
 
+def _octahedron_paths(args) -> int:
+    """The sum by the blocked path, which must equal the loop's and the
+    dispatcher's."""
+    blocked = kernels._octahedron_blocked(*args)
+    assert blocked == kernels._octahedron_loop(*args)
+    assert blocked == kernels.octahedron_fast_scaled(*args)
+    return blocked
+
+
 def test_octahedron_kernel_matches_previous_kernel():
     # Hyperedge density 0 gives hm == 0 and density 1 gives hm == tm; the
     # forced ecount = 0 and ecount = tau make lo and hi vanish in turn
@@ -700,8 +712,90 @@ def test_octahedron_kernel_matches_previous_kernel():
                     ecounts |= {0, tau}
                 for ecount in sorted(ecounts):
                     args = (n, tau, ecount, hm, tm)
-                    assert (kernels.octahedron_fast_scaled(*args)
+                    assert (_octahedron_paths(args)
                             == _ref_octahedron_fast_scaled(*args))
+
+
+def test_octahedron_paths_on_degenerate_masks():
+    """hm = 0, hm = tm and a random hm, each with ecount 0, tau and the
+    hyperedge count; x-pair (0, 1) shares no triangle, and rows of x = 2
+    are empty, so some rows have S = 0 and some cells m = 0."""
+    rng = random.Random(17)
+    for n in (3, 12, 13):
+        full = (1 << n) - 1
+        for p_tri in (.5, .9, 1):
+            tm = _random_rows(rng, n * n, n, p_tri)
+            tm[n:2 * n] = [t ^ full for t in tm[:n]]
+            for y in range(0, n, 2):
+                tm[2 * n + y] = 0
+            tau = sum(map(int.bit_count, tm))
+            masks = _random_rows(rng, n * n, n, .5)
+            for hm in ([0] * (n * n), tm,
+                       [t & m for t, m in zip(tm, masks)]):
+                hcount = sum(map(int.bit_count, hm))
+                for ecount in sorted({0, tau, hcount}):
+                    args = (n, tau, ecount, hm, tm)
+                    assert (_octahedron_paths(args)
+                            == _ref_octahedron_fast_scaled(*args))
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 63, 64])
+def test_octahedron_blocked_path_at_field_width_edges(n):
+    """Each count of a cell is at most n and takes n.bit_length() bits,
+    which steps up at n = 16, 32 and 64; a field widens from 4 to 8 bytes
+    from n = 32 to 33.  Counts reach n only on full rows, so three x carry
+    full rows of triangles and of hyperedges, beside random ones; every
+    other x is empty, which keeps the loop and the previous kernel cheap
+    at n = 64."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    tm = [0] * (n * n)
+    hm = [0] * (n * n)
+    for x in (0, 1, n - 1):
+        for y in range(n):
+            kind = rng.randrange(4)
+            t = full if kind else rng.getrandbits(n)
+            h = (full if kind == 1 else 0 if kind == 2
+                 else t & rng.getrandbits(n))
+            tm[x * n + y], hm[x * n + y] = t, h & t
+    tau = sum(map(int.bit_count, tm))
+    for ecount in (0, sum(map(int.bit_count, hm)), tau):
+        args = (n, tau, ecount, hm, tm)
+        want = _ref_octahedron_fast_scaled(*args)
+        assert kernels._octahedron_blocked(*args) == want
+        assert kernels._octahedron_loop(*args) == want
+
+
+def test_octahedron_dispatch_pins_the_path_for_each_n(monkeypatch):
+    """The blocked path runs for 12 <= n <= 64 at triangle density at
+    least 0.4, and the loop everywhere else."""
+    ran = []
+    monkeypatch.setattr(kernels, "_octahedron_blocked",
+                        lambda *args: ran.append("blocked"))
+    monkeypatch.setattr(kernels, "_octahedron_loop",
+                        lambda *args: ran.append("loop"))
+    for n in range(1, 70):
+        dense = 12 <= n <= 64
+        for tau, blocked in ((n ** 3, dense), (-(-2 * n ** 3 // 5), dense),
+                             (-(-2 * n ** 3 // 5) - 1, False), (0, False)):
+            ran.clear()
+            kernels.octahedron_fast_scaled(n, tau, 0, [], [])
+            assert ran == ["blocked" if blocked else "loop"], (n, tau)
+
+
+def test_octahedron_loop_beyond_the_widest_field():
+    """At n = 65 no native cast holds a field, and the dispatcher takes
+    the loop at any density (see the dispatch test); the loop counts full
+    rows of 65 triangles exactly."""
+    n = 65
+    full = (1 << n) - 1
+    tm = [full] * n + [0] * (n * n - n)
+    hm = [full if y % 3 == 0 else 0 for y in range(n)] + tm[n:]
+    tau = sum(map(int.bit_count, tm))
+    args = (n, tau, n ** 2, hm, tm)
+    want = _ref_octahedron_fast_scaled(*args)
+    assert kernels.octahedron_fast_scaled(*args) == want
+    assert kernels._octahedron_loop(*args) == want
 
 
 @st.composite
@@ -718,8 +812,7 @@ def _octahedron_inputs(draw):
 
 @given(_octahedron_inputs())
 def test_octahedron_kernel_matches_previous_kernel_property(args):
-    assert (kernels.octahedron_fast_scaled(*args)
-            == _ref_octahedron_fast_scaled(*args))
+    assert _octahedron_paths(args) == _ref_octahedron_fast_scaled(*args)
 
 
 def test_octahedron_kernel_matches_naive_sum():
@@ -737,6 +830,6 @@ def test_octahedron_kernel_matches_naive_sum():
                     for c in range(n) if rng.random() < p_hyper))
                 args = hyperreg._scaled_f(h, t)
                 tau = args[1]
-                scaled = kernels.octahedron_fast_scaled(*args)
+                scaled = _octahedron_paths(args)
                 want = hyperreg.octahedron_sum_naive(h, t)
                 assert want == (Fraction(scaled, tau ** 8) if tau else 0)
