@@ -55,13 +55,6 @@ def _params(args) -> CheckParams:
     return CheckParams(mode=args.mode, random_trials=trials, seed=args.seed)
 
 
-def _witness_dict(witness):
-    if witness is None:
-        return None
-    return [list(part) if isinstance(part, tuple) else part
-            for part in witness]
-
-
 def _emit(args, report: dict, caveats: list[str]) -> None:
     if args.json:
         print(suites.canonical_json({"report": report, "caveats": caveats}))
@@ -92,7 +85,7 @@ def _emit_verdict(args, check: str, verdict) -> int:
         "check": check,
         "status": verdict.status,
         "method": verdict.method,
-        "witness": _witness_dict(verdict.witness),
+        "witness": verdict.witness,
     }, caveats)
     return CHECK_FAILED if verdict.status == IRREGULAR else 0
 
@@ -120,7 +113,7 @@ def _cmd_check_partition(args) -> int:
     _emit(args, {
         "check": "delta-regular partition with edit budget",
         "status": result.status,
-        "edits": sorted(result.edits),
+        "edits": result.edits,
         "budget": result.budget,
     }, caveats)
     return 0 if result.status != NOT_CERTIFIED else CHECK_FAILED

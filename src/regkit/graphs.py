@@ -11,37 +11,64 @@ auxiliary graph, and ``ThreeGraph.from_rows`` builds one from those rows,
 as every 3-graph is built: from a triple set by setting its bits, and
 complete as full rows.  Induced subgraphs are cut from the rows too, with
 no edge list between.  All densities are exact rationals.
+
+``Value`` is the base of regkit's validated types: they take ``==``, hash
+and repr from it over the fields each names in ``_fields``.  ``Verdict``
+and ``Report`` opt out of hashing, and ``BipartiteGraph``, ``Triad`` and
+``Threshold`` keep their own repr.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ClassMismatch, DegenerateInput, NotDisjoint
 
 
-class VertexClass:
+class Value:
+    """Base of the validated value types: ``==``, hash and repr over the
+    attributes a subclass names in ``_fields`` (two or more), in order.
+
+    ``==`` holds between instances of one class whose fields are equal (an
+    instance equals itself without a look at them), and is NotImplemented
+    against any other class.  The hash is that of the field tuple, so a
+    subclass whose fields may change sets ``__hash__ = None``.  The repr
+    is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class VertexClass(Value):
     """An index space of ``size`` vertices with a small integer label."""
 
-    __slots__ = ("id", "size")
+    __slots__ = _fields = ("id", "size")
 
     def __init__(self, id: int, size: int):
         if size < 0:
             raise DegenerateInput(f"vertex class {id} has negative size")
         self.id = id
         self.size = size
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.id == other.id and self.size == other.size
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.size))
-
-    def __repr__(self) -> str:
-        return f"VertexClass(id={self.id!r}, size={self.size!r})"
 
 
 def _check_index(v: int, n: int, what: str) -> None:
@@ -112,15 +139,17 @@ def _block_swap(rows: Sequence[int], n: int, w: int) -> tuple[int, ...]:
                  for k in range(0, step * n, step))
 
 
-class BipartiteGraph:
+class BipartiteGraph(Value):
     """Immutable bipartite graph between two vertex classes.
 
     ``rows[a]`` is the bitmask of right-neighbours of left vertex ``a``;
     ``cols[b]`` the bitmask of left-neighbours of right vertex ``b``.
-    These masks are all that is stored.
+    These masks are all that is stored; the classes and the rows decide
+    equality.
     """
 
     __slots__ = ("left", "right", "rows", "cols", "edge_count")
+    _fields = ("left", "right", "rows")
 
     def __init__(self, left: VertexClass, right: VertexClass,
                  edges: Iterable[tuple[int, int]]):
@@ -206,26 +235,17 @@ class BipartiteGraph:
     def empty(left: VertexClass, right: VertexClass) -> "BipartiteGraph":
         return BipartiteGraph.from_rows(left, right, [0] * left.size)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        return (self.left == other.left and self.right == other.right
-                and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right, self.rows))
-
     def __repr__(self) -> str:
         return (f"BipartiteGraph({self.left.size}x{self.right.size}, "
                 f"{self.edge_count} edges)")
 
 
-class ThreeGraph:
+class ThreeGraph(Value):
     """A 3-partite 3-uniform hypergraph on three vertex classes, stored as
     its axis-3 auxiliary graph: ``graph.rows[v1*|V2| + v2]`` is the mask of
     the v3 with (v1, v2, v3) a hyperedge; ``triples`` is derived from it."""
 
-    __slots__ = ("classes", "graph")
+    __slots__ = _fields = ("classes", "graph")
 
     def __init__(self, classes: tuple[VertexClass, VertexClass, VertexClass],
                  triples: Iterable[tuple[int, int, int]]):
@@ -280,17 +300,6 @@ class ThreeGraph:
                  ) -> "ThreeGraph":
         n1, n2, n3 = (c.size for c in classes)
         return ThreeGraph.from_rows(classes, [(1 << n3) - 1] * (n1 * n2))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.classes == other.classes and self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash((self.classes, self.graph))
-
-    def __repr__(self) -> str:
-        return f"ThreeGraph(classes={self.classes!r}, graph={self.graph!r})"
 
 
 class Triad:

@@ -21,15 +21,15 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (DegenerateInput, FrameMismatch, GroundMismatch,
                      NotDisjoint, ParameterOutOfContract, PreconditionFailed)
-from .graphs import BipartiteGraph, VertexClass, induced_subgraph
+from .graphs import BipartiteGraph, Value, VertexClass, induced_subgraph
 
 HALF = Fraction(1, 2)
 
 
-class VertexPartition:
+class VertexPartition(Value):
     """A partition of 0..ground.size-1 into disjoint nonempty blocks."""
 
-    __slots__ = ("ground", "blocks")
+    __slots__ = _fields = ("ground", "blocks")
 
     def __init__(self, ground: VertexClass,
                  blocks: tuple[frozenset[int], ...]):
@@ -46,18 +46,6 @@ class VertexPartition:
             raise DegenerateInput("partition blocks do not cover the ground")
         self.ground = ground
         self.blocks = blocks
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ground == other.ground and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.blocks))
-
-    def __repr__(self) -> str:
-        return (f"VertexPartition(ground={self.ground!r}, "
-                f"blocks={self.blocks!r})")
 
     @property
     def order(self) -> int:
@@ -165,7 +153,7 @@ class ThreePartiteFrame(NamedTuple):
         return VertexPartition(self.combined_class(), tuple(blocks))
 
 
-class TwoPartition:
+class TwoPartition(Value):
     """A vertex partition ``z`` (the clusters) plus an edge family that cuts
     the complete bipartite graph of every cluster pair into blocks.
 
@@ -178,6 +166,8 @@ class TwoPartition:
     frame here, as ``graphs`` is kept.  Neither enters equality, hash or
     repr.
     """
+
+    _fields = ("z", "blocks")
 
     def __init__(self, z: VertexPartition,
                  blocks: tuple[tuple[int, int, BipartiteGraph], ...]):
@@ -209,17 +199,6 @@ class TwoPartition:
         self.z = z
         self.blocks = blocks
         self._placements: dict = {}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.z == other.z and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.z, self.blocks))
-
-    def __repr__(self) -> str:
-        return f"TwoPartition(z={self.z!r}, blocks={self.blocks!r})"
 
     @cached_property
     def graphs(self) -> Mapping[tuple[int, int, int], BipartiteGraph]:

@@ -73,8 +73,8 @@ from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, DegenerateInput, ParameterOutOfContract
-from .graphs import (BipartiteGraph, count_edges_between, induced_subgraph,
-                     iter_bits, subset_mask)
+from .graphs import (BipartiteGraph, Value, count_edges_between,
+                     induced_subgraph, iter_bits, subset_mask)
 from .partitions import VertexPartition
 
 CERTIFIED = "CertifiedRegular"
@@ -152,11 +152,12 @@ def _as_threshold(value: ThresholdLike) -> Threshold:
 RANDOM_TRIALS = 64
 
 
-class CheckParams:
+class CheckParams(Value):
     """Search-budget knobs shared by every checker; ``mode`` is
     "exhaustive", "randomized" or "auto"."""
 
-    __slots__ = ("mode", "max_exhaustive_side", "random_trials", "seed")
+    __slots__ = _fields = ("mode", "max_exhaustive_side", "random_trials",
+                           "seed")
 
     def __init__(self, mode: str = "auto", max_exhaustive_side: int = 12,
                  random_trials: int = RANDOM_TRIALS, seed: int = 0):
@@ -171,23 +172,6 @@ class CheckParams:
         self.random_trials = random_trials
         self.seed = seed
 
-    def _key(self) -> tuple:
-        return (self.mode, self.max_exhaustive_side, self.random_trials,
-                self.seed)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"CheckParams(mode={self.mode!r}, max_exhaustive_side="
-                f"{self.max_exhaustive_side!r}, random_trials="
-                f"{self.random_trials!r}, seed={self.seed!r})")
-
     def pick_mode(self, size: int, limit: int, what: str) -> str:
         """The search for an instance of ``size``: auto is exhaustive up to
         ``limit``; an exhaustive search beyond it raises BudgetExceeded."""
@@ -200,11 +184,12 @@ class CheckParams:
         return mode
 
 
-class Verdict:
+class Verdict(Value):
     """Outcome of one regularity check on a bipartite pair; ``effort`` is
     a fresh dict unless one is given.  Unhashable, as ``effort`` is a dict."""
 
-    __slots__ = ("status", "method", "witness", "effort")
+    __slots__ = _fields = ("status", "method", "witness", "effort")
+    __hash__ = None
 
     def __init__(self, status: str, method: str,
                  witness: Optional[tuple[tuple[int, ...],
@@ -214,17 +199,6 @@ class Verdict:
         self.method = method
         self.witness = witness
         self.effort = {} if effort is None else effort
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.status == other.status and self.method == other.method
-                and self.witness == other.witness
-                and self.effort == other.effort)
-
-    def __repr__(self) -> str:
-        return (f"Verdict(status={self.status!r}, method={self.method!r}, "
-                f"witness={self.witness!r}, effort={self.effort!r})")
 
     @classmethod
     def of_search(cls, mode: str, witness, effort: dict) -> "Verdict":
@@ -338,16 +312,14 @@ def _left_masks(g: BipartiteGraph, ka: int, k0: int, low: int, high: int):
     ranked = sorted(degrees)
     if sum(ranked[:ka]) >= below and sum(ranked[na - ka:]) <= above:
         return
-    width, fmt = (1, "B") if ka < 1 << 8 else (8, "Q")
+    width = 1 if ka < 1 << 8 else 8
     spread = [_spread_row(row, width) for row in g.rows]
     prefix = list(accumulate(degrees, initial=0))
     amask, total = (1 << ka) - 1, prefix[ka]
     while True:
         if total < below or total > above:
             packed = sum(compress(spread, _members(amask, na)))
-            raw = packed.to_bytes(nb * width, sys.byteorder)
-            yield amask, sorted(raw if width == 1
-                                else memoryview(raw).cast(fmt))
+            yield amask, sorted(_fields(packed, nb, width))
         lowest = amask & -amask
         ripple = amask + lowest
         t = lowest.bit_length() - 1

@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple
 from . import constructions as cn
 from . import fileio, hyperreg, partitions
 from .errors import ParameterOutOfContract, UnknownSuite
-from .graphs import (BipartiteGraph, ThreeGraph, Triad, VertexClass,
+from .graphs import (BipartiteGraph, ThreeGraph, Triad, Value, VertexClass,
                      density, edge_disjoint_union, induced_subgraph)
 from .partitions import (ThreePartiteFrame, VertexPartition,
                          approx_refines, complete_two_partition,
@@ -67,12 +67,13 @@ class SuiteSpec(NamedTuple):
     scale: Mapping = MappingProxyType({})
 
 
-class Report:
+class Report(Value):
     """A suite's outcome.  ``wall_time`` is set after the run; it enters
     equality but not the canonical JSON.  Unhashable, as it changes."""
 
-    __slots__ = ("suite", "seed", "trials", "records", "passed", "caveats",
-                 "wall_time")
+    __slots__ = _fields = ("suite", "seed", "trials", "records", "passed",
+                           "caveats", "wall_time")
+    __hash__ = None
 
     def __init__(self, suite: str, seed: int, trials: int, records: list,
                  passed: bool, caveats: list, wall_time: float = 0.0):
@@ -83,21 +84,6 @@ class Report:
         self.passed = passed
         self.caveats = caveats
         self.wall_time = wall_time
-
-    def _key(self) -> tuple:
-        return (self.suite, self.seed, self.trials, self.records, self.passed,
-                self.caveats, self.wall_time)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return (f"Report(suite={self.suite!r}, seed={self.seed!r}, "
-                f"trials={self.trials!r}, records={self.records!r}, "
-                f"passed={self.passed!r}, caveats={self.caveats!r}, "
-                f"wall_time={self.wall_time!r})")
 
     def canonical_dict(self) -> dict:
         # Wall time is intentionally left out: reports must be

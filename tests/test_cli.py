@@ -23,6 +23,10 @@ def fixtures(tmp_path):
     fileio.save_graph(paths["half"], BipartiteGraph(
         a, b, [(i, j) for i in range(4) for j in range(4)
                if (i < 2) == (j < 2)]))
+    paths["edits"] = tmp_path / "edits.bg"
+    fileio.save_graph(paths["edits"], BipartiteGraph(
+        a, b, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0),
+               (3, 1), (3, 3)]))
     paths["vp"] = tmp_path / "p.vp"
     fileio.save_partition(paths["vp"],
                           VertexPartition.from_labels(a, [0, 0, 1, 1]))
@@ -32,6 +36,8 @@ def fixtures(tmp_path):
     paths["tr"] = tmp_path / "t.tr"
     fileio.save_triad(paths["tr"], Triad.complete(*cls))
     frame = ThreePartiteFrame(cls)
+    paths["h1"] = tmp_path / "h1.h3"
+    fileio.save_threegraph(paths["h1"], ThreeGraph(cls, [(0, 0, 0)]))
     paths["tp"] = tmp_path / "z.tp"
     fileio.save_twopartition(paths["tp"],
                              complete_two_partition(frame.frame_partition()))
@@ -370,6 +376,31 @@ def test_check_partition_randomized_caveats(fixtures, capsys):
         "caveat: pair (0, 1): no witness found",
         "caveat: pair (1, 0): no witness found",
         "caveat: pair (1, 1): no witness found"]
+
+
+# Each command's report, as text lines and as the JSON document, pinned
+# byte for byte: witnesses and edits print as lists in both modes.
+@pytest.mark.parametrize("argv, code, report", [
+    (["check-pair", "--graph", "half", "--eps", "1/4", "--mode",
+      "exhaustive"], 1,
+     {"check": "eps-regular pair", "method": "Exhaustive",
+      "status": "IrregularWithWitness", "witness": [[0], [2]]}),
+    (["check-fr", "--h", "h1", "--triad", "tr", "--eps", "1/4"], 1,
+     {"check": "deviation-regular triad", "method": "Exhaustive",
+      "status": "IrregularWithWitness", "witness": [1, 3, 3]}),
+    (["check-partition", "--graph", "edits", "--left", "vp", "--right", "vp",
+      "--delta", "1/2"], 0,
+     {"budget": 2, "check": "delta-regular partition with edit budget",
+      "edits": [[0, 1], [3, 3]], "status": "RegularAfterEdits"}),
+], ids=["check-pair", "check-fr", "check-partition"])
+def test_witness_and_edits_output(fixtures, capsys, argv, code, report):
+    argv = [fixtures[a] if a in fixtures else a for a in argv]
+    assert run(argv) == code
+    assert capsys.readouterr().out == "".join(
+        f"{key}: {value}\n" for key, value in report.items())
+    assert run(["--json", *argv]) == code
+    assert capsys.readouterr().out == json.dumps(
+        {"caveats": [], "report": report}, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("argv, check", [

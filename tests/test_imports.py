@@ -74,7 +74,9 @@ def test_regkit_needs_only_the_standard_library():
 
 
 # Run isolated (-I) in a fresh interpreter: import every regkit module and
-# report whether each named module came along.
+# report whether each named module came along.  -I ignores
+# PYTHONDONTWRITEBYTECODE, so -B keeps the probe from writing a bytecode
+# cache into the source tree.
 _IMPORT_PROBE = """
 import importlib, pkgutil, sys
 sys.path.insert(0, sys.argv[1])
@@ -88,7 +90,7 @@ print(len(names), *(name in sys.modules for name in sys.argv[2:]))
 
 def _import_probe(*watched: str) -> str:
     run = subprocess.run(
-        [sys.executable, "-I", "-c", _IMPORT_PROBE, str(ROOT / "src"),
+        [sys.executable, "-I", "-B", "-c", _IMPORT_PROBE, str(ROOT / "src"),
          *watched], check=True, capture_output=True, text=True)
     return run.stdout
 

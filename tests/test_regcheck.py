@@ -971,6 +971,27 @@ def test_skipped_masks_have_no_violation(g, data):
     assert not visited
 
 
+@pytest.mark.parametrize("na", [256, 257])
+def test_left_masks_at_the_field_width_edge(na):
+    """Hits fit one-byte fields below 256 vertices a mask and take
+    eight-byte fields from 256 on.  Masks of ka = na - 1 vertices, with
+    column 0 full, so that its hits reach ka on both sides of the edge:
+    every mask is visited, in ascending order, with the hits of the
+    specification's column order."""
+    rng = random.Random(na)
+    g = BipartiteGraph.from_rows(
+        VertexClass(0, na), VertexClass(1, 5),
+        [1 | sum(1 << b for b in range(1, 5) if rng.random() < 0.5)
+         for _ in range(na)])
+    ka = na - 1
+    visited = list(_left_masks(g, ka, 1, ka + 1, -1))
+    assert [amask for amask, _ in visited] == sorted(
+        ((1 << na) - 1) ^ (1 << v) for v in range(na))
+    for amask, hits in visited:
+        assert hits == [h for h, _ in _spec_column_order(g, amask)]
+        assert hits[-1] == ka
+
+
 # One unit past both early exits' cross-multiplied tests, and irregular
 # at both parameters.
 @example(g=_graph(1, 2, [(0, 1)]), eps=Fraction(1, 3),

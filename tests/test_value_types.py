@@ -5,7 +5,9 @@ only hashable values, prints as ``Name(field=value, ...)``, keeps its
 constructor's parameters and defaults, and validates its input with the
 same errors and texts.
 """
+import ast
 import inspect
+import pathlib
 import re
 from fractions import Fraction
 
@@ -345,3 +347,34 @@ def test_vertex_partition_validation(blocks, error, text):
 def test_two_partition_validation(blocks, text):
     with pytest.raises(DegenerateInput, match=f"^{re.escape(text)}$"):
         partitions.TwoPartition(Z3, blocks)
+
+
+def _writes_eq_or_hash(node):
+    """Whether a class body defines ``__eq__`` or ``__hash__``, by ``def``
+    or by assignment; ``__hash__ = None``, which only opts out, does not
+    count."""
+    for sub in node.body:
+        if isinstance(sub, ast.FunctionDef):
+            names, value = [sub.name], sub
+        elif isinstance(sub, ast.Assign):
+            names = [t.id for t in sub.targets if isinstance(t, ast.Name)]
+            value = sub.value
+        else:
+            continue
+        for name in names:
+            if name == "__eq__" or (name == "__hash__" and not (
+                    isinstance(value, ast.Constant) and value.value is None)):
+                return True
+    return False
+
+
+def test_only_value_and_big_count_write_eq_or_hash():
+    """The validated types take ``==`` and hash from ``graphs.Value``;
+    ``constructions.BigCount`` alone compares by value, through ``cmp``."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "regkit"
+    writers = sorted(f"{path.stem}.{node.name}"
+                     for path in src.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ClassDef)
+                     and _writes_eq_or_hash(node))
+    assert writers == ["constructions.BigCount", "graphs.Value"]
