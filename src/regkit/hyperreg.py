@@ -625,15 +625,25 @@ class CountingBand(NamedTuple):
 
 
 def triangle_count_bound(t: Triad, eps: Fraction) -> CountingBand:
-    """t(P) against the product-density band with slack 7 * eps."""
+    """t(P) against the product-density band with slack 7 * eps.
+
+    The band is (d_AB * d_AC * d_BC -+ 7 * eps) * V, V = |A||B||C|.  With
+    eps = p/q and the edge counts e_XY, the densities' product is
+    e_AB * e_AC * e_BC / V^2, so the bounds are (mid -+ slack) / (V * q)
+    for mid = e_AB * e_AC * e_BC * q and slack = 7 * p * V^2, and the
+    test is on integers.
+    """
     eps = Fraction(eps)
     na, nb, nc = t.sizes
     count = kernels.triangle_count(t.ab.rows, t.ac.rows, t.bc.rows)
-    prod = density(t.ab) * density(t.ac) * density(t.bc)
     volume = na * nb * nc
-    lower = (prod - 7 * eps) * volume
-    upper = (prod + 7 * eps) * volume
-    return CountingBand(count, lower, upper, lower <= count <= upper)
+    q = eps.denominator
+    mid = t.ab.edge_count * t.ac.edge_count * t.bc.edge_count * q
+    slack = 7 * eps.numerator * volume * volume
+    scale = volume * q
+    return CountingBand(count, Fraction(mid - slack, scale),
+                        Fraction(mid + slack, scale),
+                        mid - slack <= count * scale <= mid + slack)
 
 
 # ---------------------------------------------------------------------------

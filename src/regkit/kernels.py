@@ -2,19 +2,22 @@
 
 Three entry points: ``triangle_count``, ``octahedron_fast_scaled`` and
 ``scan_subtriads``.  All arithmetic is on Python ints, so no input is too
-wide.  A dense triangle count is one popcount per A vertex, of a product
-of packed masks.  The subtriad scan decides each block of subtriads
-exactly from packed counts: one popcount for heaviness, then a bitset of
-the block's subset sums (t, e) against the cells that violate.  It walks
-only the first block that holds a violation and counts every other
-block as examined, so its witnesses and state counts are those of the
-plain walk over every state.  The octahedron sum is bit-sliced: per pair
-of rows it keeps three nested masks S, U and V (shared triangles, those
-with at least one hyperedge, those with two), so each dot product is five
-popcounts weighted by constants fixed per call.  On dense triads of 12 to
-64 vertices per class it takes every column pair of a row pair at once,
-one field of a wide int each, and tallies the five counts of each pair as
-one key, so each distinct key is weighed once per call.
+wide.  A dense triangle count is one popcount per A vertex: one
+multiplication and one AND spread its AB row to one bit per block of
+packed BC, a second multiplication copies its AC row into those blocks,
+and an AND with packed BC keeps the triangles.  The subtriad scan decides
+each block of subtriads exactly from packed counts: one popcount for
+heaviness, then a bitset of the block's subset sums (t, e) against the
+cells that violate.  It walks only the first block that holds a violation
+and counts every other block as examined, so its witnesses and state
+counts are those of the plain walk over every state.  The octahedron sum
+is bit-sliced: per pair of rows it keeps three nested masks S, U and V
+(shared triangles, those with at least one hyperedge, those with two),
+so each dot product is five popcounts weighted by constants fixed per
+call.  On dense triads of 12 to 64 vertices per class it takes every
+column pair of a row pair at once, one field of a wide int each, and
+tallies the five counts of each pair as one key, so each distinct key is
+weighed once per call.
 Masks are Python ints (bit z of ``hm[x*n+y]`` says whether (x, y, z) is a
 hyperedge-carrying triangle, bit a of ``bc_h[k]`` whether a and BC edge k
 span one, etc.).
@@ -29,23 +32,36 @@ from typing import Optional, Sequence
 BACKEND = "python"
 
 
-# The packed count of a row costs about as much as 8 steps of the loop,
-# or one step per 400 bits of the |B| * W-bit product it forms when that
-# is more (timed for triads of side 8-200), so an AB side with fewer edges
-# per row takes the loop.
-_PACKED_MIN_DEGREE = 8
-_PACKED_BITS_PER_EDGE = 400
+# Loop time over packed time on n x n x n triads with every side at edge
+# density p, and the mean AB degree at which the two tie, with |B| * W over
+# that degree (CPython 3.11, best of 9, mean of two seeds; runs differed
+# by up to a quarter):
+#
+#       n    W   p = .2   .5    .9   tie degree   |B| * W / tie
+#       4    8     0.4   0.5   0.9       3.2             -
+#       8   16     0.6   1.1   1.9       3.8             -
+#      16   24     1.1   2.4   4.5       3.2             -
+#      32   40     2.3   5.5   9.3       3.0             -
+#      64   72     1.6   3.8   7.3       8.5           550
+#     128  136     0.8   1.8   3.1        37           470
+#     200  208     0.4   1.0   1.8       106           395
+#     256  264     0.3   0.6   1.1       205           335
+#
+# So a packed row costs about 4 steps of the loop, or one step per 450
+# bits of the |B| * W-bit product it forms when that is more; an AB side
+# with fewer edges per row takes the loop, and so does a B side of fewer
+# than 8 vertices.
+_PACKED_MIN_SIDE = 8
+_PACKED_MIN_DEGREE = 4
+_PACKED_BITS_PER_EDGE = 450
 
 
 @cache
-def _spread_bytes(w: int) -> tuple[bytes, ...]:
-    """Byte v -> the 8*w-bit int with bit k*w set for each bit k of v, as
-    w little-endian bytes."""
-    spread = [0] * 256
-    for v in range(1, 256):
-        low = v & -v
-        spread[v] = spread[v ^ low] | 1 << (low.bit_length() - 1) * w
-    return tuple(x.to_bytes(w, "little") for x in spread)
+def _spread_masks(nb: int, w: int) -> tuple[int, int]:
+    """(M, D) for nb < w: bit k*(w-1) of M and bit k*w of D set for each
+    k < nb."""
+    return (((1 << nb * (w - 1)) - 1) // ((1 << w - 1) - 1),
+            ((1 << nb * w) - 1) // ((1 << w) - 1))
 
 
 def triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
@@ -57,11 +73,11 @@ def triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
     to pay, the sum is one popcount per a instead (see
     ``_packed_triangle_count``).
     """
-    if len(bc_rows) >= _PACKED_MIN_DEGREE:
+    if len(bc_rows) >= _PACKED_MIN_SIDE:
         edges = sum(map(int.bit_count, ab_rows))
         if edges >= _PACKED_MIN_DEGREE * len(ab_rows) > 0:
             bits = max(map(int.bit_length, (*ac_rows, *bc_rows)))
-            w = max(8, -(-bits // 8) * 8)
+            w = max(bits + 7, len(bc_rows) + 8) >> 3 << 3
             if (edges * _PACKED_BITS_PER_EDGE
                     >= len(ab_rows) * len(bc_rows) * w):
                 return _packed_triangle_count(ab_rows, ac_rows, bc_rows, w)
@@ -81,23 +97,25 @@ def _packed_triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
     """``triangle_count`` with every AC and BC row below 2^w, w a multiple
     of 8.
 
-    BC is packed as one int of |B| w-bit blocks.  Spreading ab[a] to bit
-    b*w for each of its b (a byte at a time, from a table) and multiplying
-    by ac[a] puts a copy of ac[a] in block b, with no carry because w
-    bounds ac[a] too; AND with packed BC keeps the C columns of each
+    BC is packed as one int of |B| w-bit blocks, w widened by whole bytes
+    until w > |B|.  Multiplying ab[a] by M = sum of 2^(k*(w-1)) over
+    k < |B| puts bit b of ab[a] at b + k*(w-1) for every k.  As |B| < w
+    these positions are distinct, so nothing carries, and the one at a
+    multiple of w is k = b, at b*w; AND with D = sum of 2^(k*w) keeps
+    exactly those, one bit per block b of ab[a].  Multiplying by ac[a]
+    then puts a copy of ac[a] in each such block, with no carry because
+    w bounds ac[a] too; AND with packed BC keeps the C columns of each
     triangle, so one popcount counts the triangles on a.
     """
+    w = max(w, (len(bc_rows) + 8) >> 3 << 3)
     step = w >> 3
     bc = int.from_bytes(b"".join(row.to_bytes(step, "little")
                                  for row in bc_rows), "little")
-    spread = _spread_bytes(w).__getitem__
-    nbytes = (len(bc_rows) + 7) >> 3
+    m, d = _spread_masks(len(bc_rows), w)
     total = 0
     for ab, ac in zip(ab_rows, ac_rows):
         if ab and ac:
-            blocks = int.from_bytes(b"".join(map(
-                spread, ab.to_bytes(nbytes, "little"))), "little")
-            total += (blocks * ac & bc).bit_count()
+            total += ((ab * m & d) * ac & bc).bit_count()
     return total
 
 

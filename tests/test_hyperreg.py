@@ -630,6 +630,91 @@ def test_counting_band_complete_sides_exact():
     assert band.triangle_count == density(ab) * 4 * 4 * 4
 
 
+def _spec_counting_band(t, eps, count):
+    """The band as stated: (d_AB * d_AC * d_BC -+ 7 * eps) * |A||B||C| in
+    Fractions, and whether ``count`` lies in it."""
+    volume = t.sizes[0] * t.sizes[1] * t.sizes[2]
+    prod = density(t.ab) * density(t.ac) * density(t.bc)
+    lower = (prod - 7 * eps) * volume
+    upper = (prod + 7 * eps) * volume
+    return lower, upper, lower <= count <= upper
+
+
+def _assert_band_is_spec(t, eps):
+    band = hyperreg.triangle_count_bound(t, eps)
+    lower, upper, in_band = _spec_counting_band(t, eps,
+                                                band.triangle_count)
+    assert type(band.lower) is Fraction and type(band.upper) is Fraction
+    assert (band.lower, band.upper, band.in_band) == (lower, upper, in_band)
+    return band
+
+
+def test_counting_band_matches_fraction_formula():
+    """Sides 1-12 and the bench's 32-64 at eps 0, 1/10, 10^-9 and -1/10
+    (not refused), and at the eps that puts the count on the band's edge,
+    where ``in_band`` turns, and just inside and outside it."""
+    rng = random.Random(38)
+    shapes = [tuple(rng.randint(1, 12) for _ in range(3)) for _ in range(40)]
+    shapes += [(n, n, n) for n in (32, 40, 48, 56, 64)]
+    turned = set()
+    for sizes in shapes:
+        a, b, c = (VertexClass(i, n) for i, n in enumerate(sizes))
+        p = rng.choice([.1, .3, .5, .7, .9, 1])
+        t = Triad(rg(rng, a, b, p), rg(rng, a, c, p), rg(rng, b, c, p))
+        band = None
+        for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 10 ** 9),
+                    Fraction(-1, 10)):
+            band = _assert_band_is_spec(t, eps)
+        volume = sizes[0] * sizes[1] * sizes[2]
+        prod = density(t.ab) * density(t.ac) * density(t.bc)
+        edge = abs(band.triangle_count - prod * volume) / (7 * volume)
+        tiny = Fraction(1, 10 ** 12)
+        turned.add(tuple(_assert_band_is_spec(t, e).in_band
+                         for e in (edge - tiny, edge, edge + tiny)))
+    assert turned == {(False, True, True)}
+
+
+def _triad_in_order(graphs, order):
+    """The triad whose axes are the classes ``order`` of a triad held as
+    ``graphs[i, j]`` (i < j), each side transposed where needed."""
+    def side(i, j):
+        return graphs[i, j] if i < j else graphs[j, i].transpose()
+    i, j, k = order
+    return Triad(side(i, j), side(i, k), side(j, k))
+
+
+def _relabelled_graph(g, left, right):
+    rows = [0] * g.left.size
+    for x, row in enumerate(g.rows):
+        rows[left[x]] = sum(1 << right[y] for y in iter_bits(row))
+    return BipartiteGraph.from_rows(g.left, g.right, rows)
+
+
+@given(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+       st.sampled_from([.2, .5, .9, 1]),
+       st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 10 ** 9),
+                        Fraction(-1, 10)]),
+       st.integers(0, 2 ** 32))
+def test_counting_band_is_invariant_under_axis_order_and_labels(
+        sizes, p, eps, seed):
+    """Each of the six orders of the axes, and a relabelling of every
+    class, give the same band."""
+    rng = random.Random(seed)
+    cls = [VertexClass(i, n) for i, n in enumerate(sizes)]
+    graphs = {(i, j): rg(rng, cls[i], cls[j], p)
+              for i, j in ((0, 1), (0, 2), (1, 2))}
+    want = hyperreg.triangle_count_bound(_triad_in_order(graphs, (0, 1, 2)),
+                                         eps)
+    for order in itertools.permutations(range(3)):
+        assert hyperreg.triangle_count_bound(
+            _triad_in_order(graphs, order), eps) == want
+    labels = [rng.sample(range(n), n) for n in sizes]
+    relabelled = {(i, j): _relabelled_graph(g, labels[i], labels[j])
+                  for (i, j), g in graphs.items()}
+    assert hyperreg.triangle_count_bound(
+        _triad_in_order(relabelled, (0, 1, 2)), eps) == want
+
+
 def test_partition_triads_enumeration():
     frame = ThreePartiteFrame(tuple(VertexClass(i, 2) for i in range(3)))
     tp = complete_two_partition(frame.frame_partition())

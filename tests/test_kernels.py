@@ -1,17 +1,20 @@
 """The kernels against independent oracles: a brute-force triangle count
-and the previous edge-loop count, the plain subtriad walk that visits every
-state and the previous subtriad kernel, brute-force subset sums and the
-subtriad predicates cell by cell, and the previous octahedron kernel with
-the literal six-index sum.  The octahedron sum has two paths, the blocked
-one and the row-pair loop it was before; both are called directly, and
-each against the previous kernel and the naive sum."""
+and the previous kernel, which spread AB rows from byte tables, with the
+count's invariance under axis orders and relabelling; the plain subtriad
+walk that visits every state and the previous subtriad kernel,
+brute-force subset sums and the subtriad predicates cell by cell; and
+the previous octahedron kernel with the literal six-index sum.  The
+octahedron sum has two paths, the blocked one and the row-pair loop it
+was before; both are called directly, and each against the previous
+kernel and the naive sum."""
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress, product
 from operator import and_, gt, mul, or_
 from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -524,12 +527,18 @@ def test_violating_cells_match_the_predicates():
             ("t_min", True, False), ("t_min", False, True)} <= seen
 
 
-def _brute_triangle_count(n, ab_rows, ac_rows, bc_rows):
-    """Triples (a, b, c) of an n x n x n triad with ab, ac and bc all
-    edges."""
-    return sum(1 for a in range(n) for b in range(n) for c in range(n)
-               if ab_rows[a] >> b & 1 and ac_rows[a] >> c & 1
-               and bc_rows[b] >> c & 1)
+def _bit_matrix(rows, width):
+    """The 0/1 matrix whose entry (x, y) is bit y of rows[x]."""
+    return np.array([[row >> y & 1 for y in range(width)] for row in rows],
+                    dtype=np.int64).reshape(len(rows), width)
+
+
+def _brute_triangle_count(ab_rows, ac_rows, bc_rows):
+    """The sum over every triple (a, b, c) of ab[a, b] * ac[a, c] *
+    bc[b, c] on 0/1 matrices; C runs to the widest AC or BC row."""
+    nc = max(map(int.bit_length, (*ac_rows, *bc_rows)), default=0)
+    return int(np.einsum("ab,ac,bc->", _bit_matrix(ab_rows, len(bc_rows)),
+                         _bit_matrix(ac_rows, nc), _bit_matrix(bc_rows, nc)))
 
 
 def test_triangle_count_matches_brute_force():
@@ -537,22 +546,51 @@ def test_triangle_count_matches_brute_force():
     for _ in range(60):
         n = rng.randint(1, 10)
         rows = _random_triad_rows(rng, n, rng.choice([.2, .5, .8]))
-        assert (kernels.triangle_count(*rows)
-                == _brute_triangle_count(n, *rows))
+        assert kernels.triangle_count(*rows) == _brute_triangle_count(*rows)
     # Rows wider than 64 bits.
     rows = _random_triad_rows(rng, 70, .3)
-    want = _brute_triangle_count(70, *rows)
+    want = _brute_triangle_count(*rows)
     assert want > 0
     assert kernels.triangle_count(*rows) == want
 
 
-# ``kernels.triangle_count`` as it was before dense triads were counted
-# packed, kept verbatim but for its name as the oracle for the tests below.
+# ``kernels.triangle_count`` as it was before each AB row was spread by one
+# multiplication, kept verbatim but for its names as the oracle for the
+# tests below.
+
+_REF2_PACKED_MIN_DEGREE = 8
+_REF2_PACKED_BITS_PER_EDGE = 400
 
 
-def _ref_triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
-                        bc_rows: Sequence[int]) -> int:
-    """Triangles of a triad: sum of codegrees over the AB edges."""
+@cache
+def _ref2_spread_bytes(w: int) -> tuple[bytes, ...]:
+    """Byte v -> the 8*w-bit int with bit k*w set for each bit k of v, as
+    w little-endian bytes."""
+    spread = [0] * 256
+    for v in range(1, 256):
+        low = v & -v
+        spread[v] = spread[v ^ low] | 1 << (low.bit_length() - 1) * w
+    return tuple(x.to_bytes(w, "little") for x in spread)
+
+
+def _ref2_triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
+                         bc_rows: Sequence[int]) -> int:
+    """Triangles of a triad: sum of codegrees over the AB edges.
+
+    Per A vertex a this is the popcount of ac[a] & bc[b] summed over the
+    b of ab[a], one AB edge at a time.  Where the AB side is dense enough
+    to pay, the sum is one popcount per a instead (see
+    ``_packed_triangle_count``).
+    """
+    if len(bc_rows) >= _REF2_PACKED_MIN_DEGREE:
+        edges = sum(map(int.bit_count, ab_rows))
+        if edges >= _REF2_PACKED_MIN_DEGREE * len(ab_rows) > 0:
+            bits = max(map(int.bit_length, (*ac_rows, *bc_rows)))
+            w = max(8, -(-bits // 8) * 8)
+            if (edges * _REF2_PACKED_BITS_PER_EDGE
+                    >= len(ab_rows) * len(bc_rows) * w):
+                return _ref2_packed_triangle_count(ab_rows, ac_rows,
+                                                   bc_rows, w)
     total = 0
     for a, mask in enumerate(ab_rows):
         ac = ac_rows[a]
@@ -564,18 +602,52 @@ def _ref_triangle_count(ab_rows: Sequence[int], ac_rows: Sequence[int],
     return total
 
 
+def _ref2_packed_triangle_count(ab_rows: Sequence[int],
+                                ac_rows: Sequence[int],
+                                bc_rows: Sequence[int], w: int) -> int:
+    """``triangle_count`` with every AC and BC row below 2^w, w a multiple
+    of 8.
+
+    BC is packed as one int of |B| w-bit blocks.  Spreading ab[a] to bit
+    b*w for each of its b (a byte at a time, from a table) and multiplying
+    by ac[a] puts a copy of ac[a] in block b, with no carry because w
+    bounds ac[a] too; AND with packed BC keeps the C columns of each
+    triangle, so one popcount counts the triangles on a.
+    """
+    step = w >> 3
+    bc = int.from_bytes(b"".join(row.to_bytes(step, "little")
+                                 for row in bc_rows), "little")
+    spread = _ref2_spread_bytes(w).__getitem__
+    nbytes = (len(bc_rows) + 7) >> 3
+    total = 0
+    for ab, ac in zip(ab_rows, ac_rows):
+        if ab and ac:
+            blocks = int.from_bytes(b"".join(map(
+                spread, ab.to_bytes(nbytes, "little"))), "little")
+            total += (blocks * ac & bc).bit_count()
+    return total
+
+
 def _rows_of_degree(rng, n_left, n_right, degree):
     return [sum(1 << b for b in rng.sample(range(n_right), degree))
             for _ in range(n_left)]
 
 
-def _assert_triangle_counts_match(ab, ac, bc):
-    """The kernel, and the packed count forced at the least block width and
-    at a wider one, against the previous kernel."""
-    want = _ref_triangle_count(ab, ac, bc)
-    assert kernels.triangle_count(ab, ac, bc) == want
+def _least_width(ac, bc):
+    """The least multiple of 8 (at least 8) that bounds every AC and BC
+    row, whatever |B| is: the packed count must widen it past |B|."""
     bits = max(map(int.bit_length, ac + bc), default=0)
-    w = max(8, -(-bits // 8) * 8)
+    return max(8, -(-bits // 8) * 8)
+
+
+def _assert_triangle_counts_match(ab, ac, bc):
+    """The kernel, and the packed count forced at the least width bounding
+    AC and BC and at a wider one, against the previous kernel and the
+    brute-force count."""
+    want = _ref2_triangle_count(ab, ac, bc)
+    assert _brute_triangle_count(ab, ac, bc) == want
+    assert kernels.triangle_count(ab, ac, bc) == want
+    w = _least_width(ac, bc)
     for width in (w, w + 8):
         assert kernels._packed_triangle_count(ab, ac, bc, width) == want
 
@@ -599,11 +671,12 @@ def test_triangle_count_matches_previous_kernel():
         assert max(map(int.bit_length, ac)) > reach
         _assert_triangle_counts_match(ab, ac, bc)
     # AB degrees just below, at and just above the cutoff, both where
-    # the minimum degree sets it (side 16-64) and where the product width
-    # does (side 200, W = 200: |B| * W / 400 = 100).
+    # the minimum degree sets it (side 16-40) and where the product width
+    # does (side 64 and 200; W = 208 at side 200, as W > |B|).
     for n in (16, 17, 40, 64, 200):
+        w = (n + 8) >> 3 << 3
         cut = max(kernels._PACKED_MIN_DEGREE,
-                  n * max(8, -(-n // 8) * 8) // kernels._PACKED_BITS_PER_EDGE)
+                  n * w // kernels._PACKED_BITS_PER_EDGE)
         for degree in (cut - 1, cut, cut + 1):
             _assert_triangle_counts_match(
                 _rows_of_degree(rng, n, n, degree),
@@ -619,9 +692,37 @@ def test_triangle_count_matches_previous_kernel():
     _assert_triangle_counts_match([], [], [1, 2])
 
 
+def test_packed_triangle_count_block_width_edges():
+    """The spread of ab[a] is exact while |B| <= w - 1: |B| = w - 1 needs
+    no widening, |B| = w, w + 1 and |B| far above w must widen.  C fills
+    w columns, so the least width bounding AC and BC is w itself."""
+    rng = random.Random(43)
+    for w in (8, 16, 64, 128, 136):
+        for nb in (w - 1, w, w + 1, 3 * w):
+            for p in (.5, 1):
+                ab = _random_rows(rng, 6, nb, p)
+                ac = _random_rows(rng, 6, w, p)
+                bc = _random_rows(rng, nb, w, p)
+                ac[0] |= 1 << w - 1
+                assert _least_width(ac, bc) == w
+                _assert_triangle_counts_match(ab, ac, bc)
+    # Every AB edge present, C a single column: the block must widen from
+    # 8 to 136 bits for 130 B vertices.
+    ab, ac, bc = [(1 << 130) - 1] * 3, [1] * 3, [1] * 130
+    assert _least_width(ac, bc) == 8
+    _assert_triangle_counts_match(ab, ac, bc)
+    assert kernels._packed_triangle_count(ab, ac, bc, 8) == 390
+
+
 @st.composite
 def _triad_rows(draw):
-    na, nb, nc = (draw(st.integers(1, 70)) for _ in range(3))
+    """Rectangular triads whose B side is often one below, at or one above
+    a multiple of 8, or wider than the width that C needs, and whose rows
+    may pass 128 bits."""
+    na = draw(st.integers(1, 70))
+    nb = draw(st.integers(1, 70)
+              | st.sampled_from([7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 129]))
+    nc = draw(st.integers(1, 70) | st.sampled_from([1, 8, 16, 64, 129]))
     reach = draw(st.integers(0, nc))
     p = draw(st.sampled_from([0., .2, .5, .9, 1.]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -632,6 +733,65 @@ def _triad_rows(draw):
 @given(_triad_rows())
 def test_triangle_count_matches_previous_kernel_property(rows):
     _assert_triangle_counts_match(*rows)
+
+
+def _oriented_rows(graphs, sizes, i, j):
+    """Rows of the side between axes i and j of a triad, one per vertex of
+    axis i; ``graphs[i, j]`` for i < j holds them one per vertex of i."""
+    if i < j:
+        return graphs[i, j]
+    return [sum(1 << a for a, row in enumerate(graphs[j, i]) if row >> b & 1)
+            for b in range(sizes[i])]
+
+
+def _relabelled_rows(rows, left, right):
+    """Rows with left vertex x renamed left[x] and right vertex y right[y]."""
+    out = [0] * len(left)
+    for x, row in enumerate(rows):
+        out[left[x]] = sum(1 << right[y] for y in range(len(right))
+                           if row >> y & 1)
+    return out
+
+
+@st.composite
+def _small_triads(draw):
+    sizes = tuple(draw(st.integers(1, 24)) for _ in range(3))
+    p = draw(st.sampled_from([.2, .5, .9, 1.]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    graphs = {(i, j): _random_rows(rng, sizes[i], sizes[j], p)
+              for i, j in ((0, 1), (0, 2), (1, 2))}
+    labels = [rng.sample(range(n), n) for n in sizes]
+    return sizes, graphs, labels
+
+
+def _counts_both_paths(ab, ac, bc):
+    """The loop (every packed gate shut) and the packed count at the least
+    width bounding AC and BC."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_PACKED_MIN_SIDE", len(bc) + 1)
+        loop = kernels.triangle_count(ab, ac, bc)
+    return loop, kernels._packed_triangle_count(ab, ac, bc,
+                                                _least_width(ac, bc))
+
+
+@given(_small_triads())
+def test_triangle_count_is_invariant_under_axis_order_and_labels(triad):
+    """Each of the six orders of the axes, with the graphs transposed to
+    match, and a relabelling of every class give the count that the loop
+    gives in the first order, on both paths."""
+    sizes, graphs, labels = triad
+    want, _ = _counts_both_paths(graphs[0, 1], graphs[0, 2], graphs[1, 2])
+    for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                  (2, 1, 0)):
+        i, j, k = order
+        rows = (_oriented_rows(graphs, sizes, i, j),
+                _oriented_rows(graphs, sizes, i, k),
+                _oriented_rows(graphs, sizes, j, k))
+        assert _counts_both_paths(*rows) == (want, want)
+    relabelled = (_relabelled_rows(graphs[0, 1], labels[0], labels[1]),
+                  _relabelled_rows(graphs[0, 2], labels[0], labels[2]),
+                  _relabelled_rows(graphs[1, 2], labels[1], labels[2]))
+    assert _counts_both_paths(*relabelled) == (want, want)
 
 
 def _ref_octahedron_fast_scaled(n: int, tau: int, ecount: int,
