@@ -631,9 +631,11 @@ def triangle_count_bound(t: Triad, eps: Fraction) -> CountingBand:
     eps = p/q and the edge counts e_XY, the densities' product is
     e_AB * e_AC * e_BC / V^2, so the bounds are (mid -+ slack) / (V * q)
     for mid = e_AB * e_AC * e_BC * q and slack = 7 * p * V^2, and the
-    test is on integers.
+    test is on integers.  A negative eps raises ParameterOutOfContract.
     """
     eps = Fraction(eps)
+    if eps < 0:
+        raise ParameterOutOfContract("eps must be nonnegative")
     na, nb, nc = t.sizes
     count = kernels.triangle_count(t.ab.rows, t.ac.rows, t.bc.rows)
     volume = na * nb * nc

@@ -650,9 +650,10 @@ def _assert_band_is_spec(t, eps):
 
 
 def test_counting_band_matches_fraction_formula():
-    """Sides 1-12 and the bench's 32-64 at eps 0, 1/10, 10^-9 and -1/10
-    (not refused), and at the eps that puts the count on the band's edge,
-    where ``in_band`` turns, and just inside and outside it."""
+    """Sides 1-12 and the bench's 32-64 at eps 0, 1/10 and 10^-9, and at
+    the eps that puts the count on the band's edge, where ``in_band``
+    turns, and just inside and outside it.  When the count is the band's
+    middle the edge is eps = 0, and no eps lies below it."""
     rng = random.Random(38)
     shapes = [tuple(rng.randint(1, 12) for _ in range(3)) for _ in range(40)]
     shapes += [(n, n, n) for n in (32, 40, 48, 56, 64)]
@@ -662,16 +663,29 @@ def test_counting_band_matches_fraction_formula():
         p = rng.choice([.1, .3, .5, .7, .9, 1])
         t = Triad(rg(rng, a, b, p), rg(rng, a, c, p), rg(rng, b, c, p))
         band = None
-        for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 10 ** 9),
-                    Fraction(-1, 10)):
+        for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 10 ** 9)):
             band = _assert_band_is_spec(t, eps)
         volume = sizes[0] * sizes[1] * sizes[2]
         prod = density(t.ab) * density(t.ac) * density(t.bc)
         edge = abs(band.triangle_count - prod * volume) / (7 * volume)
         tiny = Fraction(1, 10 ** 12)
+        below = [edge - tiny] if edge else []
         turned.add(tuple(_assert_band_is_spec(t, e).in_band
-                         for e in (edge - tiny, edge, edge + tiny)))
-    assert turned == {(False, True, True)}
+                         for e in below + [edge, edge + tiny]))
+    assert turned == {(False, True, True), (True, True)}
+
+
+@pytest.mark.parametrize("eps", [Fraction(-1, 10), Fraction(-1, 10 ** 9),
+                                 -1])
+def test_counting_band_refuses_a_negative_eps(eps):
+    """A negative eps would put the band's lower end above its upper one;
+    it is refused, as a negative alpha is by ``check_quasirandom_triad``.
+    eps = 0 stays allowed."""
+    cls = tuple(VertexClass(i, 2) for i in range(3))
+    t = Triad.complete(*cls)
+    with pytest.raises(ParameterOutOfContract):
+        hyperreg.triangle_count_bound(t, eps)
+    assert hyperreg.triangle_count_bound(t, Fraction(0)).in_band
 
 
 def _triad_in_order(graphs, order):
@@ -692,8 +706,7 @@ def _relabelled_graph(g, left, right):
 
 @given(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
        st.sampled_from([.2, .5, .9, 1]),
-       st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 10 ** 9),
-                        Fraction(-1, 10)]),
+       st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 10 ** 9)]),
        st.integers(0, 2 ** 32))
 def test_counting_band_is_invariant_under_axis_order_and_labels(
         sizes, p, eps, seed):
@@ -713,6 +726,43 @@ def test_counting_band_is_invariant_under_axis_order_and_labels(
                   for (i, j), g in graphs.items()}
     assert hyperreg.triangle_count_bound(
         _triad_in_order(relabelled, (0, 1, 2)), eps) == want
+
+
+@given(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+       st.sampled_from([.2, .5, .9, 1]), st.sampled_from([.3, .7, 1]),
+       st.integers(0, 2 ** 32))
+def test_triad_density_is_invariant_under_axis_order_and_labels(
+        sizes, p, ph, seed):
+    """``triad_density`` counts the same triangles and hyperedge triangles
+    under each of the six orders of the axes, the 3-graph's triples
+    reordered alike, and under a relabelling of every class, the 3-graph
+    relabelled alike; or with only the 3-graph relabelled and the triad
+    embedded by the labels, which takes the bit-by-bit hyperedge test."""
+    rng = random.Random(seed)
+    cls = [VertexClass(i, n) for i, n in enumerate(sizes)]
+    graphs = {(i, j): rg(rng, cls[i], cls[j], p)
+              for i, j in ((0, 1), (0, 2), (1, 2))}
+    triples = [t for t in itertools.product(*map(range, sizes))
+               if rng.random() < ph]
+
+    def counts(graphs, triples, order=(0, 1, 2), embedding=None):
+        h = ThreeGraph(tuple(cls[i] for i in order),
+                       [tuple(t[i] for i in order) for t in triples])
+        t = _triad_in_order(graphs, order)
+        if embedding is not None:
+            t = Triad(t.ab, t.ac, t.bc, embedding)
+        stats = hyperreg.triad_density(h, t)
+        return stats.triangle_count, stats.h_edge_count
+
+    want = counts(graphs, triples)
+    for order in itertools.permutations(range(3)):
+        assert counts(graphs, triples, order) == want
+    labels = [rng.sample(range(n), n) for n in sizes]
+    moved = [tuple(labels[i][v] for i, v in enumerate(t)) for t in triples]
+    relabelled = {(i, j): _relabelled_graph(g, labels[i], labels[j])
+                  for (i, j), g in graphs.items()}
+    assert counts(relabelled, moved) == want
+    assert counts(graphs, moved, embedding=labels) == want
 
 
 def test_partition_triads_enumeration():

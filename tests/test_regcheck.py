@@ -20,7 +20,8 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              EditResult, Threshold, ThresholdLike, Verdict,
                              _Band, _WalkTables, _as_threshold,
                              _greedy_walk, _iter_cluster_pairs, _left_masks,
-                             _masks_covered, _peel, _random_starts, _scan,
+                             _masks_covered, _peel, _prefix_masks,
+                             _random_starts, _scan, _walk_start,
                              _scan_witness, _spread_row,
                              check_delta_partition_with_edits,
                              check_delta_regular, check_eps_regular,
@@ -28,6 +29,7 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              find_delta_witness_greedy, verify_delta_witness,
                              verify_eps_witness)
 from test_graphs import mask_to_set
+from test_hyperreg import _relabelled_graph
 
 EXH = CheckParams(mode="exhaustive")
 
@@ -811,10 +813,10 @@ def test_exhaustive_witness_order_pinned(scan, g, param, expected):
 
 
 @st.composite
-def scan_graphs(draw):
-    """Sides of 1-12 vertices, a drawn edge density and, half the time, an
-    empty block planted on drawn left and right subsets."""
-    na, nb = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+def scan_graphs(draw, sides=12):
+    """Sides of 1 to ``sides`` vertices, a drawn edge density and, half the
+    time, an empty block planted on drawn left and right subsets."""
+    na, nb = draw(st.integers(1, sides)), draw(st.integers(1, sides))
     p = draw(st.sampled_from([.2, .5, .8, .95, 1]))
     rng = random.Random(draw(st.integers(0, 1 << 32)))
     hole_a = draw(st.integers(0, (1 << na) - 1)) if draw(st.booleans()) else 0
@@ -835,11 +837,14 @@ def scan_graphs(draw):
 def test_floor_size_scans_match_full_scans(g, eps, delta):
     """Visiting only some masks of the floor size, and only the floor size
     on the right, gives the verdict, the witness and the left_masks effort
-    of the specification, which walks every larger mask and size too."""
+    of the specification, which walks every larger mask and size too;
+    with the masks from either walk, whatever C(|A|, ka)."""
     params = CheckParams(mode="exhaustive")
-    assert check_eps_regular(g, eps, params) == spec_verdict(g, "eps", eps)
-    assert check_delta_regular(g, delta, params) == \
-        spec_verdict(g, "delta", delta)
+    want = spec_verdict(g, "eps", eps), spec_verdict(g, "delta", delta)
+    for gate in (-1, 1 << 62):
+        with mock.patch.object(regcheck, "_PREFIX_MIN_MASKS", gate):
+            assert (check_eps_regular(g, eps, params),
+                    check_delta_regular(g, delta, params)) == want
 
 
 def test_masks_covered_matches_brute_force():
@@ -947,18 +952,28 @@ def pruning_graphs(draw):
                           na, nb)
 
 
+def _walked(walk, g, ka, k0, low, high):
+    """What ``walk`` yields for these cuts, as ``_scan`` runs it: nothing
+    when ``_walk_start`` rules out every mask."""
+    start = _walk_start(g, ka, k0, low, high)
+    if start is not None:
+        yield from walk(g, ka, start)
+
+
 @given(g=pruning_graphs(), data=st.data())
 def test_skipped_masks_have_no_violation(g, data):
     """Soundness of the degree bound on sides up to 10: whatever the cuts,
     a mask that ``_left_masks`` skips has neither sum past them, so a scan
     that visits no mask would have found nothing.  The masks it visits
     come in ascending order, with the hits of the specification's column
-    order."""
+    order, and the prefix walk yields them alike."""
     na, nb = g.left.size, g.right.size
     ka, k0 = data.draw(st.integers(1, na)), data.draw(st.integers(1, nb))
     low = data.draw(st.integers(-1, ka * k0 + 1))
     high = data.draw(st.integers(-1, ka * k0 + 1))
-    visited = dict(_left_masks(g, ka, k0, low, high))
+    visited = dict(_walked(_left_masks, g, ka, k0, low, high))
+    assert list(_walked(_prefix_masks, g, ka, k0, low, high)) == \
+        list(visited.items())
     assert list(visited) == sorted(visited)
     for amask in range(1, 1 << na):
         if amask.bit_count() != ka:
@@ -971,20 +986,89 @@ def test_skipped_masks_have_no_violation(g, data):
     assert not visited
 
 
+def _scan_args(g, kind, param):
+    """The floor sizes and cuts that ``_scan`` walks with, for an eps or
+    a delta check."""
+    if kind == "eps":
+        thr, band = Threshold(param), _Band.eps(g, param)
+    else:
+        thr, band = _as_threshold(param), _Band.delta(g)
+    ka, k0 = thr.least(g.left.size), thr.least(g.right.size)
+    return (g, ka, k0) + band.limits(ka * k0)
+
+
+@given(g=scan_graphs(14), eps=st.sampled_from(EPS_PARAMS),
+       delta=st.sampled_from(DELTA_PARAMS))
+def test_prefix_walk_yields_what_gospers_walk_yields(g, eps, delta):
+    """The prefix walk skips only blocks whose every mask Gosper's walk
+    skips: at sides 1-14, for the eps and the delta band, both yield the
+    same (mask, sorted hits), in the same order, walked to the end."""
+    for kind, param in (("eps", eps), ("delta", delta)):
+        args = _scan_args(g, kind, param)
+        assert list(_walked(_prefix_masks, *args)) == \
+            list(_walked(_left_masks, *args))
+
+
+def _complement(g):
+    full = (1 << g.right.size) - 1
+    return BipartiteGraph.from_rows(g.left, g.right,
+                                    [full ^ row for row in g.rows])
+
+
+WIDE = CheckParams(mode="exhaustive", max_exhaustive_side=14)
+
+
+@given(g=scan_graphs(14), eps=st.sampled_from(EPS_PARAMS))
+def test_eps_status_is_kept_by_the_complement(g, eps):
+    """Complementing g maps every density x to 1 - x, so |d' - d| and the
+    eps status stay, and a witness for the complement is one for g."""
+    got, flipped = (check_eps_regular(h, eps, WIDE)
+                    for h in (g, _complement(g)))
+    assert flipped.status == got.status
+    if flipped.witness is not None:
+        assert verify_eps_witness(g, eps, flipped.witness)
+
+
+@given(g=scan_graphs(14), eps=st.sampled_from(EPS_PARAMS),
+       delta=st.sampled_from(DELTA_PARAMS),
+       sides=st.sampled_from([(True, False), (False, True), (True, True)]),
+       seed=st.integers(0, 1 << 32))
+def test_status_is_kept_by_relabelling(g, eps, delta, sides, seed):
+    """Relabelling the left side, the right side or both keeps both
+    statuses, and the relabelled graph's witness, mapped back, verifies
+    on g."""
+    rng = random.Random(seed)
+    left, right = (rng.sample(range(n), n) if relabel else list(range(n))
+                   for n, relabel in zip((g.left.size, g.right.size), sides))
+    moved = _relabelled_graph(g, left, right)
+    back_a, back_b = ({new: old for old, new in enumerate(labels)}
+                      for labels in (left, right))
+    for check, verify, param in ((check_eps_regular, verify_eps_witness, eps),
+                                 (check_delta_regular, verify_delta_witness,
+                                  delta)):
+        got = check(moved, param, WIDE)
+        assert got.status == check(g, param, WIDE).status
+        if got.witness is not None:
+            a_sub, b_sub = got.witness
+            assert verify(g, param, ([back_a[a] for a in a_sub],
+                                     [back_b[b] for b in b_sub]))
+
+
 @pytest.mark.parametrize("na", [256, 257])
 def test_left_masks_at_the_field_width_edge(na):
     """Hits fit one-byte fields below 256 vertices a mask and take
     eight-byte fields from 256 on.  Masks of ka = na - 1 vertices, with
     column 0 full, so that its hits reach ka on both sides of the edge:
     every mask is visited, in ascending order, with the hits of the
-    specification's column order."""
+    specification's column order, by either walk."""
     rng = random.Random(na)
     g = BipartiteGraph.from_rows(
         VertexClass(0, na), VertexClass(1, 5),
         [1 | sum(1 << b for b in range(1, 5) if rng.random() < 0.5)
          for _ in range(na)])
     ka = na - 1
-    visited = list(_left_masks(g, ka, 1, ka + 1, -1))
+    visited = list(_walked(_left_masks, g, ka, 1, ka + 1, -1))
+    assert list(_walked(_prefix_masks, g, ka, 1, ka + 1, -1)) == visited
     assert [amask for amask, _ in visited] == sorted(
         ((1 << na) - 1) ^ (1 << v) for v in range(na))
     for amask, hits in visited:
@@ -1185,7 +1269,7 @@ def _ref4_scan_delta(g: BipartiteGraph, thr: Threshold
     # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0  <=>  e' < low
     low = -(-e_full * ka * k0 // (2 * na * nb))
     # No k0 hits exceed k0 * ka: there is no high side to test.
-    for amask, hits in _left_masks(g, ka, k0, low, k0 * ka):
+    for amask, hits in _walked(_left_masks, g, ka, k0, low, k0 * ka):
         if sum(hits[:k0]) < low:
             return (_scan_witness(g, amask, k0, False),
                     _masks_covered(ka, amask))
@@ -1217,7 +1301,7 @@ def _ref4_scan_eps(g: BipartiteGraph, eps: Fraction
     nnq = na * nb * q
     low = -(-ka * k0 * (e_full * q - p * na * nb) // nnq)
     high = ka * k0 * (e_full * q + p * na * nb) // nnq
-    for amask, hits in _left_masks(g, ka, k0, low, high):
+    for amask, hits in _walked(_left_masks, g, ka, k0, low, high):
         if sum(hits[:k0]) < low:
             return (_scan_witness(g, amask, k0, False),
                     _masks_covered(ka, amask))
