@@ -1,14 +1,14 @@
-"""Time the two walks of the exhaustive bipartite scans against each other.
+"""Time the exhaustive bipartite scans' prefix walk against Gosper's walk.
 
-Run from anywhere:
+Run from anywhere, with the test dependencies installed:
 
     python3 scripts/scan_walks.py
 
-``regcheck`` walks the left masks of the floor size ka either one at a time
-(``_left_masks``, Gosper's hack) or by blocks of masks that share their
-high rows (``_prefix_masks``), and ``_scan`` takes the prefix walk when
-C(|A|, ka) exceeds ``regcheck._PREFIX_MIN_MASKS``.  This script replays
-two sets of scans with each walk:
+``regcheck._prefix_masks`` walks the left masks of the floor size ka by
+blocks of masks that share their high rows.  It replaced a walk that
+stepped through every mask with Gosper's hack, kept in the tests as
+``test_regcheck._gosper_masks``.  This script replays two sets of scans
+with each walk:
 
 * every exhaustive scan of the 15 suites at seeds 0-8 (default trials);
 * the scans of seeded random graphs with sides 8-16, half of them with an
@@ -17,12 +17,10 @@ two sets of scans with each walk:
   refute, at every depth of the scan.
 
 Each scan is timed as ``_scan`` runs it, up to its first witness, with
-either walk forced; a time is the best of ``REPEATS`` runs, the two walks
+either walk; a time is the best of ``REPEATS`` runs, the two walks
 alternating.  The script prints, per set and per bucket of C(|A|, ka)
-(powers of two), the number of scans and each walk's total time, and then
-the tie on the random graphs: the least bucket bound above which the prefix
-walk is faster in every bucket.  That bound is what ``_PREFIX_MIN_MASKS``
-is set to.  Timings depend on the host; run on an idle one.
+(powers of two), the number of scans, each walk's total time and their
+ratio.  Timings depend on the host; run on an idle one.
 
 It exits 1 if, on any scan, the two walks yield different sequences of
 (mask, sorted hits), each walked to its end.
@@ -37,14 +35,17 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from regkit import regcheck, suites  # noqa: E402
 from regkit.graphs import BipartiteGraph, VertexClass  # noqa: E402
+from test_regcheck import _gosper_masks  # noqa: E402
 
 REPEATS = 3
 RANDOM_GRAPHS = 400
 PARAMS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+WALKS = {"prefix": regcheck._prefix_masks, "Gosper": _gosper_masks}
 
 
 def capture(run) -> list[tuple]:
@@ -97,67 +98,44 @@ def random_scans(seed: int = 0) -> list[tuple]:
     return capture(run)
 
 
-def walks(g, thr, band) -> tuple[list, list]:
-    """What each walk yields, to its end, on the masks ``_scan`` gives it;
-    nothing when ``_walk_start`` rules out every mask."""
-    ka, k0 = thr.least(g.left.size), thr.least(g.right.size)
-    start = regcheck._walk_start(g, ka, k0, *band.limits(ka * k0))
-    if start is None:
-        return [], []
-    return (list(regcheck._left_masks(g, ka, start)),
-            list(regcheck._prefix_masks(g, ka, start)))
-
-
-def timed_scan(scan: tuple, gate: int) -> float:
-    regcheck._PREFIX_MIN_MASKS = gate
+def timed_scan(scan: tuple, walk) -> float:
+    regcheck._prefix_masks = walk
     start = time.perf_counter()
     regcheck._scan(*scan)
     return time.perf_counter() - start
 
 
 def measure(scans: list[tuple]) -> tuple[dict, int]:
-    """Per bucket: [scans, Gosper seconds, prefix seconds]; and the number
+    """Per bucket: [scans, prefix seconds, Gosper seconds]; and the number
     of scans whose two walks yield different sequences."""
-    real = regcheck._PREFIX_MIN_MASKS
     table: dict = defaultdict(lambda: [0, 0.0, 0.0])
     mismatches = 0
     try:
-        for scan in scans:
-            gosper_walk, prefix_walk = walks(*scan)
-            mismatches += gosper_walk != prefix_walk
-            gosper, prefix = [], []
+        for g, thr, band in scans:
+            ka, k0 = thr.least(g.left.size), thr.least(g.right.size)
+            args = (g, ka, k0) + band.limits(ka * k0)
+            mismatches += (list(WALKS["prefix"](*args))
+                           != list(WALKS["Gosper"](*args)))
+            best = [float("inf")] * 2
             for _ in range(REPEATS):
-                gosper.append(timed_scan(scan, 1 << 62))
-                prefix.append(timed_scan(scan, -1))
-            g, thr = scan[:2]
-            masks = comb(g.left.size, thr.least(g.left.size))
-            row = table[1 << (masks - 1).bit_length()]
+                for i, walk in enumerate(WALKS.values()):
+                    best[i] = min(best[i], timed_scan((g, thr, band), walk))
+            row = table[1 << (comb(g.left.size, ka) - 1).bit_length()]
             row[0] += 1
-            row[1] += min(gosper)
-            row[2] += min(prefix)
+            row[1] += best[0]
+            row[2] += best[1]
     finally:
-        regcheck._PREFIX_MIN_MASKS = real
+        regcheck._prefix_masks = WALKS["prefix"]
     return table, mismatches
 
 
-def tie(table: dict) -> int:
-    """The least bucket bound above which the prefix walk wins every
-    bucket."""
-    bound = max(table)
-    for top in sorted(table, reverse=True):
-        if table[top][2] >= table[top][1]:
-            break
-        bound = top // 2
-    return bound
-
-
 def report(name: str, table: dict) -> None:
-    print(f"{name}: C(|A|, ka)   scans   Gosper ms   prefix ms   ratio")
+    print(f"{name}: C(|A|, ka)   scans   prefix ms   Gosper ms   ratio")
     for top in sorted(table):
-        count, gosper, prefix = table[top]
+        count, prefix, gosper = table[top]
         low = top // 2 + 1 if top > 1 else 1
-        print(f"{name}: {low:>5}-{top:<6} {count:7d} {gosper * 1e3:11.2f}"
-              f" {prefix * 1e3:11.2f} {prefix / gosper:7.2f}")
+        print(f"{name}: {low:>5}-{top:<6} {count:7d} {prefix * 1e3:11.2f}"
+              f" {gosper * 1e3:11.2f} {prefix / gosper:7.2f}")
 
 
 def main() -> int:
@@ -170,10 +148,6 @@ def main() -> int:
             print(f"{name}: the walks differ on {mismatches} of {len(scans)}"
                   " scans", file=sys.stderr)
             failed = 1
-        if name == "random":
-            print(f"tie: the prefix walk wins every bucket above "
-                  f"C(|A|, ka) = {tie(table)}; _PREFIX_MIN_MASKS = "
-                  f"{regcheck._PREFIX_MIN_MASKS}")
     return failed
 
 

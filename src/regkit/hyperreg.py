@@ -634,7 +634,7 @@ def triangle_count_bound(t: Triad, eps: Fraction) -> CountingBand:
     test is on integers.  A negative eps raises ParameterOutOfContract.
     """
     eps = Fraction(eps)
-    if eps < 0:
+    if eps.numerator < 0:
         raise ParameterOutOfContract("eps must be nonnegative")
     na, nb, nc = t.sizes
     count = kernels.triangle_count(t.ab.rows, t.ac.rows, t.bc.rows)

@@ -36,8 +36,8 @@ edge total e(A', B) leaves room for a violation: no hit exceeds ka, so
 the k0 smallest hits sum to at least e(A', B) - (|B| - k0) * ka and the
 k0 largest to at most min(e(A', B), k0 * ka).  When the ka lowest (or
 highest) row degrees already rule a violation out, no mask is walked.
-Large scans walk the masks by blocks that share their high rows and skip
-a block whose edge totals all rule a violation out.
+The masks are walked by blocks that share their high rows, and a block
+whose edge totals all rule a violation out is skipped whole.
 The effort reported as ``left_masks`` is the number of masks covered,
 every mask of at least ka bits up to the witness (or all of them),
 counted exactly rather than visited.  Every density comparison, the
@@ -288,17 +288,39 @@ def _members(mask: int, n: int) -> bytes:
     return _spread_row(mask, 1).to_bytes(n, "little")
 
 
-def _walk_start(g: BipartiteGraph, ka: int, k0: int, low: int, high: int):
-    """What both walks of the ka-vertex left masks start from: the row
-    degrees, the edge totals (below, above) that a mask's total E = e(A',
-    B) must leave for it to be visited, the field width in bytes and the
-    spread rows; None when the ka lowest (or highest) degrees rule out
-    every mask, so that no walk is made.
+def _prefix_masks(g: BipartiteGraph, ka: int, k0: int, low: int, high: int):
+    """Yield (amask, sorted column hits) for the left masks with exactly
+    ``ka`` vertices, masks ascending as integers, whose k0 smallest hits
+    may sum below ``low`` or whose k0 largest may sum above ``high``.
 
     As no hit exceeds ka, the k0 smallest hits sum to at least E - (|B| -
-    k0) * ka and the k0 largest to at most min(E, k0 * ka), so a mask may
-    have a sum below ``low`` (above ``high``) only if E < below (E > above).
-    A field is one byte wide when ka < 256 and eight bytes otherwise.
+    k0) * ka and the k0 largest to at most min(E, k0 * ka), E = e(A', B)
+    the mask's edge total; so a mask may have a sum past ``low`` or
+    ``high`` only if E < below or E > above, and the others are skipped.
+
+    Masks of ka bits ascending as integers are ordered by their highest
+    bit, then by the next one down, and so on.  So the walk runs depth
+    first over the highest chosen row, lowest row first, on an explicit
+    stack, and skips whole blocks of masks without stepping through them.
+    A block is every mask that holds a set F of fixed rows, all at p or
+    above, and r more rows below p; its masks' totals E run from E(F) plus
+    the r smallest degrees among rows 0..p-1 to E(F) plus the r largest.
+    A block whose least E is at least ``below`` and whose greatest is at
+    most ``above`` holds only masks the per-mask test skips, so it is
+    skipped whole; a single mask is the block with r = 0, tested alike.
+    Every other mask is visited, so the walk visits exactly the masks that
+    stepping through all of them with that test would, in the same order.
+    The whole scan is the block with F empty and r = ka: when the ka
+    lowest (or highest) degrees rule it out, no mask is walked.
+
+    The first block of every node, p = r, is one mask, p and every row
+    below it; it is tested and visited from plain sums of those rows,
+    without a sort or a push, and the last row is looped inline.  The sums
+    of the sorted degrees below p are built when a block first needs them.
+    A block carries its fixed rows' packed hits, rows spread to one field
+    per column, column b in field b, so a visited mask costs one addition
+    and a sort.  A field is one byte wide when ka < 256 and eight bytes
+    otherwise.
     """
     na, nb = g.left.size, g.right.size
     degrees = [row.bit_count() for row in g.rows]
@@ -307,70 +329,9 @@ def _walk_start(g: BipartiteGraph, ka: int, k0: int, low: int, high: int):
     above = high if high < k0 * ka else ka * nb
     ranked = sorted(degrees)
     if sum(ranked[:ka]) >= below and sum(ranked[na - ka:]) <= above:
-        return None
+        return
     width = 1 if ka < 1 << 8 else 8
-    return (degrees, below, above, width,
-            [_spread_row(row, width) for row in g.rows])
-
-
-def _left_masks(g: BipartiteGraph, ka: int, start: tuple):
-    """Yield (amask, sorted column hits) for the left masks with exactly
-    ``ka`` vertices, masks ascending as integers, whose edge total E lies
-    outside [below, above]: those whose k0 smallest hits may sum below
-    ``low`` or whose k0 largest may sum above ``high``.  ``start`` is what
-    ``_walk_start`` returned for k0, ``low`` and ``high``.
-
-    The masks are walked with Gosper's hack (HAKMEM 175; Knuth, TAOCP 4A
-    7.1.3): the next mask clears the lowest run of ones, bits t..u-1, sets
-    bit u and sets bits 0..u-t-2.  The walk carries E: with D[i] the sum of
-    the first i row degrees, a step adds deg[u] - (D[u] - D[t]) +
-    D[u-t-1].  The hits of a visited mask are its spread rows summed in one
-    integer, column b in field b.
-    """
-    degrees, below, above, width, spread = start
-    na, nb = g.left.size, g.right.size
-    prefix = list(accumulate(degrees, initial=0))
-    amask, total = (1 << ka) - 1, prefix[ka]
-    while True:
-        if total < below or total > above:
-            packed = sum(compress(spread, _members(amask, na)))
-            yield amask, sorted(_fields(packed, nb, width))
-        lowest = amask & -amask
-        ripple = amask + lowest
-        t = lowest.bit_length() - 1
-        u = (ripple & -ripple).bit_length() - 1
-        if u == na:
-            return
-        total += degrees[u] - (prefix[u] - prefix[t]) + prefix[u - t - 1]
-        amask = ripple | ((1 << (u - t - 1)) - 1)
-
-
-def _prefix_masks(g: BipartiteGraph, ka: int, start: tuple):
-    """Yield what ``_left_masks`` yields, in the same order, skipping whole
-    blocks of masks without stepping through them.
-
-    Masks of ka bits ascending as integers are ordered by their highest
-    bit, then by the next one down, and so on.  So the walk runs depth
-    first over the highest chosen row, lowest row first, on an explicit
-    stack.  A block is every mask that holds a set F of fixed rows, all at
-    p or above, and r more rows below p; its masks' totals E run from
-    E(F) plus the r smallest degrees among rows 0..p-1 to E(F) plus the r
-    largest.  A block whose least E is at least ``below`` and whose
-    greatest is at most ``above`` holds only masks that ``_left_masks``
-    skips, so it is skipped whole; a single mask is the block with r = 0,
-    tested alike, and the last row is looped inline, not pushed.  Every
-    other mask is visited, so the visited masks are ``_left_masks``'s.
-    The first block of every node, p = r, is one mask too, p and every
-    row below it; it is tested and visited from prefix sums, without a
-    sort or a push.  The sums of the sorted degrees below p are built when
-    a block first needs them; a block carries its fixed rows' packed hits,
-    so a visited mask costs one addition and a sort.
-    """
-    degrees, below, above, width, spread = start
-    na, nb = g.left.size, g.right.size
-    # The edge total and the packed hits of rows 0..p-1.
-    low_total = list(accumulate(degrees, initial=0))
-    low_packed = list(accumulate(spread, initial=0))
+    spread = [_spread_row(row, width) for row in g.rows]
     # sums[p][r]: the sum of the r smallest degrees among rows 0..p-1.
     sums: list = [None] * na
     # A node: its fixed rows' mask, packed hits and E, the rows left to
@@ -381,10 +342,10 @@ def _prefix_masks(g: BipartiteGraph, ka: int, start: tuple):
         for p in rows:
             fixed = total + degrees[p]
             if p == r:
-                whole = fixed + low_total[p]
+                whole = fixed + sum(degrees[:p])
                 if whole < below or whole > above:
                     yield amask | (2 << p) - 1, sorted(_fields(
-                        packed + low_packed[p + 1], nb, width))
+                        packed + sum(spread[:p + 1]), nb, width))
                 continue
             least = most = fixed
             if r:
@@ -404,35 +365,6 @@ def _prefix_masks(g: BipartiteGraph, ka: int, start: tuple):
                                                  width))
         else:
             nodes.pop()
-
-
-# The exhaustive scans take the prefix walk when C(|A|, ka) exceeds this.
-# Gosper's walk costs a few integer operations per mask of the floor size
-# up to the witness; the prefix walk costs a stack node and a sort of the
-# degrees below it per block it enters, which pays once blocks hold enough
-# masks.  Each walk's time in ms over the scans of 400 seeded random graphs
-# with sides 8-16, half with a planted empty block, eps- and delta-checked
-# at 1/4, 1/3 and 1/2 (``scripts/scan_walks.py``; Python 3.11, 2-CPU
-# shared host, best of 3; times from the last of three runs, ratios from
-# all three):
-#
-#     C(|A|, ka)   scans   Gosper   prefix   prefix / Gosper
-#        17-32        32     0.49     0.51   1.03-1.05
-#        33-64        34     0.57     0.58   0.98-1.00
-#        65-128      143     3.44     2.97   0.86-0.87
-#       129-256      126     4.08     3.22   0.79
-#       257-512       79     5.90     4.04   0.68-0.69
-#       513-1024      81    10.71     6.32   0.58-0.62
-#      1025-2048     163    44.46    23.49   0.53-0.54
-#      2049-4096      62    36.94    17.57   0.46-0.48
-#      4097-8192      63    69.92    34.58   0.48-0.49
-#      8193-16384     17    30.28    11.57   0.38-0.48
-#
-# So the two tie at 33-64 masks, and the prefix walk wins in every run
-# above 64.  On the 15 suites' scans at seeds 0-8 it is faster above 64
-# too (0.85-0.86 of Gosper's time at 65-128 masks, 0.70-0.71 at 129-256)
-# and up to 5% slower at 3-32.
-_PREFIX_MIN_MASKS = 64
 
 
 def _masks_covered(ka: int, top: int) -> int:
@@ -483,33 +415,18 @@ def _scan(g: BipartiteGraph, thr: Threshold, band: _Band
     the fewest (on the high side the most) hits into B' violate on the
     same side and form a smaller mask.  No k0 hits exceed k = ka * k0, so
     a high limit of k, the one-sided band's, is not tested.
-
-    No walk is made when ``_walk_start`` rules out every mask.  Otherwise
-    the masks come from ``_prefix_masks`` when C(|A|, ka) exceeds
-    ``_PREFIX_MIN_MASKS`` and from ``_left_masks`` otherwise; both yield
-    the same masks in the same order.  The prefix walk skips a block of
-    masks that share their high rows only when the least and the greatest
-    edge total of the block, its fixed rows' degrees plus the r smallest
-    (largest) degrees below them, both lie in the range that
-    ``_left_masks`` skips a single mask for, so it skips exactly the masks
-    ``_left_masks`` skips, and the witness and effort do not depend on the
-    walk.
     """
     na, nb = g.left.size, g.right.size
     ka, k0 = thr.least(na), thr.least(nb)
     k = ka * k0
     low, high = band.limits(k)
-    start = _walk_start(g, ka, k0, low, high)
-    if start is not None:
-        walk = (_prefix_masks if comb(na, ka) > _PREFIX_MIN_MASKS
-                else _left_masks)
-        for amask, hits in walk(g, ka, start):
-            if sum(hits[:k0]) < low:
-                return (_scan_witness(g, amask, k0, False),
-                        _masks_covered(ka, amask))
-            if high < k and sum(hits[nb - k0:]) > high:
-                return (_scan_witness(g, amask, k0, True),
-                        _masks_covered(ka, amask))
+    for amask, hits in _prefix_masks(g, ka, k0, low, high):
+        if sum(hits[:k0]) < low:
+            return (_scan_witness(g, amask, k0, False),
+                    _masks_covered(ka, amask))
+        if high < k and sum(hits[nb - k0:]) > high:
+            return (_scan_witness(g, amask, k0, True),
+                    _masks_covered(ka, amask))
     return None, _masks_covered(ka, (1 << na) - 1)
 
 

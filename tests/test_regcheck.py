@@ -19,10 +19,10 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              NOT_CERTIFIED, PERFECT, UNKNOWN, CheckParams,
                              EditResult, Threshold, ThresholdLike, Verdict,
                              _Band, _WalkTables, _as_threshold,
-                             _greedy_walk, _iter_cluster_pairs, _left_masks,
-                             _masks_covered, _peel, _prefix_masks,
-                             _random_starts, _scan, _walk_start,
-                             _scan_witness, _spread_row,
+                             _fields, _greedy_walk, _iter_cluster_pairs,
+                             _masks_covered, _members, _peel, _prefix_masks,
+                             _random_starts, _scan, _scan_witness,
+                             _spread_row,
                              check_delta_partition_with_edits,
                              check_delta_regular, check_eps_regular,
                              check_perfect_delta_partition, degree_profile,
@@ -837,14 +837,11 @@ def scan_graphs(draw, sides=12):
 def test_floor_size_scans_match_full_scans(g, eps, delta):
     """Visiting only some masks of the floor size, and only the floor size
     on the right, gives the verdict, the witness and the left_masks effort
-    of the specification, which walks every larger mask and size too;
-    with the masks from either walk, whatever C(|A|, ka)."""
+    of the specification, which walks every larger mask and size too."""
     params = CheckParams(mode="exhaustive")
-    want = spec_verdict(g, "eps", eps), spec_verdict(g, "delta", delta)
-    for gate in (-1, 1 << 62):
-        with mock.patch.object(regcheck, "_PREFIX_MIN_MASKS", gate):
-            assert (check_eps_regular(g, eps, params),
-                    check_delta_regular(g, delta, params)) == want
+    assert check_eps_regular(g, eps, params) == spec_verdict(g, "eps", eps)
+    assert check_delta_regular(g, delta, params) == \
+        spec_verdict(g, "delta", delta)
 
 
 def test_masks_covered_matches_brute_force():
@@ -952,28 +949,57 @@ def pruning_graphs(draw):
                           na, nb)
 
 
-def _walked(walk, g, ka, k0, low, high):
-    """What ``walk`` yields for these cuts, as ``_scan`` runs it: nothing
-    when ``_walk_start`` rules out every mask."""
-    start = _walk_start(g, ka, k0, low, high)
-    if start is not None:
-        yield from walk(g, ka, start)
+def _gosper_masks(g: BipartiteGraph, ka: int, k0: int, low: int, high: int):
+    """What ``_prefix_masks`` yields, one mask at a time: the walk it
+    replaced, kept as its reference.
+
+    The masks of ka bits are walked with Gosper's hack (HAKMEM 175; Knuth,
+    TAOCP 4A 7.1.3): the next mask clears the lowest run of ones, bits
+    t..u-1, sets bit u and sets bits 0..u-t-2.  The walk carries the
+    mask's edge total E: with D[i] the sum of the first i row degrees, a
+    step adds deg[u] - (D[u] - D[t]) + D[u-t-1].  A mask is yielded when E
+    < below or E > above, with the cuts ``_prefix_masks`` derives; none
+    when the ka lowest (or highest) degrees rule every mask out.
+    """
+    na, nb = g.left.size, g.right.size
+    degrees = [row.bit_count() for row in g.rows]
+    below = low + (nb - k0) * ka if low > 0 else 0
+    above = high if high < k0 * ka else ka * nb
+    ranked = sorted(degrees)
+    if sum(ranked[:ka]) >= below and sum(ranked[na - ka:]) <= above:
+        return
+    width = 1 if ka < 1 << 8 else 8
+    spread = [_spread_row(row, width) for row in g.rows]
+    prefix = list(itertools.accumulate(degrees, initial=0))
+    amask, total = (1 << ka) - 1, prefix[ka]
+    while True:
+        if total < below or total > above:
+            packed = sum(itertools.compress(spread, _members(amask, na)))
+            yield amask, sorted(_fields(packed, nb, width))
+        lowest = amask & -amask
+        ripple = amask + lowest
+        t = lowest.bit_length() - 1
+        u = (ripple & -ripple).bit_length() - 1
+        if u == na:
+            return
+        total += degrees[u] - (prefix[u] - prefix[t]) + prefix[u - t - 1]
+        amask = ripple | ((1 << (u - t - 1)) - 1)
 
 
 @given(g=pruning_graphs(), data=st.data())
 def test_skipped_masks_have_no_violation(g, data):
     """Soundness of the degree bound on sides up to 10: whatever the cuts,
-    a mask that ``_left_masks`` skips has neither sum past them, so a scan
-    that visits no mask would have found nothing.  The masks it visits
-    come in ascending order, with the hits of the specification's column
-    order, and the prefix walk yields them alike."""
+    a mask that ``_prefix_masks`` skips has neither sum past them, so a
+    scan that visits no mask would have found nothing.  The masks it
+    visits come in ascending order, with the hits of the specification's
+    column order, and Gosper's walk yields them alike."""
     na, nb = g.left.size, g.right.size
     ka, k0 = data.draw(st.integers(1, na)), data.draw(st.integers(1, nb))
     low = data.draw(st.integers(-1, ka * k0 + 1))
     high = data.draw(st.integers(-1, ka * k0 + 1))
-    visited = dict(_walked(_left_masks, g, ka, k0, low, high))
-    assert list(_walked(_prefix_masks, g, ka, k0, low, high)) == \
-        list(visited.items())
+    walked = list(_prefix_masks(g, ka, k0, low, high))
+    assert walked == list(_gosper_masks(g, ka, k0, low, high))
+    visited = dict(walked)
     assert list(visited) == sorted(visited)
     for amask in range(1, 1 << na):
         if amask.bit_count() != ka:
@@ -1005,8 +1031,7 @@ def test_prefix_walk_yields_what_gospers_walk_yields(g, eps, delta):
     same (mask, sorted hits), in the same order, walked to the end."""
     for kind, param in (("eps", eps), ("delta", delta)):
         args = _scan_args(g, kind, param)
-        assert list(_walked(_prefix_masks, *args)) == \
-            list(_walked(_left_masks, *args))
+        assert list(_prefix_masks(*args)) == list(_gosper_masks(*args))
 
 
 def _complement(g):
@@ -1067,8 +1092,8 @@ def test_left_masks_at_the_field_width_edge(na):
         [1 | sum(1 << b for b in range(1, 5) if rng.random() < 0.5)
          for _ in range(na)])
     ka = na - 1
-    visited = list(_walked(_left_masks, g, ka, 1, ka + 1, -1))
-    assert list(_walked(_prefix_masks, g, ka, 1, ka + 1, -1)) == visited
+    visited = list(_prefix_masks(g, ka, 1, ka + 1, -1))
+    assert list(_gosper_masks(g, ka, 1, ka + 1, -1)) == visited
     assert [amask for amask, _ in visited] == sorted(
         ((1 << na) - 1) ^ (1 << v) for v in range(na))
     for amask, hits in visited:
@@ -1251,7 +1276,7 @@ def _ref4_scan_delta(g: BipartiteGraph, thr: Threshold
     number of left masks covered): the masks m in [1, W] with at least ka
     vertices, W the witness mask or 2**|A| - 1, counted exactly although
     only some of those with exactly ka vertices are visited (see
-    ``_left_masks``); 0 when g has no edges.
+    ``_gosper_masks``); 0 when g has no edges.
 
     Only the least admissible sizes are tested.  On the right, k0: the
     mean of the k smallest hits never falls as k grows, so if some k gives
@@ -1269,7 +1294,7 @@ def _ref4_scan_delta(g: BipartiteGraph, thr: Threshold
     # d' < d/2  <=>  2 * e' * na * nb < e_full * ka * k0  <=>  e' < low
     low = -(-e_full * ka * k0 // (2 * na * nb))
     # No k0 hits exceed k0 * ka: there is no high side to test.
-    for amask, hits in _walked(_left_masks, g, ka, k0, low, k0 * ka):
+    for amask, hits in _gosper_masks(g, ka, k0, low, k0 * ka):
         if sum(hits[:k0]) < low:
             return (_scan_witness(g, amask, k0, False),
                     _masks_covered(ka, amask))
@@ -1301,7 +1326,7 @@ def _ref4_scan_eps(g: BipartiteGraph, eps: Fraction
     nnq = na * nb * q
     low = -(-ka * k0 * (e_full * q - p * na * nb) // nnq)
     high = ka * k0 * (e_full * q + p * na * nb) // nnq
-    for amask, hits in _walked(_left_masks, g, ka, k0, low, high):
+    for amask, hits in _gosper_masks(g, ka, k0, low, high):
         if sum(hits[:k0]) < low:
             return (_scan_witness(g, amask, k0, False),
                     _masks_covered(ka, amask))
