@@ -407,7 +407,10 @@ def _scan(g: BipartiteGraph, thr: Threshold, band: _Band
     pairs of the ascending (hits, column) order, ties to the highest).
     Returns (witness or None, left masks covered): the masks m in [1, W]
     with at least ka vertices, W the witness mask or 2**|A| - 1, counted
-    exactly although only some with ka vertices are visited.
+    exactly although only some with ka vertices are visited.  The masks
+    come from ``_prefix_masks``, which skips a block of masks when the
+    least and greatest edge totals in it rule out a violation, and so
+    visits exactly the masks a per-mask test of the total would.
 
     Only the least admissible sizes are tested.  On the right, k0: the mean
     of the k smallest hits never falls and that of the k largest never
