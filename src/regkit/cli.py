@@ -65,16 +65,16 @@ def _emit(args, report: dict, caveats: list[str]) -> None:
         print(f"caveat: {cv}")
 
 
-def _emit_file(args, text: str, report: dict) -> int:
-    """Write a built file to ``--out``; with ``--json`` print the report
-    with the text under "graph", else print the text unless written."""
+def _emit_file(args, built, save, dumps, report: dict) -> int:
+    """Write ``built`` to ``--out`` with ``save``; with ``--json`` print
+    the report with its text (``dumps``) under "graph", else print the
+    text unless written."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save(args.out, built)
     if args.json:
-        _emit(args, {**report, "graph": text}, [])
+        _emit(args, {**report, "graph": dumps(built)}, [])
     elif not args.out:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(built))
     return 0
 
 
@@ -161,7 +161,7 @@ def _cmd_quasirandom(args) -> int:
 def _cmd_aux_graph(args) -> int:
     h = fileio.load_threegraph(args.h)
     aux = hyperreg.auxiliary_graph(h, args.axis)
-    return _emit_file(args, fileio.dumps_graph(aux), {
+    return _emit_file(args, aux, fileio.save_graph, fileio.dumps_graph, {
         "check": "auxiliary graph",
         "axis": args.axis,
         "edges": aux.edge_count,
@@ -173,7 +173,8 @@ def _cmd_paste(args) -> int:
     if len(parts) != 6:
         raise _UsageError("paste needs exactly six part files")
     h = cn.six_cycle_paste(parts)
-    return _emit_file(args, fileio.dumps_threegraph(h), {
+    return _emit_file(args, h, fileio.save_threegraph,
+                      fileio.dumps_threegraph, {
         "check": "six-cycle paste",
         "edges": h.edge_count,
         "density": h.density,
@@ -202,9 +203,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = suites.SuiteSpec(args.suite, seed=args.seed,
-                            trials=args.trials or 0)
-    report = suites.run_suite(spec)
+    report = suites.run_suite(args.suite, args.seed, args.trials)
     if args.json:
         print(report.to_json())
     else:

@@ -692,28 +692,18 @@ def _random_starts(g: BipartiteGraph, thr: Threshold, rng: random.Random,
         yield _random_subset(rng, na, ka), _random_subset(rng, nb, kb)
 
 
-def find_delta_witness_greedy(g: BipartiteGraph, delta: ThresholdLike,
-                              seed: int, restarts: int = 64
-                              ) -> Optional[tuple[tuple[int, ...],
-                                                  tuple[int, ...]]]:
-    """Randomized witness search for the one-sided delta condition.
+def _random_delta_search(g: BipartiteGraph, thr: Threshold, seed: int,
+                         restarts: int
+                         ) -> tuple[Optional[tuple[tuple[int, ...],
+                                                   tuple[int, ...]]], int]:
+    """Randomized witness search for the one-sided delta condition on a
+    graph with edges; returns the witness or None and the number of
+    starts walked.
 
     Attempt 0 peels from the full sides; later attempts restart from
     uniformly random subsets meeting the size floors.  Any returned
     witness has been re-verified against the definition.
     """
-    thr = _as_threshold(delta)
-    if g.edge_count == 0:
-        return None
-    return _random_delta_search(g, thr, seed, restarts)[0]
-
-
-def _random_delta_search(g: BipartiteGraph, thr: Threshold, seed: int,
-                         restarts: int
-                         ) -> tuple[Optional[tuple[tuple[int, ...],
-                                                   tuple[int, ...]]], int]:
-    """``find_delta_witness_greedy`` on a graph with edges; returns the
-    witness or None and the number of starts walked."""
     rng = random.Random(seed)
     tables, band = _WalkTables.of(g, thr), _Band.delta(g)
     starts = _random_starts(g, thr, rng, restarts)
@@ -861,12 +851,15 @@ def degree_profile(g: BipartiteGraph, y_sub: Iterable[int], eps: Fraction
     """Vertices of X whose degree into Y' leaves (d(X, Y) +- eps)|Y'|.
 
     Returns (count, sorted exceptional set); the membership test is exact.
+    A negative eps raises ParameterOutOfContract.
     """
     eps = Fraction(eps)
     ymask = subset_mask(y_sub, g.right.size, "right")
     ky = ymask.bit_count()
     if ky == 0:
         raise DegenerateInput("degree profile over an empty subset")
+    if eps.numerator < 0:
+        raise ParameterOutOfContract("eps must be nonnegative")
     band = _Band.eps(g, eps)
     exceptional = tuple(x for x in range(g.left.size)
                         if band.violates((g.rows[x] & ymask).bit_count(), ky))

@@ -3,7 +3,7 @@
 Each suite generates random instances and checks one verified property.
 Determinism: per-trial seeds are derived from the master seed by a
 splitmix64 step over ``(seed xor crc32(suite_id) << 32) + trial``, so a
-fixed (suite, seed, trials, scale) always reproduces the same instances
+fixed (suite, seed, trials) always reproduces the same instances
 and byte-identical canonical reports.  Wall time is tracked on the
 report object but deliberately excluded from the canonical JSON.
 
@@ -21,8 +21,7 @@ import random
 import time
 import zlib
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable
 
 from . import constructions as cn
 from . import fileio, hyperreg, partitions
@@ -57,14 +56,6 @@ def trial_seed(suite_id: str, seed: int, trial: int) -> int:
     base = _splitmix64((seed ^ (zlib.crc32(suite_id.encode()) << 32))
                        & _MASK64)
     return _splitmix64((base + trial) & _MASK64)
-
-
-class SuiteSpec(NamedTuple):
-    id: str
-    seed: int = 0
-    trials: int = 0  # 0 means the suite's default; below 0 raises
-    # Overrides of one draw: "sizes" (oct-equiv) and "style" (lemma-a3).
-    scale: Mapping = MappingProxyType({})
 
 
 class Report(Value):
@@ -168,15 +159,14 @@ def _random_threegraph(rng: random.Random,
                                 _random_rows(rng, n1 * n2, n3, p))
 
 
-def _exh() -> CheckParams:
-    return CheckParams(mode="exhaustive")
+_EXH = CheckParams(mode="exhaustive")
 
 
 # ---------------------------------------------------------------------------
 # Suite bodies.  Each returns (record_dict, ok, caveats).
 
 
-def _suite_claim_3_1(rng: random.Random, scale: Mapping):
+def _suite_claim_3_1(rng: random.Random):
     """Union of edge-disjoint certified pairs stays certified."""
     delta = Fraction(1, 4)
     na = rng.randint(6, 10)
@@ -185,7 +175,7 @@ def _suite_claim_3_1(rng: random.Random, scale: Mapping):
     members: list[BipartiteGraph] = []
 
     def certified(g: BipartiteGraph) -> bool:
-        return check_delta_regular(g, delta, _exh()).status == CERTIFIED
+        return check_delta_regular(g, delta, _EXH).status == CERTIFIED
 
     kind = rng.choice(["complete", "minus-matching", "dense", "empty-pair"])
     if kind == "complete":
@@ -251,7 +241,7 @@ def _noisy_refinement(rng: random.Random, p: VertexPartition,
     return VertexPartition.from_labels(p.ground, labels)
 
 
-def _suite_claim_3_2(rng: random.Random, scale: Mapping):
+def _suite_claim_3_2(rng: random.Random):
     """refinement_union_extract meets |P symdiff Q| <= 3 delta |P|."""
     delta = rng.choice([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
     for _ in range(60):
@@ -279,7 +269,7 @@ def _suite_claim_3_2(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_claim_3_5(rng: random.Random, scale: Mapping):
+def _suite_claim_3_5(rng: random.Random):
     """Q approx-refining an equitable P at 1/2 has |Q| >= |P| / 4."""
     half = Fraction(1, 2)
     for _ in range(80):
@@ -314,7 +304,7 @@ def _suite_claim_3_5(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_claim_3_3(rng: random.Random, scale: Mapping):
+def _suite_claim_3_3(rng: random.Random):
     """A good 2-partition plus a coarsening of its axis-3 family yields
     some member on which Z1 u Z2 is a 3*delta-regular partition."""
     delta = rng.choice([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3)])
@@ -330,7 +320,7 @@ def _suite_claim_3_3(rng: random.Random, scale: Mapping):
         nxt += split
     z = VertexPartition.from_labels(frame.combined_class(), labels)
     tp = complete_two_partition(z)
-    good = hyperreg.is_delta_good(tp, delta, _exh())
+    good = hyperreg.is_delta_good(tp, delta, _EXH)
     zs, es = partitions.sub_partitions(tp, frame)
     e3 = es[2].blocks
     # Coarsen E3 into random groups; exact refinement implies E3 <_d G.
@@ -344,7 +334,7 @@ def _suite_claim_3_3(rng: random.Random, scale: Mapping):
             divmod(p, n2) for m, lab in zip(e3, relabel) if lab == group
             for p in m])
         res = check_delta_partition_with_edits(g, zs[0], zs[1], 3 * delta,
-                                               _exh())
+                                               _EXH)
         if res.status != NOT_CERTIFIED:
             found = True
             break
@@ -360,7 +350,7 @@ def _suite_claim_3_3(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_claim_3_4(rng: random.Random, scale: Mapping):
+def _suite_claim_3_4(rng: random.Random):
     """Restricting a certified regular 3-partition to an alpha-fraction of
     the edges passes the delta/alpha check."""
     delta = Fraction(1, 2)
@@ -378,7 +368,7 @@ def _suite_claim_3_4(rng: random.Random, scale: Mapping):
         h = ThreeGraph.complete(classes)
     else:
         h = _random_threegraph(rng, classes, lambda: 0.5)
-    base = hyperreg.check_delta_regular_3partition(h, tp, delta, _exh())
+    base = hyperreg.check_delta_regular_3partition(h, tp, delta, _EXH)
     sub = [frame.to_combined(i, v) for i in range(3) for v in range(n)]
     # The triples inside the low half of every class: the rows of the
     # pairs (a, b) with a, b < n, cut to their low n bits.
@@ -393,7 +383,7 @@ def _suite_claim_3_4(rng: random.Random, scale: Mapping):
                                  sub_rows)
     tp_sub = restrict_two_partition(tp, sub)
     restricted = hyperreg.check_delta_regular_3partition(
-        h_sub, tp_sub, min(Fraction(1), delta / alpha), _exh())
+        h_sub, tp_sub, min(Fraction(1), delta / alpha), _EXH)
     ok = (not base.passed) or restricted.passed
     rec = {
         "n": n,
@@ -406,7 +396,7 @@ def _suite_claim_3_4(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_eq_red_d(rng: random.Random, scale: Mapping):
+def _suite_eq_red_d(rng: random.Random):
     """t(E, AxC, BxC) = |E| |C| and aux-graph density equals triad density."""
     na = rng.randint(2, 6)
     nb = rng.randint(2, 6)
@@ -454,9 +444,9 @@ def _scaled_sum_f(h: ThreeGraph, t: Triad) -> int:
     return total
 
 
-def _suite_oct_equiv(rng: random.Random, scale: Mapping):
+def _suite_oct_equiv(rng: random.Random):
     """Naive and fast octahedron sums agree exactly; sum >= 0; sum f = 0."""
-    n = rng.choice(scale.get("sizes", [2, 3, 3, 4, 4, 5, 5, 6]))
+    n = rng.choice([2, 3, 3, 4, 4, 5, 5, 6])
     h, t = _random_equal_triad(rng, n)
     naive = hyperreg.octahedron_sum_naive(h, t)
     fast = hyperreg.octahedron_sum_fast(h, t)
@@ -473,7 +463,7 @@ def _suite_oct_equiv(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_def_4_3_nonneg(rng: random.Random, scale: Mapping):
+def _suite_def_4_3_nonneg(rng: random.Random):
     """Octahedron sum is nonnegative, also off the equal-density domain."""
     n = rng.choice([2, 3, 4, 5, 6, 8])
     classes = tuple(VertexClass(i, n) for i in range(3))
@@ -528,7 +518,7 @@ def _claim_4_8_instance(rng: random.Random):
             cand = _random_threegraph(rng, classes,
                                       lambda: rng.choice((0.85, 0.95)))
             if hyperreg.check_subtriad_hypothesis_holds(cand, tp, delta,
-                                                        _exh()):
+                                                        _EXH):
                 h = cand
                 break
         if h is None:
@@ -536,11 +526,11 @@ def _claim_4_8_instance(rng: random.Random):
     return h, tp, delta, 1, t_count, eps2
 
 
-def _suite_claim_4_8(rng: random.Random, scale: Mapping):
+def _suite_claim_4_8(rng: random.Random):
     """Hypothesis-verified instances pass the full reduction check."""
     h, tp, delta, ell, t_count, eps2 = _claim_4_8_instance(rng)
     report = hyperreg.reduction_check(h, tp, delta, ell, t_count, eps2,
-                                      _exh())
+                                      _EXH)
     ok = report.passed
     rec = {
         "delta": delta,
@@ -555,7 +545,7 @@ def _suite_claim_4_8(rng: random.Random, scale: Mapping):
     return rec, ok, list(report.caveats)
 
 
-def _suite_schacht(rng: random.Random, scale: Mapping):
+def _suite_schacht(rng: random.Random):
     """Quasirandomness-to-regularity implication, existential in C.
 
     The constant C is only asserted to exist, so the checkable content at
@@ -582,14 +572,14 @@ def _suite_schacht(rng: random.Random, scale: Mapping):
         t = Triad(BipartiteGraph.empty(classes[0], classes[1]),
                   BipartiteGraph.empty(classes[0], classes[2]),
                   BipartiteGraph.empty(classes[1], classes[2]))
-    concl = hyperreg.check_fr_triad(h, t, eps, _exh())
+    concl = hyperreg.check_fr_triad(h, t, eps, _EXH)
     if concl.status == CERTIFIED:
         ok = True
         refuting_c = None
     else:
         refuting_c = next(
             (C for C in range(1, c_max + 1)
-             if not hyperreg.schacht_predicate(t, h, eps, C, _exh())),
+             if not hyperreg.schacht_predicate(t, h, eps, C, _EXH)),
             None)
         ok = refuting_c is not None
     rec = {
@@ -609,12 +599,12 @@ _EPS_LADDER = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
 def _certify_ladder(g: BipartiteGraph) -> Fraction:
     """Smallest ladder eps for which g certifies eps-regular."""
     for eps in _EPS_LADDER:
-        if check_eps_regular(g, eps, _exh()).status == CERTIFIED:
+        if check_eps_regular(g, eps, _EXH).status == CERTIFIED:
             return eps
     return Fraction(1)
 
 
-def _suite_lemma_a1(rng: random.Random, scale: Mapping):
+def _suite_lemma_a1(rng: random.Random):
     """Slicing: alpha-large subsets of a certified eps-regular pair are
     2*eps/alpha-regular with density within eps."""
     na = rng.randint(6, 10)
@@ -629,7 +619,7 @@ def _suite_lemma_a1(rng: random.Random, scale: Mapping):
     b_sub = sorted(rng.sample(range(nb), kb))
     sub = induced_subgraph(g, a_sub, b_sub)
     eps_ind = min(Fraction(1), 2 * eps / alpha)
-    verdict = check_eps_regular(sub, eps_ind, _exh())
+    verdict = check_eps_regular(sub, eps_ind, _EXH)
     dens_ok = abs(density(sub) - density(g)) <= eps
     ok = verdict.status == CERTIFIED and dens_ok
     rec = {
@@ -643,7 +633,7 @@ def _suite_lemma_a1(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_claim_a2(rng: random.Random, scale: Mapping):
+def _suite_claim_a2(rng: random.Random):
     """Degree profile: at most 2 eps |X| exceptional vertices against any
     eps-large Y', for certified eps-regular pairs."""
     na = rng.randint(6, 10)
@@ -665,10 +655,10 @@ def _suite_claim_a2(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_lemma_a3(rng: random.Random, scale: Mapping):
+def _suite_lemma_a3(rng: random.Random):
     """Triangle counting band, exact when the two C-sides are complete,
     within 7 eps otherwise (eps the certified level of both C-sides)."""
-    style = scale.get("style") or rng.choice(["complete-sides", "random"])
+    style = rng.choice(["complete-sides", "random"])
     na = rng.randint(3, 6)
     nb = rng.randint(3, 6)
     nc = rng.randint(3, 12)
@@ -699,7 +689,7 @@ def _suite_lemma_a3(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_paste_density(rng: random.Random, scale: Mapping):
+def _suite_paste_density(rng: random.Random):
     """Six-cycle pasting: additive edge counts and exact densities."""
     style = rng.choice(["complete", "half", "random"])
     # Exactly half of n^3 triples needs n^3 even.
@@ -738,7 +728,7 @@ def _suite_paste_density(rng: random.Random, scale: Mapping):
     return rec, ok, []
 
 
-def _suite_schedule(rng: random.Random, scale: Mapping):
+def _suite_schedule(rng: random.Random):
     """Schedule arithmetic: pinned values and symbolic inequalities."""
     checks = {
         "e(3)=8192": cn.func_e(3).as_int() == 8192,
@@ -785,23 +775,25 @@ def registered_suites() -> list[str]:
     return sorted(_SUITES)
 
 
-def run_suite(spec: SuiteSpec) -> Report:
-    if spec.id not in _SUITES:
-        raise UnknownSuite(f"unknown suite {spec.id!r}; known: "
+def run_suite(suite: str, seed: int = 0, trials: int = 0) -> Report:
+    """Run ``trials`` trials of ``suite`` from master ``seed``; 0 trials
+    means the suite's default count, below 0 raises."""
+    if suite not in _SUITES:
+        raise UnknownSuite(f"unknown suite {suite!r}; known: "
                            + ", ".join(registered_suites()))
-    if spec.trials < 0:
+    if trials < 0:
         raise ParameterOutOfContract(
-            f"suite {spec.id!r}: trials is {spec.trials}, below 0 (0 "
+            f"suite {suite!r}: trials is {trials}, below 0 (0 "
             "means the suite's default)")
-    body, default_trials = _SUITES[spec.id]
-    trials = spec.trials or default_trials
+    body, default_trials = _SUITES[suite]
+    trials = trials or default_trials
     start = time.monotonic()
     records = []
     caveats: list[str] = []
     passed = True
     for t in range(trials):
-        rng = random.Random(trial_seed(spec.id, spec.seed, t))
-        rec, ok, trial_caveats = body(rng, spec.scale)
+        rng = random.Random(trial_seed(suite, seed, t))
+        rec, ok, trial_caveats = body(rng)
         rec = dict(rec)
         rec["trial"] = t
         rec["outcome"] = "pass" if ok else "fail"
@@ -809,6 +801,6 @@ def run_suite(spec: SuiteSpec) -> Report:
         passed = passed and ok
         for cv in trial_caveats:
             caveats.append(f"trial {t}: {cv}")
-    report = Report(spec.id, spec.seed, trials, records, passed, caveats)
+    report = Report(suite, seed, trials, records, passed, caveats)
     report.wall_time = time.monotonic() - start
     return report

@@ -7,9 +7,10 @@ statements themselves carry.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
-from regkit import suites
+from regkit import hyperreg, suites
 from regkit.graphs import BipartiteGraph, VertexClass
 from regkit.regcheck import (CERTIFIED, IRREGULAR, CheckParams,
                              check_delta_regular, check_eps_regular,
@@ -20,10 +21,8 @@ from test_regcheck import oracle_delta_regular, oracle_eps_regular
 EXH = CheckParams(mode="exhaustive")
 
 
-def _run(suite_id, trials, seed=0, scale=None):
-    spec = suites.SuiteSpec(suite_id, seed=seed, trials=trials,
-                            scale=scale or {})
-    return suites.run_suite(spec)
+def _run(suite_id, trials, seed=0):
+    return suites.run_suite(suite_id, seed, trials)
 
 
 def _require_clean(report):
@@ -88,19 +87,31 @@ def test_criterion_05_aux_density_identities():
 
 
 def test_criterion_06_octahedron_equivalence_and_sign():
-    report = _run("oct-equiv", trials=50,
-                  scale={"sizes": [2, 3, 4, 5, 6, 7, 8]})
-    _require_clean(report)
-    _ok("criterion-6: 50/50 triads, naive == fast octahedron sum, "
-        "sum >= 0, sum f == 0")
+    """The oct-equiv suite's triads, with sides drawn from 2 to 8 rather
+    than the suite's 2 to 6."""
+    sizes = set()
+    for trial in range(50):
+        rng = random.Random(suites.trial_seed("oct-equiv", 0, trial))
+        n = rng.choice([2, 3, 4, 5, 6, 7, 8])
+        h, t = suites._random_equal_triad(rng, n)
+        naive = hyperreg.octahedron_sum_naive(h, t)
+        fast = hyperreg.octahedron_sum_fast(h, t)
+        assert naive == fast >= 0, (trial, n)
+        assert suites._scaled_sum_f(h, t) == 0, (trial, n)
+        sizes.add(n)
+    assert sizes == set(range(2, 9))
+    _ok("criterion-6: 50/50 triads with sides 2 to 8, naive == fast "
+        "octahedron sum, sum >= 0, sum f == 0")
 
 
 def test_criterion_07_triangle_counting_band():
-    _require_clean(_run("lemma-a3", trials=50,
-                        scale={"style": "complete-sides"}))
-    _require_clean(_run("lemma-a3", trials=50, scale={"style": "random"}))
-    _ok("criterion-7: 50/50 exact counts with complete sides and 50/50 "
-        "random triads inside the 7*eps band")
+    report = _run("lemma-a3", trials=100)
+    _require_clean(report)
+    styles = Counter(r["style"] for r in report.records)
+    assert set(styles) == {"complete-sides", "random"}, styles
+    _ok(f"criterion-7: {styles['complete-sides']} exact counts with "
+        f"complete sides and {styles['random']} random triads inside the "
+        "7*eps band, 100/100")
 
 
 def test_criterion_08_slicing():
@@ -135,9 +146,8 @@ def test_criterion_12_determinism():
     for suite_id in suites.registered_suites():
         trials = 1 if suite_id == "schedule" else 5
         for seed in (0, 7):
-            spec = suites.SuiteSpec(suite_id, seed=seed, trials=trials)
-            first = suites.run_suite(spec).to_json()
-            second = suites.run_suite(spec).to_json()
+            first = _run(suite_id, trials, seed).to_json()
+            second = _run(suite_id, trials, seed).to_json()
             assert first == second, f"{suite_id} seed {seed} not stable"
     _ok("criterion-12: every suite produces byte-identical reports on "
         "repeated runs with fixed seeds")

@@ -337,9 +337,11 @@ def test_main_builds_its_parser_once(capsys):
 
 
 def test_run_suite_refuses_negative_trials():
-    with pytest.raises(ParameterOutOfContract):
-        suites.run_suite(suites.SuiteSpec("claim-3.1", trials=-2))
-    assert suites.run_suite(suites.SuiteSpec("schedule", trials=0)).trials == 1
+    with pytest.raises(ParameterOutOfContract) as info:
+        suites.run_suite("claim-3.1", trials=-2)
+    assert str(info.value) == ("suite 'claim-3.1': trials is -2, below 0 "
+                               "(0 means the suite's default)")
+    assert suites.run_suite("schedule", trials=0).trials == 1
 
 
 def test_json_reports_are_deterministic(fixtures, capsys):

@@ -6,8 +6,8 @@ or a long-lived host that re-imports the package (drops it from
 every module dict, function and class per import.  And regkit runs on the
 standard library alone, although the test extra installs numpy.  Every
 public function, class and method is reached from the package or the
-benchmark, apart from a pinned few, and every helper of the tests from
-the tests.
+benchmark, apart from a pinned few, every helper of the tests from the
+tests, and every script from a test or the CI workflow.
 """
 import ast
 import gc
@@ -115,9 +115,7 @@ def test_importing_regkit_loads_no_hashlib():
 # Public names that no code of regkit or the benchmark uses outside their
 # own definition, each kept for a reason.
 UNREFERENCED = {
-    "save_graph": "public file API, the writer twin of load_graph",
     "save_partition": "public file API, the writer twin of load_partition",
-    "save_threegraph": "public file API, the writer twin of load_threegraph",
     "save_triad": "public file API, the writer twin of load_triad",
     "save_twopartition": "public file API, the writer twin of "
                          "load_twopartition",
@@ -194,3 +192,22 @@ def test_every_test_helper_is_read():
               and not node.name.startswith("test_")
               and reads[node.name] == Counter(_names_read(node))[node.name]]
     assert unread == []
+
+
+def test_every_script_is_run():
+    """Each ``scripts/*.py`` is imported by a test, named as a file in a
+    test (to be run), or named in the CI workflow, so a tool that nothing
+    runs does not stay behind after the choice it measured is made."""
+    used = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                used.add(node.name + ".py")
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                                str):
+                used.add(pathlib.PurePath(node.value).name)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    unrun = [path.name for path in sorted((ROOT / "scripts").glob("*.py"))
+             if path.name not in used
+             and f"scripts/{path.name}" not in workflow]
+    assert unrun == []

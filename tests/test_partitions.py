@@ -143,7 +143,7 @@ def test_claim_3_2_computes_the_hosts_once_per_candidate(monkeypatch, seed):
 
     monkeypatch.setattr(partitions, "_refinement_hosts", counted_hosts)
     monkeypatch.setattr(suites, "_noisy_refinement", counted_noisy)
-    rec, ok, _ = suites._suite_claim_3_2(random.Random(seed), {})
+    rec, ok, _ = suites._suite_claim_3_2(random.Random(seed))
     assert ok
     assert calls["hosts"] == calls["candidates"] + (calls["candidates"] == 60)
     rng = random.Random(seed)

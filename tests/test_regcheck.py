@@ -26,8 +26,7 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              check_delta_partition_with_edits,
                              check_delta_regular, check_eps_regular,
                              check_perfect_delta_partition, degree_profile,
-                             find_delta_witness_greedy, verify_delta_witness,
-                             verify_eps_witness)
+                             verify_delta_witness, verify_eps_witness)
 from test_graphs import mask_to_set
 from test_hyperreg import _relabelled_graph
 
@@ -191,7 +190,7 @@ def test_threshold_contract():
         check_eps_regular(g, Fraction(0), EXH)
     # No size meets a floor above 1: a contract error, never StopIteration.
     with pytest.raises(ParameterOutOfContract):
-        find_delta_witness_greedy(g, Fraction(3, 2), 0)
+        check_delta_regular(g, Fraction(3, 2), CheckParams(mode="randomized"))
     with pytest.raises(ParameterOutOfContract):
         Threshold(Fraction(3, 2)).least(3)
 
@@ -222,10 +221,11 @@ def test_randomized_mode_never_claims_certified():
 
 def test_greedy_witness_search_verifies():
     rng = random.Random(104)
+    params = CheckParams(mode="randomized", seed=7)
     found = 0
     for _ in range(10):
         g = random_graph(rng, 7, 7, .5)
-        w = find_delta_witness_greedy(g, Fraction(1, 4), seed=7)
+        w = check_delta_regular(g, Fraction(1, 4), params).witness
         if w is not None:
             assert verify_delta_witness(g, Fraction(1, 4), w)
             found += 1
@@ -1497,6 +1497,22 @@ def test_degree_profile_errors_as_before():
             profile(g, [], Fraction(1, 4))
         with pytest.raises(IndexError):
             profile(g, [3], Fraction(1, 4))
+
+
+def test_degree_profile_refuses_a_negative_eps():
+    """A negative eps raises after the index and empty-subset checks, as
+    the witness checks order theirs; eps = 0 stays allowed."""
+    g = _graph(3, 3, [(0, 0), (1, 1), (2, 2)])
+    below = Fraction(-1, 10)
+    with pytest.raises(IndexError):
+        degree_profile(g, [3], below)
+    with pytest.raises(DegenerateInput):
+        degree_profile(g, [], below)
+    with pytest.raises(ParameterOutOfContract, match="^eps must be "
+                       "nonnegative$"):
+        degree_profile(g, [0, 1, 2], below)
+    assert degree_profile(g, [0, 1, 2], Fraction(0)) == (0, ()) == \
+        _ref4_degree_profile(g, [0, 1, 2], Fraction(0))
 
 
 @given(na=st.integers(1, 9), nb=st.integers(1, 9), data=st.data(),

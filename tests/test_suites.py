@@ -25,8 +25,10 @@ def test_registered_suites_complete():
 
 
 def test_unknown_suite_raises():
-    with pytest.raises(UnknownSuite):
-        suites.run_suite(suites.SuiteSpec("nope"))
+    with pytest.raises(UnknownSuite) as info:
+        suites.run_suite("nope")
+    assert str(info.value) == ("unknown suite 'nope'; known: "
+                               + ", ".join(suites.registered_suites()))
 
 
 def test_trial_seed_scheme_is_splittable():
@@ -41,8 +43,7 @@ def test_trial_seed_scheme_is_splittable():
 @pytest.mark.parametrize("suite_id", suites.registered_suites())
 def test_every_suite_passes_smoke(suite_id):
     trials = 1 if suite_id == "schedule" else 5
-    report = suites.run_suite(suites.SuiteSpec(suite_id, seed=11,
-                                               trials=trials))
+    report = suites.run_suite(suite_id, seed=11, trials=trials)
     assert report.passed, report.records
     assert report.trials == trials
     assert len(report.records) == trials
@@ -71,21 +72,19 @@ REPORT_DIGESTS = {
 
 @pytest.mark.parametrize("suite_id", sorted(REPORT_DIGESTS))
 def test_report_bytes_are_pinned(suite_id):
-    text = suites.run_suite(suites.SuiteSpec(suite_id, seed=0)).to_json()
+    text = suites.run_suite(suite_id, seed=0).to_json()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
         REPORT_DIGESTS[suite_id]
 
 
 def test_reports_are_byte_identical():
-    spec = suites.SuiteSpec("oct-equiv", seed=2, trials=8)
-    first = suites.run_suite(spec).to_json()
-    second = suites.run_suite(spec).to_json()
+    first = suites.run_suite("oct-equiv", seed=2, trials=8).to_json()
+    second = suites.run_suite("oct-equiv", seed=2, trials=8).to_json()
     assert first == second
 
 
 def test_canonical_json_shape():
-    report = suites.run_suite(suites.SuiteSpec("paste-density", seed=4,
-                                               trials=3))
+    report = suites.run_suite("paste-density", seed=4, trials=3)
     text = report.to_json()
     doc = json.loads(text)
     assert "wall_time" not in doc
@@ -109,7 +108,7 @@ def test_fraction_serialization():
 
 # ``suites._claim_4_8_instance`` as it was while every candidate got the full
 # ``subtriad_hypothesis_check`` report, kept verbatim as the oracle for the
-# early-exit check; only ``_exh()`` is now ``suites._exh()``.
+# early-exit check; only ``_exh()`` is now ``suites._EXH``.
 
 
 def _claim_4_8_instance(rng: random.Random):
@@ -147,7 +146,7 @@ def _claim_4_8_instance(rng: random.Random):
                 (a, b, c) for a in range(n) for b in range(n)
                 for c in range(n) if rng.random() < rng.choice([0.85, 0.95])))
             rep = hyperreg.subtriad_hypothesis_check(cand, tp, delta,
-                                                     suites._exh())
+                                                     suites._EXH)
             if rep.holds:
                 h = cand
                 break

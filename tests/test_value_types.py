@@ -196,11 +196,6 @@ CASES = [
      "pair_verdicts={(0, 0): Verdict(status='CertifiedRegular', "
      "method='Exhaustive', witness=None, effort={})}), passed=True, "
      "caveats=())"),
-    (suites.SuiteSpec,
-     {"id": "schedule", "seed": 1, "trials": 2, "scale": {"sizes": [2]}},
-     {"id": "oct-equiv", "seed": 2, "trials": 3, "scale": {"sizes": [3]}},
-     False, "SuiteSpec(id='schedule', seed=1, trials=2, "
-     "scale={'sizes': [2]})"),
     (suites.Report,
      {"suite": "schedule", "seed": 0, "trials": 1, "records": [{"a": 1}],
       "passed": True, "caveats": [], "wall_time": 0.5},
@@ -215,14 +210,13 @@ IDS = [case[0].__name__ for case in CASES]
 DEFAULTS = {
     "CheckParams": ["mode", "max_exhaustive_side", "random_trials", "seed"],
     "Verdict": ["witness", "effort"],
-    "SuiteSpec": ["seed", "trials", "scale"],
     "Report": ["wall_time"],
 }
 
 
 def test_every_value_type_is_covered():
-    """22 types, each once."""
-    assert len(set(IDS)) == len(IDS) == 22
+    """21 types, each once."""
+    assert len(set(IDS)) == len(IDS) == 21
 
 
 @pytest.mark.parametrize("cls, args, other, hashable, text", CASES, ids=IDS)
@@ -277,10 +271,6 @@ def test_defaults():
     p = regcheck.CheckParams()
     assert (p.mode, p.max_exhaustive_side, p.random_trials, p.seed) == (
         "auto", 12, 64, 0)
-    spec = suites.SuiteSpec("schedule")
-    assert (spec.id, spec.seed, spec.trials) == ("schedule", 0, 0)
-    assert spec.scale == {} and len(spec.scale) == 0
-    assert spec == suites.SuiteSpec("schedule", 0, 0, {})
     assert suites.Report("s", 0, 1, [], True, []).wall_time == 0.0
 
 
