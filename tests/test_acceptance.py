@@ -21,10 +21,6 @@ from test_regcheck import oracle_delta_regular, oracle_eps_regular
 EXH = CheckParams(mode="exhaustive")
 
 
-def _run(suite_id, trials, seed=0):
-    return suites.run_suite(suite_id, seed, trials)
-
-
 def _require_clean(report):
     failing = [r["trial"] for r in report.records if r["outcome"] != "pass"]
     assert report.passed and not failing, \
@@ -63,25 +59,25 @@ def test_criterion_01_oracle_agreement_graph_checks():
 
 
 def test_criterion_02_union_of_certified_pairs():
-    _require_clean(_run("claim-3.1", trials=100))
+    _require_clean(suites.run_suite("claim-3.1", trials=100))
     _ok("criterion-2: 100/100 edge-disjoint unions of certified "
         "<1/4>-regular members certify")
 
 
 def test_criterion_03_refinement_union_extract_bound():
-    _require_clean(_run("claim-3.2", trials=100))
+    _require_clean(suites.run_suite("claim-3.2", trials=100))
     _ok("criterion-3: 100/100 extractions satisfy |P^Q| <= 3*delta*|P| "
         "exactly")
 
 
 def test_criterion_04_approx_refinement_order_bound():
-    _require_clean(_run("claim-3.5", trials=100))
+    _require_clean(suites.run_suite("claim-3.5", trials=100))
     _ok("criterion-4: 100/100 approximate refinements satisfy "
         "|q| >= |p|/4")
 
 
 def test_criterion_05_aux_density_identities():
-    _require_clean(_run("eq-red-d", trials=100))
+    _require_clean(suites.run_suite("eq-red-d", trials=100))
     _ok("criterion-5: 100/100 instances satisfy both density and "
         "triangle-count identities with exact rationals")
 
@@ -105,7 +101,7 @@ def test_criterion_06_octahedron_equivalence_and_sign():
 
 
 def test_criterion_07_triangle_counting_band():
-    report = _run("lemma-a3", trials=100)
+    report = suites.run_suite("lemma-a3", trials=100)
     _require_clean(report)
     styles = Counter(r["style"] for r in report.records)
     assert set(styles) == {"complete-sides", "random"}, styles
@@ -115,20 +111,20 @@ def test_criterion_07_triangle_counting_band():
 
 
 def test_criterion_08_slicing():
-    _require_clean(_run("lemma-a1", trials=50))
+    _require_clean(suites.run_suite("lemma-a1", trials=50))
     _ok("criterion-8: 50/50 alpha-large slices stay 2*eps/alpha-regular "
         "with density within eps")
 
 
 def test_criterion_09_reduction_pipeline():
-    report = _run("claim-4.8", trials=25)
+    report = suites.run_suite("claim-4.8", trials=25)
     _require_clean(report)
     _ok("criterion-9: 25/25 exhaustively verified instances certify the "
         "perfect <2*sqrt(delta)> conclusion")
 
 
 def test_criterion_10_schedule_arithmetic():
-    report = _run("schedule", trials=1)
+    report = suites.run_suite("schedule", trials=1)
     _require_clean(report)
     checks = report.records[0]["checks"]
     assert all(v is True for v in checks.values()), checks
@@ -137,7 +133,7 @@ def test_criterion_10_schedule_arithmetic():
 
 
 def test_criterion_11_pasting_densities():
-    _require_clean(_run("paste-density", trials=20))
+    _require_clean(suites.run_suite("paste-density", trials=20))
     _ok("criterion-11: 20/20 pastes match the exact densities and edge "
         "counts are additive")
 
@@ -146,8 +142,8 @@ def test_criterion_12_determinism():
     for suite_id in suites.registered_suites():
         trials = 1 if suite_id == "schedule" else 5
         for seed in (0, 7):
-            first = _run(suite_id, trials, seed).to_json()
-            second = _run(suite_id, trials, seed).to_json()
+            first = suites.run_suite(suite_id, seed, trials).to_json()
+            second = suites.run_suite(suite_id, seed, trials).to_json()
             assert first == second, f"{suite_id} seed {seed} not stable"
     _ok("criterion-12: every suite produces byte-identical reports on "
         "repeated runs with fixed seeds")
