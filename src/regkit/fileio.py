@@ -19,6 +19,9 @@ and every count (edges, triples, blocks) at least 0; a header that breaks
 this is a FormatError naming its line.  So is a header whose sizes are too
 large to build the object from (a MemoryError or OverflowError on the way).
 
+A file may start with a UTF-8 byte-order mark, as some editors save one;
+the loaders drop it, and a U+FEFF anywhere else is content.
+
 Loading then saving yields the canonical form (edges sorted
 lexicographically); saving a loaded canonical file is byte-identical.
 
@@ -45,6 +48,7 @@ disjoint.
 """
 from __future__ import annotations
 
+import codecs
 import re
 from contextlib import contextmanager
 from functools import cache
@@ -419,10 +423,11 @@ def dumps_twopartition(tp: TwoPartition) -> str:
 
 
 def _read_text(path) -> str:
-    """The file's text; bytes that are not UTF-8 are a FormatError on the
-    line where they start, one past the line breaks before them."""
+    """The file's text, a leading UTF-8 byte-order mark dropped; bytes that
+    are not UTF-8 are a FormatError on the line where they start, one past
+    the line breaks before them."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

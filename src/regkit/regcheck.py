@@ -41,16 +41,19 @@ whose edge totals all rule a violation out is skipped whole.
 The effort reported as ``left_masks`` is the number of masks covered,
 every mask of at least ka bits up to the witness (or all of them),
 counted exactly rather than visited.  Every density comparison, the
-randomized searches' included, is exact integer arithmetic; no Fraction
+randomized search's included, is exact integer arithmetic; no Fraction
 is built inside a search.
 
-The randomized searches walk greedily from the full sides and then from
-random pairs meeting the size floors, removing one vertex per step.  A
-walk keeps the hit counts of each side packed in one integer, one field
-per vertex, one byte wide below 255 vertices a side and eight bytes from
-there on.  A removed vertex's field holds a sentinel that the pick never
-takes, so a step is a max (or min) over the fields plus a fixed number of
-integer operations, whatever the sides' sizes.  The random starts come
+The randomized search, one for both notions, walks greedily from the
+full sides and then from random pairs meeting the size floors, removing
+one vertex per step.  The band picks the walks: down only when it has no
+high side, stopping where a removal no longer lowers the density, and
+down then up when it has one.  A walk keeps the hit counts of each side
+packed in one integer, one field per vertex, one byte wide below 255
+vertices a side and eight bytes from there on.  A removed vertex's field
+holds a sentinel that the pick never takes, so a step is a max (or min)
+over the fields plus a fixed number of integer operations, whatever the
+sides' sizes.  The random starts come
 from a generator private to the search and are drawn only as the search
 reaches them, so a search that finds a witness early draws no more.  The
 effort reported as ``trials`` is the number of starts walked, 1 +
@@ -494,11 +497,10 @@ def _density_bounds(g: BipartiteGraph, thr: Threshold
 
 
 def _check_pair(g: BipartiteGraph, thr: Threshold, band: _Band,
-                params: CheckParams, search) -> Verdict:
+                params: CheckParams) -> Verdict:
     """The verdict on ``g`` for the size floors of ``thr`` and ``band``:
     an exhaustive scan, or else the density bounds and, when they leave
-    room for a violation, ``search()``, which returns (witness or None,
-    starts walked)."""
+    room for a violation, ``_random_search``."""
     if not thr.is_positive() or not thr.le_one():
         raise ParameterOutOfContract("parameter must satisfy 0 < value <= 1")
     mode = params.pick_mode(max(g.left.size, g.right.size),
@@ -512,7 +514,7 @@ def _check_pair(g: BipartiteGraph, thr: Threshold, band: _Band,
     if band.excludes(*_density_bounds(g, thr)):
         witness, trials = None, 1 + params.random_trials
     else:
-        witness, trials = search()
+        witness, trials = _random_search(g, thr, band, params)
     return Verdict.of_search(mode, witness, {"trials": trials})
 
 
@@ -525,8 +527,7 @@ def check_eps_regular(g: BipartiteGraph, eps: Fraction,
     witness, and the verdict is the one the search would end with.
     """
     eps = Fraction(eps)
-    return _check_pair(g, Threshold(eps), _Band.eps(g, eps), params,
-                       lambda: _random_eps_search(g, eps, params))
+    return _check_pair(g, Threshold(eps), _Band.eps(g, eps), params)
 
 
 def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
@@ -536,14 +537,11 @@ def check_delta_regular(g: BipartiteGraph, delta: ThresholdLike,
     As for eps, a randomized search is not run when the density bounds
     keep every admissible pair at density d/2 or more.
     """
-    thr = _as_threshold(delta)
-    return _check_pair(g, thr, _Band.delta(g), params,
-                       lambda: _random_delta_search(g, thr, params.seed,
-                                                    params.random_trials))
+    return _check_pair(g, _as_threshold(delta), _Band.delta(g), params)
 
 
 # ---------------------------------------------------------------------------
-# Randomized searches
+# Randomized search
 
 
 class _WalkTables(NamedTuple):
@@ -649,26 +647,6 @@ def _greedy_walk(g: BipartiteGraph, tables: _WalkTables, amask: int,
         e = best_e2
 
 
-def _peel(g: BipartiteGraph, tables: _WalkTables, band: _Band, amask: int,
-          bmask: int) -> Optional[tuple[int, int]]:
-    """Greedy peeling from a starting pair; returns a violating pair or None.
-
-    Walks down (see ``_greedy_walk``) and stops at the first pair whose
-    density ``band`` rejects, or when the walk ends or its next removal
-    does not lower the induced density.
-    """
-    prev = None
-    for am, bm, e2 in _greedy_walk(g, tables, amask, bmask, True):
-        k = am.bit_count() * bm.bit_count()
-        if prev is not None and e2 * prev[1] >= prev[0] * k:
-            # No removal lowers the density any further.
-            return None
-        if band.violates(e2, k):
-            return am, bm
-        prev = (e2, k)
-    return None
-
-
 def _random_subset(rng: random.Random, n: int, k: int) -> int:
     return sum(map((1).__lshift__, rng.sample(range(n), k)))
 
@@ -692,49 +670,39 @@ def _random_starts(g: BipartiteGraph, thr: Threshold, rng: random.Random,
         yield _random_subset(rng, na, ka), _random_subset(rng, nb, kb)
 
 
-def _random_delta_search(g: BipartiteGraph, thr: Threshold, seed: int,
-                         restarts: int
-                         ) -> tuple[Optional[tuple[tuple[int, ...],
-                                                   tuple[int, ...]]], int]:
-    """Randomized witness search for the one-sided delta condition on a
-    graph with edges; returns the witness or None and the number of
-    starts walked.
+def _random_search(g: BipartiteGraph, thr: Threshold, band: _Band,
+                   params: CheckParams
+                   ) -> tuple[Optional[tuple[tuple[int, ...],
+                                             tuple[int, ...]]], int]:
+    """Randomized witness search; returns the witness or None and the
+    number of starts walked.
 
-    Attempt 0 peels from the full sides; later attempts restart from
-    uniformly random subsets meeting the size floors.  Any returned
-    witness has been re-verified against the definition.
+    From each start of ``_random_starts`` walks down and, when ``band`` has
+    a high side, then up (see ``_greedy_walk``), and returns the first pair
+    on the way whose density ``band`` rejects.  Without a high side a walk
+    stops where its next removal does not lower the induced density: no
+    later pair of that walk can leave the band.  The pair is re-verified
+    by ``_witness_violates``; one that fails raises RuntimeError, which
+    the walks' exact edge counts never allow.
     """
-    rng = random.Random(seed)
-    tables, band = _WalkTables.of(g, thr), _Band.delta(g)
-    starts = _random_starts(g, thr, rng, restarts)
-    for trials, (amask, bmask) in enumerate(starts, 1):
-        found = _peel(g, tables, band, amask, bmask)
-        if found is not None:
-            witness = (_bits(found[0]), _bits(found[1]))
-            if verify_delta_witness(g, thr, witness):
-                return witness, trials
-    return None, trials
-
-
-def _random_eps_search(g: BipartiteGraph, eps: Fraction, params: CheckParams
-                       ) -> tuple[Optional[tuple[tuple[int, ...],
-                                                 tuple[int, ...]]], int]:
-    """Random sampling plus greedy walks for the two-sided condition.
-
-    From each start, walks down and then up (see ``_greedy_walk``) and
-    returns the first pair on the way whose witness re-verifies.
-    """
-    thr = Threshold(eps)
     rng = random.Random(params.seed)
-    tables, band = _WalkTables.of(g, thr), _Band.eps(g, eps)
+    tables = _WalkTables.of(g, thr)
     starts = _random_starts(g, thr, rng, params.random_trials)
     for trials, (amask, bmask) in enumerate(starts, 1):
-        for want_low in (True, False):
-            for am, bm, e2 in _greedy_walk(g, tables, amask, bmask, want_low):
-                if band.violates(e2, am.bit_count() * bm.bit_count()):
+        for want_low in (True,) if band.hi is None else (True, False):
+            last = None
+            for am, bm, e in _greedy_walk(g, tables, amask, bmask, want_low):
+                k = am.bit_count() * bm.bit_count()
+                if (band.hi is None and last is not None
+                        and e * last[1] >= last[0] * k):
+                    break
+                if band.violates(e, k):
                     witness = (_bits(am), _bits(bm))
-                    if verify_eps_witness(g, eps, witness):
-                        return witness, trials
+                    if not _witness_violates(g, witness, thr, band):
+                        raise RuntimeError(f"walk pair {witness} does not "
+                                           f"re-verify")
+                    return witness, trials
+                last = e, k
     return None, trials
 
 

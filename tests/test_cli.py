@@ -78,10 +78,9 @@ def test_check_pair_unknown_above_the_exhaustive_limit(tmp_path, capsys,
                         if (7 * a + 3 * b) % 20])
     path = tmp_path / "near.bg"
     fileio.save_graph(path, g)
-    with mock.patch.object(regcheck, "_random_eps_search") as eps, \
-            mock.patch.object(regcheck, "_random_delta_search") as delta:
+    with mock.patch.object(regcheck, "_random_search") as search:
         assert run(["--json", "check-pair", "--graph", path, flag, "1/3"]) == 0
-    assert not eps.called and not delta.called
+    assert not search.called
     assert capsys.readouterr().out == (
         '{\n "caveats": [\n  "no witness found; not a certification"\n ],\n'
         ' "report": {\n  "check": "%s",\n  "method": "Randomized",\n'

@@ -1,3 +1,4 @@
+import codecs
 import itertools
 import random
 import tracemalloc
@@ -317,7 +318,9 @@ def test_path_round_trip(tmp_path):
     (b"\xff", 1),
     (b"# a\r\n\n\xc3\xa9 \xc3", 3),  # a multibyte character cut short
     (b"h3 1 1 1 0\n\n\xe2\x82\n", 3),
-], ids=["in a line", "first byte", "cut short", "after a blank line"])
+    (codecs.BOM_UTF8 + b"bg 2 2 1\n0 \xff\n", 2),
+], ids=["in a line", "first byte", "cut short", "after a blank line",
+        "after a byte-order mark"])
 def test_non_utf8_bytes_are_a_format_error_naming_the_line(tmp_path, load,
                                                            data, line):
     path = tmp_path / "bad"
@@ -331,6 +334,27 @@ def test_utf8_text_beyond_ascii_loads(tmp_path):
     path.write_bytes("# caf\u00e9\nbg 1 1 1\n0 0\n".encode())
     assert fileio.load_graph(path) == BipartiteGraph.complete(
         VertexClass(0, 1), VertexClass(1, 1))
+
+
+@pytest.mark.parametrize("load, dump, text", [
+    (fileio.load_graph, fileio.dumps_graph, "bg 2 2 1\n0 1\n"),
+    (fileio.load_threegraph, fileio.dumps_threegraph, "h3 2 2 2 1\n0 1 1\n"),
+    (fileio.load_partition, fileio.dumps_partition, "vp 2 2\n0 1\n"),
+    (fileio.load_triad, fileio.dumps_triad,
+     "tr 2 2 2\nbg 2 2 1\n0 1\nbg 2 2 0\nbg 2 2 1\n1 0\n"),
+    (fileio.load_twopartition, fileio.dumps_twopartition, CANONICAL_TP),
+], ids=["bg", "h3", "vp", "tr", "tp"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, load, dump, text):
+    """A canonical file saved with a UTF-8 byte-order mark loads as the
+    same file without it; a U+FEFF anywhere else is content, so a
+    FormatError."""
+    path = tmp_path / "marked"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert dump(load(path)) == text
+    for bad in ("\ufeff\ufeff" + text, text.replace("\n", "\n\ufeff", 1)):
+        path.write_bytes(bad.encode())
+        with pytest.raises(FormatError):
+            load(path)
 
 
 # The per-line readers of bg sections and of h3 files as they were before

@@ -765,6 +765,51 @@ def test_triad_density_is_invariant_under_axis_order_and_labels(
     assert counts(graphs, moved, embedding=labels) == want
 
 
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+       st.sampled_from([.3, .7, 1]), st.sampled_from([.3, .7, 1]),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_reduction_identities_are_invariant_under_labels(sizes, p, ph, run,
+                                                         seed):
+    """Both reduction identities hold for an E on random class-1 and
+    class-2 vertices and a class-3 subset C (a run or not), and still hold,
+    with the density of the triad (E, A x C, B x C) unmoved, when every
+    class of the 3-graph is relabelled and the three vertex lists are
+    mapped alike: by random labels, by the reversal and by a rotation.
+    Labels that leave C out of order take the bit-by-bit hyperedge test of
+    ``_triangle_masks``."""
+    rng = random.Random(seed)
+    cls = tuple(VertexClass(i, n) for i, n in enumerate(sizes))
+    triples = [t for t in itertools.product(*map(range, sizes))
+               if rng.random() < ph]
+    a_vs = rng.sample(range(sizes[0]), rng.randint(1, sizes[0]))
+    b_vs = rng.sample(range(sizes[1]), rng.randint(1, sizes[1]))
+    nc = rng.randint(1, sizes[2])
+    c_vs = (list(range(rng.randint(0, sizes[2] - nc), sizes[2]))[:nc] if run
+            else rng.sample(range(sizes[2]), nc))
+    e = rg(rng, VertexClass(0, len(a_vs)), VertexClass(1, len(b_vs)), p)
+    assume(e.edge_count)
+    c_cls = VertexClass(2, nc)
+
+    def answers(labels):
+        h = ThreeGraph(cls, [tuple(labels[i][v] for i, v in enumerate(t))
+                             for t in triples])
+        vs = [[labels[i][v] for v in m] for i, m in enumerate(
+            (a_vs, b_vs, c_vs))]
+        triad = Triad(e, BipartiteGraph.complete(e.left, c_cls),
+                      BipartiteGraph.complete(e.right, c_cls), embedding=vs)
+        stats = hyperreg.triad_density(h, triad)
+        return (hyperreg._reduction_identity(h, e, *vs),
+                stats.triangle_count, stats.h_edge_count)
+
+    want = answers([range(n) for n in sizes])
+    assert want[0] == (True, True)
+    assert want[1] == e.edge_count * nc
+    for labels in ([rng.sample(range(n), n) for n in sizes],
+                   [range(n - 1, -1, -1) for n in sizes],
+                   [[(v + 1) % n for v in range(n)] for n in sizes]):
+        assert answers(labels) == want
+
+
 def test_partition_triads_enumeration():
     frame = ThreePartiteFrame(tuple(VertexClass(i, 2) for i in range(3)))
     tp = complete_two_partition(frame.frame_partition())

@@ -20,7 +20,7 @@ from regkit.regcheck import (AFTER_EDITS, CERTIFIED, IRREGULAR,
                              EditResult, Threshold, ThresholdLike, Verdict,
                              _Band, _WalkTables, _as_threshold,
                              _fields, _greedy_walk, _iter_cluster_pairs,
-                             _masks_covered, _members, _peel, _prefix_masks,
+                             _masks_covered, _members, _prefix_masks,
                              _random_starts, _scan, _scan_witness,
                              _spread_row,
                              check_delta_partition_with_edits,
@@ -613,20 +613,42 @@ def test_greedy_tie_goes_to_left_then_lowest_index():
     assert _walk_pairs(g, thr, False, 2)[1] == (0b011, 0b111, 2)
     assert _ref_eps_push(g, thr, 0b111, 0b111, False) == (0b011, 0b111)
     # Peeling: left 0, then a density-0 tie between left 1 and right 0.
-    g = BipartiteGraph(a, b, [(0, 0), (0, 1), (1, 0)])
-    assert _peel(g, _WalkTables.of(g, thr), _Band.delta(g), 0b111,
-                 0b111) == (0b100, 0b111)
-    assert _ref_peel(g, thr, 0b111, 0b111, want_low=True) == (0b100, 0b111)
+    peeled = BipartiteGraph(a, b, [(0, 0), (0, 1), (1, 0)])
+    assert _ref_peel(peeled, thr, 0b111, 0b111, want_low=True) == (0b100,
+                                                                   0b111)
     # Two disjoint K_{2,2}: every removal keeps the density at 1/2, so
     # peeling stops at once although ({0}, {2}) violates delta = 1/4.
     a, b = VertexClass(0, 4), VertexClass(1, 4)
-    g = BipartiteGraph(a, b, [(i, j) for i in range(4) for j in range(4)
-                              if i // 2 == j // 2])
-    thr = Threshold(Fraction(1, 4))
-    assert _peel(g, _WalkTables.of(g, thr), _Band.delta(g), 0b1111,
-                 0b1111) is None
-    assert _ref_peel(g, thr, 0b1111, 0b1111, want_low=True) is None
-    assert verify_delta_witness(g, thr, ((0,), (2,)))
+    blocks = BipartiteGraph(a, b, [(i, j) for i in range(4) for j in range(4)
+                                   if i // 2 == j // 2])
+    quarter = Threshold(Fraction(1, 4))
+    assert _ref_peel(blocks, quarter, 0b1111, 0b1111, want_low=True) is None
+    assert verify_delta_witness(blocks, quarter, ((0,), (2,)))
+    # The live search takes the same steps and stops at the same pairs:
+    # its whole verdict, the starts walked included, is the reference's.
+    for graph, delta in ((peeled, thr), (blocks, quarter)):
+        for seed in range(6):
+            params = CheckParams(mode="randomized", random_trials=3,
+                                 seed=seed)
+            assert check_delta_regular(graph, delta, params) == ref_verdict(
+                graph, "delta", delta, params)
+
+
+def test_a_walk_pair_that_fails_to_reverify_raises():
+    """A rejected walk pair is re-checked against the definition; one the
+    check refuses means a walk count is wrong, which is an error, not a
+    failed start."""
+    g = _graph(2, 2, [(0, 0), (1, 1)])
+
+    def wrong_count(g, tables, amask, bmask, want_low):
+        yield amask, bmask, 0   # the full pair has 2 edges, not 0
+
+    params = CheckParams(mode="randomized", random_trials=1)
+    for check, value in ((check_eps_regular, Fraction(1, 4)),
+                         (check_delta_regular, Fraction(1, 2))):
+        with mock.patch.object(regcheck, "_greedy_walk", wrong_count), \
+                pytest.raises(RuntimeError, match=r"\(\(0, 1\), \(0, 1\)\)"):
+            check(g, value, params)
 
 
 
@@ -918,11 +940,8 @@ def test_pruned_checks_match_reference(mode, sides, count, seed):
     taken on some checks and not on others."""
     rng = random.Random(seed)
     statuses = set()
-    with mock.patch.object(regcheck, "_random_eps_search",
-                           wraps=regcheck._random_eps_search) as eps_search, \
-            mock.patch.object(regcheck, "_random_delta_search",
-                              wraps=regcheck._random_delta_search
-                              ) as delta_search:
+    with mock.patch.object(regcheck, "_random_search",
+                           wraps=regcheck._random_search) as search:
         for _ in range(count):
             g = _pruning_graph(rng, rng.randint(*sides), rng.randint(*sides))
             params = CheckParams(mode=mode, random_trials=rng.randint(1, 4),
@@ -933,12 +952,11 @@ def test_pruned_checks_match_reference(mode, sides, count, seed):
             got_delta = check_delta_regular(g, delta, params)
             assert got_delta == ref_verdict(g, "delta", delta, params)
             statuses |= {got.status, got_delta.status}
-    searches = eps_search.call_count + delta_search.call_count
     if mode == "exhaustive":
-        assert statuses == {CERTIFIED, IRREGULAR} and searches == 0
+        assert statuses == {CERTIFIED, IRREGULAR} and not search.called
     else:
         assert {UNKNOWN, IRREGULAR} <= statuses
-        assert 0 < searches < 2 * count
+        assert 0 < search.call_count < 2 * count
 
 
 @st.composite
@@ -1111,12 +1129,11 @@ def test_density_bounds_rule_out_only_regular_pairs(g, eps, delta):
     """Soundness of the capped bound on sides up to 10: when a randomized
     check returns without searching, the oracle scan certifies."""
     params = CheckParams(mode="randomized", random_trials=1)
-    for name, check, scan, value in [
-            ("_random_eps_search", check_eps_regular, _spec_scan_eps, eps),
-            ("_random_delta_search", check_delta_regular, _spec_scan_delta,
-             _as_threshold(delta))]:
-        with mock.patch.object(regcheck, name,
-                               wraps=getattr(regcheck, name)) as search:
+    for check, scan, value in [
+            (check_eps_regular, _spec_scan_eps, eps),
+            (check_delta_regular, _spec_scan_delta, _as_threshold(delta))]:
+        with mock.patch.object(regcheck, "_random_search",
+                               wraps=regcheck._random_search) as search:
             check(g, value, params)
         if not search.called:
             assert scan(g, value)[0] is None
